@@ -46,7 +46,7 @@ def main():
         line = f"{label}: cells={len(sub.cells)} mpcp={report.mpcp}"
         if report.mpcp:
             full = check_mpcs(sub, cfg, report)
-            cert = certify_isolated_singularity(vt, weights)
+            cert = certify_isolated_singularity(sub, cfg, report)
             line += f" mpcs={full.mpcs} certified={cert.certified}"
         print(line)
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .grading import GradingData, deg_equal
+from .grading import GradingData, deg_equal, default_volume_vector
 from .toricdata import ToricDataError, UnknownMonomial, ValidatedToricData
 from .toricdata import validate_volume_orders
 from .intlat import contains
@@ -93,7 +94,6 @@ def _assert_homogeneous(w: Superpotential):
 def epsilon_involution(vt: ValidatedToricData, v=None):
     """Per-variable signs of the involution z_i -> (-1)^(1+v_i) z_i."""
     if v is None:
-        from .grading import default_volume_vector
         v = default_volume_vector(vt)
     validate_volume_orders(vt.blocks, v)
     return tuple((-1) ** (1 + vi) for vi in v), tuple(v)
@@ -202,7 +202,6 @@ class KoszulMF:
         """delta^2 = W * id on every basis element phi_S."""
         n = self.n
         w_elem = self.w_element()
-        from itertools import combinations
         for size in range(n + 1):
             for subset in combinations(range(n), size):
                 subset = frozenset(subset)
@@ -271,7 +270,6 @@ def dualize_mf(mf: KoszulMF, v=None) -> DualizationReport:
     vt = mf.vt
     n = vt.n
     if v is None:
-        from .grading import default_volume_vector
         v = default_volume_vector(vt)
 
     def dual_delta(elem):
@@ -315,7 +313,6 @@ def dualize_mf(mf: KoszulMF, v=None) -> DualizationReport:
             _elem_add(out, (zexp, image), _scale(coeff, sign))
         return out
 
-    from itertools import combinations
     for size in range(n + 1):
         for subset in combinations(range(n), size):
             subset = frozenset(subset)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -43,6 +42,16 @@ def _parse_exponent_key(key, where):
         raise ConfigError(f"{where}: bad exponent key {key!r}") from None
 
 
+def _parse_vector(value, n, where):
+    try:
+        vec = tuple(int(x) for x in value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: not an integer vector: {exc}") from None
+    if len(vec) != n:
+        raise ConfigError(f"{where}: has length {len(vec)}, expected {n}")
+    return vec
+
+
 def parse_config(data) -> ToricInput:
     """Build a ToricInput from the JSON config structure (1-based blocks)."""
     if not isinstance(data, dict):
@@ -59,14 +68,21 @@ def parse_config(data) -> ToricInput:
     lat = data["lattice"]
     if not isinstance(lat, dict):
         raise ConfigError("config: lattice must be an object")
+    n = len(degrees)
     if "congruences" in lat:
         congruences = []
         for item in lat["congruences"]:
-            congruences.append((tuple(int(x) for x in item["c"]), int(item["mod"])))
+            if not isinstance(item, dict) or "c" not in item or "mod" not in item:
+                raise ConfigError("config: each congruence needs 'c' and 'mod'")
+            try:
+                mod = int(item["mod"])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"congruence mod: {exc}") from None
+            congruences.append((_parse_vector(item["c"], n, "congruence c"), mod))
         spec = LatticeSpec(congruences=tuple(congruences))
     elif "generators" in lat:
         spec = LatticeSpec(generators=tuple(
-            tuple(int(x) for x in g) for g in lat["generators"]))
+            _parse_vector(g, n, "generator") for g in lat["generators"]))
     else:
         raise ConfigError("config: lattice needs congruences or generators")
 
@@ -85,10 +101,12 @@ def parse_config(data) -> ToricInput:
 
     volume_orders = None
     if data.get("v") is not None:
-        volume_orders = tuple(int(x) for x in data["v"])
+        volume_orders = _parse_vector(data["v"], n, "v")
 
     b_valuations = None
     if data.get("b_valuations") is not None:
+        if not isinstance(data["b_valuations"], dict):
+            raise ConfigError("config: b_valuations must be an object")
         b_valuations = {
             _parse_exponent_key(k, "b_valuations"): _parse_fraction(v, "b_valuations")
             for k, v in data["b_valuations"].items()}
@@ -110,48 +128,34 @@ def load_config(path) -> ToricInput:
 
 
 def fixture_config_json(name):
-    inp = fixture_input(name)
-    from .toricdata import validate as _validate
-    return input_echo(_validate(inp))
+    return input_echo(validate(fixture_input(name)))
 
 
-def _threads():
-    raw = os.environ.get("MIRRORCONE_THREADS")
-    if not raw:
-        return 1
+def _load_validated(path):
+    """(validated data, None) for the config at path, or (None, exit code)."""
     try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+        return validate(load_config(path)), None
+    except ConfigError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return None, EXIT_INPUT
+    except ToricDataError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return None, EXIT_DOMAIN
 
 
 def cmd_validate(args):
-    try:
-        inp = load_config(args.config)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        vt = validate(inp)
-    except ToricDataError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    vt, code = _load_validated(args.config)
+    if vt is None:
+        return code
     print(json.dumps({"valid": True, "xi_count": len(vt.xi),
                       "xi0_count": len(vt.xi0)}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_analyze(args):
-    try:
-        inp = load_config(args.config)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        vt = validate(inp)
-    except ToricDataError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    vt, code = _load_validated(args.config)
+    if vt is None:
+        return code
 
     if args.sections:
         sections = tuple(s.strip() for s in args.sections.split(",") if s.strip())
@@ -176,7 +180,7 @@ def cmd_analyze(args):
 
     try:
         report = build_report(vt, sections, algebra_cutoff=args.cutoff,
-                              perturb_seed=args.perturb, threads=_threads())
+                              perturb_seed=args.perturb)
     except (FactorizationCheckFailed, IntertwineCheckFailed, CellLiftFailure,
             ClassificationViolation) as exc:
         print(f"certificate failure [{type(exc).__name__}]: {exc}", file=sys.stderr)

@@ -11,20 +11,22 @@ strictly below the heights elsewhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 import random
 
 from .intlat import (
     det_fraction,
-    fraction_matrix_rank,
     hnf_canonicalize,
+    lcm_list,
+    matrix_rank,
+    nullspace,
     smith_normal_form,
-    solve_fraction_system,
     solve_int,
+    solve_linear,
 )
-from .toricdata import ValidatedToricData
+from .toricdata import ValidatedToricData, resolve_weight
 
 ORIGIN = "origin"
 
@@ -93,29 +95,14 @@ def project_config(vt: ValidatedToricData) -> ProjectedConfig:
         for blk in vt.blocks:
             assert min(p[i] for i in blk) == 0, "Xi_0 point without block zero"
         lifts[pid] = p
-    return ProjectedConfig(dim=len(kept), ids=tuple(ids), coords=coords,
-                           lifts=lifts, kept=kept, dropped=dropped, vt=vt)
+    return replace(cfg, ids=tuple(ids))
 
 
 def resolve_weights(cfg: ProjectedConfig, weights) -> dict:
     """Heights keyed by point id; the origin is pinned at 0."""
-    if weights is None:
-        raise FanError("no weight vector supplied")
     out = {ORIGIN: Fraction(0)}
-    for pid in cfg.ids:
-        if pid == ORIGIN:
-            continue
-        p = cfg.lifts[pid]
-        if isinstance(weights, dict):
-            key = tuple(p)
-            if key not in weights:
-                raise FanError(f"no weight supplied for {key}")
-            lam = Fraction(weights[key])
-        else:
-            lam = Fraction(weights)
-        if lam <= 0:
-            raise FanError("weights must be positive")
-        out[pid] = lam
+    for pid in cfg.ids[1:]:
+        out[pid] = resolve_weight(weights, cfg.lifts[pid])
     return out
 
 
@@ -126,84 +113,17 @@ class Subdivision:
     weights: dict                        # id -> Fraction
     perturbed: bool = False
 
-    def cell_count(self):
-        return len(self.cells)
-
     def is_triangulation(self, dim):
         return all(len(c) == dim + 1 for c in self.cells)
 
 
-def _int_rank(rows):
-    """Rank of a matrix with integer entries, fraction-free."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                x, y = pr[col], rows[i][col]
-                rows[i] = [x * b - y * a for a, b in zip(pr, rows[i])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
-def _rank_rows(rows):
-    if all(isinstance(x, int) for row in rows for x in row):
-        return _int_rank(rows)
-    return fraction_matrix_rank(rows)
-
-
-def _int_det(rows):
-    """Determinant of a square integer matrix (Bareiss, exact)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _hyperplane_normal(dirs, dim):
-    """Normal to dim-1 direction vectors spanning a hyperplane, else None.
-
-    For integer rows the normal is the vector of signed maximal minors
-    (exact, fraction-free); it vanishes exactly when the rank drops.
-    Callers pass exactly dim-1 rows.
-    """
-    if dim == 1:
-        return (1,)
-    if all(isinstance(x, int) for row in dirs for x in row):
-        g = []
-        for k in range(dim):
-            minor = [[row[j] for j in range(dim) if j != k] for row in dirs]
-            g.append((-1) ** k * _int_det(minor))
-        if not any(g):
-            return None
-        return tuple(g)
-    if _rank_rows(dirs) != dim - 1:
+    """Integer normal to dim-1 direction vectors spanning a hyperplane, else None."""
+    basis = nullspace(dirs, dim)
+    if len(basis) != 1:
         return None
-    normals = _nullspace(dirs, dim)
-    return normals[0] if len(normals) == 1 else None
+    den = lcm_list(x.denominator for x in basis[0])
+    return tuple(x.numerator * (den // x.denominator) for x in basis[0])
 
 
 def _affine_rank(points):
@@ -211,36 +131,7 @@ def _affine_rank(points):
         return -1
     base = points[0]
     dirs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
-    return _rank_rows(dirs)
-
-
-def _nullspace(rows, dim):
-    """Basis of {g in Q^dim : <g, row> = 0 for all rows} (Gaussian elimination)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    basis = []
-    free = [c for c in range(dim) if c not in pivots]
-    for fcol in free:
-        vec = [Fraction(0)] * dim
-        vec[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            vec[pcol] = -a[i][fcol]
-        basis.append(tuple(vec))
-    return basis
+    return matrix_rank(dirs)
 
 
 def _lower_hull_cells(points, heights):
@@ -278,8 +169,8 @@ def _lower_hull_cells(points, heights):
             if _affine_rank(cpts) == dim:
                 return a, c, contact
             base = cpts[0]
-            dirs = [tuple(Fraction(x - y) for x, y in zip(p, base)) for p in cpts[1:]]
-            beta = _nullspace(dirs, dim)[0]
+            dirs = [tuple(x - y for x, y in zip(p, base)) for p in cpts[1:]]
+            beta = nullspace(dirs, dim)[0]
 
             def bval(i):
                 return sum(b * (x - y) for b, x, y in zip(beta, points[i], base))
@@ -295,49 +186,17 @@ def _lower_hull_cells(points, heights):
             c = c - t * sum(b * y for b, y in zip(beta, base))
 
     def cell_ridges(cell):
-        """Facets of the cell polytope: (ridge index set, outward beta).
-
-        Candidate subsets already contained in a found ridge are skipped,
-        which keeps the scan near-linear for the large cells of degenerate
-        weight vectors.
-        """
+        """Facets of the cell polytope: (ridge index set, outward normal)."""
         idx = sorted(cell)
-        cpts = {i: points[i] for i in idx}
-        seen = {}
-        for sub in combinations(idx, dim):
-            if any(set(sub) <= ridge for ridge in seen):
-                continue
-            base = points[sub[0]]
-            dirs = [tuple(x - y for x, y in zip(points[i], base))
-                    for i in sub[1:]]
-            g = _hyperplane_normal(dirs, dim)
-            if g is None:
-                continue
-            g0 = sum(gi * xi for gi, xi in zip(g, base))
-            vals = {i: sum(gi * xi for gi, xi in zip(g, cpts[i])) for i in idx}
-            if all(v <= g0 for v in vals.values()):
-                pass
-            elif all(v >= g0 for v in vals.values()):
-                g = tuple(-x for x in g)
-                g0 = -g0
-                vals = {i: -v for i, v in vals.items()}
-            else:
-                continue
-            ridge = frozenset(i for i in idx if vals[i] == g0)
-            if ridge in seen:
-                continue
-            rpts = [points[i] for i in sorted(ridge)]
-            if _affine_rank(rpts) != dim - 1:
-                continue
-            seen[ridge] = (g, g0)
-        return seen
+        facets = _facets([points[i] for i in idx], dim)
+        return {frozenset(idx[i] for i in contact): normal
+                for contact, normal in facets.items()}
 
     def neighbor(a, c, ridge, g, g0):
         """Rotate the supporting functional around a ridge; None at the boundary."""
-        base_val = g0
 
         def bval(i):
-            return sum(gi * xi for gi, xi in zip(g, points[i])) - base_val
+            return sum(gi * xi for gi, xi in zip(g, points[i])) - g0
 
         slack = [heights[i] - evaluate(a, c, i) for i in range(npts)]
         candidates = [(slack[i] / bval(i), i) for i in range(npts) if bval(i) > 0]
@@ -345,7 +204,7 @@ def _lower_hull_cells(points, heights):
             return None
         t = min(x for x, _ in candidates)
         a2 = tuple(ai + t * gi for ai, gi in zip(a, g))
-        c2 = c - t * base_val
+        c2 = c - t * g0
         contact = contact_set(a2, c2)
         assert contact is not None and contact >= ridge
         return a2, c2, contact
@@ -373,7 +232,7 @@ def _lower_hull_cells(points, heights):
             if contact not in cells:
                 cells[contact] = (a2, c2)
                 queue.append(contact)
-    return [(cell, func) for cell, func in cells.items()]
+    return list(cells.items())
 
 
 def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Subdivision:
@@ -389,37 +248,33 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
     points = [cfg.coords[pid] for pid in ids]
     heights = [heights_by_id[pid] for pid in ids]
     raw = _lower_hull_cells(points, heights)
-    cells = {}
-    for cell, func in raw:
-        key = tuple(sorted(ids[i] for i in cell))
-        cells[key] = func
-    if perturb_seed is None:
-        ordered = tuple(sorted(cells))
-        return Subdivision(cells=ordered,
-                           supports={k: cells[k] for k in ordered},
-                           weights=heights_by_id)
+    cells = {tuple(sorted(ids[i] for i in cell)): func for cell, func in raw}
+    if perturb_seed is not None:
+        cells = _perturb(cfg, cells, perturb_seed)
+    ordered = tuple(sorted(cells))
+    return Subdivision(cells=ordered, supports={k: cells[k] for k in ordered},
+                       weights=heights_by_id, perturbed=perturb_seed is not None)
 
-    order = ids[:]
-    random.Random(perturb_seed).shuffle(order)
-    work = {key: cells[key] for key in cells}
+
+def _perturb(cfg, cells, seed):
+    """Refine non-simplicial cells point by point in seed-shuffled id order."""
+    order = list(cfg.ids)
+    random.Random(seed).shuffle(order)
     for q in order:
-        next_work = {}
-        for key, func in work.items():
+        refined = {}
+        for key, func in cells.items():
             if len(key) == cfg.dim + 1 or q not in key:
-                next_work[key] = func
+                refined[key] = func
                 continue
             sub_ids = list(key)
             sub_pts = [cfg.coords[pid] for pid in sub_ids]
             sub_h = [Fraction(1 if pid == q else 0) for pid in sub_ids]
             for sub_cell, _ in _lower_hull_cells(sub_pts, sub_h):
-                sub_key = tuple(sorted(sub_ids[i] for i in sub_cell))
-                next_work[sub_key] = func
-        work = next_work
-    if any(len(k) != cfg.dim + 1 for k in work):
+                refined[tuple(sorted(sub_ids[i] for i in sub_cell))] = func
+        cells = refined
+    if any(len(k) != cfg.dim + 1 for k in cells):
         raise FanError("lexicographic perturbation did not reach a triangulation")
-    ordered = tuple(sorted(work))
-    return Subdivision(cells=ordered, supports={k: work[k] for k in ordered},
-                       weights=heights_by_id, perturbed=True)
+    return cells
 
 
 @dataclass(frozen=True)
@@ -465,9 +320,7 @@ def check_mpcp(sub: Subdivision, cfg: ProjectedConfig) -> ConditionReport:
         if len(cell) != cfg.dim + 1:
             is_tri = False
             failures.append((cell, "cell is not a simplex"))
-    used = set()
-    for cell in sub.cells:
-        used.update(cell)
+    used = set().union(*sub.cells)
     missing = [pid for pid in cfg.ids if pid != ORIGIN and pid not in used]
     rays_ok = not missing
     for pid in missing:
@@ -567,18 +420,16 @@ class LiftedSubdivision:
 
 def _barycentric_membership(vertices, x):
     """x in conv(vertices) for affinely independent vertices, exactly."""
-    n = len(x)
-    rows = [[Fraction(v[i]) for v in vertices] for i in range(n)]
-    rows.append([Fraction(1)] * len(vertices))
-    sol = solve_fraction_system(rows, [Fraction(xi) for xi in x] + [Fraction(1)])
+    rows = [[v[i] for v in vertices] for i in range(len(x))]
+    rows.append([1] * len(vertices))
+    sol = solve_linear(rows, list(x) + [1])
     if sol is None:
         return False
     # underdetermined systems cannot occur: the vertices are affinely independent
     return all(t >= 0 for t in sol)
 
 
-def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig,
-                     threads=1) -> LiftedSubdivision:
+def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> LiftedSubdivision:
     """Lift each cell to the degree-one slice and certify the lift.
 
     Certificates per cell: the pulled-back functional supports the lifted
@@ -597,14 +448,10 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig,
         vertices = [cfg.lifts[pid] for pid in cell if pid != ORIGIN]
         if ORIGIN in cell:
             vertices.extend(block_vectors)
-        vertices = [tuple(v) for v in vertices]
         coeff, const = cfg.pullback_functional(a, c)
 
-        def bar_height(x, is_block):
-            return Fraction(0) if is_block else sub.weights[point_id(x)]
-
         support_ok = True
-        in_cell = {pid for pid in cell}
+        in_cell = set(cell)
         for pid, x in lifted_config:
             val = sum(ci * xi for ci, xi in zip(coeff, x)) + const
             h = sub.weights[pid]
@@ -635,12 +482,7 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig,
                           support_ok=support_ok, simplex_ok=simplex_ok,
                           slice_ok=slice_ok)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lift_cell, sub.cells))
-    else:
-        results = [lift_cell(cell) for cell in sub.cells]
+    results = [lift_cell(cell) for cell in sub.cells]
     for res in results:
         if not (res.support_ok and res.simplex_ok and res.slice_ok):
             raise CellLiftFailure(res.cell, _lift_reason(res))
@@ -669,25 +511,22 @@ class SingularityCertificate:
         }
 
 
-def certify_isolated_singularity(vt: ValidatedToricData, weights,
-                                 threads=1) -> SingularityCertificate:
-    """Run the full chain: MPCP, lifted triangulation, coordinate slices.
+def certify_isolated_singularity(sub: Subdivision, cfg: ProjectedConfig,
+                                 mpcp: ConditionReport) -> SingularityCertificate:
+    """Run the full chain on ``sub``: MPCP, lifted triangulation, coordinate slices.
 
-    The restriction of a triangulation by nonnegative lattice simplices to a
-    coordinate subspace is the subcomplex of faces supported there, so the
-    last link only records the nonnegativity of the lifted vertices; a failed
-    earlier link is reported as the failing link with a negative certificate.
+    ``mpcp`` is the check_mpcp report of ``sub``.  The restriction of a
+    triangulation by nonnegative lattice simplices to a coordinate subspace
+    is the subcomplex of faces supported there, so the last link only
+    records the nonnegativity of the lifted vertices; a failed earlier link
+    is reported as the failing link with a negative certificate.
     """
-    cfg = project_config(vt)
-    links = []
-    sub = regular_subdivision(cfg, weights)
-    report = check_mpcp(sub, cfg)
-    links.append(("mpcp", report.mpcp,
-                  f"{len(sub.cells)} cells; failures: {len(report.failures)}"))
-    if not report.mpcp:
+    links = [("mpcp", mpcp.mpcp,
+              f"{len(sub.cells)} cells; failures: {len(mpcp.failures)}")]
+    if not mpcp.mpcp:
         return SingularityCertificate(False, tuple(links), "mpcp")
     try:
-        lifted = lift_subdivision(sub, cfg, threads=threads)
+        lifted = lift_subdivision(sub, cfg)
         links.append(("lifted_triangulation", True,
                       f"{len(lifted.cells)} simplices certified"))
     except CellLiftFailure as exc:
@@ -735,6 +574,12 @@ def _pull(points, idx, dim):
 
 
 def _facets(pts, dim):
+    """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
+
+    The normal points outward (pts lie where <normal, x> <= offset).
+    Candidate subsets already contained in a found facet are skipped, which
+    keeps the scan near-linear for the large cells of degenerate weights.
+    """
     if dim == 0:
         return {}
     facets = {}
@@ -770,8 +615,7 @@ def normalized_volume(points, simplices=None):
     total = Fraction(0)
     for simplex in simplices:
         base = points[simplex[0]]
-        rows = [[Fraction(x - y) for x, y in zip(points[i], base)]
-                for i in simplex[1:]]
+        rows = [[x - y for x, y in zip(points[i], base)] for i in simplex[1:]]
         total += abs(det_fraction(rows))
     return total
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlat import contains, hnf_canonicalize, lattice_quotient
+from .intlat import contains, hnf_canonicalize, lattice_intersection, lattice_quotient
 from .toricdata import ValidatedToricData, validate_volume_orders
 
 
@@ -156,10 +156,6 @@ class GradingData:
             return datum.deg(2, tuple(-x for x in e_i))
         raise GradingError("z-degree defined in G_cover and G_Delta only")
 
-    def deg_theta(self, i):
-        n = self.cover.rank
-        return self.cover.deg(-1, tuple(1 if k == i else 0 for k in range(n)))
-
     def deg_r_monomial(self, k_a, size_a):
         """Degree in the cover datum of a coefficient monomial with exponent data.
 
@@ -244,8 +240,6 @@ def p_injective_mod_z(vt: ValidatedToricData, gd: GradingData) -> bool:
     m-part of p is the identity, so the kernel is (M_bar intersect E)/E;
     triviality amounts to the lattice equality M_bar intersect E = E.
     """
-    from .intlat import lattice_intersection
-
     block_span = hnf_canonicalize([vt.block_vector(j) for j in range(vt.r)], vt.n)
     meet = lattice_intersection(vt.m_bar, block_span)
     return meet.basis == block_span.basis

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 IntVec = tuple[int, ...]
 
@@ -343,108 +343,147 @@ def dual_lattice(lat: Sublattice):
     """Dual lattice {n : <n, m> in Z for all m in lat}, as inverse-transpose rows."""
     if lat.rank != lat.ambient_rank:
         raise LatticeError("dual lattice implemented for full-rank sublattices only")
-    inv = invert_fraction_matrix([[Fraction(x) for x in row] for row in lat.basis])
+    inv = invert_fraction_matrix(lat.basis)
     n = lat.ambient_rank
     rows = tuple(tuple(inv[i][j] for i in range(n)) for j in range(n))
     return RationalLatticeBasis(rows)
 
 
-def invert_fraction_matrix(rows):
-    """Inverse of a square matrix of Fractions (Gauss-Jordan)."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+def _integer_rows(rows):
+    """Each row times the lcm of its denominators, as a list of ints.
+
+    Scaling a row changes neither the rank nor the kernel, nor the solutions
+    of a system whose right-hand side is scaled along with it; it scales the
+    determinant by the factor.  Returns the rows and the factors.
+    """
+    out = []
+    scales = []
+    for row in rows:
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))
+            scales.append(1)
+            continue
+        row = [Fraction(x) for x in row]
+        s = lcm_list(x.denominator for x in row)
+        out.append([x.numerator * (s // x.denominator) for x in row])
+        scales.append(s)
+    return out, scales
+
+
+def _bareiss(a, ncols, reduce=False):
+    """Fraction-free elimination (Bareiss 1968) of the integer rows ``a``, in place.
+
+    Pivots are the first nonzero entries column by column among the first
+    ``ncols`` columns, which are the pivot columns of the reduced row echelon
+    form; any later columns (right-hand sides) ride along.  Every entry stays
+    an integer minor of the input, so each division is exact.  With
+    ``reduce`` the rows above each pivot are cleared as well and pivot row i
+    ends as ``scale`` times row i of the reduced row echelon form.  Returns
+    (pivot columns, scale, sign): scale is the last pivot (1 if there is
+    none), sign the parity of the row swaps.
+
+    A step of the textbook algorithm rescales every row by pivot / previous
+    pivot, also rows that are zero in the pivot column.  Here such rows are
+    left alone and row i stands for ``a[i] * prev / base[i]`` instead, so a
+    step touches only the rows it eliminates, as sparse rows need.
+    """
+    m = len(a)
+    base = [1] * m
+    pivots = []
+    prev = 1
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][col]), None)
         if piv is None:
-            raise LatticeError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            base[r], base[piv] = base[piv], base[r]
+            sign = -sign
+        if base[r] != prev:
+            a[r] = [x * prev // base[r] for x in a[r]]
+        top = a[r]
+        p = top[col]
+        for i in range(0 if reduce else r + 1, m):
+            f = a[i][col]
+            if f and i != r:
+                a[i] = [(p * x - f * y) // base[i] for x, y in zip(a[i], top)]
+                base[i] = p
+        base[r] = p
+        pivots.append(col)
+        prev = p
+    if reduce:
+        for i in range(len(pivots)):
+            if base[i] != prev:
+                a[i] = [x * prev // base[i] for x in a[i]]
+    return pivots, prev, sign
 
 
-def solve_fraction_system(a_rows, b):
+def matrix_rank(rows):
+    """Rank of a matrix of ints or Fractions."""
+    a, _ = _integer_rows(row for row in rows if any(row))
+    return len(_bareiss(a, len(a[0]) if a else 0)[0])
+
+
+def det_fraction(rows):
+    """Determinant of a square matrix of ints or Fractions, as a Fraction."""
+    a, scales = _integer_rows(rows)
+    pivots, scale, sign = _bareiss(a, len(a))
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return Fraction(sign * scale, prod(scales))
+
+
+def solve_linear(a_rows, b):
     """Solve A x = b exactly; returns list of Fractions or None if inconsistent.
 
     A may be rectangular; when the system is underdetermined the free
     variables are set to zero.
     """
-    m = len(a_rows)
-    n = len(a_rows[0]) if m else 0
-    a = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(a_rows, b)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        a[r] = [x / p for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
+    n = len(a_rows[0]) if a_rows else 0
+    a, _ = _integer_rows(list(row) + [bv] for row, bv in zip(a_rows, b))
+    pivots, scale, _ = _bareiss(a, n, reduce=True)
+    if any(row[n] for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = a[i][n]
+    for row, col in zip(a, pivots):
+        x[col] = Fraction(row[n], scale)
     return x
 
 
-def fraction_matrix_rank(rows):
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    a = [[Fraction(x) for x in row] for row in rows]
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if a[i][col] != 0), None)
-        if piv is None:
+def nullspace(rows, ncols):
+    """Basis of {x in Q^ncols : <row, x> = 0 for all rows}.
+
+    One vector per free column of the reduced row echelon form: 1 at that
+    column, 0 at the other free columns.
+    """
+    a, _ = _integer_rows(rows)
+    pivots, scale, _ = _bareiss(a, ncols, reduce=True)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
             continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        for i in range(r + 1, m):
-            if a[i][col] != 0:
-                f = a[i][col] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in zip(a, pivots):
+            vec[col] = Fraction(-row[free], scale)
+        basis.append(tuple(vec))
+    return basis
 
 
-def det_fraction(rows):
-    """Determinant of a square Fraction matrix."""
+def invert_fraction_matrix(rows):
+    """Inverse of a square matrix of ints or Fractions, as rows of Fractions."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        p = a[col][col]
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return det
+    # solve A X = I: clearing a row of A scales the same row of I along
+    a, _ = _integer_rows(list(row) + [int(i == j) for j in range(n)]
+                         for i, row in enumerate(rows))
+    pivots, scale, _ = _bareiss(a, n, reduce=True)
+    if len(pivots) < n:
+        raise LatticeError("matrix is singular")
+    return [[Fraction(x, scale) for x in row[n:]] for row in a]
 
 
 def lattice_intersection(a: Sublattice, b: Sublattice):

@@ -14,8 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
-from .toricdata import ValidatedToricData
+from .grading import default_volume_vector
+from .intlat import matrix_rank
+from .toricdata import ValidatedToricData, subsets_in_lattice
 
 
 class CutoffTooSmall(ValueError):
@@ -150,27 +153,6 @@ def _koszul_differential(blocks, n, mono):
     return out
 
 
-def _int_rank(rows):
-    """Rank of an integer matrix (fraction-free Gaussian elimination)."""
-    rows = [list(r) for r in rows if any(r)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col] != 0:
-                x, y = pr[col], rows[i][col]
-                rows[i] = [x * b - y * a for a, b in zip(pr, rows[i])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def _koszul_map_matrix(blocks, n, source, target):
     index = {mono: i for i, mono in enumerate(target)}
     rows = []
@@ -190,8 +172,8 @@ def koszul_cohomology_dim_for_class(blocks, n, cls):
         return 0
     above = _koszul_piece(blocks, n, canonical_class(blocks, jhat + 1, mhat))
     below = _koszul_piece(blocks, n, canonical_class(blocks, jhat - 1, mhat))
-    rank_out = _int_rank(_koszul_map_matrix(blocks, n, here, above)) if above else 0
-    rank_in = _int_rank(_koszul_map_matrix(blocks, n, below, here)) if below else 0
+    rank_out = matrix_rank(_koszul_map_matrix(blocks, n, here, above)) if above else 0
+    rank_in = matrix_rank(_koszul_map_matrix(blocks, n, below, here)) if below else 0
     return len(here) - rank_out - rank_in
 
 
@@ -214,6 +196,12 @@ def _single_block_guard(n, cutoff):
         raise CutoffTooSmall(f"cutoff {cutoff} < block size {n}")
 
 
+def _graded_dims(dim_for_class, blocks, n, z_cutoff) -> GradedDims:
+    dims = ((cls, dim_for_class(blocks, n, cls))
+            for cls in degree_classes(blocks, n, z_cutoff))
+    return GradedDims(tuple(sorted((cls, d) for cls, d in dims if d)))
+
+
 def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     """Graded dimensions of the Koszul cohomology for a single block of size n."""
     _single_block_guard(n, z_cutoff)
@@ -222,12 +210,7 @@ def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
 
 
 def multiblock_koszul_dims(blocks, n, z_cutoff) -> GradedDims:
-    out = []
-    for cls in degree_classes(blocks, n, z_cutoff):
-        d = koszul_cohomology_dim_for_class(blocks, n, cls)
-        if d:
-            out.append((cls, d))
-    return GradedDims(tuple(sorted(out)))
+    return _graded_dims(koszul_cohomology_dim_for_class, blocks, n, z_cutoff)
 
 
 # --- exterior algebra on the odd generators u_i ---------------------------
@@ -334,7 +317,6 @@ def _wedge_distributions(caps, total):
 
 
 def _slice_basis_count(blocks, dist):
-    from math import comb
     count = 1
     for blk, w in zip(blocks, dist):
         count *= comb(len(blk) - 1, w)
@@ -415,8 +397,7 @@ def j_algebra_dim_for_class(blocks, n, cls):
     for a, elem in ideal:
         for s in elem:
             assert (a, s) in index, "ideal vector escapes the class piece"
-    rank = _int_rank(_vectors_to_rows(ideal, index)) if ideal else 0
-    return piece_dim - rank
+    return piece_dim - matrix_rank(_vectors_to_rows(ideal, index))
 
 
 def j_algebra_dims(n, z_cutoff) -> GradedDims:
@@ -427,12 +408,7 @@ def j_algebra_dims(n, z_cutoff) -> GradedDims:
 
 
 def multiblock_j_dims(blocks, n, z_cutoff) -> GradedDims:
-    out = []
-    for cls in degree_classes(blocks, n, z_cutoff):
-        d = j_algebra_dim_for_class(blocks, n, cls)
-        if d:
-            out.append((cls, d))
-    return GradedDims(tuple(sorted(out)))
+    return _graded_dims(j_algebra_dim_for_class, blocks, n, z_cutoff)
 
 
 def element_in_ideal(blocks, n, a, elem):
@@ -444,9 +420,8 @@ def element_in_ideal(blocks, n, a, elem):
             raise ClassificationViolation("element does not lie in its class piece")
     ideal = _ideal_vectors_for_class(blocks, n, cls)
     rows = _vectors_to_rows(ideal, index)
-    base_rank = _int_rank(rows) if rows else 0
     target = _vectors_to_rows([(a, elem)], index)
-    return _int_rank(rows + target) == base_rank
+    return matrix_rank(rows + target) == matrix_rank(rows)
 
 
 def _wedge_degree(elem):
@@ -537,7 +512,6 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
     Xi_0, each nonzero.
     """
     if v is None:
-        from .grading import default_volume_vector
         v = default_volume_vector(vt)
     blocks = vt.blocks
     n = vt.n
@@ -589,14 +563,5 @@ def enumerate_curvature_candidates(vt: ValidatedToricData):
     The defining arithmetic is the same as the no-bc condition, so the output
     must coincide with its witness list.
     """
-    from .intlat import contains
-    out = []
-    for size in range(1, vt.n + 1):
-        for K in combinations(range(vt.n), size):
-            eK = tuple(1 if i in K else 0 for i in range(vt.n))
-            if not contains(vt.m_bar, eK):
-                continue
-            total = sum(Fraction(1) - Fraction(2, vt.degrees[i]) for i in K)
-            if total == 1:
-                out.append(K)
-    return tuple(out)
+    return tuple(K for K in subsets_in_lattice(vt)
+                 if sum(1 - Fraction(2, vt.degrees[i]) for i in K) == 1)

@@ -6,7 +6,9 @@ floats, fixed version string).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from .bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
@@ -36,9 +38,6 @@ from .toricdata import (
     check_no_bc,
     symmetry_groups,
 )
-
-ALL_SECTIONS = ("validation", "conditions", "groups", "grading", "bside",
-                "fans", "algebra")
 
 
 def frac_str(x) -> str:
@@ -121,8 +120,7 @@ def section_groups(vt):
     }
 
 
-def section_grading(vt):
-    gd = build_grading_data(vt)
+def section_grading(vt, gd):
     return {
         "volume_orders": list(gd.volume_orders),
         "morphisms_well_defined": {name: m.is_well_defined()
@@ -133,8 +131,7 @@ def section_grading(vt):
     }
 
 
-def section_bside(vt):
-    gd = build_grading_data(vt)
+def section_bside(vt, gd):
     w = build_superpotential(vt)
     mf = build_koszul_mf(w)
     mf.verify_factorization()
@@ -153,12 +150,12 @@ def section_bside(vt):
     }
 
 
-def section_fans(vt, perturb_seed=None, threads=1):
+def section_fans(vt, perturb_seed=None):
     cfg = project_config(vt)
     sub = regular_subdivision(cfg, vt.input.weights, perturb_seed=perturb_seed)
     mpcp = check_mpcp(sub, cfg)
     mpcs = check_mpcs(sub, cfg, mpcp)
-    cert = certify_isolated_singularity(vt, vt.input.weights, threads=threads)
+    cert = certify_isolated_singularity(sub, cfg, mpcp)
     return {
         "dim": cfg.dim,
         "cell_count": len(sub.cells),
@@ -193,29 +190,39 @@ def section_algebra(vt, cutoff):
     }
 
 
+@dataclass
+class _Run:
+    """The inputs of one report run and the data its sections share."""
+
+    vt: ValidatedToricData
+    algebra_cutoff: int | None
+    perturb_seed: int | None
+
+    @cached_property
+    def grading(self):
+        return build_grading_data(self.vt)
+
+
+# Section name -> how to call it.  The section functions are looked up by
+# name at call time, so a wrapper installed on this module sees every call.
+SECTIONS = {
+    "validation": lambda run: section_validation(run.vt),
+    "conditions": lambda run: section_conditions(run.vt),
+    "groups": lambda run: section_groups(run.vt),
+    "grading": lambda run: section_grading(run.vt, run.grading),
+    "bside": lambda run: section_bside(run.vt, run.grading),
+    "fans": lambda run: section_fans(run.vt, run.perturb_seed),
+    "algebra": lambda run: section_algebra(run.vt, run.algebra_cutoff),
+}
+ALL_SECTIONS = tuple(SECTIONS)
+
+
 def build_report(vt: ValidatedToricData, sections, algebra_cutoff=None,
-                 perturb_seed=None, threads=1):
-    body = {
+                 perturb_seed=None):
+    run = _Run(vt, algebra_cutoff, perturb_seed)
+    return {
         "tool": {"name": "mirrorcone", "version": __version__},
         "input": input_echo(vt),
-        "sections": {},
+        "sections": {name: call(run) for name, call in SECTIONS.items()
+                     if name in sections},
     }
-    for name in ALL_SECTIONS:
-        if name not in sections:
-            continue
-        if name == "validation":
-            body["sections"][name] = section_validation(vt)
-        elif name == "conditions":
-            body["sections"][name] = section_conditions(vt)
-        elif name == "groups":
-            body["sections"][name] = section_groups(vt)
-        elif name == "grading":
-            body["sections"][name] = section_grading(vt)
-        elif name == "bside":
-            body["sections"][name] = section_bside(vt)
-        elif name == "fans":
-            body["sections"][name] = section_fans(vt, perturb_seed=perturb_seed,
-                                                  threads=threads)
-        elif name == "algebra":
-            body["sections"][name] = section_algebra(vt, algebra_cutoff)
-    return body

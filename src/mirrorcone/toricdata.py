@@ -127,19 +127,23 @@ class ValidatedToricData:
         return tuple(1 if i in self.blocks[j] else 0 for i in range(self.n))
 
     def weight_of(self, p):
-        w = self.input.weights
-        if w is None:
-            raise ToricDataError("no weight vector supplied")
-        if isinstance(w, dict):
-            key = tuple(p)
-            if key not in w:
-                raise UnknownMonomial(f"no weight for {key}")
-            lam = Fraction(w[key])
-        else:
-            lam = Fraction(w)
-        if lam <= 0:
-            raise ToricDataError("weights must be positive")
-        return lam
+        return resolve_weight(self.input.weights, p)
+
+
+def resolve_weight(weights, p):
+    """The positive height of the point p under a uniform or per-point weight."""
+    if weights is None:
+        raise ToricDataError("no weight vector supplied")
+    if isinstance(weights, dict):
+        key = tuple(p)
+        if key not in weights:
+            raise UnknownMonomial(f"no weight for {key}")
+        lam = Fraction(weights[key])
+    else:
+        lam = Fraction(weights)
+    if lam <= 0:
+        raise ToricDataError("weights must be positive")
+    return lam
 
 
 @dataclass(frozen=True)
@@ -161,14 +165,14 @@ def validate(inp: ToricInput) -> ValidatedToricData:
     seen = sorted(i for blk in inp.blocks for i in blk)
     if seen != list(range(n)):
         raise ToricDataError("blocks do not partition the index set")
+    if any(d <= 0 for d in inp.degrees):
+        raise ToricDataError("degrees must be positive")
     for j, blk in enumerate(inp.blocks):
         if len(blk) < 3:
             raise BlockTooSmall(f"block {j} has size {len(blk)} < 3")
         s = sum(Fraction(1, inp.degrees[i]) for i in blk)
         if s != 1:
             raise DegreeSumNotOne(f"block {j}: sum of 1/d_i is {s}, not 1")
-    if any(d <= 0 for d in inp.degrees):
-        raise ToricDataError("degrees must be positive")
 
     m_bar = inp.lattice.build(n)
     if m_bar.rank != n:
@@ -195,16 +199,13 @@ def validate(inp: ToricInput) -> ValidatedToricData:
 
     if inp.volume_orders is not None:
         validate_volume_orders(inp.blocks, inp.volume_orders)
-    if isinstance(inp.weights, dict):
-        xi0set = set(xi0)
-        for key in inp.weights:
+    xi0set = set(xi0)
+    for name, keyed in (("weight", inp.weights), ("valuation", inp.b_valuations)):
+        if not isinstance(keyed, dict):
+            continue
+        for key in keyed:
             if tuple(key) not in xi0set:
-                raise UnknownMonomial(f"weight key {key} is not in Xi_0")
-    if inp.b_valuations is not None:
-        xi0set = set(xi0)
-        for key in inp.b_valuations:
-            if tuple(key) not in xi0set:
-                raise UnknownMonomial(f"valuation key {key} is not in Xi_0")
+                raise UnknownMonomial(f"{name} key {key} is not in Xi_0")
 
     return ValidatedToricData(
         input=inp, m_bar=m_bar, n_bar=n_bar, d=d, q=q, n_sigma=n_sigma,
@@ -274,9 +275,14 @@ def check_nef_partition(vt: ValidatedToricData) -> ConditionVerdict:
     return ConditionVerdict(True)
 
 
-def _subset_scan_guard(n):
-    if n > 30:
-        raise IndexSetTooLarge(f"2^{n} subset scan refused")
+def subsets_in_lattice(vt: ValidatedToricData):
+    """Every nonempty K with e_K in M_bar, sorted by size then lexicographically."""
+    if vt.n > 30:
+        raise IndexSetTooLarge(f"2^{vt.n} subset scan refused")
+    for size in range(1, vt.n + 1):
+        for K in combinations(range(vt.n), size):
+            if contains(vt.m_bar, tuple(1 if i in K else 0 for i in range(vt.n))):
+                yield K
 
 
 def check_embeddedness(vt: ValidatedToricData) -> ConditionVerdict:
@@ -285,35 +291,23 @@ def check_embeddedness(vt: ValidatedToricData) -> ConditionVerdict:
     All offending subsets are returned (sorted by size then lexicographically)
     so any particular counterexample of interest can be located in the output.
     """
-    _subset_scan_guard(vt.n)
     block_sets = [frozenset(blk) for blk in vt.blocks]
     witnesses = []
-    for size in range(1, vt.n + 1):
-        for K in combinations(range(vt.n), size):
-            eK = tuple(1 if i in K else 0 for i in range(vt.n))
-            if not contains(vt.m_bar, eK):
-                continue
-            covered = set(K)
-            for bs in block_sets:
-                if bs <= covered:
-                    covered -= bs
-            if covered:
-                witnesses.append(K)
+    for K in subsets_in_lattice(vt):
+        covered = set(K)
+        for bs in block_sets:
+            if bs <= covered:
+                covered -= bs
+        if covered:
+            witnesses.append(K)
     return ConditionVerdict(not witnesses, tuple(witnesses))
 
 
 def check_no_bc(vt: ValidatedToricData) -> ConditionVerdict:
     """Holds iff no K has e_K in M_bar with |K| - 1 = 2 * sum_{i in K} 1/d_i."""
-    _subset_scan_guard(vt.n)
-    witnesses = []
-    for size in range(1, vt.n + 1):
-        for K in combinations(range(vt.n), size):
-            eK = tuple(1 if i in K else 0 for i in range(vt.n))
-            if not contains(vt.m_bar, eK):
-                continue
-            if sum(Fraction(2, vt.degrees[i]) for i in K) == size - 1:
-                witnesses.append(K)
-    return ConditionVerdict(not witnesses, tuple(witnesses))
+    witnesses = tuple(K for K in subsets_in_lattice(vt)
+                      if sum(Fraction(2, vt.degrees[i]) for i in K) == len(K) - 1)
+    return ConditionVerdict(not witnesses, witnesses)
 
 
 @dataclass(frozen=True)

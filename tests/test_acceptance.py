@@ -103,7 +103,7 @@ def test_criterion_2_subdivision_suite():
     # non-simplicial cells, negative certificate, failing link identified
     report = check_mpcp(sub, cfg)
     assert not report.is_triangulation
-    cert = certify_isolated_singularity(vt, Fraction(1))
+    cert = certify_isolated_singularity(sub, cfg, report)
     assert not cert.certified
     assert cert.failing_link == "mpcp"
 
@@ -122,7 +122,7 @@ def test_criterion_2_subdivision_suite():
         full = check_mpcs(sub_e, cfg_e, rep)
         assert full.mpcs == rep.mpcp  # dim <= 4 remark
         assert lift_subdivision(sub_e, cfg_e).all_pass()
-        assert certify_isolated_singularity(vt_e, weights).certified
+        assert certify_isolated_singularity(sub_e, cfg_e, rep).certified
 
     # quartic with generic (verified MPCP) weights: the full positive chain
     weights_q = quartic_mpcp_weights(vt)
@@ -132,7 +132,7 @@ def test_criterion_2_subdivision_suite():
     full_q = check_mpcs(sub_q, cfg, rep_q)
     assert full_q.mpcs == rep_q.mpcp
     assert lift_subdivision(sub_q, cfg).all_pass()
-    assert certify_isolated_singularity(vt, weights_q).certified
+    assert certify_isolated_singularity(sub_q, cfg, rep_q).certified
 
     elapsed = _elapsed_guard(t0, 30.0, "criterion 2")
     print(f"\nACCEPTANCE 2 PASS subdivision suite ({elapsed:.2f}s < 30s)")

@@ -127,6 +127,41 @@ def test_analyze_perturb_triangulates(tmp_path):
     assert all(len(c) == 4 for c in fans["cells"])
 
 
+def test_analyze_perturb_certifies_the_printed_cells(tmp_path):
+    cfg = write_cfg(tmp_path, QUARTIC_CFG)
+    proc = run_cli(["analyze", cfg, "--sections", "fans", "--perturb", "3"])
+    assert proc.returncode == 0
+    fans = json.loads(proc.stdout)["sections"]["fans"]
+    name, _, detail = fans["isolated_singularity"]["links"][0]
+    assert name == "mpcp"
+    assert fans["cell_count"] == 26
+    assert detail.startswith(f"{fans['cell_count']} cells")
+
+
+def _quartic_with(**changes):
+    cfg = json.loads(json.dumps(QUARTIC_CFG))
+    cfg.update(changes)
+    return cfg
+
+
+@pytest.mark.parametrize("cfg, code", [
+    (_quartic_with(lattice={"congruences": [{"mod": 4}]}), 2),
+    (_quartic_with(lattice={"congruences": [{"c": [1, 1, 1], "mod": 4}]}), 2),
+    (_quartic_with(lattice={"generators": [[4, 0, 0, 0], [1, 1, 1]]}), 2),
+    (_quartic_with(v=[1, 1, 1]), 2),
+    (_quartic_with(b_valuations=["1/2"]), 2),
+    (_quartic_with(d=[4, 4, 4, 0]), 1),
+], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
+        "b-valuations-list", "zero-degree"])
+def test_malformed_config_exits_cleanly(tmp_path, cfg, code):
+    proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    if code == 1:
+        assert "degrees must be positive" in proc.stderr
+
+
 def test_analyze_out_file(tmp_path):
     cfg = write_cfg(tmp_path, QUARTIC_CFG)
     out = tmp_path / "report.json"

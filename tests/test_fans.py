@@ -124,7 +124,7 @@ def test_quartic_mpcp_weights_full_chain():
     assert full.mpcs == report.mpcp  # dim 3 <= 4
     lifted = lift_subdivision(sub, cfg)
     assert lifted.all_pass()
-    cert = certify_isolated_singularity(vt, weights)
+    cert = certify_isolated_singularity(sub, cfg, report)
     assert cert.certified and cert.failing_link is None
 
 
@@ -168,7 +168,7 @@ def test_degenerate_edge_weights_reported():
     report = check_mpcp(sub, cfg)
     assert not report.is_triangulation
     assert any("not a simplex" in reason for _, reason in report.failures)
-    cert = certify_isolated_singularity(vt, weights)
+    cert = certify_isolated_singularity(sub, cfg, report)
     assert not cert.certified
     assert cert.failing_link == "mpcp"
 

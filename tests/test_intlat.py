@@ -13,11 +13,20 @@ from mirrorcone.intlat import (
     invert_fraction_matrix,
     lattice_intersection,
     lattice_quotient,
+    matrix_rank,
+    nullspace,
     quotient_group,
     smith_normal_form,
+    solve_linear,
     sublattice_from_congruences,
 )
-from oracles import lattice_index_by_cosets, membership_by_cosets
+from oracles import (
+    _rank,
+    _solve,
+    lattice_index_by_cosets,
+    membership_by_cosets,
+    nullspace_int,
+)
 
 
 def test_hnf_identity_is_canonical():
@@ -177,3 +186,96 @@ def test_double_dual_returns_original(rows):
     assert all(x.denominator == 1 for row in rows_back for x in row)
     back = hnf_canonicalize([tuple(int(x) for x in row) for row in rows_back], 3)
     assert back.basis == lat.basis
+
+
+# --- the exact elimination kernel, on integer and on Fraction entries -----
+
+ENTRIES = {
+    "int": st.integers(-6, 6),
+    "fraction": st.fractions(-6, 6, max_denominator=6),
+}
+KINDS = sorted(ENTRIES)
+
+
+def draw_rows(data, kind, nrows, ncols):
+    """Random rows; sometimes the last one is a combination of the first two."""
+    entry = ENTRIES[kind]
+    rows = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if nrows >= 3 and data.draw(st.booleans()):
+        k = data.draw(entry)
+        rows[-1] = [x + k * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+def times(rows, x):
+    return [sum(a * b for a, b in zip(row, x)) for row in rows]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_rank_matches_oracle(kind, data):
+    rows = draw_rows(data, kind, data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5)))
+    assert matrix_rank(rows) == _rank(rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_det_vanishes_iff_rank_drops(kind, data):
+    n = data.draw(st.integers(1, 5))
+    rows = draw_rows(data, kind, n, n)
+    assert (det_fraction(rows) == 0) == (_rank(rows) < n)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_inverse_times_matrix_is_identity(kind, data):
+    n = data.draw(st.integers(1, 5))
+    rows = draw_rows(data, kind, n, n)
+    if _rank(rows) < n:
+        with pytest.raises(LatticeError):
+            invert_fraction_matrix(rows)
+        return
+    inv = invert_fraction_matrix(rows)
+    product = [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_nullspace_matches_oracle(kind, data):
+    ncols = data.draw(st.integers(1, 5))
+    rows = draw_rows(data, kind, data.draw(st.integers(0, 5)), ncols)
+    basis = nullspace(rows, ncols)
+    assert [list(v) for v in basis] == nullspace_int(rows, ncols)
+    assert len(basis) == ncols - _rank(rows)
+    assert all(times(rows, v) == [0] * len(rows) for v in basis)
+
+
+@pytest.mark.parametrize("system", ["consistent", "inconsistent", "underdetermined"])
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_solve_matches_oracle(kind, system, data):
+    ncols = data.draw(st.integers(2, 5))
+    if system == "underdetermined":
+        nrows = data.draw(st.integers(1, ncols - 1))
+    else:
+        nrows = data.draw(st.integers(max(ncols, 3), 6))
+    rows = draw_rows(data, kind, nrows, ncols)
+    b = times(rows, data.draw(st.lists(ENTRIES[kind], min_size=ncols, max_size=ncols)))
+    if system == "inconsistent":
+        # the last row repeats the sum of the first two, its right side does not
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+        b[-1] = b[0] + b[1] + 1
+    x = solve_linear(rows, b)
+    assert x == _solve(rows, b)
+    if system == "inconsistent":
+        assert x is None
+    else:
+        assert times(rows, x) == b

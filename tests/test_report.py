@@ -1,0 +1,63 @@
+"""One run of build_report builds each shared stage once, and the benchmark's
+tracer hooks still find what they wrap."""
+
+import importlib
+import importlib.util
+import pathlib
+import sys
+from collections import Counter
+
+from mirrorcone import fans, grading, report
+from mirrorcone.fixtures import fixture
+
+TRACING_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+STAGES = ("project_config", "regular_subdivision", "check_mpcp", "build_grading_data")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def counting(fn, name, calls):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_each_stage_runs_once_per_report(monkeypatch):
+    calls = Counter()
+    for name in STAGES:
+        for module in (report, fans, grading):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, counting(original, name, calls))
+    body = report.build_report(fixture("elliptic"), report.ALL_SECTIONS,
+                               algebra_cutoff=3)
+    assert sorted(body["sections"]) == sorted(report.ALL_SECTIONS)
+    assert len(report.ALL_SECTIONS) == 7
+    assert calls == {name: 1 for name in STAGES}
+
+
+def test_tracer_hooks_resolve_and_record_each_section():
+    tracing = load_tracing()
+    for mod_name, attr, _, _ in tracing.HOOKS:
+        owner = importlib.import_module(f"mirrorcone.{mod_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (mod_name, attr)
+
+    sections = ("validation", "grading", "bside", "fans")
+    tracer = tracing.Tracer()
+    tracer.begin_input("elliptic")
+    with tracer.patched():
+        report.build_report(fixture("elliptic"), sections)
+    names = Counter(name for _, name, _, _, _ in tracer.spans)
+    assert {n: c for n, c in names.items() if n.startswith("report.")} == {
+        f"report.{s}": 1 for s in sections}
+    assert tracer.counts["elliptic"]["fans.subdivision_calls"] == 1
+    assert tracer.counts["elliptic"]["grading.build_calls"] == 1
