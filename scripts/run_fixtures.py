@@ -6,14 +6,13 @@ The z-manifold fan lives in dimension six; its subdivision is skipped unless
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
-from mirrorcone.report import build_report
+from mirrorcone.report import build_report, write_json
 
 
 def main():
@@ -34,7 +33,8 @@ def main():
             sections.append("fans")
         report = build_report(vt, tuple(sections), algebra_cutoff=args.cutoff)
         path = out_dir / f"{name}.json"
-        path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        with path.open("w") as fh:
+            write_json(report, fh)
         summary = report["sections"]
         line = (f"{name}: |Xi0|={summary['validation']['xi0_count']}"
                 f" G={summary['groups']['G']} Gamma={summary['groups']['Gamma']}")

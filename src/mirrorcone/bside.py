@@ -14,17 +14,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import CertificateFailure
 from .grading import GradingData, deg_equal, default_volume_vector
 from .toricdata import ToricDataError, UnknownMonomial, ValidatedToricData
 from .toricdata import validate_volume_orders
 from .intlat import contains
 
 
-class FactorizationCheckFailed(AssertionError):
+class FactorizationCheckFailed(CertificateFailure, AssertionError):
     pass
 
 
-class IntertwineCheckFailed(AssertionError):
+class IntertwineCheckFailed(CertificateFailure, AssertionError):
     pass
 
 
@@ -110,7 +111,8 @@ def term_flip_sign(vt: ValidatedToricData, term: Term, v):
     # the coefficient symbol transforms by (-1)^<n_sigma + v - e_I, p>
     pairing = sum((ns + vi - 1) * e
                   for ns, vi, e in zip(vt.n_sigma, v, term.exponent))
-    assert pairing.denominator == 1
+    if pairing.denominator != 1:
+        raise CertificateFailure(f"<n_sigma + v - e_I, {term.exponent}> is not integral")
     return var_sign * (-1) ** (int(pairing) % 2)
 
 

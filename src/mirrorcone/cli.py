@@ -11,11 +11,10 @@ import json
 import sys
 from fractions import Fraction
 
-from .bside import FactorizationCheckFailed, IntertwineCheckFailed
-from .fans import CellLiftFailure, FanError
+from . import CertificateFailure
+from .fans import FanError
 from .fixtures import FIXTURE_NAMES, fixture_input
-from .koszulalg import ClassificationViolation
-from .report import ALL_SECTIONS, build_report, input_echo
+from .report import ALL_SECTIONS, build_report, input_echo, write_json
 from .toricdata import LatticeSpec, ToricDataError, ToricInput, validate
 
 EXIT_OK = 0
@@ -42,11 +41,23 @@ def _parse_exponent_key(key, where):
         raise ConfigError(f"{where}: bad exponent key {key!r}") from None
 
 
-def _parse_vector(value, n, where):
+def _array(value, where):
+    """value itself if it is a JSON array (a string is not); else ConfigError."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where}: expected an array, got {type(value).__name__}")
+    return value
+
+
+def _int_tuple(value, where):
+    value = _array(value, where)
     try:
-        vec = tuple(int(x) for x in value)
+        return tuple(int(x) for x in value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: not an integer vector: {exc}") from None
+
+
+def _parse_vector(value, n, where):
+    vec = _int_tuple(value, where)
     if len(vec) != n:
         raise ConfigError(f"{where}: has length {len(vec)}, expected {n}")
     return vec
@@ -59,11 +70,9 @@ def parse_config(data) -> ToricInput:
     for key in ("blocks", "d", "lattice"):
         if key not in data:
             raise ConfigError(f"config: missing field {key!r}")
-    try:
-        blocks = tuple(tuple(int(i) - 1 for i in blk) for blk in data["blocks"])
-        degrees = tuple(int(x) for x in data["d"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: blocks/d malformed: {exc}") from None
+    blocks = tuple(tuple(i - 1 for i in _int_tuple(blk, "block"))
+                   for blk in _array(data["blocks"], "blocks"))
+    degrees = _int_tuple(data["d"], "d")
 
     lat = data["lattice"]
     if not isinstance(lat, dict):
@@ -71,18 +80,21 @@ def parse_config(data) -> ToricInput:
     n = len(degrees)
     if "congruences" in lat:
         congruences = []
-        for item in lat["congruences"]:
+        for item in _array(lat["congruences"], "congruences"):
             if not isinstance(item, dict) or "c" not in item or "mod" not in item:
                 raise ConfigError("config: each congruence needs 'c' and 'mod'")
             try:
                 mod = int(item["mod"])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"congruence mod: {exc}") from None
+            if mod < 1:
+                raise ConfigError(f"congruence mod: must be >= 1, got {mod}")
             congruences.append((_parse_vector(item["c"], n, "congruence c"), mod))
         spec = LatticeSpec(congruences=tuple(congruences))
     elif "generators" in lat:
         spec = LatticeSpec(generators=tuple(
-            _parse_vector(g, n, "generator") for g in lat["generators"]))
+            _parse_vector(g, n, "generator")
+            for g in _array(lat["generators"], "generators")))
     else:
         raise ConfigError("config: lattice needs congruences or generators")
 
@@ -181,20 +193,18 @@ def cmd_analyze(args):
     try:
         report = build_report(vt, sections, algebra_cutoff=args.cutoff,
                               perturb_seed=args.perturb)
-    except (FactorizationCheckFailed, IntertwineCheckFailed, CellLiftFailure,
-            ClassificationViolation) as exc:
+    except CertificateFailure as exc:
         print(f"certificate failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ToricDataError, FanError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            write_json(report, fh)
     else:
-        sys.stdout.write(text)
+        write_json(report, sys.stdout)
     return EXIT_OK
 
 
@@ -207,7 +217,7 @@ def cmd_examples(args):
         print(f"unknown example {args.name!r}; choose from {', '.join(FIXTURE_NAMES)}",
               file=sys.stderr)
         return EXIT_INPUT
-    print(json.dumps(fixture_config_json(args.name), sort_keys=True, indent=2))
+    write_json(fixture_config_json(args.name), sys.stdout)
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
+from . import CertificateFailure
 from .intlat import (
     det_fraction,
     hnf_canonicalize,
@@ -39,7 +40,7 @@ class DegenerateConfig(FanError):
     pass
 
 
-class CellLiftFailure(FanError):
+class CellLiftFailure(FanError, CertificateFailure):
     def __init__(self, cell, reason):
         super().__init__(f"cell {tuple(sorted(cell))}: {reason}")
         self.cell = tuple(sorted(cell))
@@ -93,7 +94,8 @@ def project_config(vt: ValidatedToricData) -> ProjectedConfig:
         ids.append(pid)
         coords[pid] = cfg.project(p)
         for blk in vt.blocks:
-            assert min(p[i] for i in blk) == 0, "Xi_0 point without block zero"
+            if min(p[i] for i in blk) != 0:
+                raise CertificateFailure(f"Xi_0 point {p} without block zero")
         lifts[pid] = p
     return replace(cfg, ids=tuple(ids))
 
@@ -164,7 +166,8 @@ def _lower_hull_cells(points, heights):
         """Grow the contact set of a supporting functional to full dimension."""
         while True:
             contact = contact_set(a, c)
-            assert contact is not None
+            if contact is None:
+                raise CertificateFailure("rotated functional is not supporting")
             cpts = [points[i] for i in sorted(contact)]
             if _affine_rank(cpts) == dim:
                 return a, c, contact
@@ -206,7 +209,8 @@ def _lower_hull_cells(points, heights):
         a2 = tuple(ai + t * gi for ai, gi in zip(a, g))
         c2 = c - t * g0
         contact = contact_set(a2, c2)
-        assert contact is not None and contact >= ridge
+        if contact is None or not contact >= ridge:
+            raise CertificateFailure("neighbor functional lost the ridge")
         return a2, c2, contact
 
     start = min(range(npts), key=lambda i: (heights[i],) + tuple(points[i]))
@@ -361,7 +365,8 @@ def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
         coords = []
         for pid in gens:
             sol = solve_int(m_basis, cfg.coords[pid])
-            assert sol is not None, "Xi_0 projection escaped M"
+            if sol is None:
+                raise CertificateFailure(f"Xi_0 projection {pid} escaped M")
             coords.append(tuple(sol))
         diag = smith_normal_form(coords)
         if any(d != 1 for d in diag) or len(diag) != len(gens):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import CertificateFailure
 from .intlat import contains, hnf_canonicalize, lattice_intersection, lattice_quotient
 from .toricdata import ValidatedToricData, validate_volume_orders
 
@@ -187,7 +188,8 @@ def build_grading_data(vt: ValidatedToricData, volume_orders=None) -> GradingDat
     delta_rels = []
     for row in vt.m_bar.basis:
         pairing = sum(a * b for a, b in zip(vt.n_sigma, row))
-        assert pairing.denominator == 1
+        if pairing.denominator != 1:
+            raise CertificateFailure(f"<n_sigma, {row}> is not integral")
         delta_rels.append((2 * int(pairing),) + tuple(-x for x in row))
     delta = GradingDatum("G_Delta", n, tuple(delta_rels))
     mf = GradingDatum("G_MF", 1, ((2, -vt.d),))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
+from . import CertificateFailure
+
 IntVec = tuple[int, ...]
 
 
@@ -111,7 +113,8 @@ def right_kernel_basis(mat):
     n = len(mat[0])
     transposed = [tuple(mat[i][j] for i in range(m)) for j in range(n)]
     echelon, trans, rank = hnf_with_transform(transposed)
-    assert all(not any(echelon[i]) for i in range(rank, n))
+    if any(any(echelon[i]) for i in range(rank, n)):
+        raise CertificateFailure("Hermite form has a nonzero row below its rank")
     return [trans[i] for i in range(rank, n)]
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+from . import CertificateFailure
 from .grading import default_volume_vector
 from .intlat import matrix_rank
 from .toricdata import ValidatedToricData, subsets_in_lattice
@@ -25,7 +26,7 @@ class CutoffTooSmall(ValueError):
     pass
 
 
-class ClassificationViolation(AssertionError):
+class ClassificationViolation(CertificateFailure, AssertionError):
     pass
 
 
@@ -396,7 +397,8 @@ def j_algebra_dim_for_class(blocks, n, cls):
     ideal = _ideal_vectors_for_class(blocks, n, cls)
     for a, elem in ideal:
         for s in elem:
-            assert (a, s) in index, "ideal vector escapes the class piece"
+            if (a, s) not in index:
+                raise CertificateFailure("ideal vector escapes the class piece")
     return piece_dim - matrix_rank(_vectors_to_rows(ideal, index))
 
 
@@ -426,7 +428,8 @@ def element_in_ideal(blocks, n, a, elem):
 
 def _wedge_degree(elem):
     sizes = {len(s) for s in elem}
-    assert len(sizes) == 1
+    if len(sizes) != 1:
+        raise CertificateFailure(f"element mixes wedge degrees {sorted(sizes)}")
     return sizes.pop()
 
 
@@ -482,9 +485,11 @@ def deformation_sign(vt: ValidatedToricData, v, b, h_size):
     """
     k_a = b  # minimal representative: a = e_b, so k(a) = b, all ell_j = 0
     pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, k_a))
-    assert pairing.denominator == 1
+    if pairing.denominator != 1:
+        raise CertificateFailure(f"<n_sigma + v - e_I, {b}> is not integral")
     dagger = int(pairing) + 1 + sum((vi + 1) * x for vi, x in zip(v, b)) + h_size
-    assert (dagger - h_size // 2) % 2 == 0, "sign disagrees with |h|/2 rule"
+    if (dagger - h_size // 2) % 2 != 0:
+        raise CertificateFailure("sign disagrees with |h|/2 rule")
     return -1 if dagger % 2 else 1
 
 
@@ -519,7 +524,8 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
     killed = []
     for b in vt.xi:
         pairing = sum(ns * x for ns, x in zip(vt.n_sigma, b))
-        assert pairing == 1
+        if pairing != 1:
+            raise CertificateFailure(f"<n_sigma, {b}> = {pairing}, not 1")
         sign = deformation_sign(vt, v, b, 0)
         if sign != 1:
             raise ClassificationViolation(f"|h|=0 class at {b} is not invariant")

@@ -1,7 +1,10 @@
-"""Deterministic report assembly: every collection sorted, rationals exact.
+"""Deterministic report assembly and the report writer.
 
-Re-running on identical input yields byte-identical JSON (no timestamps, no
-floats, fixed version string).
+Every collection is sorted and every rational exact, so re-running on
+identical input yields byte-identical JSON (no timestamps, no floats, fixed
+version string).  ``write_json`` streams a report as exactly the text of
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, in joined
+batches, so the report's text is never all in memory at once.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
@@ -226,3 +230,69 @@ def build_report(vt: ValidatedToricData, sections, algebra_cutoff=None,
         "sections": {name: call(run) for name, call in SECTIONS.items()
                      if name in sections},
     }
+
+
+# Chunks collected before the writer hands the stream one joined batch.
+_BATCH_CHUNKS = 1 << 16
+
+
+def write_json(obj, fh):
+    """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to ``fh``.
+
+    Takes the value types a report holds: dict with str keys, list, tuple,
+    str, int, bool and None; any other type raises TypeError.  The tree is
+    walked once, a list of plain ints is joined in one step, and the text
+    goes to ``fh.write`` in batches of about _BATCH_CHUNKS chunks.
+    """
+    chunks = []
+    append = chunks.append
+
+    def emit(o, nl):
+        # nl is the newline and indent of the line that holds o
+        if len(chunks) >= _BATCH_CHUNKS:
+            fh.write("".join(chunks))
+            chunks.clear()
+        if isinstance(o, str):
+            append(encode_basestring_ascii(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, (list, tuple)):
+            inner = nl + "  "
+            if not o:
+                append("[]")
+            elif all(type(x) is int for x in o):
+                append("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+            else:
+                sep = "[" + inner
+                for x in o:
+                    append(sep)
+                    sep = "," + inner
+                    emit(x, inner)
+                append(nl + "]")
+        elif isinstance(o, dict):
+            inner = nl + "  "
+            sep = "{" + inner
+            for key in sorted(o):
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+                head = sep + encode_basestring_ascii(key) + ": "
+                sep = "," + inner
+                value = o[key]
+                if type(value) is int:
+                    append(head + str(value))
+                else:
+                    append(head)
+                    emit(value, inner)
+            append(nl + "}" if o else "{}")
+        else:
+            raise TypeError(f"cannot write {type(o).__name__} into a report")
+
+    emit(obj, "\n")
+    append("\n")
+    fh.write("".join(chunks))

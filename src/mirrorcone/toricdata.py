@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from . import CertificateFailure
 from .intlat import (
     FiniteAbelianGroup,
     RationalLatticeBasis,
@@ -330,6 +331,8 @@ def symmetry_groups(vt: ValidatedToricData) -> SymmetryGroups:
     kernel = sublattice_from_congruences(vt.n, [(vt.q, vt.d)])
     gamma = lattice_quotient(kernel, vt.m_bar)
     # the diagonal character has exact order d, so |Gamma| * d = |G*|
-    assert kernel.index_in_ambient() == vt.d
-    assert gamma.order * vt.d == g.order
+    if kernel.index_in_ambient() != vt.d:
+        raise CertificateFailure(f"[Z^I : K] = {kernel.index_in_ambient()}, not d = {vt.d}")
+    if gamma.order * vt.d != g.order:
+        raise CertificateFailure(f"|Gamma| * d = {gamma.order * vt.d}, not |G| = {g.order}")
     return SymmetryGroups(g=g, g_star=g, gamma=gamma)

@@ -1,10 +1,19 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mirrorcone.cli import main, parse_config, ConfigError
+from mirrorcone import toricdata
+from mirrorcone.cli import load_config, main, parse_config, ConfigError
+from mirrorcone.intlat import FiniteAbelianGroup
+from mirrorcone.report import ALL_SECTIONS, build_report
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mirrorcone"
 
 QUARTIC_CFG = {
     "blocks": [[1, 2, 3, 4]],
@@ -151,8 +160,18 @@ def _quartic_with(**changes):
     (_quartic_with(v=[1, 1, 1]), 2),
     (_quartic_with(b_valuations=["1/2"]), 2),
     (_quartic_with(d=[4, 4, 4, 0]), 1),
+    (_quartic_with(lattice={"congruences": [{"c": [1, 1, 1, 1], "mod": 0}]}), 2),
+    (_quartic_with(lattice={"congruences": [{"c": [1, 1, 1, 1], "mod": -3}]}), 2),
+    (_quartic_with(lattice={"congruences": 5}), 2),
+    (_quartic_with(lattice={"generators": 5}), 2),
+    (_quartic_with(d="4444"), 2),
+    (_quartic_with(blocks=["1234"]), 2),
+    (_quartic_with(lattice={"congruences": [{"c": "1111", "mod": 4}]}), 2),
+    (_quartic_with(v="1110"), 2),
 ], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
-        "b-valuations-list", "zero-degree"])
+        "b-valuations-list", "zero-degree", "mod-zero", "mod-negative",
+        "congruences-int", "generators-int", "d-string", "block-string",
+        "c-string", "v-string"])
 def test_malformed_config_exits_cleanly(tmp_path, cfg, code):
     proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
     assert proc.returncode == code
@@ -160,6 +179,42 @@ def test_malformed_config_exits_cleanly(tmp_path, cfg, code):
     assert len(proc.stderr.strip().splitlines()) == 1
     if code == 1:
         assert "degrees must be positive" in proc.stderr
+
+
+_JUNK = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.text(max_size=3),
+              st.sampled_from(["1/2", "uniform:1", "0/0", "1,0,0,3"])),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.dictionaries(st.sampled_from(["c", "mod", "1,0,0,3", "x"]), kids, max_size=3)),
+    max_leaves=10)
+_FIELDS = ["blocks", "d", "lattice", "lambda", "v", "b_valuations",
+           "congruences", "generators", "c", "mod"]
+
+
+@st.composite
+def _mangled_configs(draw):
+    """The quartic config with one to three fields replaced by junk."""
+    cfg = _quartic_with()
+    for field in draw(st.lists(st.sampled_from(_FIELDS), min_size=1, max_size=3)):
+        junk = draw(_JUNK)
+        if field in ("congruences", "generators"):
+            cfg["lattice"] = {field: junk}
+        elif field in ("c", "mod"):
+            cfg["lattice"] = {"congruences": [{"c": [1, 1, 1, 1], "mod": 4, field: junk}]}
+        else:
+            cfg[field] = junk
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=list(HealthCheck))
+@given(_mangled_configs())
+def test_fuzzed_config_fails_only_with_input_or_domain_errors(cfg):
+    # _load_validated maps exactly these two to exit 2 and exit 1
+    try:
+        toricdata.validate(parse_config(cfg))
+    except (ConfigError, toricdata.ToricDataError):
+        pass
 
 
 def test_analyze_out_file(tmp_path):
@@ -196,3 +251,38 @@ def test_parse_config_errors():
 def test_main_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, QUARTIC_CFG)
     assert main(["validate", cfg]) == 0
+
+
+def test_analyze_writes_the_same_bytes_to_stdout_and_out_file(tmp_path):
+    proc = run_cli(["examples", "show", "elliptic"])
+    cfg = write_cfg(tmp_path, json.loads(proc.stdout))
+    args = ["analyze", cfg, "--sections", ",".join(ALL_SECTIONS), "--cutoff", "4"]
+    out = tmp_path / "report.json"
+    stdout = run_cli(args)
+    to_file = run_cli([*args, "--out", str(out)])
+    assert stdout.returncode == to_file.returncode == 0
+    report = build_report(toricdata.validate(load_config(cfg)), ALL_SECTIONS,
+                          algebra_cutoff=4)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert stdout.stdout == text
+    assert out.read_text() == text
+    assert to_file.stdout == ""
+
+
+def test_failed_certificate_exits_3(tmp_path, monkeypatch, capsys):
+    # a Gamma of the wrong order falsifies the group-order identity
+    monkeypatch.setattr(toricdata, "lattice_quotient",
+                        lambda sup, sub: FiniteAbelianGroup((7,)))
+    cfg = write_cfg(tmp_path, QUARTIC_CFG)
+    assert main(["analyze", cfg, "--sections", "groups"]) == 3
+    err = capsys.readouterr().err
+    assert "certificate failure [" in err
+    assert "Traceback" not in err
+
+
+def test_no_assert_statements_in_the_package():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
