@@ -3,29 +3,32 @@
 Coefficients are formal units: a block term carries the unit -1, a
 distinguished-monomial term carries a named symbol with a valuation.  Every
 identity checked here (weighted homogeneity, the sign flip, delta^2 = W) is
-coefficient-agnostic, so no series arithmetic is needed; polynomial elements
-are maps from (z-exponent, odd-generator subset) to integer combinations of
-coefficient symbols.
+coefficient-agnostic, so no series arithmetic is needed.  A polynomial
+element is one flat map from (z-exponent, odd-generator bitmask, coefficient
+symbols) to an integer, and one Koszul operator serves both delta and the
+dual differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from operator import add
 
 from . import CertificateFailure
 from .grading import GradingData, deg_equal, default_volume_vector
 from .toricdata import ToricDataError, UnknownMonomial, ValidatedToricData
 from .toricdata import validate_volume_orders
 from .intlat import contains
+from .koszulalg import bits, front_sign
 
 
-class FactorizationCheckFailed(CertificateFailure, AssertionError):
+class FactorizationCheckFailed(CertificateFailure):
     pass
 
 
-class IntertwineCheckFailed(CertificateFailure, AssertionError):
+class IntertwineCheckFailed(CertificateFailure):
     pass
 
 
@@ -123,44 +126,43 @@ def check_wflips(w: Superpotential, v=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Koszul matrix factorization.  Elements of the free module S[phi] are maps
-# {(zexp, frozenset): coeff} with coeff = {symbol-tuple: int}; symbol tuples
-# are sorted tuples of coefficient symbols (empty = numeric unit).
+# Koszul matrix factorization.  An element of the free module S[phi] is one
+# flat map {(zexp, mask, symbols): int}: bit i of the int mask is the odd
+# generator phi_i, products of generators are kept in increasing index order,
+# and symbols is a sorted tuple of coefficient symbols (empty = numeric
+# unit).  A polynomial such as W_i or z_i is a tuple of (sign, symbols,
+# exponent) entries.
 
 
-def _coeff_mul(c1, c2):
+def koszul_operator(elem, contract, insert):
+    """Apply sum_i contract[i] d/dx_i + insert[i] x_i to a flat element.
+
+    x_i is the odd generator of bit i; contract[i] and insert[i] are
+    polynomials given as (sign, symbols, exponent) entries.
+    """
     out = {}
-    for s1, v1 in c1.items():
-        for s2, v2 in c2.items():
-            key = tuple(sorted(s1 + s2))
-            out[key] = out.get(key, 0) + v1 * v2
-            if out[key] == 0:
-                del out[key]
-    return out
+    for (zexp, mask, syms), coeff in elem.items():
+        for i in range(len(insert)):
+            bit = 1 << i
+            # d/dx_i and x_i both move x_i past the generators below it
+            c = coeff * front_sign(mask, i)
+            for sign, esyms, eexp in contract[i] if mask & bit else insert[i]:
+                key = (tuple(map(add, zexp, eexp)), mask ^ bit,
+                       tuple(sorted(syms + esyms)))
+                out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
 
 
-def _elem_add(dst, key, coeff):
-    cur = dst.get(key)
-    if cur is None:
-        dst[key] = dict(coeff)
-        if not dst[key]:
-            del dst[key]
-        return
-    for s, v in coeff.items():
-        cur[s] = cur.get(s, 0) + v
-        if cur[s] == 0:
-            del cur[s]
-    if not cur:
-        del dst[key]
+def _negated(polys):
+    return tuple(tuple((-sign, syms, exp) for sign, syms, exp in p) for p in polys)
 
 
-def _scale(coeff, k):
-    return {s: k * v for s, v in coeff.items()}
-
-
-def _wedge_sign(subset, i):
-    """Sign of moving the generator i to the front of the sorted product."""
-    return (-1) ** sum(1 for k in subset if k < i)
+def _check_every_basis_element(n, holds, failure, what):
+    """Raise failure unless holds(mask, phi_mask) for each of the 2^n basis masks."""
+    zero = (0,) * n
+    for mask in range(1 << n):
+        if not holds(mask, {(zero, mask, ()): 1}):
+            raise failure(f"{what}{tuple(bits(mask))}")
 
 
 @dataclass
@@ -169,52 +171,30 @@ class KoszulMF:
 
     vt: ValidatedToricData
     w: Superpotential
-    splits: tuple  # per variable i: list of (coeff, exponent-with-z_i-removed)
+    splits: tuple  # per variable i: W_i as (sign, symbols, exponent) entries
 
     @property
     def n(self):
         return self.vt.n
 
-    def delta(self, elem):
-        out = {}
+    @cached_property
+    def z(self):
+        """Per variable i: z_i as a polynomial of one entry."""
         n = self.n
-        for (zexp, subset), coeff in elem.items():
-            for i in sorted(subset):
-                # z_i * d/dphi_i
-                sign = _wedge_sign(subset, i)
-                new_exp = tuple(e + (1 if k == i else 0) for k, e in enumerate(zexp))
-                _elem_add(out, (new_exp, subset - {i}), _scale(coeff, sign))
-            for i in range(n):
-                if i in subset:
-                    continue
-                sign = _wedge_sign(subset, i)
-                for wcoeff, wexp in self.splits[i]:
-                    new_exp = tuple(e + we for e, we in zip(zexp, wexp))
-                    _elem_add(out, (new_exp, subset | {i}),
-                              _scale(_coeff_mul(coeff, wcoeff), sign))
-        return out
+        return tuple(((1, (), tuple(int(k == i) for k in range(n))),)
+                     for i in range(n))
 
-    def w_element(self):
-        out = {}
-        for t in self.w.terms:
-            _elem_add(out, (t.exponent, frozenset()), {t.symbol(): t.sign})
-        return out
+    def delta(self, elem):
+        return koszul_operator(elem, self.z, self.splits)
 
     def verify_factorization(self):
         """delta^2 = W * id on every basis element phi_S."""
-        n = self.n
-        w_elem = self.w_element()
-        for size in range(n + 1):
-            for subset in combinations(range(n), size):
-                subset = frozenset(subset)
-                basis = {((0,) * n, subset): {(): 1}}
-                sq = self.delta(self.delta(basis))
-                expected = {}
-                for (zexp, s), coeff in w_elem.items():
-                    _elem_add(expected, (zexp, subset), coeff)
-                if sq != expected:
-                    raise FactorizationCheckFailed(
-                        f"delta^2 != W*id on basis element {tuple(sorted(subset))}")
+        w = [(t.sign, t.symbol(), t.exponent) for t in self.w.terms]
+        _check_every_basis_element(
+            self.n,
+            lambda mask, basis: self.delta(self.delta(basis))
+            == {(exp, mask, syms): sign for sign, syms, exp in w},
+            FactorizationCheckFailed, "delta^2 != W*id on basis element ")
         return True
 
     def delta_degree_check(self, gd: GradingData) -> bool:
@@ -228,17 +208,14 @@ class KoszulMF:
         one = gd.cover.deg(1, (0,) * n)
         for i in range(n):
             phi_deg = gd.cover.deg(1, tuple(-1 if k == i else 0 for k in range(n)))
-            for wcoeff, wexp in self.splits[i]:
+            for _, syms, wexp in self.splits[i]:
                 deg = phi_deg
                 for k, e in enumerate(wexp):
                     deg = deg + gd.deg_z(gd.cover, k).scale(e)
-                for syms in wcoeff:
-                    sym_deg = gd.cover.zero()
-                    for sym in syms:
-                        _, exp = sym
-                        sym_deg = sym_deg + gd.deg_r_monomial(exp, 1)
-                    if not deg_equal(deg + sym_deg, one):
-                        return False
+                for _, exp in syms:
+                    deg = deg + gd.deg_r_monomial(exp, 1)
+                if not deg_equal(deg, one):
+                    return False
         return True
 
 
@@ -249,9 +226,8 @@ def build_koszul_mf(w: Superpotential) -> KoszulMF:
     for t in w.terms:
         i = next(k for k, e in enumerate(t.exponent) if e > 0)
         reduced = tuple(e - (1 if k == i else 0) for k, e in enumerate(t.exponent))
-        splits[i].append(({t.symbol(): t.sign}, reduced))
-    mf = KoszulMF(vt=vt, w=w, splits=tuple(tuple(s) for s in splits))
-    return mf
+        splits[i].append((t.sign, t.symbol(), reduced))
+    return KoszulMF(vt=vt, w=w, splits=tuple(tuple(s) for s in splits))
 
 
 @dataclass(frozen=True)
@@ -260,68 +236,41 @@ class DualizationReport:
     intertwines: bool
 
 
-def dualize_mf(mf: KoszulMF, v=None) -> DualizationReport:
+def dualize_mf(mf: KoszulMF) -> DualizationReport:
     """Check that the standard comparison map intertwines the pulled-back dual
     differential with delta, and report its degree r - |I|.
 
     The dual differential on S[theta] is sum_i(-z_i theta_i - W_i d/dtheta_i)
-    (the coefficient involution composed with the theta rescaling); the
-    comparison map sends theta_{i_1}..theta_{i_k} to
-    (-1)^k d/dphi_{i_1} .. d/dphi_{i_k} applied to phi_1..phi_n.
+    (the coefficient involution composed with the theta rescaling), i.e. the
+    Koszul operator with -W_i and -z_i; the comparison map sends
+    theta_{i_1}..theta_{i_k} to (-1)^k d/dphi_{i_1} .. d/dphi_{i_k} applied
+    to phi_1..phi_n.
     """
     vt = mf.vt
     n = vt.n
-    if v is None:
-        v = default_volume_vector(vt)
+    contract, insert = _negated(mf.splits), _negated(mf.z)
+    full = (1 << n) - 1
 
-    def dual_delta(elem):
-        out = {}
-        for (zexp, subset), coeff in elem.items():
-            for i in range(n):
-                if i not in subset:
-                    # -z_i theta_i
-                    sign = -_wedge_sign(subset, i)
-                    new_exp = tuple(e + (1 if k == i else 0)
-                                    for k, e in enumerate(zexp))
-                    _elem_add(out, (new_exp, subset | {i}), _scale(coeff, sign))
-            for i in sorted(subset):
-                # -W_i d/dtheta_i
-                sign = -_wedge_sign(subset, i)
-                for wcoeff, wexp in mf.splits[i]:
-                    new_exp = tuple(e + we for e, we in zip(zexp, wexp))
-                    _elem_add(out, (new_exp, subset - {i}),
-                              _scale(_coeff_mul(coeff, wcoeff), sign))
-        return out
-
-    full = frozenset(range(n))
-
-    def comparison(subset):
-        """Image of theta_S: sign and the complementary phi subset."""
+    def comparison(mask):
+        """Image of theta_mask: sign and the complementary phi mask."""
         # d/dphi_{i_1} .. d/dphi_{i_k} (phi_1 .. phi_n) with i_1 < ... < i_k
         # and the rightmost contraction acting first, then the (-1)^k factor.
-        sign = 1
-        remaining = sorted(full)
-        for i in sorted(subset, reverse=True):
-            pos = remaining.index(i)
-            sign *= (-1) ** pos
-            remaining.remove(i)
-        sign *= (-1) ** len(subset)
-        return sign, frozenset(remaining)
+        sign, remaining = 1, full
+        for i in reversed(bits(mask)):
+            sign *= front_sign(remaining, i)
+            remaining ^= 1 << i
+        return sign * (-1) ** mask.bit_count(), remaining
 
     def map_elem(elem):
         out = {}
-        for (zexp, subset), coeff in elem.items():
-            sign, image = comparison(subset)
-            _elem_add(out, (zexp, image), _scale(coeff, sign))
+        for (zexp, mask, syms), coeff in elem.items():
+            sign, image = comparison(mask)
+            out[(zexp, image, syms)] = sign * coeff
         return out
 
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            subset = frozenset(subset)
-            basis = {((0,) * n, subset): {(): 1}}
-            lhs = map_elem(dual_delta(basis))
-            rhs = mf.delta(map_elem(basis))
-            if lhs != rhs:
-                raise IntertwineCheckFailed(
-                    f"comparison map fails on theta_{tuple(sorted(subset))}")
+    _check_every_basis_element(
+        n,
+        lambda mask, basis: map_elem(koszul_operator(basis, contract, insert))
+        == mf.delta(map_elem(basis)),
+        IntertwineCheckFailed, "comparison map fails on theta_")
     return DualizationReport(iso_degree=vt.r - n, intertwines=True)

@@ -48,12 +48,15 @@ def _array(value, where):
     return value
 
 
+def _int(value, where):
+    """value itself if it is a JSON integer; a float or a bool is refused, not cast."""
+    if type(value) is not int:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
 def _int_tuple(value, where):
-    value = _array(value, where)
-    try:
-        return tuple(int(x) for x in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not an integer vector: {exc}") from None
+    return tuple(_int(x, where) for x in _array(value, where))
 
 
 def _parse_vector(value, n, where):
@@ -83,10 +86,7 @@ def parse_config(data) -> ToricInput:
         for item in _array(lat["congruences"], "congruences"):
             if not isinstance(item, dict) or "c" not in item or "mod" not in item:
                 raise ConfigError("config: each congruence needs 'c' and 'mod'")
-            try:
-                mod = int(item["mod"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"congruence mod: {exc}") from None
+            mod = _int(item["mod"], "congruence mod")
             if mod < 1:
                 raise ConfigError(f"congruence mod: must be >= 1, got {mod}")
             congruences.append((_parse_vector(item["c"], n, "congruence c"), mod))

@@ -26,7 +26,7 @@ class CutoffTooSmall(ValueError):
     pass
 
 
-class ClassificationViolation(CertificateFailure, AssertionError):
+class ClassificationViolation(CertificateFailure):
     pass
 
 
@@ -45,30 +45,54 @@ def canonical_class(blocks, j, m):
     return (j, tuple(m))
 
 
-def _iter_exponents(n, total_max):
-    """All a in Z^n_{>=0} with |a| <= total_max."""
-    a = [0] * n
+def _compositions(lo, hi, total):
+    """Integer vectors t with lo[j] <= t[j] <= hi[j] and sum(t) = total."""
+    r = len(lo)
+    # the least and the most that coordinates j.. can add up to
+    lo_rest, hi_rest = [0] * (r + 1), [0] * (r + 1)
+    for j in range(r - 1, -1, -1):
+        lo_rest[j] = lo_rest[j + 1] + lo[j]
+        hi_rest[j] = hi_rest[j + 1] + hi[j]
+    t = [0] * r
 
-    def rec(i, rem):
-        if i == n - 1:
-            for v in range(rem + 1):
-                a[i] = v
-                yield tuple(a)
-            a[i] = 0
+    def rec(j, rem):
+        if j == r:
+            yield tuple(t)
             return
-        for v in range(rem + 1):
-            a[i] = v
-            yield from rec(i + 1, rem - v)
-        a[i] = 0
+        for v in range(max(lo[j], rem - hi_rest[j + 1]),
+                       min(hi[j], rem - lo_rest[j + 1]) + 1):
+            t[j] = v
+            yield from rec(j + 1, rem - v)
 
-    yield from rec(0, total_max)
+    return rec(0, total) if lo_rest[0] <= total <= hi_rest[0] else iter(())
+
+
+def _block_shifts(caps, total):
+    """Block shifts t with t_j <= caps[j] and sum(t) = total.
+
+    Each t_j is at least caps[j] - slack, since the other blocks can take at
+    most sum(caps) - caps[j] of the total.
+    """
+    slack = sum(caps) - total
+    return _compositions([c - slack for c in caps], caps, total)
+
+
+def _block_index(blocks, n):
+    """Per index i, the number of the block that contains it."""
+    block_of = [0] * n
+    for j, blk in enumerate(blocks):
+        for i in blk:
+            block_of[i] = j
+    return block_of
 
 
 def degree_classes(blocks, n, cutoff):
     """Classes met by monomials z^a theta^K or z^a h with |a| <= cutoff."""
     classes = set()
     wedge_max = sum(len(blk) - 1 for blk in blocks)
-    for a in _iter_exponents(n, cutoff):
+    exponents = (a for total in range(cutoff + 1)
+                 for a in _compositions((0,) * n, (total,) * n, total))
+    for a in exponents:
         asum = sum(a)
         neg_a = tuple(-x for x in a)
         for w in range(wedge_max + 1):
@@ -82,27 +106,6 @@ def degree_classes(blocks, n, cutoff):
     return sorted(classes)
 
 
-def _t_boxes(blocks, caps, total):
-    """Integer vectors t with sum(t) = total and t_j <= caps[j]."""
-    r = len(blocks)
-    out = []
-    t = [0] * r
-
-    def rec(j, rem):
-        if j == r - 1:
-            if rem <= caps[j]:
-                t[j] = rem
-                out.append(tuple(t))
-            return
-        lo = rem - sum(caps[j + 1:])
-        for v in range(lo, caps[j] + 1):
-            t[j] = v
-            rec(j + 1, rem - v)
-
-    rec(0, total)
-    return out
-
-
 # --- Koszul complex side --------------------------------------------------
 
 
@@ -110,24 +113,18 @@ def _koszul_piece(blocks, n, cls):
     """All monomials z^a theta^K of the given degree class, as (K, a) pairs."""
     jhat, mhat = cls
     msum = sum(mhat)
+    block_of = _block_index(blocks, n)
     out = []
     for size in range(n + 1):
         for K in combinations(range(n), size):
             twice = size - 2 * msum - jhat
             if twice % 2:
                 continue
-            total = twice // 2
-            caps = [min((1 if i in K else 0) - mhat[i] for i in blk)
-                    for blk in blocks]
-            if sum(caps) < total:
-                continue
-            for t in _t_boxes(blocks, caps, total):
-                a = []
-                for i in range(n):
-                    j = next(jj for jj, blk in enumerate(blocks) if i in blk)
-                    a.append((1 if i in K else 0) - mhat[i] - t[j])
-                if all(x >= 0 for x in a):
-                    out.append((K, tuple(a)))
+            base = [(1 if i in K else 0) - mhat[i] for i in range(n)]
+            # t_j <= caps[j] keeps every exponent of block j non-negative
+            caps = [min(base[i] for i in blk) for blk in blocks]
+            for t in _block_shifts(caps, twice // 2):
+                out.append((K, tuple(b - t[block_of[i]] for i, b in enumerate(base))))
     out.sort()
     return out
 
@@ -135,14 +132,11 @@ def _koszul_piece(blocks, n, cls):
 def _koszul_differential(blocks, n, mono):
     """Image of z^a theta^K under contraction with dW_0, W_0 = -sum z^{e_I_j}."""
     K, a = mono
-    block_of = {}
-    for blk in blocks:
-        for i in blk:
-            block_of[i] = blk
+    block_of = _block_index(blocks, n)
     out = {}
     for pos, k in enumerate(K):
         sign = (-1) ** pos
-        blk = block_of[k]
+        blk = blocks[block_of[k]]
         new_a = list(a)
         for i in blk:
             new_a[i] += 1
@@ -215,41 +209,51 @@ def multiblock_koszul_dims(blocks, n, z_cutoff) -> GradedDims:
 
 
 # --- exterior algebra on the odd generators u_i ---------------------------
+# An element is a map {mask: int}: bit i of the int mask is the generator
+# u_i, and each monomial is the product of its generators in increasing
+# index order.
+
+
+def bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def front_sign(mask, i):
+    """Sign of moving generator i to the front of the ordered product over mask."""
+    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
 
 
 def wedge(e1, e2):
     out = {}
     for s1, c1 in e1.items():
+        gens = bits(s1)
         for s2, c2 in e2.items():
             if s1 & s2:
                 continue
-            inv = sum(1 for a in s1 for b in s2 if a > b)
-            key = s1 | s2
-            out[key] = out.get(key, 0) + c1 * c2 * (-1) ** inv
-            if out[key] == 0:
-                del out[key]
-    return out
+            # each generator of s1 moves past the generators of s2 below it
+            c = c1 * c2
+            for i in gens:
+                c *= front_sign(s2, i)
+            out[s1 | s2] = out.get(s1 | s2, 0) + c
+    return {s: c for s, c in out.items() if c}
 
 
 def contract_block(elem, blk):
     """Contraction with e_I_j (odd derivation sending each u_i, i in block, to 1)."""
     out = {}
     for s, c in elem.items():
-        for pos, i in enumerate(sorted(s)):
-            if i not in blk:
-                continue
-            key = s - {i}
-            val = c * (-1) ** pos
-            out[key] = out.get(key, 0) + val
-            if out[key] == 0:
-                del out[key]
-    return out
+        for i in blk:
+            if s >> i & 1:
+                key = s ^ (1 << i)
+                out[key] = out.get(key, 0) + c * front_sign(s, i)
+    return {s: c for s, c in out.items() if c}
 
 
 def h_basis(blk):
     """Basis of the kernel of contraction: u_i - u_last for i in blk[:-1]."""
     last = max(blk)
-    return [{frozenset([i]): 1, frozenset([last]): -1} for i in sorted(blk) if i != last]
+    return [{1 << i: 1, 1 << last: -1} for i in sorted(blk) if i != last]
 
 
 def wedge_basis_for_block(blk, degree):
@@ -257,7 +261,7 @@ def wedge_basis_for_block(blk, degree):
     basis = h_basis(blk)
     out = []
     for combo in combinations(range(len(basis)), degree):
-        elem = {frozenset(): 1}
+        elem = {0: 1}
         for k in combo:
             elem = wedge(elem, basis[k])
         out.append(elem)
@@ -270,51 +274,22 @@ def wedge_basis_for_block(blk, degree):
 def _j_piece_slices(blocks, n, cls):
     """Slices (a, wedge-distribution) of the quotient-algebra degree class."""
     jhat, mhat = cls
+    block_of = _block_index(blocks, n)
+    # t_j <= caps[j] keeps every exponent of block j non-negative
     caps = [min(-mhat[i] for i in blk) for blk in blocks]
     wedge_caps = [len(blk) - 1 for blk in blocks]
+    no_wedge = [0] * len(blocks)
     slices = []
     # sum(t) determines the total wedge degree: w = jhat + 2|mhat| + 2 sum(t)
-    max_w = sum(wedge_caps)
-    for w in range(max_w + 1):
+    for w in range(sum(wedge_caps) + 1):
         twice = w - jhat - 2 * sum(mhat)
         if twice % 2:
             continue
-        total = twice // 2
-        if sum(caps) < total:
-            continue
-        for t in _t_boxes(blocks, caps, total):
-            a = []
-            ok = True
-            for i in range(n):
-                j = next(jj for jj, blk in enumerate(blocks) if i in blk)
-                v = -mhat[i] - t[j]
-                if v < 0:
-                    ok = False
-                    break
-                a.append(v)
-            if not ok:
-                continue
-            for dist in _wedge_distributions(wedge_caps, w):
-                slices.append((tuple(a), dist))
+        dists = list(_compositions(no_wedge, wedge_caps, w))
+        for t in _block_shifts(caps, twice // 2):
+            a = tuple(-mhat[i] - t[block_of[i]] for i in range(n))
+            slices.extend((a, dist) for dist in dists)
     return sorted(set(slices))
-
-
-def _wedge_distributions(caps, total):
-    out = []
-    cur = [0] * len(caps)
-
-    def rec(j, rem):
-        if j == len(caps) - 1:
-            if rem <= caps[j]:
-                cur[j] = rem
-                out.append(tuple(cur))
-            return
-        for v in range(min(caps[j], rem) + 1):
-            cur[j] = v
-            rec(j + 1, rem - v)
-
-    rec(0, total)
-    return out
 
 
 def _slice_basis_count(blocks, dist):
@@ -327,7 +302,7 @@ def _slice_basis_count(blocks, dist):
 def _expand_slice_monomials(blocks, a, dist):
     """u-monomial expansions of the basis z^a * prod_j w_{S_j} of one slice."""
     per_block = [wedge_basis_for_block(blk, w) for blk, w in zip(blocks, dist)]
-    elems = [{frozenset(): 1}]
+    elems = [{0: 1}]
     for basis in per_block:
         elems = [wedge(e, b) for e in elems for b in basis]
     return [(a, e) for e in elems]
@@ -350,11 +325,8 @@ def _ideal_vectors_for_class(blocks, n, cls):
                     w_mult_j = dist[j] - gw_degree
                     if w_mult_j < 0 or w_mult_j > len(blk) - 1:
                         continue
-                    if size == 0:
-                        gw = {frozenset(): 1}
-                    else:
-                        top = {frozenset(K): 1}
-                        gw = contract_block(top, blk) if size > 1 else {frozenset(): 1}
+                    gw = (contract_block({sum(1 << i for i in K): 1}, blk)
+                          if size > 1 else {0: 1})
                     if not gw:
                         continue
                     mult_dist = list(dist)
@@ -427,7 +399,7 @@ def element_in_ideal(blocks, n, a, elem):
 
 
 def _wedge_degree(elem):
-    sizes = {len(s) for s in elem}
+    sizes = {s.bit_count() for s in elem}
     if len(sizes) != 1:
         raise CertificateFailure(f"element mixes wedge degrees {sorted(sizes)}")
     return sizes.pop()
@@ -520,6 +492,7 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
         v = default_volume_vector(vt)
     blocks = vt.blocks
     n = vt.n
+    xi0 = set(vt.xi0)
     surviving = []
     killed = []
     for b in vt.xi:
@@ -529,8 +502,8 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
         sign = deformation_sign(vt, v, b, 0)
         if sign != 1:
             raise ClassificationViolation(f"|h|=0 class at {b} is not invariant")
-        in_ideal = element_in_ideal(blocks, n, tuple(b), {frozenset(): 1})
-        if b in set(vt.xi0):
+        in_ideal = element_in_ideal(blocks, n, tuple(b), {0: 1})
+        if b in xi0:
             if in_ideal:
                 raise ClassificationViolation(
                     f"first-order class z^{b} vanishes in the quotient algebra")
@@ -547,13 +520,13 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
         for pos, vec in enumerate(h_basis(blk)):
             labels.append((j, pos))
             vectors.append(vec)
-    sign_killed = []
     zero_a = (0,) * n
+    # the sign of r^0 z^0 h depends only on |h| = 2, not on the pair
+    if deformation_sign(vt, v, zero_a, 2) != -1:
+        raise ClassificationViolation("|h|=2 class not killed by the sign rule")
+    sign_killed = []
     for (i1, i2) in combinations(range(len(vectors)), 2):
         pair = wedge(vectors[i1], vectors[i2])
-        sign = deformation_sign(vt, v, zero_a, 2)
-        if sign != -1:
-            raise ClassificationViolation("|h|=2 class not killed by the sign rule")
         nonzero = bool(pair) and not element_in_ideal(blocks, n, zero_a, pair)
         sign_killed.append(((labels[i1], labels[i2]), nonzero))
     return DeformationClassification(

@@ -29,6 +29,10 @@ from .intlat import (
 
 IntVec = tuple[int, ...]
 
+# Most candidates m >= 0 with <q, m> = d that validate will enumerate; the
+# z-manifold has 165, a 12-variable single block 1,352,078.
+XI_CANDIDATE_LIMIT = 100_000
+
 
 class ToricDataError(ValueError):
     """Base class for rejected toric input."""
@@ -196,6 +200,13 @@ def validate(inp: ToricInput) -> ValidatedToricData:
     n_sigma = tuple(Fraction(qi, d) for qi in q)
     n_bar = dual_lattice(m_bar)
 
+    # the count is a table over the degrees 0..d, so d is bounded first
+    if d > XI_CANDIDATE_LIMIT:
+        raise IndexSetTooLarge(f"d = {d} exceeds the Xi candidate limit {XI_CANDIDATE_LIMIT}")
+    candidates = count_xi_candidates(q, d)
+    if candidates > XI_CANDIDATE_LIMIT:
+        raise IndexSetTooLarge(f"{candidates} candidates m >= 0 with <q, m> = {d} "
+                               f"exceed the limit {XI_CANDIDATE_LIMIT}")
     xi, xi0 = _enumerate_xi(inp.blocks, d, q, m_bar)
 
     if inp.volume_orders is not None:
@@ -220,6 +231,15 @@ def validate_volume_orders(blocks, v):
         if s != len(blk) - 1:
             raise ToricDataError(
                 f"volume orders on block {j} sum to {s}, expected {len(blk) - 1}")
+
+
+def count_xi_candidates(q, d):
+    """Number of m >= 0 with <q, m> = d: the points _enumerate_xi visits."""
+    ways = [1] + [0] * d  # ways[s]: vectors over the variables so far with <q, m> = s
+    for qi in q:
+        for s in range(qi, d + 1):
+            ways[s] += ways[s - qi]
+    return ways[d]
 
 
 def _enumerate_xi(blocks, d, q, m_bar):

@@ -173,3 +173,20 @@ def nullspace_int(rows, ncols):
             vec[pcol] = -a[i][fcol]
         basis.append(vec)
     return basis
+
+
+def permutation_sign(seq):
+    """Sign of the permutation that sorts seq (distinct items), by its cycles."""
+    order = sorted(range(len(seq)), key=lambda k: seq[k])
+    seen = [False] * len(seq)
+    sign = 1
+    for start in range(len(seq)):
+        length = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign

@@ -1,9 +1,14 @@
+import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from mirrorcone import bside, report
 from mirrorcone.bside import (
+    FactorizationCheckFailed,
+    IntertwineCheckFailed,
     build_koszul_mf,
     build_superpotential,
     check_wflips,
@@ -11,6 +16,7 @@ from mirrorcone.bside import (
     epsilon_involution,
     term_flip_sign,
 )
+from mirrorcone.cli import fixture_config_json, main
 from mirrorcone.fixtures import fixture
 from mirrorcone.grading import build_grading_data
 from mirrorcone.toricdata import LatticeSpec, ToricInput, UnknownMonomial, validate
@@ -113,9 +119,43 @@ def test_split_reassembles_w():
     mf = build_koszul_mf(w)
     rebuilt = {}
     for i, entries in enumerate(mf.splits):
-        for coeff, wexp in entries:
+        for sign, sym, wexp in entries:
             exp = tuple(e + (1 if k == i else 0) for k, e in enumerate(wexp))
-            for sym, val in coeff.items():
-                rebuilt[(exp, sym)] = rebuilt.get((exp, sym), 0) + val
+            rebuilt[(exp, sym)] = rebuilt.get((exp, sym), 0) + sign
     expected = {(t.exponent, t.symbol()): t.sign for t in w.terms}
     assert rebuilt == expected
+
+
+def _with_one_split_sign_flipped(mf):
+    (sign, syms, exp), *rest = mf.splits[0]
+    return dataclasses.replace(mf, splits=(((-sign, syms, exp), *rest),) + mf.splits[1:])
+
+
+def test_flipped_split_sign_fails_factorization():
+    mf = _with_one_split_sign_flipped(build_koszul_mf(build_superpotential(fixture("quartic"))))
+    with pytest.raises(FactorizationCheckFailed):
+        mf.verify_factorization()
+
+
+def test_flipped_split_sign_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(report, "build_koszul_mf",
+                        lambda w: _with_one_split_sign_flipped(build_koszul_mf(w)))
+    cfg = tmp_path / "elliptic.json"
+    cfg.write_text(json.dumps(fixture_config_json("elliptic")))
+    assert main(["analyze", str(cfg), "--sections", "bside"]) == 3
+    assert "certificate failure [FactorizationCheckFailed]" in capsys.readouterr().err
+
+
+def test_flipped_dual_sign_fails_intertwining(monkeypatch):
+    mf = build_koszul_mf(build_superpotential(fixture("elliptic")))
+    operator = bside.koszul_operator
+
+    def dual_with_one_sign_flipped(elem, contract, insert):
+        if insert is not mf.splits:
+            # the dual operator: -z_0 theta_0 becomes +z_0 theta_0
+            insert = (tuple((-s, syms, e) for s, syms, e in insert[0]),) + insert[1:]
+        return operator(elem, contract, insert)
+
+    monkeypatch.setattr(bside, "koszul_operator", dual_with_one_sign_flipped)
+    with pytest.raises(IntertwineCheckFailed):
+        dualize_mf(mf)

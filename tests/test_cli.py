@@ -168,10 +168,13 @@ def _quartic_with(**changes):
     (_quartic_with(blocks=["1234"]), 2),
     (_quartic_with(lattice={"congruences": [{"c": "1111", "mod": 4}]}), 2),
     (_quartic_with(v="1110"), 2),
+    (_quartic_with(d=[4.9, 4, 4, 4]), 2),
+    (_quartic_with(lattice={"congruences": [{"c": [1, 1, 1, 1], "mod": 4.2}]}), 2),
+    (_quartic_with(lattice={"congruences": [{"c": [True, 1, 1, 1], "mod": 4}]}), 2),
 ], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
         "b-valuations-list", "zero-degree", "mod-zero", "mod-negative",
         "congruences-int", "generators-int", "d-string", "block-string",
-        "c-string", "v-string"])
+        "c-string", "v-string", "d-float", "mod-float", "c-bool"])
 def test_malformed_config_exits_cleanly(tmp_path, cfg, code):
     proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
     assert proc.returncode == code
@@ -179,6 +182,18 @@ def test_malformed_config_exits_cleanly(tmp_path, cfg, code):
     assert len(proc.stderr.strip().splitlines()) == 1
     if code == 1:
         assert "degrees must be positive" in proc.stderr
+
+
+def test_too_many_xi_candidates_exit_1(tmp_path):
+    # one block of 12 variables of degree 12: C(23, 11) = 1,352,078 candidates
+    cfg = write_cfg(tmp_path, {
+        "blocks": [list(range(1, 13))], "d": [12] * 12,
+        "lattice": {"congruences": [{"c": [1] * 12, "mod": 12}]}})
+    proc = run_cli(["analyze", cfg])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("IndexSetTooLarge: 1352078 candidates")
 
 
 _JUNK = st.recursive(

@@ -16,6 +16,7 @@ from mirrorcone.koszulalg import (
     element_in_ideal,
     enumerate_curvature_candidates,
     enumerate_deformation_classes,
+    front_sign,
     h_basis,
     j_algebra_dim_for_class,
     j_algebra_dims,
@@ -27,7 +28,7 @@ from mirrorcone.koszulalg import (
     wedge,
 )
 from mirrorcone.toricdata import check_no_bc
-from oracles import nullspace_int
+from oracles import nullspace_int, permutation_sign
 
 BLOCKS3 = (tuple(range(3)),)
 
@@ -124,10 +125,35 @@ def test_kernel_inside_image_of_f():
 
 def test_ideal_generator_instances():
     # K = empty: z_1 z_2 z_3 lies in the ideal; K = I: the top wedge does
-    assert element_in_ideal(BLOCKS3, 3, (1, 1, 1), {frozenset(): 1})
+    assert element_in_ideal(BLOCKS3, 3, (1, 1, 1), {0: 1})
     top = h_basis((0, 1, 2))
     elem = wedge(top[0], top[1])
     assert element_in_ideal(BLOCKS3, 3, (0, 0, 0), elem)
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+@given(st.permutations(range(8)), st.integers(0, 8), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_signs_match_permutation_parity(perm, size, cut):
+    word = perm[:size]
+    # u_{w_1} ^ ... ^ u_{w_k} is the ordered monomial times the sign of w
+    elem = {0: 1}
+    for g in word:
+        elem = wedge(elem, {1 << g: 1})
+    assert elem == {_mask(word): permutation_sign(word)}
+    # ordered monomials: u_S ^ u_T carries the sign of sorted(S) + sorted(T)
+    left, right = sorted(word[:cut]), sorted(word[cut:])
+    product = wedge({_mask(left): 1}, {_mask(right): 1})
+    assert product == {_mask(word): permutation_sign(left + right)}
+    if left:
+        assert wedge({_mask(left): 1}, {_mask(left + right): 1}) == {}
+    # moving generator i to the front of the ordered product over the others
+    for i in range(8):
+        rest = sorted(set(word) - {i})
+        assert front_sign(_mask(rest), i) == permutation_sign([i] + rest)
 
 
 def test_contraction_kills_h_basis():

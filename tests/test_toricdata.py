@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from mirrorcone.toricdata import (
     check_embeddedness,
     check_nef_partition,
     check_no_bc,
+    count_xi_candidates,
     enumerate_xi,
     iota_of_block,
     symmetry_groups,
@@ -68,6 +70,13 @@ def test_elliptic_xi0_exact():
 def test_xi_matches_box_scan_oracle(name, degrees, congs):
     vt = fixture(name)
     assert list(vt.xi) == box_scan_xi(degrees, congs)
+
+
+@pytest.mark.parametrize("degrees", [(3, 3, 3), (4, 4, 4, 4), (2, 4, 4), (2, 3, 6), (3,) * 6])
+def test_xi_candidate_count_matches_box_scan(degrees):
+    d = lcm(*degrees)
+    q = tuple(d // x for x in degrees)
+    assert count_xi_candidates(q, d) == len(box_scan_xi(degrees, ()))
 
 
 def test_enumerate_xi_rederives():
