@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import CertificateFailure
@@ -130,11 +131,11 @@ def parse_config(data) -> ToricInput:
 
 def load_config(path) -> ToricInput:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return parse_config(data)
 
@@ -200,11 +201,12 @@ def cmd_analyze(args):
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
-    if args.out:
-        with open(args.out, "w") as fh:
+    try:
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
             write_json(report, fh)
-    else:
-        write_json(report, sys.stdout)
+    except OSError as exc:
+        print(f"input error: cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_OK
 
 

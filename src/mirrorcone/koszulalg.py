@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import combinations
-from math import comb
 
 from . import CertificateFailure
 from .grading import default_volume_vector
@@ -97,79 +97,85 @@ def degree_classes(blocks, n, cutoff):
         neg_a = tuple(-x for x in a)
         for w in range(wedge_max + 1):
             classes.add(canonical_class(blocks, 2 * asum + w, neg_a))
-        for size in range(n + 1):
-            for K in combinations(range(n), size):
-                m = list(neg_a)
-                for i in K:
-                    m[i] += 1
-                classes.add(canonical_class(blocks, 2 * asum - size, tuple(m)))
+        for mask in range(1 << n):
+            m = tuple(x + (mask >> i & 1) for i, x in enumerate(neg_a))
+            classes.add(canonical_class(blocks, 2 * asum - mask.bit_count(), m))
     return sorted(classes)
 
 
 # --- Koszul complex side --------------------------------------------------
+# A monomial z^a theta^K is a pair (mask, a): bit i of the int mask is theta_i.
 
 
 def _koszul_piece(blocks, n, cls):
-    """All monomials z^a theta^K of the given degree class, as (K, a) pairs."""
+    """All monomials z^a theta^K of the given degree class, as (mask, a) pairs."""
     jhat, mhat = cls
     msum = sum(mhat)
     block_of = _block_index(blocks, n)
     out = []
-    for size in range(n + 1):
-        for K in combinations(range(n), size):
-            twice = size - 2 * msum - jhat
-            if twice % 2:
-                continue
-            base = [(1 if i in K else 0) - mhat[i] for i in range(n)]
-            # t_j <= caps[j] keeps every exponent of block j non-negative
-            caps = [min(base[i] for i in blk) for blk in blocks]
-            for t in _block_shifts(caps, twice // 2):
-                out.append((K, tuple(b - t[block_of[i]] for i, b in enumerate(base))))
-    out.sort()
+    for mask in range(1 << n):
+        twice = mask.bit_count() - 2 * msum - jhat
+        if twice % 2:
+            continue
+        base = [(mask >> i & 1) - mhat[i] for i in range(n)]
+        # t_j <= caps[j] keeps every exponent of block j non-negative
+        caps = [min(base[i] for i in blk) for blk in blocks]
+        for t in _block_shifts(caps, twice // 2):
+            out.append((mask, tuple(b - t[block_of[i]] for i, b in enumerate(base))))
     return out
 
 
-def _koszul_differential(blocks, n, mono):
-    """Image of z^a theta^K under contraction with dW_0, W_0 = -sum z^{e_I_j}."""
-    K, a = mono
-    block_of = _block_index(blocks, n)
+def _koszul_differential(blocks, mono):
+    """Image of the monomial (mask, a) under contraction with dW_0, W_0 = -sum z^{e_I_j}.
+
+    Each theta_k in mask gives the key mask ^ (1 << k), so no two terms meet.
+    """
+    mask, a = mono
     out = {}
-    for pos, k in enumerate(K):
-        sign = (-1) ** pos
-        blk = blocks[block_of[k]]
-        new_a = list(a)
-        for i in blk:
-            new_a[i] += 1
-        new_a[k] -= 1
-        key = (tuple(x for x in K if x != k), tuple(new_a))
-        out[key] = out.get(key, 0) - sign  # dW_0/dz_k carries the minus sign
-        if out[key] == 0:
-            del out[key]
+    for blk in blocks:
+        for k in blk:
+            if mask >> k & 1:
+                new_a = list(a)
+                for i in blk:
+                    new_a[i] += 1
+                new_a[k] -= 1
+                # dW_0/dz_k carries the minus sign
+                out[(mask ^ (1 << k), tuple(new_a))] = -front_sign(mask, k)
     return out
 
 
-def _koszul_map_matrix(blocks, n, source, target):
-    index = {mono: i for i, mono in enumerate(target)}
-    rows = []
-    for mono in source:
-        row = [0] * len(target)
-        for key, coeff in _koszul_differential(blocks, n, mono).items():
-            row[index[key]] = coeff
-        rows.append(row)
-    return rows
+def _koszul_dim_table(blocks, n):
+    """dim of ker/im as a function of a canonical class, each piece and rank built once.
+
+    The differential maps the class (j, m) to (j + 1, m), so the rank into a
+    class is the rank out of the class below it.
+    """
+    @cache
+    def piece(cls):
+        return _koszul_piece(blocks, n, cls)
+
+    @cache
+    def rank_out(j, m):
+        target = {mono: col for col, mono in enumerate(piece((j + 1, m)))}
+        rows = []
+        for mono in piece((j, m)):
+            row = [0] * len(target)
+            for key, coeff in _koszul_differential(blocks, mono).items():
+                row[target[key]] = coeff
+            rows.append(row)
+        return matrix_rank(rows)
+
+    def dim(cls):
+        j, m = cls
+        size = len(piece(cls))
+        return size and size - rank_out(j, m) - rank_out(j - 1, m)
+
+    return dim
 
 
 def koszul_cohomology_dim_for_class(blocks, n, cls):
-    """dim of ker/im of the Koszul differential at one degree class."""
-    jhat, mhat = cls
-    here = _koszul_piece(blocks, n, cls)
-    if not here:
-        return 0
-    above = _koszul_piece(blocks, n, canonical_class(blocks, jhat + 1, mhat))
-    below = _koszul_piece(blocks, n, canonical_class(blocks, jhat - 1, mhat))
-    rank_out = matrix_rank(_koszul_map_matrix(blocks, n, here, above)) if above else 0
-    rank_in = matrix_rank(_koszul_map_matrix(blocks, n, below, here)) if below else 0
-    return len(here) - rank_out - rank_in
+    """dim of ker/im of the Koszul differential at one canonical degree class."""
+    return _koszul_dim_table(blocks, n)(cls)
 
 
 @dataclass(frozen=True)
@@ -186,26 +192,25 @@ class GradedDims:
                 for c, d in self.dims]
 
 
-def _single_block_guard(n, cutoff):
+def _single_block(n, cutoff):
+    """The one block of size n, once the cutoff reaches it."""
     if cutoff < n:
         raise CutoffTooSmall(f"cutoff {cutoff} < block size {n}")
+    return (tuple(range(n)),)
 
 
-def _graded_dims(dim_for_class, blocks, n, z_cutoff) -> GradedDims:
-    dims = ((cls, dim_for_class(blocks, n, cls))
-            for cls in degree_classes(blocks, n, z_cutoff))
-    return GradedDims(tuple(sorted((cls, d) for cls, d in dims if d)))
+def _graded_dims(dim_of, blocks, n, z_cutoff) -> GradedDims:
+    dims = ((cls, dim_of(cls)) for cls in degree_classes(blocks, n, z_cutoff))
+    return GradedDims(tuple((cls, d) for cls, d in dims if d))
 
 
 def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     """Graded dimensions of the Koszul cohomology for a single block of size n."""
-    _single_block_guard(n, z_cutoff)
-    blocks = (tuple(range(n)),)
-    return multiblock_koszul_dims(blocks, n, z_cutoff)
+    return multiblock_koszul_dims(_single_block(n, z_cutoff), n, z_cutoff)
 
 
 def multiblock_koszul_dims(blocks, n, z_cutoff) -> GradedDims:
-    return _graded_dims(koszul_cohomology_dim_for_class, blocks, n, z_cutoff)
+    return _graded_dims(_koszul_dim_table(blocks, n), blocks, n, z_cutoff)
 
 
 # --- exterior algebra on the odd generators u_i ---------------------------
@@ -289,120 +294,95 @@ def _j_piece_slices(blocks, n, cls):
         for t in _block_shifts(caps, twice // 2):
             a = tuple(-mhat[i] - t[block_of[i]] for i in range(n))
             slices.extend((a, dist) for dist in dists)
-    return sorted(set(slices))
+    return slices
 
 
-def _slice_basis_count(blocks, dist):
-    count = 1
-    for blk, w in zip(blocks, dist):
-        count *= comb(len(blk) - 1, w)
-    return count
-
-
-def _expand_slice_monomials(blocks, a, dist):
-    """u-monomial expansions of the basis z^a * prod_j w_{S_j} of one slice."""
-    per_block = [wedge_basis_for_block(blk, w) for blk, w in zip(blocks, dist)]
+def _expand_slice_monomials(blocks, dist):
+    """u-monomial expansions of the basis prod_j w_{S_j} of one wedge distribution."""
     elems = [{0: 1}]
-    for basis in per_block:
-        elems = [wedge(e, b) for e in elems for b in basis]
-    return [(a, e) for e in elems]
+    for blk, w in zip(blocks, dist):
+        elems = [wedge(e, b) for e in elems for b in wedge_basis_for_block(blk, w)]
+    return elems
 
 
-def _ideal_vectors_for_class(blocks, n, cls):
-    """Spanning u-coordinate vectors of the ideal inside the class piece."""
-    slices = _j_piece_slices(blocks, n, cls)
-    vectors = []
-    for a, dist in slices:
-        for j, blk in enumerate(blocks):
-            for size in range(len(blk) + 1):
-                for K in combinations(sorted(blk), size):
-                    gz = tuple(1 if (i in blk and i not in K) else 0
-                               for i in range(n))
-                    a_mult = tuple(x - g for x, g in zip(a, gz))
-                    if any(x < 0 for x in a_mult):
-                        continue
-                    gw_degree = max(len(K) - 1, 0)
-                    w_mult_j = dist[j] - gw_degree
-                    if w_mult_j < 0 or w_mult_j > len(blk) - 1:
-                        continue
-                    gw = (contract_block({sum(1 << i for i in K): 1}, blk)
-                          if size > 1 else {0: 1})
-                    if not gw:
-                        continue
-                    mult_dist = list(dist)
-                    mult_dist[j] = w_mult_j
-                    for _, h in _expand_slice_monomials(blocks, a_mult, tuple(mult_dist)):
-                        prod = wedge(h, gw)
-                        if prod:
-                            vectors.append((a, prod))
-    return vectors
+def _ideal_generators(blocks):
+    """The generators z^{e_I_j - e_K} g_K of the ideal, K a submask of block j.
+
+    Each is (j, drop, degree, g_K): drop lists the indices of I_j - K, and g_K
+    is the contraction of u_K (1 for K empty), of wedge degree max(|K| - 1, 0).
+    """
+    gens = []
+    for j, blk in enumerate(blocks):
+        full = sum(1 << i for i in blk)
+        for K in range(full + 1):
+            if K & full == K:
+                g = contract_block({K: 1}, blk) if K else {0: 1}
+                gens.append((j, bits(full ^ K), max(K.bit_count() - 1, 0), g))
+    return gens
 
 
-def _vectors_to_rows(pairs, index):
-    rows = []
-    for a, elem in pairs:
-        row = [0] * len(index)
-        for s, c in elem.items():
-            row[index[(a, s)]] = c
-        rows.append(row)
-    return rows
+def _row(index, a, elem):
+    """Coordinates of z^a * elem in the class piece, or None if it escapes."""
+    row = [0] * len(index)
+    for s, c in elem.items():
+        if (a, s) not in index:
+            return None
+        row[index[(a, s)]] = c
+    return row
 
 
-def _class_coordinate_index(blocks, n, cls):
+def _quotient_class(blocks, n, cls):
+    """Dimension, (a, u-monomial) coordinate index and ideal rows of a class piece.
+
+    The ideal rows are the products of every generator with every basis
+    element of the piece whose product lands in the class.
+    """
     slices = _j_piece_slices(blocks, n, cls)
     index = {}
-    basis_pairs = []
+    piece_dim = 0
     for a, dist in slices:
-        for pair in _expand_slice_monomials(blocks, a, dist):
-            basis_pairs.append(pair)
-            for s in pair[1]:
-                if (a, s) not in index:
-                    index[(a, s)] = len(index)
-    return slices, basis_pairs, index
+        for elem in _expand_slice_monomials(blocks, dist):
+            piece_dim += 1
+            for s in elem:
+                index.setdefault((a, s), len(index))
+    gens = _ideal_generators(blocks)
+    rows = []
+    for a, dist in slices:
+        for j, drop, degree, g in gens:
+            w = dist[j] - degree
+            if not 0 <= w < len(blocks[j]) or any(a[i] == 0 for i in drop):
+                continue
+            for h in _expand_slice_monomials(blocks, dist[:j] + (w,) + dist[j + 1:]):
+                row = _row(index, a, wedge(h, g))
+                if row is None:
+                    raise CertificateFailure("ideal vector escapes the class piece")
+                rows.append(row)
+    return piece_dim, index, rows
 
 
 def j_algebra_dim_for_class(blocks, n, cls):
-    slices, basis_pairs, index = _class_coordinate_index(blocks, n, cls)
-    if not basis_pairs:
-        return 0
-    piece_dim = sum(_slice_basis_count(blocks, dist) for _, dist in slices)
-    ideal = _ideal_vectors_for_class(blocks, n, cls)
-    for a, elem in ideal:
-        for s in elem:
-            if (a, s) not in index:
-                raise CertificateFailure("ideal vector escapes the class piece")
-    return piece_dim - matrix_rank(_vectors_to_rows(ideal, index))
+    piece_dim, _, rows = _quotient_class(blocks, n, cls)
+    return piece_dim - matrix_rank(rows)
 
 
 def j_algebra_dims(n, z_cutoff) -> GradedDims:
     """Graded dimensions of the quotient algebra for a single block of size n."""
-    _single_block_guard(n, z_cutoff)
-    blocks = (tuple(range(n)),)
-    return multiblock_j_dims(blocks, n, z_cutoff)
+    return multiblock_j_dims(_single_block(n, z_cutoff), n, z_cutoff)
 
 
 def multiblock_j_dims(blocks, n, z_cutoff) -> GradedDims:
-    return _graded_dims(j_algebra_dim_for_class, blocks, n, z_cutoff)
+    return _graded_dims(partial(j_algebra_dim_for_class, blocks, n), blocks, n, z_cutoff)
 
 
 def element_in_ideal(blocks, n, a, elem):
-    """Exact membership of z^a * elem (u-expansion) in the ideal."""
-    cls = canonical_class(blocks, 2 * sum(a) + _wedge_degree(elem), tuple(-x for x in a))
-    slices, basis_pairs, index = _class_coordinate_index(blocks, n, cls)
-    for s in elem:
-        if (a, s) not in index:
-            raise ClassificationViolation("element does not lie in its class piece")
-    ideal = _ideal_vectors_for_class(blocks, n, cls)
-    rows = _vectors_to_rows(ideal, index)
-    target = _vectors_to_rows([(a, elem)], index)
-    return matrix_rank(rows + target) == matrix_rank(rows)
-
-
-def _wedge_degree(elem):
-    sizes = {s.bit_count() for s in elem}
-    if len(sizes) != 1:
-        raise CertificateFailure(f"element mixes wedge degrees {sorted(sizes)}")
-    return sizes.pop()
+    """Exact membership of z^a * elem (u-expansion of one wedge degree) in the ideal."""
+    degree = next(iter(elem), 0).bit_count()
+    cls = canonical_class(blocks, 2 * sum(a) + degree, tuple(-x for x in a))
+    _, index, rows = _quotient_class(blocks, n, cls)
+    target = _row(index, a, elem)
+    if target is None:
+        raise ClassificationViolation("element does not lie in its class piece")
+    return matrix_rank(rows + [target]) == matrix_rank(rows)
 
 
 # --- tensor products ------------------------------------------------------
@@ -420,19 +400,17 @@ def tensor_j_dims(vt: ValidatedToricData, z_cutoff) -> GradedDims:
     """
     if z_cutoff < max(len(b) for b in vt.blocks):
         raise CutoffTooSmall("cutoff below the largest block size")
-    per_block = []
-    for blk in vt.blocks:
-        nb = len(blk)
-        dims = j_algebra_dims(nb, z_cutoff + nb + 1).as_dict()
-        per_block.append((blk, dims))
+    tables = {nb: j_algebra_dims(nb, z_cutoff + nb + 1).as_dict()
+              for nb in {len(blk) for blk in vt.blocks}}
     total = {(0, (0,) * vt.n): 1}
-    for blk, dims in per_block:
+    for blk in vt.blocks:
+        positions = sorted(blk)
         nxt = {}
         for (j1, m1), d1 in total.items():
-            for (j2, m2loc), d2 in dims.items():
+            for (j2, m2loc), d2 in tables[len(blk)].items():
                 m = list(m1)
-                for pos, i in enumerate(sorted(blk)):
-                    m[i] += m2loc[pos]
+                for i, x in zip(positions, m2loc):
+                    m[i] += x
                 key = (j1 + j2, tuple(m))
                 nxt[key] = nxt.get(key, 0) + d1 * d2
         total = nxt
@@ -514,21 +492,17 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
                     f"class z^{b} with b outside Xi_0 survives the quotient")
             killed.append(tuple(b))
     # |h| = 2 candidates: wedge pairs of the fixed basis of H
-    labels = []
-    vectors = []
-    for j, blk in enumerate(blocks):
-        for pos, vec in enumerate(h_basis(blk)):
-            labels.append((j, pos))
-            vectors.append(vec)
+    labelled = [((j, pos), vec) for j, blk in enumerate(blocks)
+                for pos, vec in enumerate(h_basis(blk))]
     zero_a = (0,) * n
     # the sign of r^0 z^0 h depends only on |h| = 2, not on the pair
     if deformation_sign(vt, v, zero_a, 2) != -1:
         raise ClassificationViolation("|h|=2 class not killed by the sign rule")
     sign_killed = []
-    for (i1, i2) in combinations(range(len(vectors)), 2):
-        pair = wedge(vectors[i1], vectors[i2])
+    for (label1, vec1), (label2, vec2) in combinations(labelled, 2):
+        pair = wedge(vec1, vec2)
         nonzero = bool(pair) and not element_in_ideal(blocks, n, zero_a, pair)
-        sign_killed.append(((labels[i1], labels[i2]), nonzero))
+        sign_killed.append(((label1, label2), nonzero))
     return DeformationClassification(
         surviving=tuple(sorted(surviving)),
         killed_in_ideal=tuple(sorted(killed)),

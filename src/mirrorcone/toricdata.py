@@ -167,6 +167,8 @@ def validate(inp: ToricInput) -> ValidatedToricData:
     witness in the message.
     """
     n = len(inp.degrees)
+    if n == 0:
+        raise ToricDataError("the index set is empty")
     seen = sorted(i for blk in inp.blocks for i in blk)
     if seen != list(range(n)):
         raise ToricDataError("blocks do not partition the index set")

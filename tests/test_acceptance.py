@@ -153,10 +153,10 @@ def test_criterion_3_algebra_oracle_suite():
         blocks = (tuple(range(n)),)
         for size in range(n + 1):
             for K in combinations(range(n), size):
-                once = _koszul_differential(blocks, n, (K, (0,) * n))
+                once = _koszul_differential(blocks, (sum(1 << i for i in K), (0,) * n))
                 twice = {}
                 for mono, c1 in once.items():
-                    for m2, c2 in _koszul_differential(blocks, n, mono).items():
+                    for m2, c2 in _koszul_differential(blocks, mono).items():
                         twice[m2] = twice.get(m2, 0) + c1 * c2
                 assert all(v == 0 for v in twice.values())
 

@@ -196,6 +196,32 @@ def test_too_many_xi_candidates_exit_1(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("IndexSetTooLarge: 1352078 candidates")
 
 
+def test_empty_index_set_exits_1(tmp_path):
+    cfg = write_cfg(tmp_path, {"blocks": [], "d": [], "lattice": {"congruences": []},
+                               "lambda": "uniform:1"})
+    proc = run_cli(["analyze", cfg])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_unwritable_out_file_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path, QUARTIC_CFG)
+    proc = run_cli(["analyze", cfg, "--out", str(tmp_path / "missing" / "r.json")])
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe")
+    proc = run_cli(["analyze", str(cfg)])
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+
+
 _JUNK = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 6), st.text(max_size=3),
               st.sampled_from(["1/2", "uniform:1", "0/0", "1,0,0,3"])),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorcone import koszulalg
 from mirrorcone.fixtures import fixture
 from mirrorcone.koszulalg import (
     CutoffTooSmall,
@@ -23,6 +24,7 @@ from mirrorcone.koszulalg import (
     koszul_cohomology_dim_for_class,
     koszul_cohomology_dims,
     multiblock_j_dims,
+    multiblock_koszul_dims,
     sign_action,
     tensor_j_dims,
     wedge,
@@ -47,8 +49,8 @@ def test_unit_class_survives():
 
 def test_z2z3_is_a_boundary():
     # z_2 z_3 equals the differential of theta_1 up to sign, so its class dies
-    image = _koszul_differential(BLOCKS3, 3, ((0,), (0, 0, 0)))
-    assert image == {((), (0, 1, 1)): -1}
+    image = _koszul_differential(BLOCKS3, (0b1, (0, 0, 0)))
+    assert image == {(0, (0, 1, 1)): -1}
     cls = canonical_class(BLOCKS3, 4, (0, -1, -1))
     assert koszul_cohomology_dim_for_class(BLOCKS3, 3, cls) == 0
 
@@ -58,10 +60,10 @@ def test_differential_squares_to_zero():
         blocks = (tuple(range(n)),)
         for size in range(n + 1):
             for K in combinations(range(n), size):
-                once = _koszul_differential(blocks, n, (K, (0,) * n))
+                once = _koszul_differential(blocks, (_mask(K), (0,) * n))
                 twice = {}
                 for mono, c1 in once.items():
-                    for mono2, c2 in _koszul_differential(blocks, n, mono).items():
+                    for mono2, c2 in _koszul_differential(blocks, mono).items():
                         twice[mono2] = twice.get(mono2, 0) + c1 * c2
                 assert all(v == 0 for v in twice.values())
 
@@ -69,10 +71,10 @@ def test_differential_squares_to_zero():
 def test_differential_squares_to_zero_multiblock():
     vt = fixture("cubic-fourfold")
     for K in (tuple(range(6)), (0, 3), (0, 1, 4, 5)):
-        once = _koszul_differential(vt.blocks, 6, (K, (0,) * 6))
+        once = _koszul_differential(vt.blocks, (_mask(K), (0,) * 6))
         twice = {}
         for mono, c1 in once.items():
-            for mono2, c2 in _koszul_differential(vt.blocks, 6, mono).items():
+            for mono2, c2 in _koszul_differential(vt.blocks, mono).items():
                 twice[mono2] = twice.get(mono2, 0) + c1 * c2
         assert all(v == 0 for v in twice.values())
 
@@ -82,6 +84,39 @@ def test_dnsh_equivalence_small(n):
     k = koszul_cohomology_dims(n, n + 2)
     j = j_algebra_dims(n, n + 2)
     assert k.as_dict() == j.as_dict()
+
+
+def test_multiblock_koszul_matches_quotient_cubic_fourfold():
+    vt = fixture("cubic-fourfold")
+    k = multiblock_koszul_dims(vt.blocks, vt.n, 2)
+    assert len(k.dims) == 141
+    assert k == multiblock_j_dims(vt.blocks, vt.n, 2)
+
+
+def test_koszul_dims_build_each_piece_once(monkeypatch):
+    seen = []
+    piece = koszulalg._koszul_piece
+
+    def counting(blocks, n, cls):
+        seen.append(cls)
+        return piece(blocks, n, cls)
+
+    monkeypatch.setattr(koszulalg, "_koszul_piece", counting)
+    koszul_cohomology_dims(4, 6)
+    assert seen and len(seen) == len(set(seen))
+
+
+def test_tensor_builds_one_table_per_block_size(monkeypatch):
+    calls = []
+    table = koszulalg.j_algebra_dims
+
+    def counting(n, z_cutoff):
+        calls.append(n)
+        return table(n, z_cutoff)
+
+    monkeypatch.setattr(koszulalg, "j_algebra_dims", counting)
+    tensor_j_dims(fixture("z-manifold"), 3)
+    assert calls == [3]
 
 
 def test_cutoff_guard():
@@ -104,7 +139,7 @@ def test_kernel_inside_image_of_f():
         rows = []
         for mono in here:
             row = [0] * len(above)
-            for key, coeff in _koszul_differential(blocks, n, mono).items():
+            for key, coeff in _koszul_differential(blocks, mono).items():
                 row[index[key]] = coeff
             rows.append(row)
         if not above:
@@ -120,7 +155,7 @@ def test_kernel_inside_image_of_f():
             for i, coeff in enumerate(vec):
                 if coeff != 0:
                     K, a = here[i]
-                    assert all(a[k] >= (1 if k in K else 0) for k in range(n))
+                    assert all(a[k] >= (K >> k & 1) for k in range(n))
 
 
 def test_ideal_generator_instances():
