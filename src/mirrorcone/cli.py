@@ -82,6 +82,9 @@ def parse_config(data) -> ToricInput:
     if not isinstance(lat, dict):
         raise ConfigError("config: lattice must be an object")
     n = len(degrees)
+    if ("congruences" in lat) == ("generators" in lat):
+        raise ConfigError(
+            "config: lattice needs exactly one of congruences or generators")
     if "congruences" in lat:
         congruences = []
         for item in _array(lat["congruences"], "congruences"):
@@ -92,12 +95,10 @@ def parse_config(data) -> ToricInput:
                 raise ConfigError(f"congruence mod: must be >= 1, got {mod}")
             congruences.append((_parse_vector(item["c"], n, "congruence c"), mod))
         spec = LatticeSpec(congruences=tuple(congruences))
-    elif "generators" in lat:
+    else:
         spec = LatticeSpec(generators=tuple(
             _parse_vector(g, n, "generator")
             for g in _array(lat["generators"], "generators")))
-    else:
-        raise ConfigError("config: lattice needs congruences or generators")
 
     weights = None
     if data.get("lambda") is not None:

@@ -18,7 +18,6 @@ import random
 
 from . import CertificateFailure
 from .intlat import (
-    det_fraction,
     hnf_canonicalize,
     lcm_list,
     matrix_rank,
@@ -119,21 +118,50 @@ class Subdivision:
         return all(len(c) == dim + 1 for c in self.cells)
 
 
-def _hyperplane_normal(dirs, dim):
-    """Integer normal to dim-1 direction vectors spanning a hyperplane, else None."""
-    basis = nullspace(dirs, dim)
-    if len(basis) != 1:
-        return None
-    den = lcm_list(x.denominator for x in basis[0])
-    return tuple(x.numerator * (den // x.denominator) for x in basis[0])
-
-
 def _affine_rank(points):
     if not points:
         return -1
     base = points[0]
     dirs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
     return matrix_rank(dirs)
+
+
+def _facets(pts, dim):
+    """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
+
+    The normal is integral and points outward (pts lie where
+    <normal, x> <= offset).  The scan costs C(len(pts), dim) candidate
+    subsets, each one nullspace unless it lies inside a facet already found;
+    on the large cells of degenerate weights this dominates the subdivision.
+    """
+    if dim == 0:
+        return {}
+    facets = {}
+    for sub in combinations(range(len(pts)), dim):
+        if any(set(sub) <= contact for contact in facets):
+            continue
+        base = pts[sub[0]]
+        dirs = [tuple(x - y for x, y in zip(pts[i], base)) for i in sub[1:]]
+        basis = nullspace(dirs, dim)
+        if len(basis) != 1:
+            continue
+        den = lcm_list(x.denominator for x in basis[0])
+        g = tuple(x.numerator * (den // x.denominator) for x in basis[0])
+        g0 = sum(gi * xi for gi, xi in zip(g, base))
+        vals = [sum(gi * xi for gi, xi in zip(g, p)) for p in pts]
+        if all(v <= g0 for v in vals):
+            pass
+        elif all(v >= g0 for v in vals):
+            g = tuple(-x for x in g)
+            g0 = -g0
+            vals = [-v for v in vals]
+        else:
+            continue
+        contact = frozenset(i for i, v in enumerate(vals) if v == g0)
+        sub_pts = [pts[i] for i in contact]
+        if _affine_rank(sub_pts) == dim - 1:
+            facets.setdefault(contact, (g, g0))
+    return facets
 
 
 def _lower_hull_cells(points, heights):
@@ -149,90 +177,65 @@ def _lower_hull_cells(points, heights):
     if _affine_rank(points) != dim:
         raise DegenerateConfig("configuration does not span its ambient space")
 
-    def evaluate(a, c, i):
-        return sum(ai * xi for ai, xi in zip(a, points[i])) + c
+    def rotate(a, c, g, g0):
+        """Add t*(g.x - g0) to a.x + c, with the least t > 0 at which the
+        functional meets a point where g.x > g0.
 
-    def contact_set(a, c):
-        out = set()
-        for i in range(npts):
-            s = heights[i] - evaluate(a, c, i)
-            if s < 0:
-                return None
-            if s == 0:
-                out.add(i)
-        return frozenset(out)
-
-    def rotate_to_facet(a, c):
-        """Grow the contact set of a supporting functional to full dimension."""
-        while True:
-            contact = contact_set(a, c)
-            if contact is None:
-                raise CertificateFailure("rotated functional is not supporting")
-            cpts = [points[i] for i in sorted(contact)]
-            if _affine_rank(cpts) == dim:
-                return a, c, contact
-            base = cpts[0]
-            dirs = [tuple(x - y for x, y in zip(p, base)) for p in cpts[1:]]
-            beta = nullspace(dirs, dim)[0]
-
-            def bval(i):
-                return sum(b * (x - y) for b, x, y in zip(beta, points[i], base))
-
-            slack = [heights[i] - evaluate(a, c, i) for i in range(npts)]
-            tplus = [(slack[i] / bval(i), i) for i in range(npts) if bval(i) > 0]
-            tminus = [(slack[i] / bval(i), i) for i in range(npts) if bval(i) < 0]
-            if tplus:
-                t = min(x for x, _ in tplus)
-            else:
-                t = max(x for x, _ in tminus)
-            a = tuple(ai + t * bi for ai, bi in zip(a, beta))
-            c = c - t * sum(b * y for b, y in zip(beta, base))
-
-    def cell_ridges(cell):
-        """Facets of the cell polytope: (ridge index set, outward normal)."""
-        idx = sorted(cell)
-        facets = _facets([points[i] for i in idx], dim)
-        return {frozenset(idx[i] for i in contact): normal
-                for contact, normal in facets.items()}
-
-    def neighbor(a, c, ridge, g, g0):
-        """Rotate the supporting functional around a ridge; None at the boundary."""
-
-        def bval(i):
-            return sum(gi * xi for gi, xi in zip(g, points[i])) - g0
-
-        slack = [heights[i] - evaluate(a, c, i) for i in range(npts)]
-        candidates = [(slack[i] / bval(i), i) for i in range(npts) if bval(i) > 0]
-        if not candidates:
+        Returns (a, c, contact) of the rotated functional, with contact None
+        when it is not supporting; None when no point has g.x > g0.
+        """
+        slack = []
+        t = None
+        for p, h in zip(points, heights):
+            s = h - (sum(ai * xi for ai, xi in zip(a, p)) + c)
+            b = sum(gi * xi for gi, xi in zip(g, p)) - g0
+            slack.append((s, b))
+            if b > 0 and (t is None or s / b < t):
+                t = s / b
+        if t is None:
             return None
-        t = min(x for x, _ in candidates)
-        a2 = tuple(ai + t * gi for ai, gi in zip(a, g))
-        c2 = c - t * g0
-        contact = contact_set(a2, c2)
-        if contact is None or not contact >= ridge:
-            raise CertificateFailure("neighbor functional lost the ridge")
-        return a2, c2, contact
+        a = tuple(ai + t * gi for ai, gi in zip(a, g))
+        c = c - t * g0
+        contact = set()
+        for i, (s, b) in enumerate(slack):
+            s -= t * b
+            if s < 0:
+                return a, c, None
+            if s == 0:
+                contact.add(i)
+        return a, c, frozenset(contact)
 
-    start = min(range(npts), key=lambda i: (heights[i],) + tuple(points[i]))
-    a0 = (Fraction(0),) * dim
-    c0 = heights[start]
-    a, c, first = rotate_to_facet(a0, c0)
+    # the lowest points, then rotations until the contact set spans
+    a = (Fraction(0),) * dim
+    c = min(heights)
+    first = frozenset(i for i in range(npts) if heights[i] == c)
+    while True:
+        cpts = [points[i] for i in sorted(first)]
+        if _affine_rank(cpts) == dim:
+            break
+        base = cpts[0]
+        dirs = [tuple(x - y for x, y in zip(p, base)) for p in cpts[1:]]
+        g = nullspace(dirs, dim)[0]
+        g0 = sum(gi * yi for gi, yi in zip(g, base))
+        a, c, first = (rotate(a, c, g, g0)
+                       or rotate(a, c, tuple(-x for x in g), -g0))
+        if first is None:
+            raise CertificateFailure("rotated functional is not supporting")
+
+    # pivot across each ridge, around its outward normal
     cells = {first: (a, c)}
     queue = [first]
     while queue:
         cell = queue.pop()
         a, c = cells[cell]
-        for ridge, (g, g0) in cell_ridges(cell).items():
-            # rotate away from the cell: flip so the cell is on the negative side
-            inner = [i for i in cell if i not in ridge]
-            gv = sum(gi * xi for gi, xi in zip(g, points[next(iter(inner))])) - g0
-            if gv > 0:
-                g = tuple(-x for x in g)
-                g0 = -g0
-            res = neighbor(a, c, ridge, g, g0)
+        idx = sorted(cell)
+        for facet, (g, g0) in _facets([points[i] for i in idx], dim).items():
+            res = rotate(a, c, g, g0)
             if res is None:
                 continue
             a2, c2, contact = res
+            if contact is None or not contact >= {idx[i] for i in facet}:
+                raise CertificateFailure("neighbor functional lost the ridge")
             if contact not in cells:
                 cells[contact] = (a2, c2)
                 queue.append(contact)
@@ -398,29 +401,14 @@ def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
         grow([], [set() for _ in vt.blocks], gens_all)
     for gens in sorted(set(bad)):
         failures.append((gens, "boundary-relevant cone not unimodular"))
-    mpcs = mpcp_report.mpcp and not bad
-    return ConditionReport(mpcp=mpcp_report.mpcp, mpcs=mpcs,
-                           is_triangulation=mpcp_report.is_triangulation,
-                           refines_product_fan=mpcp_report.refines_product_fan,
-                           rays_are_xi0=mpcp_report.rays_are_xi0,
-                           failures=tuple(failures))
+    return replace(mpcp_report, mpcs=mpcp_report.mpcp and not bad,
+                   failures=tuple(failures))
 
 
 @dataclass(frozen=True)
 class LiftedCell:
     cell: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
-    support_ok: bool
-    simplex_ok: bool
-    slice_ok: bool
-
-
-@dataclass(frozen=True)
-class LiftedSubdivision:
-    cells: tuple[LiftedCell, ...]
-
-    def all_pass(self):
-        return all(c.support_ok and c.simplex_ok and c.slice_ok for c in self.cells)
 
 
 def _barycentric_membership(vertices, x):
@@ -434,72 +422,44 @@ def _barycentric_membership(vertices, x):
     return all(t >= 0 for t in sol)
 
 
-def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> LiftedSubdivision:
+def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell, ...]:
     """Lift each cell to the degree-one slice and certify the lift.
 
-    Certificates per cell: the pulled-back functional supports the lifted
-    configuration exactly on the lifted vertex set; the vertex set is affinely
-    independent; every degree-one lattice point projecting into the cell lies
-    in the convex hull of the lifted vertices.  A failed certificate raises
-    CellLiftFailure (it falsifies the lifting lemma for this input, which for
-    an MPCP subdivision means a bug).
+    Certificates per cell, in this order: the pulled-back functional supports
+    the lifted configuration exactly on the lifted vertex set; the vertex set
+    is affinely independent; every degree-one lattice point projecting into
+    the cell lies in the convex hull of the lifted vertices.  The first failed
+    certificate raises CellLiftFailure (it falsifies the lifting lemma for
+    this input, which for an MPCP subdivision means a bug).
     """
     vt = cfg.vt
     block_vectors = [vt.block_vector(j) for j in range(vt.r)]
-    lifted_config = [(pid, cfg.lifts[pid]) for pid in cfg.ids if pid != ORIGIN]
-
-    def lift_cell(cell):
-        a, c = sub.supports[cell]
-        vertices = [cfg.lifts[pid] for pid in cell if pid != ORIGIN]
-        if ORIGIN in cell:
-            vertices.extend(block_vectors)
-        coeff, const = cfg.pullback_functional(a, c)
-
-        support_ok = True
+    # (id, lifted point, height); the block vectors stand for the origin
+    lifted_config = [(pid, cfg.lifts[pid], sub.weights[pid])
+                     for pid in cfg.ids if pid != ORIGIN]
+    lifted_config += [(ORIGIN, bv, 0) for bv in block_vectors]
+    out = []
+    for cell in sub.cells:
+        coeff, const = cfg.pullback_functional(*sub.supports[cell])
         in_cell = set(cell)
-        for pid, x in lifted_config:
+        for pid, x, h in lifted_config:
             val = sum(ci * xi for ci, xi in zip(coeff, x)) + const
-            h = sub.weights[pid]
-            if pid in in_cell:
-                support_ok = support_ok and val == h
-            else:
-                support_ok = support_ok and val < h
-        for bv in block_vectors:
-            val = sum(ci * xi for ci, xi in zip(coeff, bv)) + const
-            if ORIGIN in cell:
-                support_ok = support_ok and val == 0
-            else:
-                support_ok = support_ok and val < 0
-
-        simplex_ok = _affine_rank(vertices) == len(vertices) - 1
-
-        slice_ok = True
-        if simplex_ok:
-            cell_pts = [cfg.coords[pid] for pid in cell]
-            for xi_pt in vt.xi:
-                proj = cfg.project(xi_pt)
-                if _barycentric_membership(cell_pts, proj):
-                    if not _barycentric_membership(vertices, xi_pt):
-                        slice_ok = False
-        else:
-            slice_ok = False
-        return LiftedCell(cell=cell, vertices=tuple(vertices),
-                          support_ok=support_ok, simplex_ok=simplex_ok,
-                          slice_ok=slice_ok)
-
-    results = [lift_cell(cell) for cell in sub.cells]
-    for res in results:
-        if not (res.support_ok and res.simplex_ok and res.slice_ok):
-            raise CellLiftFailure(res.cell, _lift_reason(res))
-    return LiftedSubdivision(cells=tuple(results))
-
-
-def _lift_reason(res):
-    if not res.support_ok:
-        return "pulled-back functional does not support the lifted configuration"
-    if not res.simplex_ok:
-        return "lifted vertex set is affinely dependent"
-    return "a degree-one lattice point escapes the lifted hull"
+            if val > h or (val == h) != (pid in in_cell):
+                raise CellLiftFailure(cell, "pulled-back functional does not "
+                                            "support the lifted configuration")
+        vertices = [cfg.lifts[pid] for pid in cell if pid != ORIGIN]
+        if ORIGIN in in_cell:
+            vertices.extend(block_vectors)
+        if _affine_rank(vertices) != len(vertices) - 1:
+            raise CellLiftFailure(cell, "lifted vertex set is affinely dependent")
+        cell_pts = [cfg.coords[pid] for pid in cell]
+        for xi_pt in vt.xi:
+            if (_barycentric_membership(cell_pts, cfg.project(xi_pt))
+                    and not _barycentric_membership(vertices, xi_pt)):
+                raise CellLiftFailure(
+                    cell, "a degree-one lattice point escapes the lifted hull")
+        out.append(LiftedCell(cell=cell, vertices=tuple(vertices)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -533,102 +493,14 @@ def certify_isolated_singularity(sub: Subdivision, cfg: ProjectedConfig,
     try:
         lifted = lift_subdivision(sub, cfg)
         links.append(("lifted_triangulation", True,
-                      f"{len(lifted.cells)} simplices certified"))
+                      f"{len(lifted)} simplices certified"))
     except CellLiftFailure as exc:
         links.append(("lifted_triangulation", False, str(exc)))
         return SingularityCertificate(False, tuple(links), "lifted_triangulation")
     nonneg = all(all(x >= 0 for x in v)
-                 for cell in lifted.cells for v in cell.vertices)
+                 for cell in lifted for v in cell.vertices)
     links.append(("coordinate_slices", nonneg,
                   "restrictions to coordinate subspaces are face subcomplexes"))
     if not nonneg:
         return SingularityCertificate(False, tuple(links), "coordinate_slices")
     return SingularityCertificate(True, tuple(links), None)
-
-
-def pulling_triangulation(points):
-    """Index simplices of a triangulation of conv(points) (pulling at lex-min).
-
-    ``points`` must affinely span their ambient space.  Used by the volume
-    conservation checks; interior points other than the pulled vertex are not
-    used as simplex vertices.
-    """
-    dim = len(points[0])
-    idx = list(range(len(points)))
-    return _pull(points, idx, dim)
-
-
-def _pull(points, idx, dim):
-    pts = [points[i] for i in idx]
-    if len(idx) == dim + 1:
-        return [tuple(idx)]
-    v0 = min(range(len(idx)), key=lambda k: pts[k])
-    simplices = []
-    facets = _facets(pts, dim)
-    for contact, (g, g0) in facets.items():
-        if v0 in contact:
-            continue
-        # project the facet along a coordinate where its normal is nonzero
-        drop = next(k for k in range(dim) if g[k] != 0)
-        sub_idx = sorted(contact)
-        sub_pts = [tuple(x for k, x in enumerate(pts[i]) if k != drop)
-                   for i in sub_idx]
-        for simplex in _pull(sub_pts, list(range(len(sub_idx))), dim - 1):
-            simplices.append(tuple([idx[v0]] + [idx[sub_idx[s]] for s in simplex]))
-    return simplices
-
-
-def _facets(pts, dim):
-    """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
-
-    The normal points outward (pts lie where <normal, x> <= offset).
-    Candidate subsets already contained in a found facet are skipped, which
-    keeps the scan near-linear for the large cells of degenerate weights.
-    """
-    if dim == 0:
-        return {}
-    facets = {}
-    for sub in combinations(range(len(pts)), dim):
-        if any(set(sub) <= contact for contact in facets):
-            continue
-        base = pts[sub[0]]
-        dirs = [tuple(x - y for x, y in zip(pts[i], base)) for i in sub[1:]]
-        g = _hyperplane_normal(dirs, dim)
-        if g is None:
-            continue
-        g0 = sum(gi * xi for gi, xi in zip(g, base))
-        vals = [sum(gi * xi for gi, xi in zip(g, p)) for p in pts]
-        if all(v <= g0 for v in vals):
-            pass
-        elif all(v >= g0 for v in vals):
-            g = tuple(-x for x in g)
-            g0 = -g0
-            vals = [-v for v in vals]
-        else:
-            continue
-        contact = frozenset(i for i, v in enumerate(vals) if v == g0)
-        sub_pts = [pts[i] for i in contact]
-        if _affine_rank(sub_pts) == dim - 1:
-            facets.setdefault(contact, (g, g0))
-    return facets
-
-
-def normalized_volume(points, simplices=None):
-    """dim! times the Euclidean volume of conv(points), exact."""
-    if simplices is None:
-        simplices = pulling_triangulation(points)
-    total = Fraction(0)
-    for simplex in simplices:
-        base = points[simplex[0]]
-        rows = [[x - y for x, y in zip(points[i], base)] for i in simplex[1:]]
-        total += abs(det_fraction(rows))
-    return total
-
-
-def subdivision_volume(sub: Subdivision, cfg: ProjectedConfig):
-    """Sum of normalized cell volumes (cells triangulated independently)."""
-    total = Fraction(0)
-    for cell in sub.cells:
-        pts = [cfg.coords[pid] for pid in cell]
-        total += normalized_volume(pts)
-    return total

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 from . import CertificateFailure
 
@@ -356,21 +356,17 @@ def _integer_rows(rows):
     """Each row times the lcm of its denominators, as a list of ints.
 
     Scaling a row changes neither the rank nor the kernel, nor the solutions
-    of a system whose right-hand side is scaled along with it; it scales the
-    determinant by the factor.  Returns the rows and the factors.
+    of a system whose right-hand side is scaled along with it.
     """
     out = []
-    scales = []
     for row in rows:
         if set(map(type, row)) <= {int}:
             out.append(list(row))
-            scales.append(1)
             continue
         row = [Fraction(x) for x in row]
         s = lcm_list(x.denominator for x in row)
         out.append([x.numerator * (s // x.denominator) for x in row])
-        scales.append(s)
-    return out, scales
+    return out
 
 
 def _bareiss(a, ncols, reduce=False):
@@ -382,8 +378,7 @@ def _bareiss(a, ncols, reduce=False):
     an integer minor of the input, so each division is exact.  With
     ``reduce`` the rows above each pivot are cleared as well and pivot row i
     ends as ``scale`` times row i of the reduced row echelon form.  Returns
-    (pivot columns, scale, sign): scale is the last pivot (1 if there is
-    none), sign the parity of the row swaps.
+    (pivot columns, scale): scale is the last pivot (1 if there is none).
 
     A step of the textbook algorithm rescales every row by pivot / previous
     pivot, also rows that are zero in the pivot column.  Here such rows are
@@ -394,7 +389,6 @@ def _bareiss(a, ncols, reduce=False):
     base = [1] * m
     pivots = []
     prev = 1
-    sign = 1
     for col in range(ncols):
         r = len(pivots)
         if r == m:
@@ -405,7 +399,6 @@ def _bareiss(a, ncols, reduce=False):
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             base[r], base[piv] = base[piv], base[r]
-            sign = -sign
         if base[r] != prev:
             a[r] = [x * prev // base[r] for x in a[r]]
         top = a[r]
@@ -422,22 +415,13 @@ def _bareiss(a, ncols, reduce=False):
         for i in range(len(pivots)):
             if base[i] != prev:
                 a[i] = [x * prev // base[i] for x in a[i]]
-    return pivots, prev, sign
+    return pivots, prev
 
 
 def matrix_rank(rows):
     """Rank of a matrix of ints or Fractions."""
-    a, _ = _integer_rows(row for row in rows if any(row))
+    a = _integer_rows(row for row in rows if any(row))
     return len(_bareiss(a, len(a[0]) if a else 0)[0])
-
-
-def det_fraction(rows):
-    """Determinant of a square matrix of ints or Fractions, as a Fraction."""
-    a, scales = _integer_rows(rows)
-    pivots, scale, sign = _bareiss(a, len(a))
-    if len(pivots) < len(a):
-        return Fraction(0)
-    return Fraction(sign * scale, prod(scales))
 
 
 def solve_linear(a_rows, b):
@@ -447,8 +431,8 @@ def solve_linear(a_rows, b):
     variables are set to zero.
     """
     n = len(a_rows[0]) if a_rows else 0
-    a, _ = _integer_rows(list(row) + [bv] for row, bv in zip(a_rows, b))
-    pivots, scale, _ = _bareiss(a, n, reduce=True)
+    a = _integer_rows(list(row) + [bv] for row, bv in zip(a_rows, b))
+    pivots, scale = _bareiss(a, n, reduce=True)
     if any(row[n] for row in a[len(pivots):]):
         return None
     x = [Fraction(0)] * n
@@ -463,8 +447,8 @@ def nullspace(rows, ncols):
     One vector per free column of the reduced row echelon form: 1 at that
     column, 0 at the other free columns.
     """
-    a, _ = _integer_rows(rows)
-    pivots, scale, _ = _bareiss(a, ncols, reduce=True)
+    a = _integer_rows(rows)
+    pivots, scale = _bareiss(a, ncols, reduce=True)
     basis = []
     for free in range(ncols):
         if free in pivots:
@@ -481,9 +465,9 @@ def invert_fraction_matrix(rows):
     """Inverse of a square matrix of ints or Fractions, as rows of Fractions."""
     n = len(rows)
     # solve A X = I: clearing a row of A scales the same row of I along
-    a, _ = _integer_rows(list(row) + [int(i == j) for j in range(n)]
-                         for i, row in enumerate(rows))
-    pivots, scale, _ = _bareiss(a, n, reduce=True)
+    a = _integer_rows(list(row) + [int(i == j) for j in range(n)]
+                      for i, row in enumerate(rows))
+    pivots, scale = _bareiss(a, n, reduce=True)
     if len(pivots) < n:
         raise LatticeError("matrix is singular")
     return [[Fraction(x, scale) for x in row[n:]] for row in a]

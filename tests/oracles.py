@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: lattice membership via
 subgroup closure in a finite quotient, point enumeration by box scan with the
-congruences applied directly, and subdivisions by scanning all candidate
-supporting hyperplanes.
+congruences applied directly, subdivisions by scanning all candidate
+supporting hyperplanes, and volumes by a pulling triangulation over a facet
+scan of their own.  Nothing here imports mirrorcone.
 """
 
 from fractions import Fraction
@@ -190,3 +191,90 @@ def permutation_sign(seq):
         if length and length % 2 == 0:
             sign = -sign
     return sign
+
+
+def _det(rows):
+    """Determinant of a square matrix, by Fraction Gaussian elimination."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def _facets_by_scan(pts, dim):
+    """Facets of conv(pts) (full-dimensional): contact index set -> normal.
+
+    Every dim-subset that spans a hyperplane with all points on one side
+    gives that hyperplane's contact set; the normal is oriented so the
+    points lie where <normal, x> <= <normal, contact point>.
+    """
+    facets = {}
+    for sub in combinations(range(len(pts)), dim):
+        base = pts[sub[0]]
+        dirs = [[x - y for x, y in zip(pts[i], base)] for i in sub[1:]]
+        kernel = nullspace_int(dirs, dim)
+        if len(kernel) != 1:
+            continue
+        g = kernel[0]
+        vals = [sum(gi * (x - y) for gi, x, y in zip(g, p, base)) for p in pts]
+        if all(v >= 0 for v in vals):
+            g = [-x for x in g]
+        elif not all(v <= 0 for v in vals):
+            continue
+        facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = g
+    return facets
+
+
+def pulling_triangulation(points):
+    """Index simplices of a triangulation of conv(points), pulling at lex-min.
+
+    ``points`` must affinely span their ambient space.  Interior points other
+    than the pulled vertex are not used as simplex vertices.
+    """
+    return _pull(points, list(range(len(points))), len(points[0]))
+
+
+def _pull(points, idx, dim):
+    pts = [points[i] for i in idx]
+    if len(idx) == dim + 1:
+        return [tuple(idx)]
+    v0 = min(range(len(idx)), key=lambda k: pts[k])
+    simplices = []
+    for contact, g in _facets_by_scan(pts, dim).items():
+        if v0 in contact:
+            continue
+        # project the facet along a coordinate where its normal is nonzero
+        drop = next(k for k in range(dim) if g[k] != 0)
+        sub_idx = sorted(contact)
+        sub_pts = [tuple(x for k, x in enumerate(pts[i]) if k != drop)
+                   for i in sub_idx]
+        for simplex in _pull(sub_pts, list(range(len(sub_idx))), dim - 1):
+            simplices.append(tuple([idx[v0]] + [idx[sub_idx[s]] for s in simplex]))
+    return simplices
+
+
+def normalized_volume(points):
+    """dim! times the Euclidean volume of conv(points), exact."""
+    total = Fraction(0)
+    for simplex in pulling_triangulation(points):
+        base = points[simplex[0]]
+        rows = [[x - y for x, y in zip(points[i], base)] for i in simplex[1:]]
+        total += abs(_det(rows))
+    return total
+
+
+def subdivision_volume(sub, cfg):
+    """Sum of the normalized volumes of the cells of a subdivision."""
+    return sum((normalized_volume([cfg.coords[pid] for pid in cell])
+                for cell in sub.cells), Fraction(0))

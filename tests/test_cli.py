@@ -171,17 +171,22 @@ def _quartic_with(**changes):
     (_quartic_with(d=[4.9, 4, 4, 4]), 2),
     (_quartic_with(lattice={"congruences": [{"c": [1, 1, 1, 1], "mod": 4.2}]}), 2),
     (_quartic_with(lattice={"congruences": [{"c": [True, 1, 1, 1], "mod": 4}]}), 2),
+    (_quartic_with(lattice={
+        "congruences": [{"c": [1, 1, 1, 1], "mod": 4}],
+        "generators": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}), 2),
 ], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
         "b-valuations-list", "zero-degree", "mod-zero", "mod-negative",
         "congruences-int", "generators-int", "d-string", "block-string",
-        "c-string", "v-string", "d-float", "mod-float", "c-bool"])
-def test_malformed_config_exits_cleanly(tmp_path, cfg, code):
+        "c-string", "v-string", "d-float", "mod-float", "c-bool", "lattice-both"])
+def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
     proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
     if code == 1:
         assert "degrees must be positive" in proc.stderr
+    if request.node.callspec.id == "lattice-both":
+        assert "lattice needs exactly one of congruences or generators" in proc.stderr
 
 
 def test_too_many_xi_candidates_exit_1(tmp_path):

@@ -1,11 +1,18 @@
+import ast
+import dataclasses
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorcone import fans
 from mirrorcone.fans import (
+    CellLiftFailure,
     DegenerateConfig,
     ORIGIN,
     _lower_hull_cells,
@@ -13,13 +20,17 @@ from mirrorcone.fans import (
     check_mpcp,
     check_mpcs,
     lift_subdivision,
-    normalized_volume,
     project_config,
     regular_subdivision,
-    subdivision_volume,
 )
 from mirrorcone.fixtures import fixture, quartic_mpcp_weights
-from oracles import subdivision_by_hyperplane_scan
+from oracles import (
+    normalized_volume,
+    subdivision_by_hyperplane_scan,
+    subdivision_volume,
+)
+
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def cells_as_index_sets(cfg, sub):
@@ -122,8 +133,7 @@ def test_quartic_mpcp_weights_full_chain():
     assert report.mpcp and report.is_triangulation
     full = check_mpcs(sub, cfg, report)
     assert full.mpcs == report.mpcp  # dim 3 <= 4
-    lifted = lift_subdivision(sub, cfg)
-    assert lifted.all_pass()
+    lift_subdivision(sub, cfg)
     cert = certify_isolated_singularity(sub, cfg, report)
     assert cert.certified and cert.failing_link is None
 
@@ -208,7 +218,7 @@ def test_mpcp_implies_lift_certificates_random_weights(name, draws):
         full = check_mpcs(sub, cfg, report)
         assert full.mpcs == (report.mpcp and full.mpcs)
         if report.mpcp:
-            assert lift_subdivision(sub, cfg).all_pass()
+            lift_subdivision(sub, cfg)
             assert full.mpcs == report.mpcp
 
 
@@ -216,10 +226,72 @@ def test_lift_vertices_elliptic():
     vt = fixture("elliptic")
     cfg = project_config(vt)
     sub = regular_subdivision(cfg, Fraction(2))
-    lifted = lift_subdivision(sub, cfg)
-    for cell in lifted.cells:
+    for cell in lift_subdivision(sub, cfg):
         assert (1, 1, 1) in cell.vertices
         assert len(cell.vertices) == 3
+
+
+def quartic_mpcp_chain():
+    vt = fixture("quartic")
+    cfg = project_config(vt)
+    return cfg, regular_subdivision(cfg, quartic_mpcp_weights(vt))
+
+
+def test_lift_rejects_a_functional_that_does_not_support():
+    cfg, sub = quartic_mpcp_chain()
+    cell = sub.cells[5]
+    a, c = sub.supports[cell]
+    tampered = dataclasses.replace(sub, supports={**sub.supports, cell: (a, c + 1)})
+    with pytest.raises(CellLiftFailure) as exc:
+        lift_subdivision(tampered, cfg)
+    assert exc.value.cell == cell
+    assert exc.value.reason == ("pulled-back functional does not support "
+                                "the lifted configuration")
+    cert = certify_isolated_singularity(tampered, cfg, check_mpcp(tampered, cfg))
+    assert cert.certified is False
+    assert cert.failing_link == "lifted_triangulation"
+
+
+def test_lift_rejects_the_coarse_quartic_star():
+    cfg = project_config(fixture("quartic"))
+    sub = regular_subdivision(cfg, Fraction(1))
+    with pytest.raises(CellLiftFailure) as exc:
+        lift_subdivision(sub, cfg)
+    assert len(exc.value.cell) == 13
+    assert exc.value.reason == "lifted vertex set is affinely dependent"
+
+
+def test_lift_rejects_a_point_outside_the_lifted_hull(monkeypatch):
+    cfg, sub = quartic_mpcp_chain()
+    inside = fans._barycentric_membership
+
+    def projected_only(vertices, x):
+        # membership holds downstairs, never in the lifted hull
+        return len(x) == cfg.dim and inside(vertices, x)
+
+    monkeypatch.setattr(fans, "_barycentric_membership", projected_only)
+    with pytest.raises(CellLiftFailure) as exc:
+        lift_subdivision(sub, cfg)
+    assert exc.value.cell == sub.cells[0]
+    assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
+
+
+def test_oracles_import_nothing_from_mirrorcone():
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert imported and not [m for m in imported if m.split(".")[0] == "mirrorcone"]
+
+
+def test_search_quartic_weights_script_runs():
+    script = TESTS.parent / "scripts" / "search_quartic_weights.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert ("random-seed-7: cells=40 mpcp=True mpcs=True certified=True"
+            in proc.stdout.splitlines())
 
 
 def test_lift_cell_without_origin():
