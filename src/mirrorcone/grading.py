@@ -261,12 +261,6 @@ def coker_H(vt: ValidatedToricData, gd: GradingData | None = None):
     block_rows = [tuple(rel[1:]) for rel in gd.cover.relations]
     delta_m_parts = [tuple(rel[1:]) for rel in gd.delta.relations]
     # preimage in Z^I of ker(Z^I/E -> Z^I/<delta m-parts>)
-    kernel_preimage = lattice_preimage_of_kernel(vt.n, block_rows, delta_m_parts)
+    kernel_preimage = hnf_canonicalize(delta_m_parts + block_rows, vt.n)
     image_preimage = hnf_canonicalize(list(vt.m_bar.basis) + block_rows, vt.n)
     return lattice_quotient(kernel_preimage, image_preimage)
-
-
-def lattice_preimage_of_kernel(n, added_rows, target_rows):
-    """HNF basis of {x in Z^n : x in <target_rows>} + <added_rows>."""
-    target = hnf_canonicalize(target_rows, n)
-    return hnf_canonicalize(list(target.basis) + list(added_rows), n)

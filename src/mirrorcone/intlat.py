@@ -2,8 +2,10 @@
 
 Everything here works on plain Python ints (arbitrary precision) and
 ``fractions.Fraction``; no floating point enters any computation.  Matrices
-are lists of row tuples.  The lattices involved are tiny (rank at most ~10),
-so the classical HNF/SNF algorithms are used without size-reduction tricks.
+are lists of row tuples.  One integer echelon (``_echelon``, gcd row steps)
+gives Hermite forms, lattice kernels and the Smith form; one fraction-free
+Bareiss kernel gives rank, solutions and rational nullspaces.  The lattices
+are tiny (rank at most ~10), so neither uses size-reduction tricks.
 """
 
 from __future__ import annotations
@@ -21,8 +23,39 @@ class LatticeError(ValueError):
     pass
 
 
-def _as_rows(mat):
-    return [list(row) for row in mat]
+def _echelon(a, ncols, trans=None):
+    """Row echelon form of the integer rows ``a`` by unimodular row steps, in place.
+
+    Column by column among the first ``ncols``, the rows below the current
+    rank are reduced by the one with the smallest entry there (Euclid) until
+    one row carries the column; it moves up to the rank with a positive
+    pivot.  ``trans`` gets the same steps: from the identity it ends as T
+    with T * a_in = a_out.  Changed rows become new lists.  Returns the
+    pivot columns; rows past their count are zero in the first ``ncols``.
+    """
+    mats = (a,) if trans is None else (a, trans)
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        live = [i for i in range(r, len(a)) if a[i][col]]
+        if not live:
+            continue
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(a[i][col]))
+            for i in live:
+                if i != p:
+                    q = a[i][col] // a[p][col]
+                    for mat in mats:
+                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[p])]
+            live = [i for i in live if a[i][col]]
+        p = live[0]
+        if a[p][col] < 0:
+            for mat in mats:
+                mat[p] = [-x for x in mat[p]]
+        for mat in mats:
+            mat[r], mat[p] = mat[p], mat[r]
+        pivots.append(col)
+    return pivots
 
 
 def hnf(rows, ambient_rank):
@@ -33,33 +66,13 @@ def hnf(rows, ambient_rank):
     column, zero rows dropped.  This form is unique per lattice, so it can be
     compared for equality directly.
     """
-    work = [list(r) for r in rows if any(r)]
-    for r in work:
-        if len(r) != ambient_rank:
-            raise LatticeError("row length does not match ambient rank")
-    pivots = []  # list of (col, row) with col decreasing
-    for col in range(ambient_rank - 1, -1, -1):
-        live = [r for r in work if r[col] != 0]
-        if not live:
-            continue
-        # gcd-combine until a single row carries this column
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            a, b = live[0], live[1]
-            q = b[col] // a[col]
-            for k in range(ambient_rank):
-                b[k] -= q * a[k]
-            live = [r for r in work if r[col] != 0]
-        piv = live[0]
-        if piv[col] < 0:
-            for k in range(ambient_rank):
-                piv[k] = -piv[k]
-        work.remove(piv)
-        work = [r for r in work if any(r)]
-        pivots.append((col, piv))
-    pivots.reverse()  # increasing pivot column
-    basis = [p for _, p in pivots]
-    cols = [c for c, _ in pivots]
+    work = [r[::-1] for r in map(tuple, rows) if any(r)]
+    if any(len(r) != ambient_rank for r in work):
+        raise LatticeError("row length does not match ambient rank")
+    # echelon of the reversed rows: the pivot is each row's last nonzero entry
+    pivots = _echelon(work, ambient_rank)
+    basis = [list(r[::-1]) for r in reversed(work[:len(pivots)])]
+    cols = [ambient_rank - 1 - c for c in reversed(pivots)]
     # reduce entries below each pivot into [0, pivot); rows must be reduced
     # against pivot rows in decreasing pivot-column order, otherwise a later
     # subtraction (whose row has nonzero earlier entries) undoes the reduction
@@ -73,117 +86,36 @@ def hnf(rows, ambient_rank):
     return [tuple(r) for r in basis]
 
 
-def hnf_with_transform(rows):
-    """Row echelon form H together with unimodular T such that T*rows = H.
-
-    Pivots are taken left to right; only used internally (kernel
-    computations), so no reduction pass is applied.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    work = [list(r) for r in rows]
-    trans = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    rank = 0
-    for col in range(n):
-        live = [i for i in range(rank, m) if work[i][col] != 0]
-        if not live:
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(work[i][col]))
-            a, b = live[0], live[1]
-            q = work[b][col] // work[a][col]
-            for k in range(n):
-                work[b][k] -= q * work[a][k]
-            for k in range(m):
-                trans[b][k] -= q * trans[a][k]
-            live = [i for i in range(rank, m) if work[i][col] != 0]
-        i = live[0]
-        work[rank], work[i] = work[i], work[rank]
-        trans[rank], trans[i] = trans[i], trans[rank]
-        if work[rank][col] < 0:
-            work[rank] = [-x for x in work[rank]]
-            trans[rank] = [-x for x in trans[rank]]
-        rank += 1
-    return [tuple(r) for r in work], [tuple(r) for r in trans], rank
-
-
 def right_kernel_basis(mat):
     """Rows spanning {x in Z^n : mat @ x = 0} for an integer matrix."""
-    m = len(mat)
-    n = len(mat[0])
-    transposed = [tuple(mat[i][j] for i in range(m)) for j in range(n)]
-    echelon, trans, rank = hnf_with_transform(transposed)
+    echelon = list(zip(*mat))
+    n = len(echelon)
+    trans = _identity(n)
+    rank = len(_echelon(echelon, len(mat), trans))
     if any(any(echelon[i]) for i in range(rank, n)):
         raise CertificateFailure("Hermite form has a nonzero row below its rank")
-    return [trans[i] for i in range(rank, n)]
+    return [tuple(row) for row in trans[rank:]]
 
 
 def smith_normal_form(rows):
-    """Diagonal entries of the Smith normal form (nonnegative, divisibility chain)."""
-    a = _as_rows(rows)
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag = []
-    top = 0
-    while top < min(m, n):
-        # locate a nonzero entry in the remaining block
-        found = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j] != 0:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
+    """Smith normal form diagonal: one entry per rank, 1s kept, each dividing the next.
+
+    Echelon forms of the rows and of the columns alternate until every row
+    has a single nonzero entry (Kannan-Bachem 1979); the pairwise gcd/lcm
+    pass then turns those entries into the divisibility chain.
+    """
+    a = list(rows)
+    while True:
+        pivots = _echelon(a, len(a[0]) if a else 0)
+        a = a[:len(pivots)]
+        if all(not any(row[c + 1:]) for row, c in zip(a, pivots)):
             break
-        i, j = found
-        a[top], a[i] = a[i], a[top]
-        for r in a:
-            r[top], r[j] = r[j], r[top]
-        while True:
-            # clear column
-            changed = False
-            for i in range(top + 1, m):
-                if a[i][top] != 0:
-                    q = a[i][top] // a[top][top]
-                    for k in range(top, n):
-                        a[i][k] -= q * a[top][k]
-                    if a[i][top] != 0:
-                        a[top], a[i] = a[i], a[top]
-                    changed = True
-            if any(a[i][top] != 0 for i in range(top + 1, m)):
-                continue
-            # clear row
-            for j in range(top + 1, n):
-                if a[top][j] != 0:
-                    q = a[top][j] // a[top][top]
-                    for r in a:
-                        r[j] -= q * r[top]
-                    if a[top][j] != 0:
-                        for r in a:
-                            r[top], r[j] = r[j], r[top]
-                    changed = True
-            if any(a[top][j] != 0 for j in range(top + 1, n)):
-                continue
-            if not changed:
-                break
-        # enforce divisibility of the remaining block by the pivot
-        piv = abs(a[top][top])
-        bad = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if a[i][j] % piv != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for k in range(top, n):
-                a[top][k] += a[bad][k]
-            continue
-        diag.append(piv)
-        top += 1
+        a = list(zip(*a))
+    diag = [row[c] for row, c in zip(a, pivots)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
 
 
@@ -238,9 +170,6 @@ class Sublattice:
         for i, row in enumerate(self.basis):
             det *= row[_pivot_col(row)]
         return abs(det)
-
-    def __contains__(self, v):
-        return contains(self, v)
 
 
 def _pivot_col(row):
@@ -333,23 +262,6 @@ def lattice_quotient(sup: Sublattice, sub: Sublattice):
             raise LatticeError("second lattice is not contained in the first")
         coeff_rows.append(tuple(coeffs))
     return group_from_diagonal(smith_normal_form(coeff_rows))
-
-
-@dataclass(frozen=True)
-class RationalLatticeBasis:
-    """Basis (rows of exact rationals) of a lattice in Q^n, e.g. a dual lattice."""
-
-    basis: tuple[tuple[Fraction, ...], ...]
-
-
-def dual_lattice(lat: Sublattice):
-    """Dual lattice {n : <n, m> in Z for all m in lat}, as inverse-transpose rows."""
-    if lat.rank != lat.ambient_rank:
-        raise LatticeError("dual lattice implemented for full-rank sublattices only")
-    inv = invert_fraction_matrix(lat.basis)
-    n = lat.ambient_rank
-    rows = tuple(tuple(inv[i][j] for i in range(n)) for j in range(n))
-    return RationalLatticeBasis(rows)
 
 
 def _integer_rows(rows):
@@ -459,18 +371,6 @@ def nullspace(rows, ncols):
             vec[col] = Fraction(-row[free], scale)
         basis.append(tuple(vec))
     return basis
-
-
-def invert_fraction_matrix(rows):
-    """Inverse of a square matrix of ints or Fractions, as rows of Fractions."""
-    n = len(rows)
-    # solve A X = I: clearing a row of A scales the same row of I along
-    a = _integer_rows(list(row) + [int(i == j) for j in range(n)]
-                      for i, row in enumerate(rows))
-    pivots, scale = _bareiss(a, n, reduce=True)
-    if len(pivots) < n:
-        raise LatticeError("matrix is singular")
-    return [[Fraction(x, scale) for x in row[n:]] for row in a]
 
 
 def lattice_intersection(a: Sublattice, b: Sublattice):

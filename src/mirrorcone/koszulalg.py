@@ -306,18 +306,19 @@ def _expand_slice_monomials(blocks, dist):
 
 
 def _ideal_generators(blocks):
-    """The generators z^{e_I_j - e_K} g_K of the ideal, K a submask of block j.
+    """The generators z^{e_I_j - e_K} g_K of the ideal, K a nonzero submask of block j.
 
     Each is (j, drop, degree, g_K): drop lists the indices of I_j - K, and g_K
-    is the contraction of u_K (1 for K empty), of wedge degree max(|K| - 1, 0).
+    is the contraction of u_K, of wedge degree |K| - 1.  K = empty adds
+    nothing: z^{e_I_j} is z_i times the generator of K = {i}, whose g is 1.
     """
     gens = []
     for j, blk in enumerate(blocks):
         full = sum(1 << i for i in blk)
-        for K in range(full + 1):
+        for K in range(1, full + 1):
             if K & full == K:
-                g = contract_block({K: 1}, blk) if K else {0: 1}
-                gens.append((j, bits(full ^ K), max(K.bit_count() - 1, 0), g))
+                g = contract_block({K: 1}, blk)
+                gens.append((j, bits(full ^ K), K.bit_count() - 1, g))
     return gens
 
 
@@ -437,10 +438,10 @@ def deformation_sign(vt: ValidatedToricData, v, b, h_size):
     pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, k_a))
     if pairing.denominator != 1:
         raise CertificateFailure(f"<n_sigma + v - e_I, {b}> is not integral")
-    dagger = int(pairing) + 1 + sum((vi + 1) * x for vi, x in zip(v, b)) + h_size
-    if (dagger - h_size // 2) % 2 != 0:
+    sign = sign_action(b, h_size, v) * (-1) ** (int(pairing) % 2)
+    if sign != (-1) ** (h_size // 2):
         raise CertificateFailure("sign disagrees with |h|/2 rule")
-    return -1 if dagger % 2 else 1
+    return sign
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,8 @@ from itertools import combinations
 from . import CertificateFailure
 from .intlat import (
     FiniteAbelianGroup,
-    RationalLatticeBasis,
     Sublattice,
     contains,
-    dual_lattice,
     hnf_canonicalize,
     lattice_quotient,
     lcm_list,
@@ -99,7 +97,6 @@ class ToricInput:
 class ValidatedToricData:
     input: ToricInput
     m_bar: Sublattice
-    n_bar: RationalLatticeBasis
     d: int
     q: IntVec
     n_sigma: tuple[Fraction, ...]
@@ -200,7 +197,6 @@ def validate(inp: ToricInput) -> ValidatedToricData:
         if pairing % d != 0:
             raise DivisibilityFail(f"d does not divide <q, m> for m = {row}")
     n_sigma = tuple(Fraction(qi, d) for qi in q)
-    n_bar = dual_lattice(m_bar)
 
     # the count is a table over the degrees 0..d, so d is bounded first
     if d > XI_CANDIDATE_LIMIT:
@@ -222,7 +218,7 @@ def validate(inp: ToricInput) -> ValidatedToricData:
                 raise UnknownMonomial(f"{name} key {key} is not in Xi_0")
 
     return ValidatedToricData(
-        input=inp, m_bar=m_bar, n_bar=n_bar, d=d, q=q, n_sigma=n_sigma,
+        input=inp, m_bar=m_bar, d=d, q=q, n_sigma=n_sigma,
         xi=tuple(xi), xi0=tuple(xi0),
     )
 

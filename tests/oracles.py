@@ -212,6 +212,27 @@ def _det(rows):
     return det
 
 
+def smith_by_minors(rows):
+    """Smith diagonal from the determinantal divisors, one entry per rank.
+
+    d_1 * ... * d_k is the gcd of the k x k minors; the first k with no
+    nonzero minor is the rank.
+    """
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    diag = []
+    prev = 1
+    for k in range(1, min(nrows, ncols) + 1):
+        g = 0
+        for sel in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                g = _gcd(g, abs(int(_det([[rows[i][j] for j in cols] for i in sel]))))
+        if g == 0:
+            break
+        diag.append(g // prev)
+        prev = g
+    return diag
+
+
 def _facets_by_scan(pts, dim):
     """Facets of conv(pts) (full-dimensional): contact index set -> normal.
 

@@ -1,4 +1,5 @@
 import ast
+import io
 import json
 import pathlib
 import subprocess
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from mirrorcone import toricdata
 from mirrorcone.cli import load_config, main, parse_config, ConfigError
+from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.intlat import FiniteAbelianGroup
-from mirrorcone.report import ALL_SECTIONS, build_report
+from mirrorcone.report import ALL_SECTIONS, build_report, write_json
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mirrorcone"
 
@@ -313,6 +315,19 @@ def test_analyze_writes_the_same_bytes_to_stdout_and_out_file(tmp_path):
     assert stdout.stdout == text
     assert out.read_text() == text
     assert to_file.stdout == ""
+
+
+def test_run_fixtures_script_writes_the_reports_build_report_makes(tmp_path):
+    script = SRC.parents[1] / "scripts" / "run_fixtures.py"
+    proc = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path),
+                           "--cutoff", "4"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.json" for name in FIXTURE_NAMES)
+    sections = ("validation", "conditions", "groups", "grading", "bside", "algebra", "fans")
+    expected = io.StringIO()
+    write_json(build_report(fixture("elliptic"), sections, algebra_cutoff=4), expected)
+    assert (tmp_path / "elliptic.json").read_text() == expected.getvalue()
 
 
 def test_failed_certificate_exits_3(tmp_path, monkeypatch, capsys):

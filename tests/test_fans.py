@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import pathlib
 import random
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcone import fans
+from mirrorcone import CertificateFailure, fans
+from mirrorcone.cli import main
 from mirrorcone.fans import (
     CellLiftFailure,
     DegenerateConfig,
@@ -274,6 +276,36 @@ def test_lift_rejects_a_point_outside_the_lifted_hull(monkeypatch):
         lift_subdivision(sub, cfg)
     assert exc.value.cell == sub.cells[0]
     assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
+
+
+def shift_facets_off_their_ridges(monkeypatch):
+    facets = fans._facets
+
+    def shifted(pts, dim):
+        return {f: (g, g0 + 1) for f, (g, g0) in facets(pts, dim).items()}
+
+    monkeypatch.setattr(fans, "_facets", shifted)
+
+
+@pytest.mark.parametrize("name", ["quartic", "elliptic"])
+def test_ridge_pivot_certificate_catches_a_shifted_facet(monkeypatch, name):
+    # a pivot around a hyperplane one unit past the ridge cannot keep the ridge
+    vt = fixture(name)
+    weights = quartic_mpcp_weights(vt) if name == "quartic" else Fraction(1)
+    cfg = project_config(vt)
+    shift_facets_off_their_ridges(monkeypatch)
+    with pytest.raises(CertificateFailure, match="neighbor functional lost the ridge"):
+        regular_subdivision(cfg, weights)
+
+
+def test_shifted_facet_makes_analyze_exit_3(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "elliptic.json"
+    cfg.write_text(json.dumps({
+        "blocks": [[1, 2, 3]], "d": [3, 3, 3], "lambda": "uniform:1",
+        "lattice": {"congruences": [{"c": [1, 1, 1], "mod": 3}]}}))
+    shift_facets_off_their_ridges(monkeypatch)
+    assert main(["analyze", str(cfg), "--sections", "fans"]) == 3
+    assert "neighbor functional lost the ridge" in capsys.readouterr().err
 
 
 def test_oracles_import_nothing_from_mirrorcone():

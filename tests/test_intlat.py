@@ -1,4 +1,4 @@
-from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from mirrorcone.intlat import (
     LatticeError,
     contains,
-    dual_lattice,
     hnf_canonicalize,
-    invert_fraction_matrix,
     lattice_intersection,
     lattice_quotient,
     matrix_rank,
@@ -26,6 +24,7 @@ from oracles import (
     lattice_index_by_cosets,
     membership_by_cosets,
     nullspace_int,
+    smith_by_minors,
 )
 
 
@@ -94,31 +93,6 @@ def test_quotient_requires_full_rank():
         quotient_group(3, lat)
 
 
-def test_dual_of_standard_lattice():
-    lat = hnf_canonicalize([(1, 0), (0, 1)])
-    dual = dual_lattice(lat)
-    assert dual.basis == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
-def test_dual_contains_n_sigma_for_quartic():
-    lat = sublattice_from_congruences(4, [((1, 1, 1, 1), 4)])
-    dual = dual_lattice(lat)
-    # n_sigma = (1/4,...) must be an integer combination of the dual rows
-    inv = invert_fraction_matrix([list(row) for row in dual.basis])
-    n_sigma = [Fraction(1, 4)] * 4
-    coeffs = [sum(n_sigma[k] * inv[k][j] for k in range(4)) for j in range(4)]
-    assert all(c.denominator == 1 for c in coeffs)
-
-
-def test_dual_pairing_is_identity():
-    lat = sublattice_from_congruences(4, [((1, 1, 1, 1), 4)])
-    dual = dual_lattice(lat)
-    for i, row in enumerate(dual.basis):
-        for j, prim in enumerate(lat.basis):
-            pairing = sum(a * b for a, b in zip(row, prim))
-            assert pairing == (1 if i == j else 0)
-
-
 def test_lattice_quotient_of_pair():
     sup = sublattice_from_congruences(4, [((1, 1, 1, 1), 2)])
     sub = sublattice_from_congruences(4, [((1, 1, 1, 1), 4)])
@@ -173,19 +147,63 @@ def test_quotient_order_is_determinant(rows):
     assert quotient_group(3, lat).order == det
 
 
-@given(gen_rows)
-@settings(max_examples=40, deadline=None)
-def test_double_dual_returns_original(rows):
-    lat = hnf_canonicalize(rows, ambient_rank=3)
-    if lat.rank != 3:
-        return
-    dual = dual_lattice(lat)
-    # dualize once more: inverse-transpose of the dual basis
-    inv2 = invert_fraction_matrix([list(r) for r in dual.basis])
-    rows_back = [tuple(inv2[k][j] for k in range(3)) for j in range(3)]
-    assert all(x.denominator == 1 for row in rows_back for x in row)
-    back = hnf_canonicalize([tuple(int(x) for x in row) for row in rows_back], 3)
-    assert back.basis == lat.basis
+small_matrices = st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols),
+    min_size=1, max_size=5))
+
+
+@given(small_matrices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_smith_form_matches_determinantal_divisors(rows, data):
+    # rectangular and rank-deficient inputs: sometimes a row repeats a combination
+    if len(rows) >= 3 and data.draw(st.booleans()):
+        k = data.draw(st.integers(-3, 3))
+        rows[-1] = [x + k * y for x, y in zip(rows[0], rows[1])]
+    assert smith_normal_form(rows) == smith_by_minors(rows)
+
+
+def unimodular_mix(data, rows):
+    """The rows after random elementary unimodular steps and a shuffle."""
+    rows = [list(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 8))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows) - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            k = data.draw(st.integers(-3, 3))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    return data.draw(st.permutations(rows))
+
+
+@given(small_matrices, st.data())
+@settings(max_examples=150, deadline=None)
+def test_hnf_is_canonical_under_unimodular_change(rows, data):
+    ncols = len(rows[0])
+    basis = hnf_canonicalize(rows, ncols).basis
+    assert hnf_canonicalize(unimodular_mix(data, rows), ncols).basis == basis
+    assert len(basis) == _rank(rows)
+    # lower triangular, positive pivots, entries below each pivot in [0, pivot)
+    pivots = [max(j for j, x in enumerate(row) if x) for row in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (row, c) in enumerate(zip(basis, pivots)):
+        assert row[c] > 0
+        assert all(0 <= later[c] < row[c] for later in basis[i + 1:])
+
+
+congruence_lists = st.integers(1, 3).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+    st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.integers(1, 5)), max_size=2)))
+
+
+@given(congruence_lists)
+@settings(max_examples=60, deadline=None)
+def test_congruence_membership_matches_direct_check(case):
+    n, congruences = case
+    lat = sublattice_from_congruences(n, congruences)
+    for v in product(range(-4, 5), repeat=n):
+        direct = all(sum(c * x for c, x in zip(cvec, v)) % mod == 0
+                     for cvec, mod in congruences)
+        assert contains(lat, v) == direct
 
 
 # --- the exact elimination kernel, on integer and on Fraction entries -----
@@ -218,22 +236,6 @@ def times(rows, x):
 def test_kernel_rank_matches_oracle(kind, data):
     rows = draw_rows(data, kind, data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5)))
     assert matrix_rank(rows) == _rank(rows)
-
-
-@pytest.mark.parametrize("kind", KINDS)
-@given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_kernel_inverse_times_matrix_is_identity(kind, data):
-    n = data.draw(st.integers(1, 5))
-    rows = draw_rows(data, kind, n, n)
-    if _rank(rows) < n:
-        with pytest.raises(LatticeError):
-            invert_fraction_matrix(rows)
-        return
-    inv = invert_fraction_matrix(rows)
-    product = [[sum(inv[i][k] * rows[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
-    assert product == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @pytest.mark.parametrize("kind", KINDS)

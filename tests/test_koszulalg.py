@@ -166,6 +166,13 @@ def test_ideal_generator_instances():
     assert element_in_ideal(BLOCKS3, 3, (0, 0, 0), elem)
 
 
+def test_block_monomials_in_ideal_two_blocks():
+    # z^{e_I_j} comes from z_i times a |K| = 1 generator, block by block
+    vt = fixture("cubic-fourfold")
+    for j in range(vt.r):
+        assert element_in_ideal(vt.blocks, vt.n, vt.block_vector(j), {0: 1})
+
+
 def _mask(indices):
     return sum(1 << i for i in indices)
 
