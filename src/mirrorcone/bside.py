@@ -17,11 +17,10 @@ from functools import cached_property
 from operator import add
 
 from . import CertificateFailure
-from .grading import GradingData, deg_equal, default_volume_vector
-from .toricdata import ToricDataError, UnknownMonomial, ValidatedToricData
-from .toricdata import validate_volume_orders
+from .grading import GradingData, deg_equal
+from .toricdata import ToricDataError, ValidatedToricData, resolve_weight
 from .intlat import contains
-from .koszulalg import bits, front_sign
+from .koszulalg import bits, front_sign, involution_sign
 
 
 class FactorizationCheckFailed(CertificateFailure):
@@ -58,24 +57,18 @@ class Superpotential:
     vt: ValidatedToricData
 
 
-def build_superpotential(vt: ValidatedToricData, b_valuations=None) -> Superpotential:
+def build_superpotential(vt: ValidatedToricData) -> Superpotential:
     """-sum_j z^{e_I_j} + sum_p b_p z^p with val(b_p) defaulting to lambda_p."""
-    if b_valuations is None:
-        b_valuations = vt.input.b_valuations
+    b_valuations = vt.input.b_valuations
     terms = []
     for j in range(vt.r):
         terms.append(Term(sign=-1, exponent=vt.block_vector(j),
                           valuation=None, is_block=True))
-    xi0set = set(vt.xi0)
-    if b_valuations is not None:
-        for key in b_valuations:
-            if tuple(key) not in xi0set:
-                raise UnknownMonomial(f"valuation key {key} is not in Xi_0")
     for p in vt.xi0:
         if b_valuations is not None and tuple(p) in b_valuations:
             val = Fraction(b_valuations[tuple(p)])
         elif vt.input.weights is not None:
-            val = vt.weight_of(p)
+            val = resolve_weight(vt.input.weights, p)
         else:
             val = None
         terms.append(Term(sign=1, exponent=p, valuation=val, is_block=False))
@@ -95,34 +88,16 @@ def _assert_homogeneous(w: Superpotential):
             raise ToricDataError(f"term exponent {t.exponent} is not in M_bar")
 
 
-def epsilon_involution(vt: ValidatedToricData, v=None):
-    """Per-variable signs of the involution z_i -> (-1)^(1+v_i) z_i."""
-    if v is None:
-        v = default_volume_vector(vt)
-    validate_volume_orders(vt.blocks, v)
-    return tuple((-1) ** (1 + vi) for vi in v), tuple(v)
+def term_flip_sign(vt: ValidatedToricData, term: Term):
+    """Sign the involution z_i -> (-1)^(1+v_i) z_i gives a term z^p and its
+    coefficient: minus ``involution_sign`` of z^p, whose sign action has a
+    leading -1."""
+    return -involution_sign(vt, term.exponent, 0)
 
 
-def term_flip_sign(vt: ValidatedToricData, term: Term, v):
-    """Sign the involution applies to one term (variables and coefficient)."""
-    var_sign = 1
-    for i, e in enumerate(term.exponent):
-        if ((1 + v[i]) * e) % 2:
-            var_sign = -var_sign
-    if term.is_block:
-        return var_sign
-    # the coefficient symbol transforms by (-1)^<n_sigma + v - e_I, p>
-    pairing = sum((ns + vi - 1) * e
-                  for ns, vi, e in zip(vt.n_sigma, v, term.exponent))
-    if pairing.denominator != 1:
-        raise CertificateFailure(f"<n_sigma + v - e_I, {term.exponent}> is not integral")
-    return var_sign * (-1) ** (int(pairing) % 2)
-
-
-def check_wflips(w: Superpotential, v=None) -> bool:
+def check_wflips(w: Superpotential) -> bool:
     """True iff the involution sends every term of W to minus itself."""
-    _, v = epsilon_involution(w.vt, v)
-    return all(term_flip_sign(w.vt, t, v) == -1 for t in w.terms)
+    return all(term_flip_sign(w.vt, t) == -1 for t in w.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -28,10 +29,20 @@ class ConfigError(ValueError):
     pass
 
 
+# Fraction alone would also take exponents, and expand "1e999999999" in full.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_fraction(value, where):
+    """A JSON integer or a "num/den" string as a Fraction; any other form is refused."""
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, str) or not _RATIONAL.fullmatch(value):
+        raise ConfigError(
+            f"{where}: bad rational {value!r}, expected an integer or 'num/den'")
     try:
-        return Fraction(str(value))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:  # more digits than int() takes, or /0
         raise ConfigError(f"{where}: bad rational {value!r}: {exc}") from None
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import CertificateFailure
 from .intlat import contains, hnf_canonicalize, lattice_intersection, lattice_quotient
-from .toricdata import ValidatedToricData, validate_volume_orders
+from .toricdata import ValidatedToricData
 
 
 class GradingError(ValueError):
@@ -37,6 +38,7 @@ class GradingDatum:
                     f"datum {self.name}: relator {rel} has odd first coordinate, "
                     "sign map would be ill-defined")
 
+    @cached_property
     def relation_lattice(self):
         if not self.relations:
             return None
@@ -68,17 +70,8 @@ class GDeg:
         return GDeg(self.datum, self.j - other.j,
                     tuple(a - b for a, b in zip(self.m, other.m)))
 
-    def __neg__(self):
-        return GDeg(self.datum, -self.j, tuple(-a for a in self.m))
-
     def scale(self, k):
         return GDeg(self.datum, k * self.j, tuple(k * a for a in self.m))
-
-    def sign(self):
-        return self.j % 2
-
-    def to_json(self):
-        return {"j": self.j, "m": list(self.m), "datum": self.datum.name}
 
 
 def _same_datum(a, b):
@@ -91,7 +84,7 @@ def deg_equal(a: GDeg, b: GDeg) -> bool:
     _same_datum(a, b)
     diff = (a - b)
     vec = (diff.j,) + diff.m
-    lat = a.datum.relation_lattice()
+    lat = a.datum.relation_lattice
     if lat is None:
         return not any(vec)
     return contains(lat, vec)
@@ -143,7 +136,6 @@ class GradingData:
     t: GradingMorphism
     u: GradingMorphism
     v: GradingMorphism
-    volume_orders: tuple[int, ...]
 
     def morphisms(self):
         return {m.name: m for m in (self.p, self.q, self.r, self.s, self.t, self.u, self.v)}
@@ -167,19 +159,8 @@ class GradingData:
         return self.cover.deg(2 * size_a - 2 * sum(k_a), tuple(k_a))
 
 
-def default_volume_vector(vt: ValidatedToricData):
-    """Pole orders: 1 everywhere except the last index of each block."""
-    v = [1] * vt.n
-    for blk in vt.blocks:
-        v[max(blk)] = 0
-    return tuple(v)
-
-
-def build_grading_data(vt: ValidatedToricData, volume_orders=None) -> GradingData:
+def build_grading_data(vt: ValidatedToricData) -> GradingData:
     n = vt.n
-    if volume_orders is None:
-        volume_orders = vt.input.volume_orders or default_volume_vector(vt)
-    validate_volume_orders(vt.blocks, volume_orders)
 
     amb = GradingDatum("G_amb", n, tuple(
         (0,) + vt.block_vector(j) for j in range(vt.r)))
@@ -208,11 +189,10 @@ def build_grading_data(vt: ValidatedToricData, volume_orders=None) -> GradingDat
     t = GradingMorphism("t", delta, mf, zero_w, (tuple(vt.q),))
     u = GradingMorphism("u", z, mf, (), ((),))
     v = GradingMorphism("v", cover, z,
-                        tuple(Fraction(2 * x) for x in volume_orders), ())
+                        tuple(Fraction(2 * x) for x in vt.volume_orders), ())
 
     data = GradingData(amb=amb, cover=cover, delta=delta, mf=mf, z=z,
-                       p=p, q=q, r=r, s=s, t=t, u=u, v=v,
-                       volume_orders=tuple(volume_orders))
+                       p=p, q=q, r=r, s=s, t=t, u=u, v=v)
     for morph in data.morphisms().values():
         if not morph.is_well_defined():
             raise GradingError(f"morphism {morph.name} does not respect relators")
@@ -247,7 +227,7 @@ def p_injective_mod_z(vt: ValidatedToricData, gd: GradingData) -> bool:
     return meet.basis == block_span.basis
 
 
-def coker_H(vt: ValidatedToricData, gd: GradingData | None = None):
+def coker_H(vt: ValidatedToricData, gd: GradingData):
     """Cokernel of (amb/Z) -> ker(cover/Z -> delta/Z), as a finite group.
 
     The quotients by Z are read off the relator presentations: amb/Z has
@@ -256,8 +236,6 @@ def coker_H(vt: ValidatedToricData, gd: GradingData | None = None):
     the right-hand map and the image of the left-hand map are compared as
     preimage lattices in Z^I.
     """
-    if gd is None:
-        gd = build_grading_data(vt)
     block_rows = [tuple(rel[1:]) for rel in gd.cover.relations]
     delta_m_parts = [tuple(rel[1:]) for rel in gd.delta.relations]
     # preimage in Z^I of ker(Z^I/E -> Z^I/<delta m-parts>)

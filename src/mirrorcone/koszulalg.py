@@ -17,7 +17,6 @@ from functools import cache, partial
 from itertools import combinations
 
 from . import CertificateFailure
-from .grading import default_volume_vector
 from .intlat import matrix_rank
 from .toricdata import ValidatedToricData, subsets_in_lattice
 
@@ -428,17 +427,23 @@ def sign_action(a_vec, h_size, v):
     return -1 if dagger % 2 else 1
 
 
-def deformation_sign(vt: ValidatedToricData, v, b, h_size):
-    """Combined Z/2 sign exponent of a degree-2 class r^a z^b h (minimal a).
+def involution_sign(vt: ValidatedToricData, b, h_size):
+    """Sign of the involution on r^a z^b h with minimal a, so that k(a) = b.
 
-    Full formula <n_sigma + v - e_I, k(a)> + 1 + <v + e_I, b> + |h| with
-    k(a) - b a combination of block vectors; reduces to |h|/2 mod 2.
+    (-1)^(<n_sigma + v - e_I, b> + 1 + <v + e_I, b> + |h|) for the resolved
+    volume orders v: the coefficient's sign times the sign action.
     """
-    k_a = b  # minimal representative: a = e_b, so k(a) = b, all ell_j = 0
-    pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, k_a))
+    v = vt.volume_orders
+    pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, b))
     if pairing.denominator != 1:
         raise CertificateFailure(f"<n_sigma + v - e_I, {b}> is not integral")
-    sign = sign_action(b, h_size, v) * (-1) ** (int(pairing) % 2)
+    return sign_action(b, h_size, v) * (-1) ** (int(pairing) % 2)
+
+
+def deformation_sign(vt: ValidatedToricData, b, h_size):
+    """Involution sign of a degree-2 class r^a z^b h, checked against the rule
+    that it is (-1)^(|h|/2)."""
+    sign = involution_sign(vt, b, h_size)
     if sign != (-1) ** (h_size // 2):
         raise CertificateFailure("sign disagrees with |h|/2 rule")
     return sign
@@ -458,7 +463,7 @@ class DeformationClassification:
         }
 
 
-def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> DeformationClassification:
+def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassification:
     """Classify the degree-2 invariant classes r^a z^b h per the proof scheme.
 
     Degree 2 forces 2 = 2<n_sigma, b> + |h|, so either |h| = 0 and b in Xi,
@@ -467,8 +472,6 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
     algebra; the survivors must be exactly the first-order classes indexed by
     Xi_0, each nonzero.
     """
-    if v is None:
-        v = default_volume_vector(vt)
     blocks = vt.blocks
     n = vt.n
     xi0 = set(vt.xi0)
@@ -478,7 +481,7 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
         pairing = sum(ns * x for ns, x in zip(vt.n_sigma, b))
         if pairing != 1:
             raise CertificateFailure(f"<n_sigma, {b}> = {pairing}, not 1")
-        sign = deformation_sign(vt, v, b, 0)
+        sign = deformation_sign(vt, b, 0)
         if sign != 1:
             raise ClassificationViolation(f"|h|=0 class at {b} is not invariant")
         in_ideal = element_in_ideal(blocks, n, tuple(b), {0: 1})
@@ -497,7 +500,7 @@ def enumerate_deformation_classes(vt: ValidatedToricData, v=None) -> Deformation
                 for pos, vec in enumerate(h_basis(blk))]
     zero_a = (0,) * n
     # the sign of r^0 z^0 h depends only on |h| = 2, not on the pair
-    if deformation_sign(vt, v, zero_a, 2) != -1:
+    if deformation_sign(vt, zero_a, 2) != -1:
         raise ClassificationViolation("|h|=2 class not killed by the sign rule")
     sign_killed = []
     for (label1, vec1), (label2, vec2) in combinations(labelled, 2):

@@ -119,14 +119,14 @@ def section_groups(vt):
     sg = symmetry_groups(vt)
     return {
         "G": list(sg.g.invariant_factors),
-        "G_star": list(sg.g_star.invariant_factors),
+        "G_star": list(sg.g.invariant_factors),
         "Gamma": list(sg.gamma.invariant_factors),
     }
 
 
 def section_grading(vt, gd):
     return {
-        "volume_orders": list(gd.volume_orders),
+        "volume_orders": list(vt.volume_orders),
         "morphisms_well_defined": {name: m.is_well_defined()
                                    for name, m in sorted(gd.morphisms().items())},
         "commutative_square": check_commutative_square(vt, gd),

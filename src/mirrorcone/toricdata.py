@@ -82,7 +82,7 @@ class ToricInput:
     ``weights`` is either a single positive rational (uniform) or a mapping
     from exponent tuples to positive rationals; it may be None when no fan
     computations are requested.  ``volume_orders`` is the optional pole-order
-    vector; block sums must equal block size minus one.
+    vector v (block sums |I_j| - 1); None leaves the default to ``validate``.
     """
 
     blocks: tuple[IntVec, ...]
@@ -95,6 +95,10 @@ class ToricInput:
 
 @dataclass(frozen=True)
 class ValidatedToricData:
+    """The input and what ``validate`` derives from it.  ``volume_orders`` is
+    the resolved v: the input's, else 1 except 0 at each block's largest index.
+    """
+
     input: ToricInput
     m_bar: Sublattice
     d: int
@@ -102,6 +106,7 @@ class ValidatedToricData:
     n_sigma: tuple[Fraction, ...]
     xi: tuple[IntVec, ...]
     xi0: tuple[IntVec, ...]
+    volume_orders: IntVec
 
     @property
     def blocks(self):
@@ -128,9 +133,6 @@ class ValidatedToricData:
     def block_vector(self, j):
         return tuple(1 if i in self.blocks[j] else 0 for i in range(self.n))
 
-    def weight_of(self, p):
-        return resolve_weight(self.input.weights, p)
-
 
 def resolve_weight(weights, p):
     """The positive height of the point p under a uniform or per-point weight."""
@@ -152,9 +154,6 @@ def resolve_weight(weights, p):
 class ConditionVerdict:
     holds: bool
     witnesses: tuple = ()
-
-    def __bool__(self):
-        return self.holds
 
 
 def validate(inp: ToricInput) -> ValidatedToricData:
@@ -207,8 +206,15 @@ def validate(inp: ToricInput) -> ValidatedToricData:
                                f"exceed the limit {XI_CANDIDATE_LIMIT}")
     xi, xi0 = _enumerate_xi(inp.blocks, d, q, m_bar)
 
-    if inp.volume_orders is not None:
-        validate_volume_orders(inp.blocks, inp.volume_orders)
+    volume_orders = inp.volume_orders
+    if volume_orders is None:
+        last = {max(blk) for blk in inp.blocks}
+        volume_orders = tuple(int(i not in last) for i in range(n))
+    for j, blk in enumerate(inp.blocks):
+        s = sum(volume_orders[i] for i in blk)
+        if s != len(blk) - 1:
+            raise ToricDataError(
+                f"volume orders on block {j} sum to {s}, expected {len(blk) - 1}")
     xi0set = set(xi0)
     for name, keyed in (("weight", inp.weights), ("valuation", inp.b_valuations)):
         if not isinstance(keyed, dict):
@@ -219,16 +225,8 @@ def validate(inp: ToricInput) -> ValidatedToricData:
 
     return ValidatedToricData(
         input=inp, m_bar=m_bar, d=d, q=q, n_sigma=n_sigma,
-        xi=tuple(xi), xi0=tuple(xi0),
+        xi=tuple(xi), xi0=tuple(xi0), volume_orders=tuple(volume_orders),
     )
-
-
-def validate_volume_orders(blocks, v):
-    for j, blk in enumerate(blocks):
-        s = sum(v[i] for i in blk)
-        if s != len(blk) - 1:
-            raise ToricDataError(
-                f"volume orders on block {j} sum to {s}, expected {len(blk) - 1}")
 
 
 def count_xi_candidates(q, d):
@@ -269,11 +267,6 @@ def _enumerate_xi(blocks, d, q, m_bar):
 
 def _two_zeros_per_block(p, blocks):
     return all(sum(1 for i in blk if p[i] == 0) >= 2 for blk in blocks)
-
-
-def enumerate_xi(vt: ValidatedToricData):
-    """Re-derive (Xi, Xi_0) from the validated data."""
-    return _enumerate_xi(vt.blocks, vt.d, vt.q, vt.m_bar)
 
 
 def iota_of_block(vt: ValidatedToricData, j):
@@ -332,18 +325,17 @@ def check_no_bc(vt: ValidatedToricData) -> ConditionVerdict:
 @dataclass(frozen=True)
 class SymmetryGroups:
     g: FiniteAbelianGroup
-    g_star: FiniteAbelianGroup
     gamma: FiniteAbelianGroup
 
 
 def symmetry_groups(vt: ValidatedToricData) -> SymmetryGroups:
-    """The covering group G, its dual G*, and Gamma = G*/(Z/d).
+    """The covering group G and Gamma = G*/(Z/d).
 
     G = Z^I/M_bar (the quotient M-tilde/M agrees with it since every e_I_j
-    lies in M_bar), and G* has the same invariant factors.  The diagonal Z/d
-    inside G* is generated by the character m -> <q, m>/d mod 1, so Gamma is
-    dual to its kernel K/M_bar with K = {m : d | <q, m>}; a finite abelian
-    group and its dual share invariant factors.
+    lies in M_bar), and its dual G* has the same invariant factors.  The
+    diagonal Z/d inside G* is generated by the character m -> <q, m>/d mod 1,
+    so Gamma is dual to its kernel K/M_bar with K = {m : d | <q, m>}; a
+    finite abelian group and its dual share invariant factors.
     """
     g = quotient_group(vt.n, vt.m_bar)
     kernel = sublattice_from_congruences(vt.n, [(vt.q, vt.d)])
@@ -353,4 +345,4 @@ def symmetry_groups(vt: ValidatedToricData) -> SymmetryGroups:
         raise CertificateFailure(f"[Z^I : K] = {kernel.index_in_ambient()}, not d = {vt.d}")
     if gamma.order * vt.d != g.order:
         raise CertificateFailure(f"|Gamma| * d = {gamma.order * vt.d}, not |G| = {g.order}")
-    return SymmetryGroups(g=g, g_star=g, gamma=gamma)
+    return SymmetryGroups(g=g, gamma=gamma)

@@ -8,6 +8,7 @@ provably induce only the coarse facet star (which is asserted against the
 brute-force oracle, with its negative certificate checked).
 """
 
+import dataclasses
 import json
 import random
 import subprocess
@@ -38,6 +39,7 @@ from mirrorcone.toricdata import (
     check_nef_partition,
     check_no_bc,
     symmetry_groups,
+    validate,
 )
 from oracles import subdivision_by_hyperplane_scan
 from tests_support import random_admissible_v
@@ -184,7 +186,9 @@ def test_criterion_4_identity_suite():
         assert mf.verify_factorization()
         assert check_wflips(w)
         for _ in range(10):
-            assert check_wflips(w, random_admissible_v(vt, rng))
+            v = random_admissible_v(vt, rng)
+            assert check_wflips(build_superpotential(
+                validate(dataclasses.replace(vt.input, volume_orders=v))))
         gd = build_grading_data(vt)
         assert check_commutative_square(vt, gd)
         assert coker_H(vt, gd).is_trivial()

@@ -13,7 +13,6 @@ from mirrorcone.bside import (
     build_superpotential,
     check_wflips,
     dualize_mf,
-    epsilon_involution,
     term_flip_sign,
 )
 from mirrorcone.cli import fixture_config_json, main
@@ -43,7 +42,8 @@ def test_valuations_default_to_weights():
 def test_explicit_valuations_override():
     vt = fixture("quartic")
     key = vt.xi0[0]
-    w = build_superpotential(vt, b_valuations={key: Fraction(9, 4)})
+    vt = validate(dataclasses.replace(vt.input, b_valuations={key: Fraction(9, 4)}))
+    w = build_superpotential(vt)
     vals = {t.exponent: t.valuation for t in w.terms if not t.is_block}
     assert vals[key] == Fraction(9, 4)
 
@@ -51,7 +51,7 @@ def test_explicit_valuations_override():
 def test_unknown_valuation_key_rejected():
     vt = fixture("quartic")
     with pytest.raises(UnknownMonomial):
-        build_superpotential(vt, b_valuations={(1, 1, 1, 1): Fraction(1)})
+        validate(dataclasses.replace(vt.input, b_valuations={(1, 1, 1, 1): Fraction(1)}))
 
 
 from tests_support import random_admissible_v
@@ -65,16 +65,16 @@ def test_wflips_default_and_random_v(name):
     rng = random.Random(13)
     for _ in range(10):
         v = random_admissible_v(vt, rng)
-        assert check_wflips(w, v)
+        assert check_wflips(build_superpotential(
+            validate(dataclasses.replace(vt.input, volume_orders=v))))
 
 
 def test_block_term_flip_is_forced():
     vt = fixture("z-manifold")
     w = build_superpotential(vt)
-    _, v = epsilon_involution(vt)
     for t in w.terms:
         if t.is_block:
-            assert term_flip_sign(vt, t, v) == -1
+            assert term_flip_sign(vt, t) == -1
 
 
 def test_toy_three_variable_factorization():

@@ -37,7 +37,7 @@ def run_cli(args, env=None):
     if env:
         full_env.update(env)
     return subprocess.run([sys.executable, "-m", "mirrorcone.cli", *args],
-                         capture_output=True, text=True, env=full_env)
+                         capture_output=True, text=True, env=full_env, timeout=120)
 
 
 def test_examples_list():
@@ -176,10 +176,14 @@ def _quartic_with(**changes):
     (_quartic_with(lattice={
         "congruences": [{"c": [1, 1, 1, 1], "mod": 4}],
         "generators": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}), 2),
+    (_quartic_with(**{"lambda": "uniform:1e999999999"}), 2),
+    (_quartic_with(b_valuations={"0,0,0,4": "1e-999999999"}), 2),
+    (_quartic_with(**{"lambda": {"0,0,0,4": 0.5}}), 2),
 ], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
         "b-valuations-list", "zero-degree", "mod-zero", "mod-negative",
         "congruences-int", "generators-int", "d-string", "block-string",
-        "c-string", "v-string", "d-float", "mod-float", "c-bool", "lattice-both"])
+        "c-string", "v-string", "d-float", "mod-float", "c-bool", "lattice-both",
+        "lambda-exponent", "b-valuation-negative-exponent", "lambda-float"])
 def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
     proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
     assert proc.returncode == code
@@ -187,6 +191,8 @@ def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
     assert len(proc.stderr.strip().splitlines()) == 1
     if code == 1:
         assert "degrees must be positive" in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("input error:")
     if request.node.callspec.id == "lattice-both":
         assert "lattice needs exactly one of congruences or generators" in proc.stderr
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,9 @@ from mirrorcone.grading import (
     check_commutative_square,
     coker_H,
     deg_equal,
-    default_volume_vector,
     p_injective_mod_z,
 )
-from mirrorcone.toricdata import ToricDataError
+from mirrorcone.toricdata import ToricDataError, validate
 
 FIXTURES = ("elliptic", "quartic", "cubic-fourfold", "z-manifold")
 
@@ -69,7 +70,7 @@ def test_commutative_square(name):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_coker_h_trivial(name):
     vt = fixture(name)
-    assert coker_H(vt).is_trivial()
+    assert coker_H(vt, build_grading_data(vt)).is_trivial()
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -81,19 +82,19 @@ def test_p_injective(name):
 
 def test_default_volume_vector_block_sums():
     vt = fixture("z-manifold")
-    v = default_volume_vector(vt)
+    v = vt.volume_orders
     for blk in vt.blocks:
         assert sum(v[i] for i in blk) == len(blk) - 1
 
 
 def test_default_volume_vector_quartic():
-    assert default_volume_vector(fixture("quartic")) == (1, 1, 1, 0)
+    assert fixture("quartic").volume_orders == (1, 1, 1, 0)
 
 
 def test_volume_vector_validation():
     vt = fixture("quartic")
     with pytest.raises(ToricDataError):
-        build_grading_data(vt, volume_orders=(1, 1, 1, 1))
+        validate(dataclasses.replace(vt.input, volume_orders=(1, 1, 1, 1)))
 
 
 def test_w_monomials_have_degree_two_in_cover():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 
@@ -29,7 +30,7 @@ from mirrorcone.koszulalg import (
     tensor_j_dims,
     wedge,
 )
-from mirrorcone.toricdata import check_no_bc
+from mirrorcone.toricdata import check_no_bc, validate
 from oracles import nullspace_int, permutation_sign
 
 BLOCKS3 = (tuple(range(3)),)
@@ -262,7 +263,8 @@ def test_deformation_classes_random_v():
     from tests_support import random_admissible_v
     for _ in range(5):
         v = random_admissible_v(vt, rng)
-        cls = enumerate_deformation_classes(vt, v)
+        cls = enumerate_deformation_classes(
+            validate(dataclasses.replace(vt.input, volume_orders=v)))
         assert cls.surviving == vt.xi0
 
 

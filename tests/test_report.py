@@ -1,14 +1,18 @@
-"""One run of build_report builds each shared stage once, and the benchmark's
-tracer hooks still find what they wrap."""
+"""One run of build_report builds each shared stage once, the config's
+volume orders reach every sign check, and the benchmark's tracer hooks still
+find what they wrap."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
 import sys
 from collections import Counter
 
-from mirrorcone import fans, grading, report
+from mirrorcone import fans, grading, koszulalg, report
+from mirrorcone.bside import build_superpotential
 from mirrorcone.fixtures import fixture
+from mirrorcone.toricdata import validate
 
 TRACING_PY = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 STAGES = ("project_config", "regular_subdivision", "check_mpcp", "build_grading_data")
@@ -41,6 +45,35 @@ def test_each_stage_runs_once_per_report(monkeypatch):
     assert sorted(body["sections"]) == sorted(report.ALL_SECTIONS)
     assert len(report.ALL_SECTIONS) == 7
     assert calls == {name: 1 for name in STAGES}
+
+
+def test_config_volume_orders_reach_both_sign_checks(monkeypatch):
+    v = (0, 1, 1, 1)
+    vt = validate(dataclasses.replace(fixture("quartic").input, volume_orders=v))
+    calls = {"bside": [], "algebra": []}
+    running = []
+    sign_action = koszulalg.sign_action
+
+    def recording_sign_action(a_vec, h_size, orders):
+        calls[running[-1]].append((tuple(a_vec), h_size, tuple(orders)))
+        return sign_action(a_vec, h_size, orders)
+
+    def marking(name, section):
+        def run(*args):
+            running.append(name)
+            return section(*args)
+        return run
+
+    monkeypatch.setattr(koszulalg, "sign_action", recording_sign_action)
+    for name in calls:
+        section = getattr(report, f"section_{name}")
+        monkeypatch.setattr(report, f"section_{name}", marking(name, section))
+    report.build_report(vt, ("bside", "algebra"), algebra_cutoff=4)
+
+    assert {seen for recorded in calls.values() for _, _, seen in recorded} == {v}
+    terms = {t.exponent for t in build_superpotential(vt).terms}
+    assert {a for a, h, _ in calls["bside"] if h == 0} == terms
+    assert {a for a, h, _ in calls["algebra"] if h == 0} >= set(vt.xi)
 
 
 def test_tracer_hooks_resolve_and_record_each_section():

@@ -18,7 +18,6 @@ from mirrorcone.toricdata import (
     check_nef_partition,
     check_no_bc,
     count_xi_candidates,
-    enumerate_xi,
     iota_of_block,
     symmetry_groups,
     validate,
@@ -77,12 +76,6 @@ def test_xi_candidate_count_matches_box_scan(degrees):
     d = lcm(*degrees)
     q = tuple(d // x for x in degrees)
     assert count_xi_candidates(q, d) == len(box_scan_xi(degrees, ()))
-
-
-def test_enumerate_xi_rederives():
-    vt = fixture("quartic")
-    xi, xi0 = enumerate_xi(vt)
-    assert tuple(xi) == vt.xi and tuple(xi0) == vt.xi0
 
 
 def test_xi0_two_zero_rule():
