@@ -29,8 +29,10 @@ class ConfigError(ValueError):
     pass
 
 
-# Fraction alone would also take exponents, and expand "1e999999999" in full.
+# Fraction and int() would also take spaces, underscores and non-ASCII digits,
+# and Fraction exponents too, expanding "1e999999999" in full.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_EXPONENT_KEY = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
 
 
 def _parse_fraction(value, where):
@@ -46,11 +48,17 @@ def _parse_fraction(value, where):
         raise ConfigError(f"{where}: bad rational {value!r}: {exc}") from None
 
 
-def _parse_exponent_key(key, where):
-    try:
-        return tuple(int(x) for x in str(key).split(","))
-    except ValueError:
-        raise ConfigError(f"{where}: bad exponent key {key!r}") from None
+def _exponent_map(obj, where):
+    """{exponent: Fraction} from "i,j,..." keys; two keys of one exponent are refused."""
+    out = {}
+    for key, value in obj.items():
+        if not _EXPONENT_KEY.fullmatch(str(key)):
+            raise ConfigError(f"{where}: bad exponent key {key!r}, expected 'i,j,...'")
+        exp = tuple(int(x) for x in str(key).split(","))
+        if exp in out:
+            raise ConfigError(f"{where}: exponent key {key!r} repeats {exp}")
+        out[exp] = _parse_fraction(value, where)
+    return out
 
 
 def _array(value, where):
@@ -119,8 +127,7 @@ def parse_config(data) -> ToricInput:
                 raise ConfigError("config: lambda string must be 'uniform:<rational>'")
             weights = _parse_fraction(lam[len("uniform:"):], "lambda")
         elif isinstance(lam, dict):
-            weights = {_parse_exponent_key(k, "lambda"): _parse_fraction(v, "lambda")
-                       for k, v in lam.items()}
+            weights = _exponent_map(lam, "lambda")
         else:
             raise ConfigError("config: lambda must be a string or object")
 
@@ -132,9 +139,7 @@ def parse_config(data) -> ToricInput:
     if data.get("b_valuations") is not None:
         if not isinstance(data["b_valuations"], dict):
             raise ConfigError("config: b_valuations must be an object")
-        b_valuations = {
-            _parse_exponent_key(k, "b_valuations"): _parse_fraction(v, "b_valuations")
-            for k, v in data["b_valuations"].items()}
+        b_valuations = _exponent_map(data["b_valuations"], "b_valuations")
 
     return ToricInput(blocks=blocks, degrees=degrees, lattice=spec,
                       weights=weights, volume_orders=volume_orders,

@@ -3,17 +3,20 @@
 The projected configuration consists of the images of the distinguished
 lattice points under the per-block coordinate projection, plus the origin.
 A weight vector lifts the configuration; the cells of the subdivision are the
-projections of the lower faces of the lifted point set, found by pivoting
-from an initial lowest face across ridges.  All arithmetic is exact rational;
-each cell carries the affine functional certifying it (equality on the cell,
-strictly below the heights elsewhere).
+projections of the lower faces of the lifted point set, found by an integer
+pivot from an initial lowest face across ridges, the facets of a cell by the
+same pivot one dimension down.  The lift tests a point only against the cells
+of the lower envelope (the maximum of the cells' support functionals) at its
+projection.  All arithmetic is exact; each cell carries the affine functional
+certifying it (equality on the cell, strictly below the heights elsewhere).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
+from math import gcd
+from operator import mul
 import random
 
 from . import CertificateFailure
@@ -69,13 +72,12 @@ class ProjectedConfig:
 
     def pullback_functional(self, a, c):
         """Coefficients of (a, c) composed with the projection, on R^I."""
-        n = self.vt.n
-        coeff = [Fraction(0)] * n
+        coeff = [0] * self.vt.n
         for pos, k in enumerate(self.kept):
             coeff[k] += a[pos]
             j = self.vt.block_of(k)
             coeff[self.dropped[j]] -= a[pos]
-        return tuple(coeff), Fraction(c)
+        return tuple(coeff), c
 
 
 def project_config(vt: ValidatedToricData) -> ProjectedConfig:
@@ -126,120 +128,115 @@ def _affine_rank(points):
     return matrix_rank(dirs)
 
 
+def _integral(vec):
+    """(g, g0) from a rational vector (g, g0) times the lcm of its denominators."""
+    den = lcm_list(x.denominator for x in vec)
+    return tuple(int(x * den) for x in vec[:-1]), int(vec[-1] * den)
+
+
 def _facets(pts, dim):
     """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
 
     The normal is integral and points outward (pts lie where
-    <normal, x> <= offset).  The scan costs C(len(pts), dim) candidate
-    subsets, each one nullspace unless it lies inside a facet already found;
-    on the large cells of degenerate weights this dominates the subdivision.
+    <normal, x> <= offset); pts may repeat.  A simplex drops one vertex per
+    facet.  Otherwise the pivot of ``_lower_hull_cells`` finds them, on pts
+    without their last coordinate and with it, or its negative, as height
+    (lower and upper facets); the facets of that projection whose contact
+    set still spans a hyperplane are the vertical ones.
     """
     if dim == 0:
         return {}
+    if dim == 1:
+        return {frozenset(i for i, p in enumerate(pts) if p[0] == v): ((s,), s * v)
+                for s, v in ((-1, min(pts)[0]), (1, max(pts)[0]))}
     facets = {}
-    for sub in combinations(range(len(pts)), dim):
-        if any(set(sub) <= contact for contact in facets):
-            continue
-        base = pts[sub[0]]
-        dirs = [tuple(x - y for x, y in zip(pts[i], base)) for i in sub[1:]]
-        basis = nullspace(dirs, dim)
-        if len(basis) != 1:
-            continue
-        den = lcm_list(x.denominator for x in basis[0])
-        g = tuple(x.numerator * (den // x.denominator) for x in basis[0])
-        g0 = sum(gi * xi for gi, xi in zip(g, base))
-        vals = [sum(gi * xi for gi, xi in zip(g, p)) for p in pts]
-        if all(v <= g0 for v in vals):
-            pass
-        elif all(v >= g0 for v in vals):
-            g = tuple(-x for x in g)
-            g0 = -g0
-            vals = [-v for v in vals]
-        else:
-            continue
-        contact = frozenset(i for i, v in enumerate(vals) if v == g0)
-        sub_pts = [pts[i] for i in contact]
-        if _affine_rank(sub_pts) == dim - 1:
-            facets.setdefault(contact, (g, g0))
+    if len(pts) == dim + 1:
+        # kernel vector k of the rows (p_i, 1, -e_i) starts with the barycentric
+        # coordinate of vertex k, as (-g, g0): zero on the facet without it
+        rows = [p + (1,) + tuple(-(i == k) for k in range(dim + 1))
+                for i, p in enumerate(pts)]
+        for k, vec in enumerate(nullspace(rows, 2 * dim + 2)):
+            g, g0 = _integral(vec[:dim + 1])
+            facets[frozenset(range(dim + 1)) - {k}] = (tuple(-x for x in g), g0)
+        return facets
+    base = [p[:-1] for p in pts]
+    for s in (1, -1):
+        # height s*x: the functional (a.x' + c)/e lies below, so a.x' - s*e*x <= -c
+        for cell, (a, c, e) in _lower_hull_cells(base, [s * p[-1] for p in pts]):
+            facets[cell] = (a + (-s * e,), -c)
+    for contact, (g, g0) in _facets(base, dim - 1).items():
+        if _affine_rank([pts[i] for i in contact]) == dim - 1:
+            facets[contact] = (g + (0,), g0)
     return facets
 
 
 def _lower_hull_cells(points, heights):
     """Maximal cells of the regular subdivision of a full-dimensional config.
 
-    ``points``: list of coordinate tuples; ``heights``: parallel list of
-    Fractions.  Returns a list of (frozenset of indices, (a, c)) where the
-    affine functional a.x + c equals the height exactly on the cell and is
-    strictly below it elsewhere.
+    ``points``: list of integer tuples; ``heights``: parallel rationals, scaled
+    once to integers H by their common denominator.  The pivot runs on
+    integers: a functional (*A, C, e), e > 0, stands for (A.x + C)/e and keeps
+    its slacks e*H_i - (A.p_i + C).  Returns a list of (frozenset of indices,
+    (A, C, e)), e including the height scale, where (A.x + C)/e equals the
+    height exactly on the cell and is strictly below it elsewhere.
     """
-    npts = len(points)
     dim = len(points[0])
     if _affine_rank(points) != dim:
         raise DegenerateConfig("configuration does not span its ambient space")
+    den = lcm_list(h.denominator for h in heights)
+    scaled = [int(h * den) for h in heights]
 
-    def rotate(a, c, g, g0):
-        """Add t*(g.x - g0) to a.x + c, with the least t > 0 at which the
-        functional meets a point where g.x > g0.
-
-        Returns (a, c, contact) of the rotated functional, with contact None
-        when it is not supporting; None when no point has g.x > g0.
+    def rotate(func, slack, g, g0):
+        """Add t*(g.x - g0) to the functional, t = s*/(e*b*) for the least
+        ratio s*/b* over b_i = g.p_i - g0 > 0: A' = b*A + s*g, C' = b*C - s*g0,
+        e' = b*e, s'_i = b*s_i - s*b_i, all over their gcd.  Returns (func,
+        slack, contact), contact None when it is not supporting; None when no
+        point has g.x > g0.
         """
-        slack = []
-        t = None
-        for p, h in zip(points, heights):
-            s = h - (sum(ai * xi for ai, xi in zip(a, p)) + c)
-            b = sum(gi * xi for gi, xi in zip(g, p)) - g0
-            slack.append((s, b))
-            if b > 0 and (t is None or s / b < t):
-                t = s / b
-        if t is None:
+        bs = [sum(map(mul, g, p)) - g0 for p in points]
+        s_t = b_t = None
+        for s, b in zip(slack, bs):
+            if b > 0 and (b_t is None or s * b_t < s_t * b):
+                s_t, b_t = s, b
+        if b_t is None:
             return None
-        a = tuple(ai + t * gi for ai, gi in zip(a, g))
-        c = c - t * g0
-        contact = set()
-        for i, (s, b) in enumerate(slack):
-            s -= t * b
-            if s < 0:
-                return a, c, None
-            if s == 0:
-                contact.add(i)
-        return a, c, frozenset(contact)
+        func = [b_t * x + s_t * y for x, y in zip(func, g + (-g0, 0))]
+        k = gcd(*func)
+        slack = [(b_t * s - s_t * b) // k for s, b in zip(slack, bs)]
+        contact = frozenset(i for i, s in enumerate(slack) if s == 0)
+        return tuple(x // k for x in func), slack, contact if min(slack) >= 0 else None
 
     # the lowest points, then rotations until the contact set spans
-    a = (Fraction(0),) * dim
-    c = min(heights)
-    first = frozenset(i for i in range(npts) if heights[i] == c)
+    func, slack = (0,) * dim + (min(scaled), 1), [h - min(scaled) for h in scaled]
+    first = frozenset(i for i, s in enumerate(slack) if s == 0)
     while True:
         cpts = [points[i] for i in sorted(first)]
         if _affine_rank(cpts) == dim:
             break
-        base = cpts[0]
-        dirs = [tuple(x - y for x, y in zip(p, base)) for p in cpts[1:]]
-        g = nullspace(dirs, dim)[0]
-        g0 = sum(gi * yi for gi, yi in zip(g, base))
-        a, c, first = (rotate(a, c, g, g0)
-                       or rotate(a, c, tuple(-x for x in g), -g0))
+        g, g0 = _integral(nullspace([p + (-1,) for p in cpts], dim + 1)[0])
+        func, slack, first = (rotate(func, slack, g, g0)
+                              or rotate(func, slack, tuple(-x for x in g), -g0))
         if first is None:
             raise CertificateFailure("rotated functional is not supporting")
 
     # pivot across each ridge, around its outward normal
-    cells = {first: (a, c)}
+    cells = {first: (func, slack)}
     queue = [first]
     while queue:
         cell = queue.pop()
-        a, c = cells[cell]
+        func, slack = cells[cell]
         idx = sorted(cell)
         for facet, (g, g0) in _facets([points[i] for i in idx], dim).items():
-            res = rotate(a, c, g, g0)
+            res = rotate(func, slack, g, g0)
             if res is None:
                 continue
-            a2, c2, contact = res
+            func2, slack2, contact = res
             if contact is None or not contact >= {idx[i] for i in facet}:
                 raise CertificateFailure("neighbor functional lost the ridge")
             if contact not in cells:
-                cells[contact] = (a2, c2)
+                cells[contact] = (func2, slack2)
                 queue.append(contact)
-    return list(cells.items())
+    return [(cell, (f[:-2], f[-2], f[-1] * den)) for cell, (f, _) in cells.items()]
 
 
 def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Subdivision:
@@ -254,8 +251,9 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
     ids = list(cfg.ids)
     points = [cfg.coords[pid] for pid in ids]
     heights = [heights_by_id[pid] for pid in ids]
-    raw = _lower_hull_cells(points, heights)
-    cells = {tuple(sorted(ids[i] for i in cell)): func for cell, func in raw}
+    cells = {tuple(sorted(ids[i] for i in cell)):
+             (tuple(Fraction(x, e) for x in a), Fraction(c, e))
+             for cell, (a, c, e) in _lower_hull_cells(points, heights)}
     if perturb_seed is not None:
         cells = _perturb(cfg, cells, perturb_seed)
     ordered = tuple(sorted(cells))
@@ -431,16 +429,28 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
     the cell lies in the convex hull of the lifted vertices.  The first failed
     certificate raises CellLiftFailure (it falsifies the lifting lemma for
     this input, which for an MPCP subdivision means a bug).
+
+    The checks run on integers over one denominator.  A point is tested
+    against a cell only where the cell's functional attains the maximum of
+    all (the lower envelope): given the support certificates, so does every
+    cell the point projects into.
     """
     vt = cfg.vt
     block_vectors = [vt.block_vector(j) for j in range(vt.r)]
+    supports = [sub.supports[cell] for cell in sub.cells]
+    den = lcm_list([h.denominator for h in sub.weights.values()]
+                   + [x.denominator for a, c in supports for x in (*a, c)])
+    funcs = [(tuple(int(x * den) for x in a), int(c * den)) for a, c in supports]
     # (id, lifted point, height); the block vectors stand for the origin
-    lifted_config = [(pid, cfg.lifts[pid], sub.weights[pid])
+    lifted_config = [(pid, cfg.lifts[pid], int(sub.weights[pid] * den))
                      for pid in cfg.ids if pid != ORIGIN]
     lifted_config += [(ORIGIN, bv, 0) for bv in block_vectors]
+    projected = [(x, cfg.project(x)) for x in vt.xi]
+    values = [[sum(map(mul, a, px)) + c for a, c in funcs] for _, px in projected]
+    tops = [max(vals) for vals in values]  # the lower envelope at each point
     out = []
-    for cell in sub.cells:
-        coeff, const = cfg.pullback_functional(*sub.supports[cell])
+    for k, (cell, func) in enumerate(zip(sub.cells, funcs)):
+        coeff, const = cfg.pullback_functional(*func)
         in_cell = set(cell)
         for pid, x, h in lifted_config:
             val = sum(ci * xi for ci, xi in zip(coeff, x)) + const
@@ -453,8 +463,8 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
         if _affine_rank(vertices) != len(vertices) - 1:
             raise CellLiftFailure(cell, "lifted vertex set is affinely dependent")
         cell_pts = [cfg.coords[pid] for pid in cell]
-        for xi_pt in vt.xi:
-            if (_barycentric_membership(cell_pts, cfg.project(xi_pt))
+        for (xi_pt, px), vals, top in zip(projected, values, tops):
+            if (vals[k] == top and _barycentric_membership(cell_pts, px)
                     and not _barycentric_membership(vertices, xi_pt)):
                 raise CellLiftFailure(
                     cell, "a degree-one lattice point escapes the lifted hull")

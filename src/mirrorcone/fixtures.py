@@ -4,12 +4,14 @@
 quartic; ``cubic-fourfold`` and ``z-manifold`` the two multi-block cases.
 Weights default to the uniform vector 1; ``quartic_mpcp_weights`` supplies a
 verified weight vector whose induced subdivision is a fine triangulation
-(uniform weights only give the coarse star over the facets).
+(uniform weights only give the coarse star over the facets), and
+``generic_weights`` the seeded generic vectors the benchmark also draws.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+import random
 
 from .toricdata import LatticeSpec, ToricInput, validate
 
@@ -71,3 +73,11 @@ def quartic_mpcp_weights(vt):
         para = sum(x * x for x in p)
         weights[p] = 1 + Fraction(para, 64) + Fraction((idx + 1) ** 2, 4096 * 64)
     return weights
+
+
+def generic_weights(vt, seed):
+    """1 + |p|^2/64 + randrange(1, 10**6)/(4096*64*10**6) per Xi_0 point p, lex order."""
+    rng = random.Random(seed)
+    return {p: 1 + Fraction(sum(x * x for x in p), 64)
+            + Fraction(rng.randrange(1, 10 ** 6), 4096 * 64 * 10 ** 6)
+            for p in vt.xi0}

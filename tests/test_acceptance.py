@@ -26,7 +26,7 @@ from mirrorcone.fans import (
     regular_subdivision,
     resolve_weights,
 )
-from mirrorcone.fixtures import fixture, quartic_mpcp_weights
+from mirrorcone.fixtures import fixture, generic_weights, quartic_mpcp_weights
 from mirrorcone.grading import build_grading_data, check_commutative_square, coker_H
 from mirrorcone.koszulalg import (
     _koszul_differential,
@@ -41,7 +41,7 @@ from mirrorcone.toricdata import (
     symmetry_groups,
     validate,
 )
-from oracles import subdivision_by_hyperplane_scan
+from oracles import normalized_volume, subdivision_by_hyperplane_scan, subdivision_volume
 from tests_support import random_admissible_v
 
 
@@ -138,6 +138,44 @@ def test_criterion_2_subdivision_suite():
 
     elapsed = _elapsed_guard(t0, 30.0, "criterion 2")
     print(f"\nACCEPTANCE 2 PASS subdivision suite ({elapsed:.2f}s < 30s)")
+
+
+def _generic_chain(name, seed):
+    """Subdivision, MPCP/MPCS report and singularity certificate of a generic chain."""
+    vt = fixture(name)
+    cfg = project_config(vt)
+    sub = regular_subdivision(cfg, generic_weights(vt, seed))
+    mpcp = check_mpcp(sub, cfg)
+    cert = certify_isolated_singularity(sub, cfg, mpcp)
+    # the certificate runs the lift: every lifted cell passed its three checks
+    assert cert.links[1] == ("lifted_triangulation", True,
+                             f"{len(sub.cells)} simplices certified")
+    return cfg, sub, check_mpcs(sub, cfg, mpcp), cert
+
+
+def test_criterion_2_cubic_fourfold_generic_chain():
+    # the paper's K3-category case: the full chain on the benchmark's weights
+    t0 = time.monotonic()
+    cfg, sub, full, cert = _generic_chain("cubic-fourfold", 1)
+    assert len(sub.cells) == 104
+    assert full.mpcp and full.mpcs and full.is_triangulation
+    assert cert.certified and cert.failing_link is None
+    # the cells tile the hull: volumes by the oracle's own pulling triangulation
+    points = [cfg.coords[pid] for pid in cfg.ids]
+    assert subdivision_volume(sub, cfg) == normalized_volume(points) == 729
+    elapsed = _elapsed_guard(t0, 30.0, "criterion 2, cubic fourfold")
+    print(f"\nACCEPTANCE 2 PASS cubic-fourfold generic chain ({elapsed:.2f}s < 30s)")
+
+
+def test_criterion_2_zmanifold_generic_chain():
+    # the rigid CY3 case: 888 simplices in dimension 6
+    t0 = time.monotonic()
+    _, sub, full, cert = _generic_chain("z-manifold", 1)
+    assert len(sub.cells) == 888
+    assert full.mpcp and full.mpcs and full.is_triangulation
+    assert cert.certified and cert.failing_link is None
+    elapsed = _elapsed_guard(t0, 20.0, "criterion 2, z-manifold")
+    print(f"\nACCEPTANCE 2 PASS z-manifold generic chain ({elapsed:.2f}s < 20s)")
 
 
 def test_criterion_3_algebra_oracle_suite():

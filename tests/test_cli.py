@@ -179,11 +179,19 @@ def _quartic_with(**changes):
     (_quartic_with(**{"lambda": "uniform:1e999999999"}), 2),
     (_quartic_with(b_valuations={"0,0,0,4": "1e-999999999"}), 2),
     (_quartic_with(**{"lambda": {"0,0,0,4": 0.5}}), 2),
+    (_quartic_with(**{"lambda": {" 0,0,0,4": "1/2"}}), 2),
+    (_quartic_with(**{"lambda": {"0_0,0,0,4": "1/2"}}), 2),
+    (_quartic_with(**{"lambda": {"\u0660,0,0,\u0664": "1/2"}}), 2),
+    (_quartic_with(**{"lambda": {"00,0,0,4": "1/2", "0,0,0,4": "3"}}), 2),
+    (_quartic_with(b_valuations={"0,0,0,4": "1/2", "0,0,0,+4": "3"}), 2),
+    (_quartic_with(b_valuations={"0,0,0,4": "1/2", "0,0,0,04": "3"}), 2),
 ], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
         "b-valuations-list", "zero-degree", "mod-zero", "mod-negative",
         "congruences-int", "generators-int", "d-string", "block-string",
         "c-string", "v-string", "d-float", "mod-float", "c-bool", "lattice-both",
-        "lambda-exponent", "b-valuation-negative-exponent", "lambda-float"])
+        "lambda-exponent", "b-valuation-negative-exponent", "lambda-float",
+        "lambda-key-space", "lambda-key-underscore", "lambda-key-arabic-indic-digits",
+        "lambda-key-twice", "b-valuation-key-plus", "b-valuation-key-twice"])
 def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
     proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
     assert proc.returncode == code
@@ -195,6 +203,8 @@ def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
         assert proc.stderr.startswith("input error:")
     if request.node.callspec.id == "lattice-both":
         assert "lattice needs exactly one of congruences or generators" in proc.stderr
+    if request.node.callspec.id.endswith("-twice"):
+        assert "repeats (0, 0, 0, 4)" in proc.stderr
 
 
 def test_too_many_xi_candidates_exit_1(tmp_path):

@@ -5,10 +5,11 @@ import pathlib
 import random
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcone import CertificateFailure, fans
@@ -25,8 +26,11 @@ from mirrorcone.fans import (
     project_config,
     regular_subdivision,
 )
-from mirrorcone.fixtures import fixture, quartic_mpcp_weights
+from mirrorcone.fixtures import fixture, generic_weights, quartic_mpcp_weights
 from oracles import (
+    _facets_by_scan,
+    _rank,
+    _solve,
     normalized_volume,
     subdivision_by_hyperplane_scan,
     subdivision_volume,
@@ -278,6 +282,39 @@ def test_lift_rejects_a_point_outside_the_lifted_hull(monkeypatch):
     assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
 
 
+def _projects_into(cfg, cell, xi_pt):
+    # barycentric coordinates of the projection, by the oracle's own solve
+    pts = [cfg.coords[pid] for pid in cell]
+    rows = [[p[i] for p in pts] for i in range(cfg.dim)] + [[1] * len(pts)]
+    sol = _solve(rows, list(cfg.project(xi_pt)) + [1])
+    return sol is not None and all(t >= 0 for t in sol)
+
+
+@pytest.mark.parametrize("name", ["quartic", "cubic-fourfold"])
+def test_lift_tests_each_point_against_the_cells_it_projects_into(monkeypatch, name):
+    # the envelope candidates lose no pair: the lifted-hull calls are exactly
+    # the (cell, Xi point) pairs whose projection lies in the cell
+    vt = fixture(name)
+    cfg = project_config(vt)
+    weights = quartic_mpcp_weights(vt) if name == "quartic" else generic_weights(vt, 1)
+    sub = regular_subdivision(cfg, weights)
+    inside = fans._barycentric_membership
+    lifted_calls = []
+
+    def recording(vertices, x):
+        if len(x) == vt.n:
+            lifted_calls.append((tuple(vertices), tuple(x)))
+        return inside(vertices, x)
+
+    monkeypatch.setattr(fans, "_barycentric_membership", recording)
+    cell_of = {lc.vertices: lc.cell for lc in lift_subdivision(sub, cfg)}
+    recorded = sorted((cell_of[v], x) for v, x in lifted_calls)
+    expected = sorted((cell, x) for cell in sub.cells for x in vt.xi
+                      if _projects_into(cfg, cell, x))
+    assert len(recorded) == len(set(recorded))
+    assert recorded == expected
+
+
 def shift_facets_off_their_ridges(monkeypatch):
     facets = fans._facets
 
@@ -345,6 +382,53 @@ def test_degenerate_config_rejected():
     pts = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(DegenerateConfig):
         _lower_hull_cells(pts, [Fraction(0)] * 3)
+
+
+@st.composite
+def facet_config(draw):
+    dim = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                        min_size=dim + 1, max_size=dim + 4, unique=True))
+    if dim > 1 and draw(st.booleans()):
+        # add every point raised in its last coordinate: the hull gains a
+        # vertical facet over each facet of its projection
+        rise = draw(st.integers(1, 3))
+        pts = sorted(set(pts) | {p[:-1] + (p[-1] + rise,) for p in pts})
+    return pts, dim
+
+
+@given(facet_config())
+@example(([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1), (2, 0, 1), (0, 2, 1)], 3))
+@example(([(0, 0), (1, 0), (3, 1), (0, 2), (1, 2)], 2))
+@settings(max_examples=80, deadline=None)
+def test_facets_match_the_subset_scan(config):
+    pts, dim = config
+    assume(_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == dim)
+    facets = fans._facets(pts, dim)
+    assert set(facets) == set(_facets_by_scan(pts, dim))
+    for contact, (g, g0) in facets.items():
+        assert len(g) == dim and all(type(x) is int for x in (*g, g0))
+        vals = [sum(gi * xi for gi, xi in zip(g, p)) for p in pts]
+        assert all(v <= g0 for v in vals)
+        assert {i for i, v in enumerate(vals) if v == g0} == contact
+
+
+def _perfbench_workloads():
+    # read by path and executed here, so nothing is written next to it
+    path = TESTS.parent / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_generic_weights_match_the_benchmark_recipe():
+    workloads = _perfbench_workloads()
+    for name in ("quartic", "cubic-fourfold", "z-manifold"):
+        vt = fixture(name)
+        for seed in range(11):
+            ours = [(",".join(map(str, p)), f"{w.numerator}/{w.denominator}")
+                    for p, w in generic_weights(vt, seed).items()]
+            assert ours == list(workloads.generic_weights(name, seed).items())
 
 
 @st.composite
