@@ -146,13 +146,25 @@ def parse_config(data) -> ToricInput:
                       b_valuations=b_valuations)
 
 
+def _unique_keys(pairs):
+    """A JSON object's pairs as a dict, refusing a key that json would overwrite."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"config: key {key!r} repeats")
+        out[key] = value
+    return out
+
+
 def load_config(path) -> ToricInput:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad or too deep JSON; not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return parse_config(data)
 

@@ -15,19 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 import random
 
 from . import CertificateFailure
 from .intlat import (
     hnf_canonicalize,
-    lcm_list,
     matrix_rank,
     nullspace,
     smith_normal_form,
     solve_int,
-    solve_linear,
 )
 from .toricdata import ValidatedToricData, resolve_weight
 
@@ -128,21 +126,16 @@ def _affine_rank(points):
     return matrix_rank(dirs)
 
 
-def _integral(vec):
-    """(g, g0) from a rational vector (g, g0) times the lcm of its denominators."""
-    den = lcm_list(x.denominator for x in vec)
-    return tuple(int(x * den) for x in vec[:-1]), int(vec[-1] * den)
-
-
 def _facets(pts, dim):
     """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
 
-    The normal is integral and points outward (pts lie where
-    <normal, x> <= offset); pts may repeat.  A simplex drops one vertex per
-    facet.  Otherwise the pivot of ``_lower_hull_cells`` finds them, on pts
-    without their last coordinate and with it, or its negative, as height
-    (lower and upper facets); the facets of that projection whose contact
-    set still spans a hyperplane are the vertical ones.
+    The normal is integral, not necessarily primitive, and points outward
+    (pts lie where <normal, x> <= offset); pts may repeat.  A simplex drops
+    one vertex per facet.  Otherwise the pivot of ``_lower_hull_cells``
+    finds them, on pts without their last coordinate and with it, or its
+    negative, as height (lower and upper facets); the facets of that
+    projection whose contact set still spans a hyperplane are the vertical
+    ones.
     """
     if dim == 0:
         return {}
@@ -156,8 +149,8 @@ def _facets(pts, dim):
         rows = [p + (1,) + tuple(-(i == k) for k in range(dim + 1))
                 for i, p in enumerate(pts)]
         for k, vec in enumerate(nullspace(rows, 2 * dim + 2)):
-            g, g0 = _integral(vec[:dim + 1])
-            facets[frozenset(range(dim + 1)) - {k}] = (tuple(-x for x in g), g0)
+            facets[frozenset(range(dim + 1)) - {k}] = (tuple(-x for x in vec[:dim]),
+                                                       vec[dim])
         return facets
     base = [p[:-1] for p in pts]
     for s in (1, -1):
@@ -183,7 +176,7 @@ def _lower_hull_cells(points, heights):
     dim = len(points[0])
     if _affine_rank(points) != dim:
         raise DegenerateConfig("configuration does not span its ambient space")
-    den = lcm_list(h.denominator for h in heights)
+    den = lcm(*(h.denominator for h in heights))
     scaled = [int(h * den) for h in heights]
 
     def rotate(func, slack, g, g0):
@@ -200,7 +193,7 @@ def _lower_hull_cells(points, heights):
                 s_t, b_t = s, b
         if b_t is None:
             return None
-        func = [b_t * x + s_t * y for x, y in zip(func, g + (-g0, 0))]
+        func = [b_t * x + s_t * y for x, y in zip(func, (*g, -g0, 0))]
         k = gcd(*func)
         slack = [(b_t * s - s_t * b) // k for s, b in zip(slack, bs)]
         contact = frozenset(i for i, s in enumerate(slack) if s == 0)
@@ -213,7 +206,7 @@ def _lower_hull_cells(points, heights):
         cpts = [points[i] for i in sorted(first)]
         if _affine_rank(cpts) == dim:
             break
-        g, g0 = _integral(nullspace([p + (-1,) for p in cpts], dim + 1)[0])
+        *g, g0 = nullspace([p + (-1,) for p in cpts], dim + 1)[0]
         func, slack, first = (rotate(func, slack, g, g0)
                               or rotate(func, slack, tuple(-x for x in g), -g0))
         if first is None:
@@ -273,7 +266,7 @@ def _perturb(cfg, cells, seed):
                 continue
             sub_ids = list(key)
             sub_pts = [cfg.coords[pid] for pid in sub_ids]
-            sub_h = [Fraction(1 if pid == q else 0) for pid in sub_ids]
+            sub_h = [1 if pid == q else 0 for pid in sub_ids]
             for sub_cell, _ in _lower_hull_cells(sub_pts, sub_h):
                 refined[tuple(sorted(sub_ids[i] for i in sub_cell))] = func
         cells = refined
@@ -351,11 +344,9 @@ def lattice_m_basis(cfg: ProjectedConfig):
 
 
 def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
-               mpcp_report: ConditionReport | None = None) -> ConditionReport:
+               mpcp_report: ConditionReport) -> ConditionReport:
     """Boundary-relevant cones (block supports omitting two indices per block)
-    must be unimodular with respect to the lattice M."""
-    if mpcp_report is None:
-        mpcp_report = check_mpcp(sub, cfg)
+    must be unimodular with respect to M; ``mpcp_report`` is check_mpcp's."""
     vt = cfg.vt
     m_basis = lattice_m_basis(cfg)
     failures = list(mpcp_report.failures)
@@ -410,14 +401,17 @@ class LiftedCell:
 
 
 def _barycentric_membership(vertices, x):
-    """x in conv(vertices) for affinely independent vertices, exactly."""
-    rows = [[v[i] for v in vertices] for i in range(len(x))]
-    rows.append([1] * len(vertices))
-    sol = solve_linear(rows, list(x) + [1])
-    if sol is None:
-        return False
-    # underdetermined systems cannot occur: the vertices are affinely independent
-    return all(t >= 0 for t in sol)
+    """x in conv(vertices) for affinely independent vertices, exactly.
+
+    A kernel vector (lam, t) of the rows [v_i | -x] and [1 ... 1 | -1] has
+    sum lam_j v_j = t x and sum lam_j = t.  For independent vertices the
+    kernel is one vector exactly when x is in their affine hull; then t > 0
+    and lam / t are the barycentric coordinates of x.
+    """
+    rows = [[v[i] for v in vertices] + [-xi] for i, xi in enumerate(x)]
+    rows.append([1] * len(vertices) + [-1])
+    kernel = nullspace(rows, len(vertices) + 1)
+    return len(kernel) == 1 and kernel[0][-1] > 0 and min(kernel[0]) >= 0
 
 
 def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell, ...]:
@@ -431,22 +425,22 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
     this input, which for an MPCP subdivision means a bug).
 
     The checks run on integers over one denominator.  A point is tested
-    against a cell only where the cell's functional attains the maximum of
-    all (the lower envelope): given the support certificates, so does every
-    cell the point projects into.
+    against the cells whose functional attains the maximum of all (the lower
+    envelope) at its projection: given the support certificates, these are
+    the cells it projects into, as each d_i e_i lies in Xi_0.
     """
     vt = cfg.vt
     block_vectors = [vt.block_vector(j) for j in range(vt.r)]
     supports = [sub.supports[cell] for cell in sub.cells]
-    den = lcm_list([h.denominator for h in sub.weights.values()]
-                   + [x.denominator for a, c in supports for x in (*a, c)])
+    den = lcm(*(h.denominator for h in sub.weights.values()),
+              *(x.denominator for a, c in supports for x in (*a, c)))
     funcs = [(tuple(int(x * den) for x in a), int(c * den)) for a, c in supports]
     # (id, lifted point, height); the block vectors stand for the origin
     lifted_config = [(pid, cfg.lifts[pid], int(sub.weights[pid] * den))
                      for pid in cfg.ids if pid != ORIGIN]
     lifted_config += [(ORIGIN, bv, 0) for bv in block_vectors]
-    projected = [(x, cfg.project(x)) for x in vt.xi]
-    values = [[sum(map(mul, a, px)) + c for a, c in funcs] for _, px in projected]
+    values = [[sum(map(mul, a, px)) + c for a, c in funcs]
+              for px in map(cfg.project, vt.xi)]
     tops = [max(vals) for vals in values]  # the lower envelope at each point
     out = []
     for k, (cell, func) in enumerate(zip(sub.cells, funcs)):
@@ -462,10 +456,8 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
             vertices.extend(block_vectors)
         if _affine_rank(vertices) != len(vertices) - 1:
             raise CellLiftFailure(cell, "lifted vertex set is affinely dependent")
-        cell_pts = [cfg.coords[pid] for pid in cell]
-        for (xi_pt, px), vals, top in zip(projected, values, tops):
-            if (vals[k] == top and _barycentric_membership(cell_pts, px)
-                    and not _barycentric_membership(vertices, xi_pt)):
+        for xi_pt, vals, top in zip(vt.xi, values, tops):
+            if vals[k] == top and not _barycentric_membership(vertices, xi_pt):
                 raise CellLiftFailure(
                     cell, "a degree-one lattice point escapes the lifted hull")
         out.append(LiftedCell(cell=cell, vertices=tuple(vertices)))

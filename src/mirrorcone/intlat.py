@@ -1,17 +1,16 @@
-"""Exact integer and rational linear algebra on small lattices.
+"""Exact integer linear algebra on small lattices.
 
-Everything here works on plain Python ints (arbitrary precision) and
-``fractions.Fraction``; no floating point enters any computation.  Matrices
-are lists of row tuples.  One integer echelon (``_echelon``, gcd row steps)
-gives Hermite forms, lattice kernels and the Smith form; one fraction-free
-Bareiss kernel gives rank, solutions and rational nullspaces.  The lattices
+Everything here works on plain Python ints (arbitrary precision); no
+floating point enters any computation.  Matrices are lists of row tuples.
+One integer echelon (``_echelon``, gcd row steps) gives Hermite forms,
+lattice kernels and the Smith form; one fraction-free Bareiss kernel gives
+rank and the rational nullspace as primitive integer vectors.  The lattices
 are tiny (rank at most ~10), so neither uses size-reduction tricks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import CertificateFailure
@@ -179,14 +178,9 @@ def _pivot_col(row):
     raise LatticeError("zero row in basis")
 
 
-def hnf_canonicalize(generators, ambient_rank=None):
+def hnf_canonicalize(generators, ambient_rank):
     """Canonical Sublattice spanned by the given generator rows."""
-    gens = [tuple(g) for g in generators]
-    if ambient_rank is None:
-        if not gens:
-            raise LatticeError("empty generator list needs explicit ambient rank")
-        ambient_rank = len(gens[0])
-    return Sublattice(ambient_rank, tuple(hnf(gens, ambient_rank)))
+    return Sublattice(ambient_rank, tuple(hnf(generators, ambient_rank)))
 
 
 def sublattice_from_congruences(ambient_rank, congruences):
@@ -264,23 +258,6 @@ def lattice_quotient(sup: Sublattice, sub: Sublattice):
     return group_from_diagonal(smith_normal_form(coeff_rows))
 
 
-def _integer_rows(rows):
-    """Each row times the lcm of its denominators, as a list of ints.
-
-    Scaling a row changes neither the rank nor the kernel, nor the solutions
-    of a system whose right-hand side is scaled along with it.
-    """
-    out = []
-    for row in rows:
-        if set(map(type, row)) <= {int}:
-            out.append(list(row))
-            continue
-        row = [Fraction(x) for x in row]
-        s = lcm_list(x.denominator for x in row)
-        out.append([x.numerator * (s // x.denominator) for x in row])
-    return out
-
-
 def _bareiss(a, ncols, reduce=False):
     """Fraction-free elimination (Bareiss 1968) of the integer rows ``a``, in place.
 
@@ -331,45 +308,30 @@ def _bareiss(a, ncols, reduce=False):
 
 
 def matrix_rank(rows):
-    """Rank of a matrix of ints or Fractions."""
-    a = _integer_rows(row for row in rows if any(row))
+    """Rank of an integer matrix."""
+    a = [list(row) for row in rows if any(row)]
     return len(_bareiss(a, len(a[0]) if a else 0)[0])
 
 
-def solve_linear(a_rows, b):
-    """Solve A x = b exactly; returns list of Fractions or None if inconsistent.
-
-    A may be rectangular; when the system is underdetermined the free
-    variables are set to zero.
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    a = _integer_rows(list(row) + [bv] for row, bv in zip(a_rows, b))
-    pivots, scale = _bareiss(a, n, reduce=True)
-    if any(row[n] for row in a[len(pivots):]):
-        return None
-    x = [Fraction(0)] * n
-    for row, col in zip(a, pivots):
-        x[col] = Fraction(row[n], scale)
-    return x
-
-
 def nullspace(rows, ncols):
-    """Basis of {x in Q^ncols : <row, x> = 0 for all rows}.
+    """Basis of {x in Q^ncols : <row, x> = 0 for all integer rows}.
 
-    One vector per free column of the reduced row echelon form: 1 at that
-    column, 0 at the other free columns.
+    One primitive integer vector per free column of the reduced row echelon
+    form, positive at that column and 0 at the other free columns.
     """
-    a = _integer_rows(rows)
+    a = [list(row) for row in rows]
     pivots, scale = _bareiss(a, ncols, reduce=True)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
+        # scale times the reduced row echelon vector (1 at free), made primitive
+        vec = [0] * ncols
+        vec[free] = scale
         for row, col in zip(a, pivots):
-            vec[col] = Fraction(-row[free], scale)
-        basis.append(tuple(vec))
+            vec[col] = -row[free]
+        g = gcd(*vec) if scale > 0 else -gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return basis
 
 
@@ -388,11 +350,4 @@ def lattice_intersection(a: Sublattice, b: Sublattice):
         u = vec[: a.rank]
         rows.append(tuple(sum(u[i] * a.basis[i][k] for i in range(a.rank))
                           for k in range(n)))
-    return hnf_canonicalize(rows, n) if rows else Sublattice(n, ())
-
-
-def lcm_list(values):
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
+    return hnf_canonicalize(rows, n)

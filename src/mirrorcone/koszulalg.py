@@ -296,6 +296,8 @@ def _j_piece_slices(blocks, n, cls):
     return slices
 
 
+# cached, like _ideal_generators: pure in hashable arguments, results only read
+@cache
 def _expand_slice_monomials(blocks, dist):
     """u-monomial expansions of the basis prod_j w_{S_j} of one wedge distribution."""
     elems = [{0: 1}]
@@ -304,6 +306,7 @@ def _expand_slice_monomials(blocks, dist):
     return elems
 
 
+@cache
 def _ideal_generators(blocks):
     """The generators z^{e_I_j - e_K} g_K of the ideal, K a nonzero submask of block j.
 

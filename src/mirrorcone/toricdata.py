@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from . import CertificateFailure
 from .intlat import (
@@ -20,7 +21,6 @@ from .intlat import (
     contains,
     hnf_canonicalize,
     lattice_quotient,
-    lcm_list,
     quotient_group,
     sublattice_from_congruences,
 )
@@ -189,7 +189,7 @@ def validate(inp: ToricInput) -> ValidatedToricData:
         if not contains(m_bar, v):
             raise MissingGenerator(f"e_I_j missing for block {j}: {v}")
 
-    d = lcm_list(inp.degrees)
+    d = lcm(*inp.degrees)
     q = tuple(d // di for di in inp.degrees)
     for row in m_bar.basis:
         pairing = sum(qi * mi for qi, mi in zip(q, row))

@@ -26,8 +26,9 @@ QUARTIC_CFG = {
 
 
 def write_cfg(tmp_path, data, name="cfg.json"):
+    """Write data as JSON; a string is written as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -185,13 +186,19 @@ def _quartic_with(**changes):
     (_quartic_with(**{"lambda": {"00,0,0,4": "1/2", "0,0,0,4": "3"}}), 2),
     (_quartic_with(b_valuations={"0,0,0,4": "1/2", "0,0,0,+4": "3"}), 2),
     (_quartic_with(b_valuations={"0,0,0,4": "1/2", "0,0,0,04": "3"}), 2),
+    # a dict cannot repeat a key, so these two are written out as JSON text
+    (json.dumps(_quartic_with(**{"lambda": {"0,0,0,4": "1/2"}}))
+     .replace('"0,0,0,4": "1/2"', '"0,0,0,4": "1/2", "0,0,0,4": "3"'), 2),
+    (json.dumps(QUARTIC_CFG)[:-1] + ', "d": [4, 4, 4, 4]}', 2),
+    ("[" * 100_000 + "]" * 100_000, 2),
 ], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
         "b-valuations-list", "zero-degree", "mod-zero", "mod-negative",
         "congruences-int", "generators-int", "d-string", "block-string",
         "c-string", "v-string", "d-float", "mod-float", "c-bool", "lattice-both",
         "lambda-exponent", "b-valuation-negative-exponent", "lambda-float",
         "lambda-key-space", "lambda-key-underscore", "lambda-key-arabic-indic-digits",
-        "lambda-key-twice", "b-valuation-key-plus", "b-valuation-key-twice"])
+        "lambda-key-twice", "b-valuation-key-plus", "b-valuation-key-twice",
+        "lambda-json-key-repeated", "top-level-key-repeated", "json-nested-too-deep"])
 def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
     proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
     assert proc.returncode == code
@@ -205,6 +212,10 @@ def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
         assert "lattice needs exactly one of congruences or generators" in proc.stderr
     if request.node.callspec.id.endswith("-twice"):
         assert "repeats (0, 0, 0, 4)" in proc.stderr
+    if request.node.callspec.id == "lambda-json-key-repeated":
+        assert "key '0,0,0,4' repeats" in proc.stderr
+    if request.node.callspec.id == "top-level-key-repeated":
+        assert "key 'd' repeats" in proc.stderr
 
 
 def test_too_many_xi_candidates_exit_1(tmp_path):

@@ -205,7 +205,7 @@ def test_zmanifold_mpcs_equals_mpcp_uniform():
     vt = fixture("cubic-fourfold")
     cfg = project_config(vt)
     sub = regular_subdivision(cfg, Fraction(1))
-    report = check_mpcs(sub, cfg)
+    report = check_mpcs(sub, cfg, check_mpcp(sub, cfg))
     assert report.mpcs == report.mpcp
 
 
@@ -293,26 +293,64 @@ def _projects_into(cfg, cell, xi_pt):
 @pytest.mark.parametrize("name", ["quartic", "cubic-fourfold"])
 def test_lift_tests_each_point_against_the_cells_it_projects_into(monkeypatch, name):
     # the envelope candidates lose no pair: the lifted-hull calls are exactly
-    # the (cell, Xi point) pairs whose projection lies in the cell
+    # the (cell, Xi point) pairs whose projection lies in the cell, and no
+    # membership test runs on a projected point
     vt = fixture(name)
     cfg = project_config(vt)
     weights = quartic_mpcp_weights(vt) if name == "quartic" else generic_weights(vt, 1)
     sub = regular_subdivision(cfg, weights)
     inside = fans._barycentric_membership
-    lifted_calls = []
+    calls = []
 
     def recording(vertices, x):
-        if len(x) == vt.n:
-            lifted_calls.append((tuple(vertices), tuple(x)))
+        calls.append((tuple(vertices), tuple(x)))
         return inside(vertices, x)
 
     monkeypatch.setattr(fans, "_barycentric_membership", recording)
     cell_of = {lc.vertices: lc.cell for lc in lift_subdivision(sub, cfg)}
-    recorded = sorted((cell_of[v], x) for v, x in lifted_calls)
+    assert not [x for _, x in calls if len(x) == cfg.dim]
+    recorded = sorted((cell_of[v], x) for v, x in calls)
     expected = sorted((cell, x) for cell in sub.cells for x in vt.xi
                       if _projects_into(cfg, cell, x))
     assert len(recorded) == len(set(recorded))
     assert recorded == expected
+
+
+@st.composite
+def simplex_and_point(draw, kind):
+    """Affinely independent integer vertices, scaled by the weight sum W, and
+    the point sum w_i v_i: barycentric coordinates w / W when on the hull."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, k + 2))
+    coord = st.integers(-4, 4)
+    vertices = draw(st.lists(st.tuples(*[coord] * n), min_size=k + 1, max_size=k + 1))
+    dirs = [[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]]
+    assume(_rank(dirs) == k)
+    weights = [draw(st.integers(1, 4)) for _ in range(k + 1)]
+    if kind == "face":
+        weights[0] = 0
+    elif kind == "outside":
+        weights[0] = draw(st.integers(-4, -1))
+        weights[-1] += max(0, 1 - sum(weights))
+    total = sum(weights)
+    point = [sum(w * v[c] for w, v in zip(weights, vertices)) for c in range(n)]
+    if kind == "off":
+        offset = draw(st.tuples(*[coord] * n))
+        assume(_rank(dirs + [list(offset)]) == k + 1)
+        point = [x + y for x, y in zip(point, offset)]
+    return [tuple(total * x for x in v) for v in vertices], tuple(point)
+
+
+@pytest.mark.parametrize("kind", ["inside", "face", "outside", "off"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_barycentric_membership_matches_oracle_solve(kind, data):
+    vertices, x = data.draw(simplex_and_point(kind))
+    rows = [[v[c] for v in vertices] for c in range(len(x))] + [[1] * len(vertices)]
+    sol = _solve(rows, list(x) + [1])
+    expected = sol is not None and all(t >= 0 for t in sol)
+    assert expected == (kind in ("inside", "face"))
+    assert fans._barycentric_membership(vertices, x) == expected
 
 
 def shift_facets_off_their_ridges(monkeypatch):
