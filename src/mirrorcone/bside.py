@@ -4,9 +4,13 @@ Coefficients are formal units: a block term carries the unit -1, a
 distinguished-monomial term carries a named symbol with a valuation.  Every
 identity checked here (weighted homogeneity, the sign flip, delta^2 = W) is
 coefficient-agnostic, so no series arithmetic is needed.  A polynomial
-element is one flat map from (z-exponent, odd-generator bitmask, coefficient
-symbols) to an integer, and one Koszul operator serves both delta and the
-dual differential.
+element is one flat map from (packed monomial, odd-generator bitmask) to an
+integer, and one Koszul operator serves both delta and the dual
+differential.  The packed monomial is one int whose base-2^B digits are the
+n z-exponents followed by one count per coefficient symbol, so multiplying
+two monomials is one int addition.  B is chosen from the data so that 2^B
+exceeds every digit of a product of two entries (the most any check forms):
+no addition carries, and the packing is injective on everything compared.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from operator import eq
 
 from . import CertificateFailure
 from .grading import GradingData, deg_equal
@@ -102,41 +106,40 @@ def check_wflips(w: Superpotential) -> bool:
 
 # ---------------------------------------------------------------------------
 # Koszul matrix factorization.  An element of the free module S[phi] is one
-# flat map {(zexp, mask, symbols): int}: bit i of the int mask is the odd
+# flat map {(monomial, mask): int}: bit i of the int mask is the odd
 # generator phi_i, products of generators are kept in increasing index order,
-# and symbols is a sorted tuple of coefficient symbols (empty = numeric
-# unit).  A polynomial such as W_i or z_i is a tuple of (sign, symbols,
-# exponent) entries.
+# and monomial is z^a times the coefficient symbols packed by KoszulMF.pack.
+# A product of monomials is their sum, which never carries because 2^B
+# exceeds every digit of a product of two entries.  A polynomial such as W_i
+# or z_i is a tuple of (sign, monomial) entries.
 
 
 def koszul_operator(elem, contract, insert):
     """Apply sum_i contract[i] d/dx_i + insert[i] x_i to a flat element.
 
     x_i is the odd generator of bit i; contract[i] and insert[i] are
-    polynomials given as (sign, symbols, exponent) entries.
+    polynomials given as (sign, packed monomial) entries.
     """
     out = {}
-    for (zexp, mask, syms), coeff in elem.items():
+    for (mono, mask), coeff in elem.items():
         for i in range(len(insert)):
             bit = 1 << i
             # d/dx_i and x_i both move x_i past the generators below it
             c = coeff * front_sign(mask, i)
-            for sign, esyms, eexp in contract[i] if mask & bit else insert[i]:
-                key = (tuple(map(add, zexp, eexp)), mask ^ bit,
-                       tuple(sorted(syms + esyms)))
+            for sign, m in contract[i] if mask & bit else insert[i]:
+                key = (mono + m, mask ^ bit)
                 out[key] = out.get(key, 0) + sign * c
     return {key: c for key, c in out.items() if c}
 
 
 def _negated(polys):
-    return tuple(tuple((-sign, syms, exp) for sign, syms, exp in p) for p in polys)
+    return tuple(tuple((-sign, m) for sign, m in p) for p in polys)
 
 
 def _check_every_basis_element(n, holds, failure, what):
     """Raise failure unless holds(mask, phi_mask) for each of the 2^n basis masks."""
-    zero = (0,) * n
     for mask in range(1 << n):
-        if not holds(mask, {(zero, mask, ()): 1}):
+        if not holds(mask, {(0, mask): 1}):
             raise failure(f"{what}{tuple(bits(mask))}")
 
 
@@ -159,16 +162,50 @@ class KoszulMF:
         return tuple(((1, (), tuple(int(k == i) for k in range(n))),)
                      for i in range(n))
 
+    def _entries(self):
+        """Every (sign, symbols, exponent) entry of z, the splits and W."""
+        return [*(e for p in (*self.z, *self.splits) for e in p),
+                *((t.sign, t.symbol(), t.exponent) for t in self.w.terms)]
+
+    @cached_property
+    def width(self):
+        """Digit width B of a packed monomial: 2^B exceeds twice the largest
+        digit (exponent or symbol count) of any entry, hence every digit of a
+        product of two entries."""
+        return (2 * max(max((*exp, *map(syms.count, syms)))
+                        for _, syms, exp in self._entries())).bit_length()
+
+    @cached_property
+    def _symbol_digit(self):
+        """Digit index n + k of the k-th coefficient symbol in sorted order."""
+        symbols = sorted({s for _, syms, _ in self._entries() for s in syms})
+        return {s: self.n + k for k, s in enumerate(symbols)}
+
+    def pack(self, exponent, symbols=()):
+        """z^exponent times the coefficient symbols as one packed monomial."""
+        b = self.width
+        return (sum(e << b * k for k, e in enumerate(exponent))
+                + sum(1 << b * self._symbol_digit[s] for s in symbols))
+
+    @cached_property
+    def packed_z(self):
+        return tuple(((1, 1 << self.width * i),) for i in range(self.n))
+
+    @cached_property
+    def packed_splits(self):
+        return tuple(tuple((sign, self.pack(exp, syms)) for sign, syms, exp in p)
+                     for p in self.splits)
+
     def delta(self, elem):
-        return koszul_operator(elem, self.z, self.splits)
+        return koszul_operator(elem, self.packed_z, self.packed_splits)
 
     def verify_factorization(self):
         """delta^2 = W * id on every basis element phi_S."""
-        w = [(t.sign, t.symbol(), t.exponent) for t in self.w.terms]
+        w = [(self.pack(t.exponent, t.symbol()), t.sign) for t in self.w.terms]
         _check_every_basis_element(
             self.n,
             lambda mask, basis: self.delta(self.delta(basis))
-            == {(exp, mask, syms): sign for sign, syms, exp in w},
+            == {(m, mask): sign for m, sign in w},
             FactorizationCheckFailed, "delta^2 != W*id on basis element ")
         return True
 
@@ -211,9 +248,10 @@ class DualizationReport:
     intertwines: bool
 
 
-def dualize_mf(mf: KoszulMF) -> DualizationReport:
-    """Check that the standard comparison map intertwines the pulled-back dual
-    differential with delta, and report its degree r - |I|.
+def intertwining_sides(mf: KoszulMF):
+    """The two sides of the intertwining identity as a function of a theta
+    basis element: (comparison map after the dual differential, delta after
+    the comparison map), both as packed flat elements.
 
     The dual differential on S[theta] is sum_i(-z_i theta_i - W_i d/dtheta_i)
     (the coefficient involution composed with the theta rescaling), i.e. the
@@ -221,9 +259,8 @@ def dualize_mf(mf: KoszulMF) -> DualizationReport:
     theta_{i_1}..theta_{i_k} to (-1)^k d/dphi_{i_1} .. d/dphi_{i_k} applied
     to phi_1..phi_n.
     """
-    vt = mf.vt
-    n = vt.n
-    contract, insert = _negated(mf.splits), _negated(mf.z)
+    n = mf.n
+    contract, insert = _negated(mf.packed_splits), _negated(mf.packed_z)
     full = (1 << n) - 1
 
     def comparison(mask):
@@ -236,16 +273,25 @@ def dualize_mf(mf: KoszulMF) -> DualizationReport:
             remaining ^= 1 << i
         return sign * (-1) ** mask.bit_count(), remaining
 
+    images = [comparison(mask) for mask in range(1 << n)]
+
     def map_elem(elem):
         out = {}
-        for (zexp, mask, syms), coeff in elem.items():
-            sign, image = comparison(mask)
-            out[(zexp, image, syms)] = sign * coeff
+        for (mono, mask), coeff in elem.items():
+            sign, image = images[mask]
+            out[(mono, image)] = sign * coeff
         return out
 
+    return lambda elem: (map_elem(koszul_operator(elem, contract, insert)),
+                         mf.delta(map_elem(elem)))
+
+
+def dualize_mf(mf: KoszulMF) -> DualizationReport:
+    """Check that the standard comparison map intertwines the pulled-back dual
+    differential with delta on every theta basis element, and report its
+    degree r - |I|."""
+    sides = intertwining_sides(mf)
     _check_every_basis_element(
-        n,
-        lambda mask, basis: map_elem(koszul_operator(basis, contract, insert))
-        == mf.delta(map_elem(basis)),
+        mf.n, lambda mask, basis: eq(*sides(basis)),
         IntertwineCheckFailed, "comparison map fails on theta_")
-    return DualizationReport(iso_degree=vt.r - n, intertwines=True)
+    return DualizationReport(iso_degree=mf.vt.r - mf.n, intertwines=True)

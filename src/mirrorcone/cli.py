@@ -33,6 +33,7 @@ class ConfigError(ValueError):
 # and Fraction exponents too, expanding "1e999999999" in full.
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _EXPONENT_KEY = re.compile(r"-?[0-9]+(,-?[0-9]+)*")
+_CONFIG_KEYS = ("blocks", "d", "lattice", "lambda", "v", "b_valuations")
 
 
 def _parse_fraction(value, where):
@@ -90,6 +91,10 @@ def parse_config(data) -> ToricInput:
     """Build a ToricInput from the JSON config structure (1-based blocks)."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    unknown = [key for key in data if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"config: unknown keys {unknown}, expected some of "
+                          f"{', '.join(_CONFIG_KEYS)}")
     for key in ("blocks", "d", "lattice"):
         if key not in data:
             raise ConfigError(f"config: missing field {key!r}")

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: lattice membership via
 subgroup closure in a finite quotient, point enumeration by box scan with the
 congruences applied directly, subdivisions by scanning all candidate
-supporting hyperplanes, and volumes by a pulling triangulation over a facet
-scan of their own.  Nothing here imports mirrorcone.
+supporting hyperplanes, volumes by a pulling triangulation over a facet
+scan of their own, and the Koszul factorization on readable tuple keys.
+Nothing here imports mirrorcone.
 """
 
 from fractions import Fraction
@@ -299,3 +300,71 @@ def subdivision_volume(sub, cfg):
     """Sum of the normalized volumes of the cells of a subdivision."""
     return sum((normalized_volume([cfg.coords[pid] for pid in cell])
                 for cell in sub.cells), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Koszul factorization on readable keys: an element is {(z-exponent, mask,
+# sorted coefficient symbols): int}, bit i of mask the odd generator x_i,
+# products of generators in increasing index order; a polynomial is a tuple
+# of (sign, symbols, exponent) entries.
+
+
+def _sign_past_lower_generators(mask, i):
+    """(-1)^(number of generators of mask below i)."""
+    return -1 if sum(1 for k in range(i) if mask >> k & 1) % 2 else 1
+
+
+def koszul_operator_by_tuples(elem, contract, insert):
+    """sum_i contract[i] d/dx_i + insert[i] x_i applied to a tuple-keyed element."""
+    out = {}
+    for (zexp, mask, syms), coeff in elem.items():
+        for i in range(len(insert)):
+            c = coeff * _sign_past_lower_generators(mask, i)
+            for sign, esyms, eexp in contract[i] if mask >> i & 1 else insert[i]:
+                key = (tuple(a + b for a, b in zip(zexp, eexp)), mask ^ 1 << i,
+                       tuple(sorted(syms + esyms)))
+                out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _z_polys(n):
+    return tuple(((1, (), tuple(int(k == i) for k in range(n))),) for i in range(n))
+
+
+def _negated_polys(polys):
+    return tuple(tuple((-s, syms, e) for s, syms, e in p) for p in polys)
+
+
+def _basis(n, mask):
+    return {((0,) * n, mask, ()): 1}
+
+
+def koszul_delta_squared(n, splits, mask):
+    """delta(delta(phi_mask)) for delta = sum_i z_i d/dphi_i + W_i phi_i."""
+    z = _z_polys(n)
+    return koszul_operator_by_tuples(
+        koszul_operator_by_tuples(_basis(n, mask), z, splits), z, splits)
+
+
+def _comparison(n, elem):
+    """theta_{i_1}..theta_{i_k} -> (-1)^k d/dphi_{i_1}..d/dphi_{i_k}(phi_1..phi_n),
+    the contractions applied one at a time, the rightmost first."""
+    out = {}
+    for (zexp, mask, syms), coeff in elem.items():
+        image = {((0,) * n, (1 << n) - 1, ()): (-1) ** bin(mask).count("1")}
+        for i in reversed([k for k in range(n) if mask >> k & 1]):
+            unit = tuple(((1, (), (0,) * n),) if k == i else () for k in range(n))
+            image = koszul_operator_by_tuples(image, unit, ((),) * n)
+        ((_, phi_mask, _), sign), = image.items()
+        out[(zexp, phi_mask, syms)] = sign * coeff
+    return out
+
+
+def koszul_intertwining_sides(n, splits, mask):
+    """(comparison(dual(theta_mask)), delta(comparison(theta_mask))) for the
+    dual differential sum_i(-z_i theta_i - W_i d/dtheta_i)."""
+    z = _z_polys(n)
+    dual = koszul_operator_by_tuples(_basis(n, mask), _negated_polys(splits),
+                                     _negated_polys(z))
+    return (_comparison(n, dual),
+            koszul_operator_by_tuples(_comparison(n, _basis(n, mask)), z, splits))

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from mirrorcone.cli import fixture_config_json, main
 from mirrorcone.fixtures import fixture
 from mirrorcone.grading import build_grading_data
 from mirrorcone.toricdata import LatticeSpec, ToricInput, UnknownMonomial, validate
+from oracles import koszul_delta_squared, koszul_intertwining_sides
 
 TERM_COUNTS = {"elliptic": 4, "quartic": 23, "cubic-fourfold": 26, "z-manifold": 39}
 ISO_DEGREES = {"elliptic": -2, "quartic": -3, "cubic-fourfold": -4, "z-manifold": -6}
@@ -126,6 +128,41 @@ def test_split_reassembles_w():
     assert rebuilt == expected
 
 
+def _packed(mf, elem):
+    """A tuple-keyed oracle element on mf's packed keys; the packing must not merge keys."""
+    out = {(mf.pack(exp, syms), mask): c for (exp, mask, syms), c in elem.items()}
+    assert len(out) == len(elem)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TERM_COUNTS))
+def test_packed_certificate_matches_the_tuple_oracle(name):
+    w = build_superpotential(fixture(name))
+    mf = build_koszul_mf(w)
+    sides = bside.intertwining_sides(mf)
+    for mask in range(1 << mf.n):
+        square = koszul_delta_squared(mf.n, mf.splits, mask)
+        assert square == {(t.exponent, mask, t.symbol()): t.sign for t in w.terms}
+        basis = {(0, mask): 1}
+        assert mf.delta(mf.delta(basis)) == _packed(mf, square)
+        lhs, rhs = koszul_intertwining_sides(mf.n, mf.splits, mask)
+        assert lhs == rhs
+        assert sides(basis) == (_packed(mf, lhs), _packed(mf, rhs))
+
+
+@pytest.mark.parametrize("name", sorted(TERM_COUNTS))
+def test_packing_width_exceeds_every_digit_of_a_sum_of_two_entries(name):
+    # a base-2^B digit holds 0 .. 2^B - 1, so no sum of two entries carries
+    w = build_superpotential(fixture(name))
+    mf = build_koszul_mf(w)
+    symbols = sorted({s for t in w.terms for s in t.symbol()})
+    entries = [(syms, exp) for p in (*mf.z, *mf.splits) for _, syms, exp in p]
+    entries += [(t.symbol(), t.exponent) for t in w.terms]
+    digits = [(*exp, *(syms.count(s) for s in symbols)) for syms, exp in entries]
+    top = max(a + b for d1, d2 in product(digits, repeat=2) for a, b in zip(d1, d2))
+    assert 2 ** mf.width > top
+
+
 def _with_one_split_sign_flipped(mf):
     (sign, syms, exp), *rest = mf.splits[0]
     return dataclasses.replace(mf, splits=(((-sign, syms, exp), *rest),) + mf.splits[1:])
@@ -151,9 +188,9 @@ def test_flipped_dual_sign_fails_intertwining(monkeypatch):
     operator = bside.koszul_operator
 
     def dual_with_one_sign_flipped(elem, contract, insert):
-        if insert is not mf.splits:
+        if insert is not mf.packed_splits:
             # the dual operator: -z_0 theta_0 becomes +z_0 theta_0
-            insert = (tuple((-s, syms, e) for s, syms, e in insert[0]),) + insert[1:]
+            insert = (tuple((-s, m) for s, m in insert[0]),) + insert[1:]
         return operator(elem, contract, insert)
 
     monkeypatch.setattr(bside, "koszul_operator", dual_with_one_sign_flipped)

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -13,7 +14,8 @@ from mirrorcone import toricdata
 from mirrorcone.cli import load_config, main, parse_config, ConfigError
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.intlat import FiniteAbelianGroup
-from mirrorcone.report import ALL_SECTIONS, build_report, write_json
+from mirrorcone.report import ALL_SECTIONS, build_report, input_echo, write_json
+from tests_support import random_admissible_v
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mirrorcone"
 
@@ -191,6 +193,8 @@ def _quartic_with(**changes):
      .replace('"0,0,0,4": "1/2"', '"0,0,0,4": "1/2", "0,0,0,4": "3"'), 2),
     (json.dumps(QUARTIC_CFG)[:-1] + ', "d": [4, 4, 4, 4]}', 2),
     ("[" * 100_000 + "]" * 100_000, 2),
+    ({("lamda" if k == "lambda" else k): v for k, v in QUARTIC_CFG.items()}, 2),
+    (_quartic_with(extra=5), 2),
 ], ids=["congruence-without-c", "short-c", "short-generator", "short-v",
         "b-valuations-list", "zero-degree", "mod-zero", "mod-negative",
         "congruences-int", "generators-int", "d-string", "block-string",
@@ -198,7 +202,8 @@ def _quartic_with(**changes):
         "lambda-exponent", "b-valuation-negative-exponent", "lambda-float",
         "lambda-key-space", "lambda-key-underscore", "lambda-key-arabic-indic-digits",
         "lambda-key-twice", "b-valuation-key-plus", "b-valuation-key-twice",
-        "lambda-json-key-repeated", "top-level-key-repeated", "json-nested-too-deep"])
+        "lambda-json-key-repeated", "top-level-key-repeated", "json-nested-too-deep",
+        "top-level-key-lamda", "top-level-key-extra"])
 def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
     proc = run_cli(["analyze", write_cfg(tmp_path, cfg)])
     assert proc.returncode == code
@@ -216,6 +221,26 @@ def test_malformed_config_exits_cleanly(tmp_path, cfg, code, request):
         assert "key '0,0,0,4' repeats" in proc.stderr
     if request.node.callspec.id == "top-level-key-repeated":
         assert "key 'd' repeats" in proc.stderr
+    if request.node.callspec.id == "top-level-key-lamda":
+        assert "unknown keys ['lamda']" in proc.stderr
+    if request.node.callspec.id == "top-level-key-extra":
+        assert "unknown keys ['extra']" in proc.stderr
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_every_echoed_config_loads_again(tmp_path, capsys, name):
+    # what `examples show` prints and what a report echoes, with v and
+    # b_valuations set so that every top-level key is written out
+    assert main(["examples", "show", name]) == 0
+    shown = json.loads(capsys.readouterr().out)
+    vt = toricdata.validate(load_config(write_cfg(tmp_path, shown)))
+    assert input_echo(vt) == shown
+    full = dict(shown, v=list(random_admissible_v(vt, random.Random(7))),
+                b_valuations={",".join(map(str, vt.xi0[0])): "3/2"})
+    vt = toricdata.validate(load_config(write_cfg(tmp_path, full)))
+    echo = input_echo(vt)
+    assert sorted(echo) == sorted(["blocks", "d", "lattice", "lambda", "v", "b_valuations"])
+    assert input_echo(toricdata.validate(load_config(write_cfg(tmp_path, echo)))) == echo
 
 
 def test_too_many_xi_candidates_exit_1(tmp_path):
@@ -355,6 +380,8 @@ def test_run_fixtures_script_writes_the_reports_build_report_makes(tmp_path):
     expected = io.StringIO()
     write_json(build_report(fixture("elliptic"), sections, algebra_cutoff=4), expected)
     assert (tmp_path / "elliptic.json").read_text() == expected.getvalue()
+    zmanifold = json.loads((tmp_path / "z-manifold.json").read_text())
+    assert "fans" in zmanifold["sections"]
 
 
 def test_failed_certificate_exits_3(tmp_path, monkeypatch, capsys):
