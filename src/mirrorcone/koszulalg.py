@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
+from operator import itemgetter
 
 from . import CertificateFailure
 from .intlat import matrix_rank
@@ -179,16 +180,20 @@ def koszul_cohomology_dim_for_class(blocks, n, cls):
 
 @dataclass(frozen=True)
 class GradedDims:
-    """Finitely many degree classes with their dimensions (zeros omitted)."""
+    """Finitely many degree classes with their dimensions (zeros omitted).
 
-    dims: tuple  # sorted tuple of ((jhat, mhat), dim)
+    From ``tensor_j_dims`` (r > 1), a class outside the cutoff's
+    ``degree_classes`` carries a partial convolution sum."""
+
+    rows: tuple  # sorted tuple of flat rows (jhat, *mhat, dim)
+
+    @property
+    def dims(self):
+        """Sorted tuple of ((jhat, mhat), dim)."""
+        return tuple(((row[0], row[1:-1]), row[-1]) for row in self.rows)
 
     def as_dict(self):
         return dict(self.dims)
-
-    def to_json(self):
-        return [{"deg": {"j": c[0], "m": list(c[1])}, "dim": d}
-                for c, d in self.dims]
 
 
 def _single_block(n, cutoff):
@@ -200,7 +205,7 @@ def _single_block(n, cutoff):
 
 def _graded_dims(dim_of, blocks, n, z_cutoff) -> GradedDims:
     dims = ((cls, dim_of(cls)) for cls in degree_classes(blocks, n, z_cutoff))
-    return GradedDims(tuple((cls, d) for cls, d in dims if d))
+    return GradedDims(tuple((j, *m, d) for (j, m), d in dims if d))
 
 
 def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
@@ -399,26 +404,29 @@ def tensor_j_dims(vt: ValidatedToricData, z_cutoff) -> GradedDims:
     its tensor decompositions covered (a class reachable on the theta side at
     degree c can need per-block quotient-algebra representatives of degree up
     to c plus the block size); the margin is validated against the direct
-    multi-block computation in the tests.
+    multi-block computation in the tests.  Every nonzero entry is returned,
+    so for r > 1 a class outside ``degree_classes(vt.blocks, vt.n, z_cutoff)``
+    gets a partial sum.  Keys are flat, (j, m of block 1, m of block 2, ...);
+    one itemgetter puts m back in index order.
     """
     if z_cutoff < max(len(b) for b in vt.blocks):
         raise CutoffTooSmall("cutoff below the largest block size")
-    tables = {nb: j_algebra_dims(nb, z_cutoff + nb + 1).as_dict()
+    tables = {nb: [(j, m, d) for (j, m), d in
+                   j_algebra_dims(nb, z_cutoff + nb + 1).dims]
               for nb in {len(blk) for blk in vt.blocks}}
-    total = {(0, (0,) * vt.n): 1}
+    total = {(0,): 1}
     for blk in vt.blocks:
-        positions = sorted(blk)
         nxt = {}
-        for (j1, m1), d1 in total.items():
-            for (j2, m2loc), d2 in tables[len(blk)].items():
-                m = list(m1)
-                for i, x in zip(positions, m2loc):
-                    m[i] += x
-                key = (j1 + j2, tuple(m))
+        for (j1, *rest), d1 in total.items():
+            rest = tuple(rest)
+            for j2, m2, d2 in tables[len(blk)]:
+                key = (j1 + j2,) + rest + m2
                 nxt[key] = nxt.get(key, 0) + d1 * d2
         total = nxt
-    out = tuple(sorted((cls, d) for cls, d in total.items() if d))
-    return GradedDims(out)
+    order = [i for blk in vt.blocks for i in sorted(blk)]
+    in_index_order = itemgetter(0, *(1 + order.index(i) for i in range(vt.n)))
+    return GradedDims(tuple(sorted(in_index_order(key) + (d,)
+                                   for key, d in total.items() if d)))
 
 
 # --- sign action and deformation classes ----------------------------------

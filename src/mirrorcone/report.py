@@ -4,7 +4,8 @@ Every collection is sorted and every rational exact, so re-running on
 identical input yields byte-identical JSON (no timestamps, no floats, fixed
 version string).  ``write_json`` streams a report as exactly the text of
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, in joined
-batches, so the report's text is never all in memory at once.
+batches, so the report's text is never all in memory at once.  The algebra
+section holds its ``GradedDims``, which the writer formats from one template.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .grading import (
     p_injective_mod_z,
 )
 from .koszulalg import (
+    GradedDims,
     enumerate_curvature_candidates,
     enumerate_deformation_classes,
     koszul_cohomology_dims,
@@ -183,7 +185,7 @@ def section_algebra(vt, cutoff):
         dims = tensor_j_dims(vt, cutoff)
     return {
         "cutoff": cutoff,
-        "graded_dims": dims.to_json(),
+        "graded_dims": dims,
         "deformation_classes": {
             "surviving": [list(b) for b in classes.surviving],
             "killed_in_ideal": [list(b) for b in classes.killed_in_ideal],
@@ -240,9 +242,11 @@ def write_json(obj, fh):
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` to ``fh``.
 
     Takes the value types a report holds: dict with str keys, list, tuple,
-    str, int, bool and None; any other type raises TypeError.  The tree is
-    walked once, a list of plain ints is joined in one step, and the text
-    goes to ``fh.write`` in batches of about _BATCH_CHUNKS chunks.
+    str, int, bool, None and GradedDims, whose rows are written as the dicts
+    ``{"deg": {"j": j, "m": m}, "dim": dim}`` from one row template built at
+    their indent; any other type raises TypeError.  The tree is walked once,
+    a list of plain ints is joined in one step, and the text goes to
+    ``fh.write`` in batches of about _BATCH_CHUNKS chunks (or lines of rows).
     """
     chunks = []
     append = chunks.append
@@ -290,6 +294,25 @@ def write_json(obj, fh):
                     append(head)
                     emit(value, inner)
             append(nl + "}" if o else "{}")
+        elif isinstance(o, GradedDims):
+            rows = o.rows
+            if not rows:
+                append("[]")
+            else:
+                # the text of {"deg": {"j": j, "m": m}, "dim": dim} at this
+                # indent, one %d per entry of a flat row (j, *m, dim)
+                inner, i1, i2, i3 = (nl + "  " * k for k in range(1, 5))
+                m = "[" + i3 + ("," + i3).join(["%d"] * (len(rows[0]) - 2)) + i2 + "]"
+                row = (inner + "{" + i1 + '"deg": {' + i2 + '"j": %d,' + i2 + '"m": '
+                       + m + i1 + "}," + i1 + '"dim": %d' + inner + "}")
+                append(("[" + row) % rows[0])
+                step = _BATCH_CHUNKS // row.count("\n")
+                row = "," + row
+                for k in range(1, len(rows), step):
+                    fh.write("".join(chunks))
+                    chunks.clear()
+                    chunks.extend(map(row.__mod__, rows[k:k + step]))
+                append(nl + "]")
         else:
             raise TypeError(f"cannot write {type(o).__name__} into a report")
 

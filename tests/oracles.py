@@ -4,8 +4,9 @@ These deliberately avoid the code paths they check: lattice membership via
 subgroup closure in a finite quotient, point enumeration by box scan with the
 congruences applied directly, subdivisions by scanning all candidate
 supporting hyperplanes, volumes by a pulling triangulation over a facet
-scan of their own, and the Koszul factorization on readable tuple keys.
-Nothing here imports mirrorcone.
+scan of their own, the Koszul factorization on readable tuple keys, and the
+convolution of graded-dims tables on (j, m) tuple keys.  Nothing here imports
+mirrorcone.
 """
 
 from fractions import Fraction
@@ -368,3 +369,33 @@ def koszul_intertwining_sides(n, splits, mask):
                                      _negated_polys(z))
     return (_comparison(n, dual),
             koszul_operator_by_tuples(_comparison(n, _basis(n, mask)), z, splits))
+
+
+# ---------------------------------------------------------------------------
+# Graded dimensions on (j, m) tuple keys.
+
+
+def graded_rows_as_dicts(dims):
+    """The report rows of a graded-dims table, one dict per ((j, m), dim) of dims.dims."""
+    return [{"deg": {"j": j, "m": list(m)}, "dim": d} for (j, m), d in dims.dims]
+
+
+def convolve_block_tables(blocks, n, tables):
+    """Convolution of per-block tables in the total datum, block by block.
+
+    tables maps a block size to {(j, m_local): dim}, m_local in the block's
+    sorted index order.  Returns the sorted nonzero ((j, m), dim) pairs.
+    """
+    total = {(0, (0,) * n): 1}
+    for blk in blocks:
+        positions = sorted(blk)
+        nxt = {}
+        for (j1, m1), d1 in total.items():
+            for (j2, m2loc), d2 in tables[len(blk)].items():
+                m = list(m1)
+                for i, x in zip(positions, m2loc):
+                    m[i] += x
+                key = (j1 + j2, tuple(m))
+                nxt[key] = nxt.get(key, 0) + d1 * d2
+        total = nxt
+    return tuple(sorted((cls, d) for cls, d in total.items() if d))

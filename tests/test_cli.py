@@ -15,6 +15,7 @@ from mirrorcone.cli import load_config, main, parse_config, ConfigError
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.intlat import FiniteAbelianGroup
 from mirrorcone.report import ALL_SECTIONS, build_report, input_echo, write_json
+from oracles import graded_rows_as_dicts
 from tests_support import random_admissible_v
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mirrorcone"
@@ -363,6 +364,8 @@ def test_analyze_writes_the_same_bytes_to_stdout_and_out_file(tmp_path):
     assert stdout.returncode == to_file.returncode == 0
     report = build_report(toricdata.validate(load_config(cfg)), ALL_SECTIONS,
                           algebra_cutoff=4)
+    algebra = report["sections"]["algebra"]
+    algebra["graded_dims"] = graded_rows_as_dicts(algebra["graded_dims"])
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert stdout.stdout == text
     assert out.read_text() == text

@@ -1,13 +1,15 @@
 import dataclasses
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirrorcone import koszulalg
-from mirrorcone.fixtures import fixture
+from mirrorcone import report
+from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.koszulalg import (
     CutoffTooSmall,
     _koszul_differential,
@@ -31,7 +33,7 @@ from mirrorcone.koszulalg import (
     wedge,
 )
 from mirrorcone.toricdata import check_no_bc, validate
-from oracles import nullspace_int, permutation_sign
+from oracles import convolve_block_tables, nullspace_int, permutation_sign
 
 BLOCKS3 = (tuple(range(3)),)
 
@@ -226,6 +228,50 @@ def test_tensor_single_block_equals_plain():
     plain = j_algebra_dims(4, 5).as_dict()
     for cls, dim in plain.items():
         assert conv.get(cls) == dim
+
+
+def _convolution_by_oracle(vt, cutoff):
+    tables = {nb: j_algebra_dims(nb, cutoff + nb + 1).as_dict()
+              for nb in {len(blk) for blk in vt.blocks}}
+    return convolve_block_tables(vt.blocks, vt.n, tables)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_tensor_convolution_matches_the_oracle_row_for_row(name):
+    # every row, the ones beyond the cutoff included
+    vt = fixture(name)
+    assert tensor_j_dims(vt, 4).dims == _convolution_by_oracle(vt, 4)
+
+
+@pytest.mark.parametrize("blocks", [
+    ((0, 4, 2), (1, 3, 5)),
+    ((5, 0, 3), (4, 1, 2)),
+    ((0, 1, 2), (3, 4, 5, 6)),
+    ((3, 6, 0, 5), (1, 4, 2)),
+])
+def test_tensor_convolution_matches_the_oracle_on_interleaved_blocks(blocks):
+    vt = SimpleNamespace(blocks=blocks, n=sum(map(len, blocks)))
+    assert tensor_j_dims(vt, 4).dims == _convolution_by_oracle(vt, 4)
+
+
+PARTIAL_SUM_CLASS = (-15, (0, 0, 0, 0, 8, 8))
+
+
+def test_partial_sum_class_lies_outside_the_cutoff_classes():
+    vt = fixture("cubic-fourfold")
+    assert PARTIAL_SUM_CLASS not in degree_classes(vt.blocks, vt.n, 3)
+    assert j_algebra_dim_for_class(vt.blocks, vt.n, PARTIAL_SUM_CLASS) == 3
+
+
+@pytest.mark.xfail(strict=True, reason="for r > 1 graded_dims prints partial "
+                   "convolution sums for classes outside degree_classes: dim 2 "
+                   "where the class-by-class dimension is 3")
+def test_printed_graded_dims_row_is_never_a_partial_sum():
+    vt = fixture("cubic-fourfold")
+    body = report.build_report(vt, ("algebra",), algebra_cutoff=3)
+    printed = body["sections"]["algebra"]["graded_dims"].as_dict()
+    truth = j_algebra_dim_for_class(vt.blocks, vt.n, PARTIAL_SUM_CLASS)
+    assert printed.get(PARTIAL_SUM_CLASS, truth) == truth
 
 
 def test_sign_action_examples():

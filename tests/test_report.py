@@ -1,6 +1,6 @@
 """One run of build_report builds each shared stage once, the config's
-volume orders reach every sign check, and the benchmark's tracer hooks still
-find what they wrap."""
+volume orders reach every sign check, and the benchmark's tracer hooks
+(``perfbench/tracing.py``, loaded by path) still find what they wrap."""
 
 import dataclasses
 import importlib
@@ -9,7 +9,7 @@ import pathlib
 import sys
 from collections import Counter
 
-from mirrorcone import fans, grading, koszulalg, report
+from mirrorcone import cli, fans, grading, koszulalg, report
 from mirrorcone.bside import build_superpotential
 from mirrorcone.fixtures import fixture
 from mirrorcone.toricdata import validate
@@ -94,3 +94,23 @@ def test_tracer_hooks_resolve_and_record_each_section():
         f"report.{s}": 1 for s in sections}
     assert tracer.counts["elliptic"]["fans.subdivision_calls"] == 1
     assert tracer.counts["elliptic"]["grading.build_calls"] == 1
+
+
+def test_tracer_patches_every_hook_and_cli_json_and_restores_them():
+    # the serialize span wraps cli.json.dumps; a hook whose name is gone
+    # would make patched() raise
+    tracing = load_tracing()
+    assert callable(cli.json.dumps)
+    targets = []
+    for mod_name, attr, _, _ in tracing.HOOKS:
+        owner = importlib.import_module(f"mirrorcone.{mod_name}")
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        targets.append((owner, leaf, getattr(owner, leaf)))
+    json_module = cli.json
+    with tracing.Tracer().patched():
+        assert all(getattr(owner, leaf) is not fn for owner, leaf, fn in targets)
+        assert cli.json is not json_module
+    assert all(getattr(owner, leaf) is fn for owner, leaf, fn in targets)
+    assert cli.json is json_module
