@@ -5,15 +5,16 @@ lattice points under the per-block coordinate projection, plus the origin.
 A weight vector lifts the configuration; the cells of the subdivision are the
 projections of the lower faces of the lifted point set, found by an integer
 pivot from an initial lowest face across ridges, the facets of a cell by the
-same pivot one dimension down.  The lift tests a point only against the cells
-of the lower envelope (the maximum of the cells' support functionals) at its
-projection.  All arithmetic is exact; each cell carries the affine functional
-certifying it (equality on the cell, strictly below the heights elsewhere).
+same pivot one dimension down, each point set's facets enumerated once per
+subdivision.  The lift tests a point only against the cells of the lower
+envelope (the maximum of the cells' support functionals) at its projection.
+All arithmetic is exact; each cell carries the affine functional certifying
+it (equality on the cell, strictly below the heights elsewhere).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -113,6 +114,7 @@ class Subdivision:
     supports: dict                       # cell tuple -> (a: tuple[Fraction], c: Fraction)
     weights: dict                        # id -> Fraction
     perturbed: bool = False
+    parents: dict = field(default_factory=dict)  # refined cell -> unperturbed cell
 
     def is_triangulation(self, dim):
         return all(len(c) == dim + 1 for c in self.cells)
@@ -126,16 +128,26 @@ def _affine_rank(points):
     return matrix_rank(dirs)
 
 
-def _facets(pts, dim):
+def _facets(pts, dim, table):
     """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
 
     The normal is integral, not necessarily primitive, and points outward
-    (pts lie where <normal, x> <= offset); pts may repeat.  A simplex drops
-    one vertex per facet.  Otherwise the pivot of ``_lower_hull_cells``
-    finds them, on pts without their last coordinate and with it, or its
-    negative, as height (lower and upper facets); the facets of that
-    projection whose contact set still spans a hyperplane are the vertical
-    ones.
+    (pts lie where <normal, x> <= offset); pts may repeat.  ``table``, one
+    per subdivision, keeps them by ``(tuple(pts), dim)``: the recursion and
+    the ridge pivot meet the same point sets again and again.
+    """
+    key = (tuple(pts), dim)
+    if key not in table:
+        table[key] = _enumerate_facets(pts, dim, table)
+    return table[key]
+
+
+def _enumerate_facets(pts, dim, table):
+    """The facets ``_facets`` keeps: a simplex drops one vertex per facet;
+    otherwise the pivot of ``_lower_hull_cells`` finds them, on pts without
+    their last coordinate and with it, or its negative, as height (lower and
+    upper facets); the facets of that projection whose contact set still
+    spans a hyperplane are the vertical ones.
     """
     if dim == 0:
         return {}
@@ -155,15 +167,15 @@ def _facets(pts, dim):
     base = [p[:-1] for p in pts]
     for s in (1, -1):
         # height s*x: the functional (a.x' + c)/e lies below, so a.x' - s*e*x <= -c
-        for cell, (a, c, e) in _lower_hull_cells(base, [s * p[-1] for p in pts]):
+        for cell, (a, c, e) in _lower_hull_cells(base, [s * p[-1] for p in pts], table):
             facets[cell] = (a + (-s * e,), -c)
-    for contact, (g, g0) in _facets(base, dim - 1).items():
+    for contact, (g, g0) in _facets(base, dim - 1, table).items():
         if _affine_rank([pts[i] for i in contact]) == dim - 1:
             facets[contact] = (g + (0,), g0)
     return facets
 
 
-def _lower_hull_cells(points, heights):
+def _lower_hull_cells(points, heights, table):
     """Maximal cells of the regular subdivision of a full-dimensional config.
 
     ``points``: list of integer tuples; ``heights``: parallel rationals, scaled
@@ -171,7 +183,8 @@ def _lower_hull_cells(points, heights):
     integers: a functional (*A, C, e), e > 0, stands for (A.x + C)/e and keeps
     its slacks e*H_i - (A.p_i + C).  Returns a list of (frozenset of indices,
     (A, C, e)), e including the height scale, where (A.x + C)/e equals the
-    height exactly on the cell and is strictly below it elsewhere.
+    height exactly on the cell and is strictly below it elsewhere; ``table``
+    is the facet table ``_facets`` reads and fills.
     """
     dim = len(points[0])
     if _affine_rank(points) != dim:
@@ -199,14 +212,11 @@ def _lower_hull_cells(points, heights):
         contact = frozenset(i for i, s in enumerate(slack) if s == 0)
         return tuple(x // k for x in func), slack, contact if min(slack) >= 0 else None
 
-    # the lowest points, then rotations until the contact set spans
+    # the lowest points, then rotations until the contact set spans (no kernel)
     func, slack = (0,) * dim + (min(scaled), 1), [h - min(scaled) for h in scaled]
     first = frozenset(i for i, s in enumerate(slack) if s == 0)
-    while True:
-        cpts = [points[i] for i in sorted(first)]
-        if _affine_rank(cpts) == dim:
-            break
-        *g, g0 = nullspace([p + (-1,) for p in cpts], dim + 1)[0]
+    while kernel := nullspace([points[i] + (-1,) for i in sorted(first)], dim + 1):
+        *g, g0 = kernel[0]
         func, slack, first = (rotate(func, slack, g, g0)
                               or rotate(func, slack, tuple(-x for x in g), -g0))
         if first is None:
@@ -219,7 +229,7 @@ def _lower_hull_cells(points, heights):
         cell = queue.pop()
         func, slack = cells[cell]
         idx = sorted(cell)
-        for facet, (g, g0) in _facets([points[i] for i in idx], dim).items():
+        for facet, (g, g0) in _facets([points[i] for i in idx], dim, table).items():
             res = rotate(func, slack, g, g0)
             if res is None:
                 continue
@@ -237,42 +247,47 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
 
     With ``perturb_seed`` given, non-simplicial cells are refined by the
     infinitesimal lexicographic perturbation (indicator heights applied point
-    by point, in seed-shuffled id order); supports of refined cells are those
-    of their parent cell and the result is flagged ``perturbed``.
+    by point, in seed-shuffled id order); the result is flagged ``perturbed``,
+    and a refined cell carries the support of its unperturbed cell, named in
+    ``parents``.  One facet table serves the whole call, refinements included.
     """
     heights_by_id = resolve_weights(cfg, weights)
     ids = list(cfg.ids)
     points = [cfg.coords[pid] for pid in ids]
     heights = [heights_by_id[pid] for pid in ids]
+    table = {}
     cells = {tuple(sorted(ids[i] for i in cell)):
              (tuple(Fraction(x, e) for x in a), Fraction(c, e))
-             for cell, (a, c, e) in _lower_hull_cells(points, heights)}
+             for cell, (a, c, e) in _lower_hull_cells(points, heights, table)}
+    parents = {key: key for key in cells}
     if perturb_seed is not None:
-        cells = _perturb(cfg, cells, perturb_seed)
-    ordered = tuple(sorted(cells))
-    return Subdivision(cells=ordered, supports={k: cells[k] for k in ordered},
-                       weights=heights_by_id, perturbed=perturb_seed is not None)
+        parents = _perturb(cfg, parents, perturb_seed, table)
+    ordered = tuple(sorted(parents))
+    return Subdivision(cells=ordered, supports={k: cells[parents[k]] for k in ordered},
+                       weights=heights_by_id, perturbed=perturb_seed is not None,
+                       parents={k: parents[k] for k in ordered if parents[k] != k})
 
 
-def _perturb(cfg, cells, seed):
-    """Refine non-simplicial cells point by point in seed-shuffled id order."""
+def _perturb(cfg, parents, seed, table):
+    """Refine the non-simplicial cells of ``parents`` (cell -> unperturbed
+    cell) point by point in seed-shuffled id order, keeping the map."""
     order = list(cfg.ids)
     random.Random(seed).shuffle(order)
     for q in order:
         refined = {}
-        for key, func in cells.items():
+        for key, parent in parents.items():
             if len(key) == cfg.dim + 1 or q not in key:
-                refined[key] = func
+                refined[key] = parent
                 continue
             sub_ids = list(key)
             sub_pts = [cfg.coords[pid] for pid in sub_ids]
             sub_h = [1 if pid == q else 0 for pid in sub_ids]
-            for sub_cell, _ in _lower_hull_cells(sub_pts, sub_h):
-                refined[tuple(sorted(sub_ids[i] for i in sub_cell))] = func
-        cells = refined
-    if any(len(k) != cfg.dim + 1 for k in cells):
+            for sub_cell, _ in _lower_hull_cells(sub_pts, sub_h, table):
+                refined[tuple(sorted(sub_ids[i] for i in sub_cell))] = parent
+        parents = refined
+    if any(len(k) != cfg.dim + 1 for k in parents):
         raise FanError("lexicographic perturbation did not reach a triangulation")
-    return cells
+    return parents
 
 
 @dataclass(frozen=True)

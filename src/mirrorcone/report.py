@@ -168,7 +168,9 @@ def section_fans(vt, perturb_seed=None):
         "cells": [list(c) for c in sub.cells],
         "supports": {
             "|".join(cell): {"a": [frac_str(x) for x in sub.supports[cell][0]],
-                             "c": frac_str(sub.supports[cell][1])}
+                             "c": frac_str(sub.supports[cell][1]),
+                             **({"parent": "|".join(sub.parents[cell])}
+                                if cell in sub.parents else {})}
             for cell in sub.cells},
         "perturbed": sub.perturbed,
         "conditions": mpcs.to_json(),

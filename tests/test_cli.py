@@ -153,6 +153,21 @@ def test_analyze_perturb_certifies_the_printed_cells(tmp_path):
     assert detail.startswith(f"{fans['cell_count']} cells")
 
 
+def test_analyze_perturb_names_the_parent_of_each_refined_cell(tmp_path):
+    cfg = write_cfg(tmp_path, QUARTIC_CFG)
+    runs = [run_cli(["analyze", cfg, "--sections", "fans", *extra])
+            for extra in ((), ("--perturb", "5"))]
+    assert [proc.returncode for proc in runs] == [0, 0]
+    star, perturbed = (json.loads(proc.stdout)["sections"]["fans"]["supports"]
+                       for proc in runs)
+    assert not any("parent" in entry for entry in star.values())
+    for cell, entry in perturbed.items():
+        parent = entry.pop("parent", cell)
+        assert set(cell.split("|")) <= set(parent.split("|"))
+        assert entry == star[parent]
+    assert len(star) < len(perturbed)
+
+
 def _quartic_with(**changes):
     cfg = json.loads(json.dumps(QUARTIC_CFG))
     cfg.update(changes)

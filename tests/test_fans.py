@@ -356,8 +356,8 @@ def test_barycentric_membership_matches_oracle_solve(kind, data):
 def shift_facets_off_their_ridges(monkeypatch):
     facets = fans._facets
 
-    def shifted(pts, dim):
-        return {f: (g, g0 + 1) for f, (g, g0) in facets(pts, dim).items()}
+    def shifted(pts, dim, table):
+        return {f: (g, g0 + 1) for f, (g, g0) in facets(pts, dim, table).items()}
 
     monkeypatch.setattr(fans, "_facets", shifted)
 
@@ -383,6 +383,70 @@ def test_shifted_facet_makes_analyze_exit_3(tmp_path, monkeypatch, capsys):
     assert "neighbor functional lost the ridge" in capsys.readouterr().err
 
 
+def test_shifted_facet_is_caught_after_a_clean_run(monkeypatch):
+    # the clean run's facet table must not outlive it and hide the shift
+    vt = fixture("quartic")
+    cfg, weights = project_config(vt), quartic_mpcp_weights(vt)
+    regular_subdivision(cfg, weights)
+    shift_facets_off_their_ridges(monkeypatch)
+    with pytest.raises(CertificateFailure, match="neighbor functional lost the ridge"):
+        regular_subdivision(cfg, weights)
+
+
+def _fresh_process_cells(name):
+    code = ("import sys; from fractions import Fraction; from mirrorcone import fans; "
+            "from mirrorcone.fixtures import fixture; "
+            "cfg = fans.project_config(fixture(sys.argv[1])); "
+            "print([list(c) for c in fans.regular_subdivision(cfg, Fraction(1)).cells])")
+    proc = subprocess.run([sys.executable, "-c", code, name], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return tuple(tuple(c) for c in ast.literal_eval(proc.stdout))
+
+
+def test_configs_run_one_after_another_give_the_cells_of_fresh_runs():
+    names = ("quartic", "cubic-fourfold")
+    in_turn = [regular_subdivision(project_config(fixture(n)), Fraction(1)).cells
+               for n in names]
+    assert in_turn == [_fresh_process_cells(n) for n in names]
+
+
+def test_each_point_set_is_enumerated_once_per_subdivision(monkeypatch):
+    # the uniform z-manifold star: 27 cells of 15 points in dim 6, whose facet
+    # recursion asked for the facets of these 282 point sets 5,625 times
+    cfg = project_config(fixture("z-manifold"))
+    enumerate_facets = fans._enumerate_facets
+    seen = []
+
+    def counting(pts, dim, table):
+        seen.append((tuple(pts), dim))
+        return enumerate_facets(pts, dim, table)
+
+    monkeypatch.setattr(fans, "_enumerate_facets", counting)
+    for _ in range(2):
+        seen.clear()
+        sub = regular_subdivision(cfg, Fraction(1))
+        assert len(sub.cells) == 27
+        assert len(seen) == len(set(seen)) == 282
+
+
+def test_uniform_cubic_fourfold_star_cells_match_the_subset_scan():
+    cfg = project_config(fixture("cubic-fourfold"))
+    sub = regular_subdivision(cfg, Fraction(1))
+    assert [len(cell) for cell in sub.cells] == [13] * 9
+    for cell in sub.cells:
+        pts = [cfg.coords[pid] for pid in cell]
+        assert set(fans._facets(pts, cfg.dim, {})) == set(_facets_by_scan(pts, cfg.dim))
+
+
+def test_perturbed_cubic_fourfold_keeps_the_star_volume():
+    cfg = project_config(fixture("cubic-fourfold"))
+    star = regular_subdivision(cfg, Fraction(1))
+    sub = regular_subdivision(cfg, Fraction(1), perturb_seed=5)
+    assert len(sub.cells) == 90 and sub.is_triangulation(cfg.dim)
+    assert subdivision_volume(sub, cfg) == subdivision_volume(star, cfg) == 729
+
+
 def test_oracles_import_nothing_from_mirrorcone():
     tree = ast.parse((TESTS / "oracles.py").read_text())
     imported = [alias.name for node in ast.walk(tree)
@@ -405,21 +469,21 @@ def test_lift_cell_without_origin():
     # a 1-d config where one cell avoids the lifted origin counterpart
     pts = [(0,), (1,), (2,)]
     heights = [Fraction(0), Fraction(1, 10), Fraction(1)]
-    cells = {frozenset(c) for c, _ in _lower_hull_cells(pts, heights)}
+    cells = {frozenset(c) for c, _ in _lower_hull_cells(pts, heights, {})}
     assert cells == {frozenset({0, 1}), frozenset({1, 2})}
 
 
 def test_single_segment_cell():
     pts = [(0,), (3,)]
     heights = [Fraction(0), Fraction(1)]
-    cells = [c for c, _ in _lower_hull_cells(pts, heights)]
+    cells = [c for c, _ in _lower_hull_cells(pts, heights, {})]
     assert cells == [frozenset({0, 1})]
 
 
 def test_degenerate_config_rejected():
     pts = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(DegenerateConfig):
-        _lower_hull_cells(pts, [Fraction(0)] * 3)
+        _lower_hull_cells(pts, [Fraction(0)] * 3, {})
 
 
 @st.composite
@@ -442,7 +506,7 @@ def facet_config(draw):
 def test_facets_match_the_subset_scan(config):
     pts, dim = config
     assume(_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == dim)
-    facets = fans._facets(pts, dim)
+    facets = fans._facets(pts, dim, {})
     assert set(facets) == set(_facets_by_scan(pts, dim))
     for contact, (g, g0) in facets.items():
         assert len(g) == dim and all(type(x) is int for x in (*g, g0))
@@ -490,5 +554,5 @@ def test_lower_hull_matches_oracle_on_random_configs(config):
     dirs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
     if _rank(dirs) != len(pts[0]):
         return
-    cells = {c for c, _ in _lower_hull_cells(pts, heights)}
+    cells = {c for c, _ in _lower_hull_cells(pts, heights, {})}
     assert cells == subdivision_by_hyperplane_scan(pts, heights)
