@@ -217,8 +217,10 @@ def cmd_analyze(args):
         if args.algebra:
             sections.append("algebra")
         sections = tuple(sections)
-    if "algebra" in sections and args.cutoff is None:
-        print("input error: --algebra requires --cutoff N", file=sys.stderr)
+    largest = max(map(len, vt.blocks))
+    if "algebra" in sections and (args.cutoff is None or args.cutoff < largest):
+        print(f"input error: --algebra requires --cutoff N >= {largest}, "
+              "the largest block size", file=sys.stderr)
         return EXIT_INPUT
     if "fans" in sections and vt.input.weights is None:
         print("input error: fans section needs a lambda in the config",

@@ -5,8 +5,10 @@ enumeration of deformation and curvature classes.
 Degrees live in the cover grading datum Z (+) Z^I / <(2(1-|I_j|), e_I_j)>;
 a degree class is canonicalized by shifting each block's m-part to have
 minimum zero.  Every degree class meets only finitely many monomials, so all
-dimensions are computed per class by exact integer rank computations, with a
-z-degree cutoff controlling only which classes get reported.
+dimensions are exact integer ranks, with a z-degree cutoff controlling only
+which classes get reported.  Ranks are taken once per matrix shape: the
+Koszul differential once per source shape, the quotient algebra slice by
+slice.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def canonical_class(blocks, j, m):
 def _compositions(lo, hi, total):
     """Integer vectors t with lo[j] <= t[j] <= hi[j] and sum(t) = total."""
     r = len(lo)
+    if r == 1:
+        return iter(((total,),) if lo[0] <= total <= hi[0] else ())
     # the least and the most that coordinates j.. can add up to
     lo_rest, hi_rest = [0] * (r + 1), [0] * (r + 1)
     for j in range(r - 1, -1, -1):
@@ -120,6 +124,8 @@ def _koszul_piece(blocks, n, cls):
         base = [(mask >> i & 1) - mhat[i] for i in range(n)]
         # t_j <= caps[j] keeps every exponent of block j non-negative
         caps = [min(base[i] for i in blk) for blk in blocks]
+        if sum(caps) < twice // 2:
+            continue
         for t in _block_shifts(caps, twice // 2):
             out.append((mask, tuple(b - t[block_of[i]] for i, b in enumerate(base))))
     return out
@@ -148,22 +154,29 @@ def _koszul_dim_table(blocks, n):
     """dim of ker/im as a function of a canonical class, each piece and rank built once.
 
     The differential maps the class (j, m) to (j + 1, m), so the rank into a
-    class is the rank out of the class below it.
+    class is the rank out of the class below it.  Written as (mask, t) with
+    a = base(mask) - t[block_of], a monomial goes to (mask ^ 1 << k, t - e_blk(k)),
+    so the rank out of a class depends only on the set of (mask, t) of its
+    piece, its source shape; the matrix columns are the images.
     """
+    firsts = [min(blk) for blk in blocks]
+    ranks = {}
+
     @cache
     def piece(cls):
         return _koszul_piece(blocks, n, cls)
 
     @cache
     def rank_out(j, m):
-        target = {mono: col for col, mono in enumerate(piece((j + 1, m)))}
-        rows = []
-        for mono in piece((j, m)):
-            row = [0] * len(target)
-            for key, coeff in _koszul_differential(blocks, mono).items():
-                row[target[key]] = coeff
-            rows.append(row)
-        return matrix_rank(rows)
+        source = piece((j, m))
+        shape = tuple((mask, tuple((mask >> f & 1) - m[f] - a[f] for f in firsts))
+                      for mask, a in source)
+        if shape not in ranks:
+            images = [_koszul_differential(blocks, mono) for mono in source]
+            cols = dict.fromkeys(key for image in images for key in image)
+            ranks[shape] = matrix_rank([[image.get(key, 0) for key in cols]
+                                        for image in images])
+        return ranks[shape]
 
     def dim(cls):
         j, m = cls
@@ -315,8 +328,8 @@ def _expand_slice_monomials(blocks, dist):
 def _ideal_generators(blocks):
     """The generators z^{e_I_j - e_K} g_K of the ideal, K a nonzero submask of block j.
 
-    Each is (j, drop, degree, g_K): drop lists the indices of I_j - K, and g_K
-    is the contraction of u_K, of wedge degree |K| - 1.  K = empty adds
+    Each is (j, drop, degree, g_K): drop is the mask of I_j - K, and g_K is
+    the contraction of u_K, of wedge degree |K| - 1.  K = empty adds
     nothing: z^{e_I_j} is z_i times the generator of K = {i}, whose g is 1.
     """
     gens = []
@@ -325,52 +338,43 @@ def _ideal_generators(blocks):
         for K in range(1, full + 1):
             if K & full == K:
                 g = contract_block({K: 1}, blk)
-                gens.append((j, bits(full ^ K), K.bit_count() - 1, g))
+                gens.append((j, full ^ K, K.bit_count() - 1, g))
     return gens
 
 
-def _row(index, a, elem):
-    """Coordinates of z^a * elem in the class piece, or None if it escapes."""
-    row = [0] * len(index)
-    for s, c in elem.items():
-        if (a, s) not in index:
-            return None
-        row[index[(a, s)]] = c
-    return row
+def _zeros(a):
+    """The mask of the indices i with a[i] == 0."""
+    return sum(1 << i for i, x in enumerate(a) if x == 0)
 
 
-def _quotient_class(blocks, n, cls):
-    """Dimension, (a, u-monomial) coordinate index and ideal rows of a class piece.
+@cache
+def _j_slice(blocks, dist, zeros):
+    """Size, u-monomial columns, ideal rows and their rank of a slice (a, dist).
 
-    The ideal rows are the products of every generator with every basis
-    element of the piece whose product lands in the class.
+    The ideal rows are the products z^a h g of every generator with every
+    basis element h whose product lands in the slice.  A product keeps a and
+    the wedge distribution, so a class piece is block-diagonal by slice, and
+    a generator applies iff no index it drops has a[i] == 0: the slice
+    depends on a only through its zero set.  Cached like the expansions.
     """
-    slices = _j_piece_slices(blocks, n, cls)
-    index = {}
-    piece_dim = 0
-    for a, dist in slices:
-        for elem in _expand_slice_monomials(blocks, dist):
-            piece_dim += 1
-            for s in elem:
-                index.setdefault((a, s), len(index))
-    gens = _ideal_generators(blocks)
+    basis = _expand_slice_monomials(blocks, dist)
+    index = dict.fromkeys(s for elem in basis for s in elem)
     rows = []
-    for a, dist in slices:
-        for j, drop, degree, g in gens:
-            w = dist[j] - degree
-            if not 0 <= w < len(blocks[j]) or any(a[i] == 0 for i in drop):
-                continue
-            for h in _expand_slice_monomials(blocks, dist[:j] + (w,) + dist[j + 1:]):
-                row = _row(index, a, wedge(h, g))
-                if row is None:
-                    raise CertificateFailure("ideal vector escapes the class piece")
-                rows.append(row)
-    return piece_dim, index, rows
+    for j, drop, degree, g in _ideal_generators(blocks):
+        w = dist[j] - degree
+        if not 0 <= w < len(blocks[j]) or zeros & drop:
+            continue
+        for h in _expand_slice_monomials(blocks, dist[:j] + (w,) + dist[j + 1:]):
+            prod = wedge(h, g)
+            if not prod.keys() <= index.keys():
+                raise CertificateFailure("ideal vector escapes the class piece")
+            rows.append([prod.get(s, 0) for s in index])
+    return len(basis), index, rows, matrix_rank(rows)
 
 
 def j_algebra_dim_for_class(blocks, n, cls):
-    piece_dim, _, rows = _quotient_class(blocks, n, cls)
-    return piece_dim - matrix_rank(rows)
+    slices = (_j_slice(blocks, dist, _zeros(a)) for a, dist in _j_piece_slices(blocks, n, cls))
+    return sum(size - rank for size, _, _, rank in slices)
 
 
 def j_algebra_dims(n, z_cutoff) -> GradedDims:
@@ -383,14 +387,27 @@ def multiblock_j_dims(blocks, n, z_cutoff) -> GradedDims:
 
 
 def element_in_ideal(blocks, n, a, elem):
-    """Exact membership of z^a * elem (u-expansion of one wedge degree) in the ideal."""
+    """Exact membership of z^a * elem (u-expansion of one wedge degree) in the ideal.
+
+    The ideal is block-diagonal by slice, so elem is a member iff each of its
+    wedge-distribution components is a member of its slice.
+    """
     degree = next(iter(elem), 0).bit_count()
     cls = canonical_class(blocks, 2 * sum(a) + degree, tuple(-x for x in a))
-    _, index, rows = _quotient_class(blocks, n, cls)
-    target = _row(index, a, elem)
-    if target is None:
-        raise ClassificationViolation("element does not lie in its class piece")
-    return matrix_rank(rows + [target]) == matrix_rank(rows)
+    slices = set(_j_piece_slices(blocks, n, cls))
+    block_masks = [sum(1 << i for i in blk) for blk in blocks]
+    parts = {}
+    for s, c in elem.items():
+        dist = tuple((s & bm).bit_count() for bm in block_masks)
+        if (a, dist) not in slices:
+            raise ClassificationViolation("element does not lie in its class piece")
+        parts.setdefault(dist, {})[s] = c
+    zeros = _zeros(a)
+    for dist, part in parts.items():
+        _, index, rows, rank = _j_slice(blocks, dist, zeros)
+        if matrix_rank(rows + [[part.get(s, 0) for s in index]]) != rank:
+            return False
+    return True
 
 
 # --- tensor products ------------------------------------------------------

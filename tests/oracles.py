@@ -4,12 +4,14 @@ These deliberately avoid the code paths they check: lattice membership via
 subgroup closure in a finite quotient, point enumeration by box scan with the
 congruences applied directly, subdivisions by scanning all candidate
 supporting hyperplanes, volumes by a pulling triangulation over a facet
-scan of their own, the Koszul factorization on readable tuple keys, and the
-convolution of graded-dims tables on (j, m) tuple keys.  Nothing here imports
-mirrorcone.
+scan of their own, the Koszul factorization on readable tuple keys, the
+convolution of graded-dims tables on (j, m) tuple keys, and the quotient
+algebra and Koszul cohomology ranked over whole degree classes at once.
+Nothing here imports mirrorcone.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 
@@ -399,3 +401,220 @@ def convolve_block_tables(blocks, n, tables):
                 nxt[key] = nxt.get(key, 0) + d1 * d2
         total = nxt
     return tuple(sorted((cls, d) for cls, d in total.items() if d))
+
+
+# ---------------------------------------------------------------------------
+# Graded exterior-polynomial algebra, one whole degree class at a time.  A
+# degree is (j, m) modulo the block relators (2(1 - |I_b|), e_I_b); a
+# monomial of the Koszul complex is (mask, a), z^a theta_K with bit i of
+# mask the generator theta_i; an element of the exterior algebra on the u_i
+# is {mask: int}, each mask the product of its generators in increasing
+# index order.
+
+
+def class_representative(blocks, j, m):
+    """(j, m) shifted block by block until each block's least m entry is 0."""
+    m = list(m)
+    for blk in blocks:
+        low = min(m[i] for i in blk)
+        for i in blk:
+            m[i] -= low
+        j += 2 * (len(blk) - 1) * low
+    return j, tuple(m)
+
+
+def _block_shift_vectors(caps, total):
+    """Integer vectors s with s_b <= caps[b] and sum(s) = total, by a box scan."""
+    ranges = [range(total - (sum(caps) - c), c + 1) for c in caps]
+    return [s for s in product(*ranges) if sum(s) == total]
+
+
+def _exterior_product(e1, e2):
+    """e1 ^ e2: one sign flip per generator of s2 below a generator of s1."""
+    out = {}
+    for s1, c1 in e1.items():
+        for s2, c2 in e2.items():
+            if s1 & s2:
+                continue
+            flips = sum(1 for i in range(s1.bit_length()) if s1 >> i & 1
+                        for k in range(i) if s2 >> k & 1)
+            out[s1 | s2] = out.get(s1 | s2, 0) + (-1) ** flips * c1 * c2
+    return {s: c for s, c in out.items() if c}
+
+
+def _block_wedges(blk, degree):
+    """Products of `degree` distinct vectors u_i - u_last of the block, i < last."""
+    last = max(blk)
+    vecs = [{1 << i: 1, 1 << last: -1} for i in sorted(blk) if i != last]
+    out = []
+    for combo in combinations(vecs, degree):
+        elem = {0: 1}
+        for vec in combo:
+            elem = _exterior_product(elem, vec)
+        out.append(elem)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _distribution_basis(blocks, dist):
+    """The products over the blocks of each block's wedges of degree dist[b]."""
+    elems = [{0: 1}]
+    for blk, w in zip(blocks, dist):
+        elems = [_exterior_product(e, b) for e in elems for b in _block_wedges(blk, w)]
+    return elems
+
+
+def _wedge_distributions(blocks, total):
+    """Per-block wedge degrees 0 <= w_b < |I_b| with sum total."""
+    return [d for d in product(*(range(len(blk)) for blk in blocks)) if sum(d) == total]
+
+
+def _j_class_slices(blocks, n, cls):
+    """(a, wedge distribution) of every basis monomial z^a h of the class, a >= 0."""
+    jhat, mhat = cls
+    block_of = {i: b for b, blk in enumerate(blocks) for i in blk}
+    wmax = sum(len(blk) - 1 for blk in blocks)
+    caps = [min(-mhat[i] for i in blk) for blk in blocks]
+    # |h| = jhat + 2|mhat| + 2 sum(s) for a = -mhat - s[block]
+    base = jhat + 2 * sum(mhat)
+    slices = []
+    for total in range(-(base // 2), (wmax - base) // 2 + 1):
+        w = base + 2 * total
+        for s in _block_shift_vectors(caps, total):
+            a = tuple(-mhat[i] - s[block_of[i]] for i in range(n))
+            if class_representative(blocks, 2 * sum(a) + w, tuple(-x for x in a)) != cls:
+                raise ValueError(f"slice {a} escapes the class {cls}")
+            slices.extend((a, dist) for dist in _wedge_distributions(blocks, w))
+    return slices
+
+
+def _sparse_rank(rows):
+    """Rank of rows given as {column: int}, by Fraction elimination that keeps
+    one reduced row per leading column."""
+    leading = {}
+    for row in rows:
+        r = {c: Fraction(x) for c, x in row.items() if x}
+        while r:
+            col = min(r)
+            if col not in leading:
+                leading[col] = r
+                break
+            pivot = leading[col]
+            f = r[col] / pivot[col]
+            for c, x in pivot.items():
+                v = r.get(c, 0) - f * x
+                if v:
+                    r[c] = v
+                else:
+                    del r[c]
+    return len(leading)
+
+
+@lru_cache(maxsize=None)
+def _ideal_generator_list(blocks, n):
+    """(e_I_b - e_K, g_K, wedge distribution of g_K) for every nonzero K inside
+    a block I_b: g_K is the derivation sending each u_i of the block to 1,
+    applied to u_K."""
+    gens = []
+    for b, blk in enumerate(blocks):
+        for size in range(1, len(blk) + 1):
+            for K in combinations(sorted(blk), size):
+                g = {}
+                for pos, i in enumerate(K):
+                    rest = sum(1 << k for k in K if k != i)
+                    g[rest] = g.get(rest, 0) + (-1) ** pos
+                exponent = tuple(int(i in blk and i not in K) for i in range(n))
+                g_dist = tuple(size - 1 if c == b else 0 for c in range(len(blocks)))
+                gens.append((exponent, g, g_dist))
+    return gens
+
+
+def quotient_class_piece(blocks, n, cls):
+    """(size, {(a, u-monomial): column}, ideal rows as {column: coefficient}) of
+    the whole class piece.
+
+    The rows are z^(a - e) h * z^e g for every generator z^e g, every a of
+    the class with a >= e and every basis element h whose product lands in
+    the class, all in the coordinates of the whole class at once.
+    """
+    slices = _j_class_slices(blocks, n, cls)
+    index = {}
+    size = 0
+    for a, dist in slices:
+        for elem in _distribution_basis(blocks, dist):
+            size += 1
+            for s in elem:
+                index.setdefault((a, s), len(index))
+    rows = []
+    for a, dist in slices:
+        for exponent, g, g_dist in _ideal_generator_list(blocks, n):
+            h_dist = tuple(d - e for d, e in zip(dist, g_dist))
+            if min(h_dist) < 0 or any(x < e for x, e in zip(a, exponent)):
+                continue
+            for h in _distribution_basis(blocks, h_dist):
+                rows.append({index[(a, s)]: c for s, c in _exterior_product(h, g).items()})
+    return size, index, rows
+
+
+def j_class_dimension(blocks, n, cls):
+    """dim of the quotient algebra at one degree class, ranked over the whole class."""
+    size, _, rows = quotient_class_piece(blocks, n, cls)
+    return size - _sparse_rank(rows)
+
+
+def in_ideal_by_class(blocks, n, a, elem):
+    """Membership of z^a * elem in the ideal, by rank over the whole class piece."""
+    degree = bin(next(iter(elem), 0)).count("1")
+    cls = class_representative(blocks, 2 * sum(a) + degree, tuple(-x for x in a))
+    _, index, rows = quotient_class_piece(blocks, n, cls)
+    target = {index[(tuple(a), s)]: c for s, c in elem.items()}
+    return _sparse_rank(rows + [target]) == _sparse_rank(rows)
+
+
+def _koszul_class_monomials(blocks, n, cls):
+    """(mask, a), a >= 0, of every monomial z^a theta_K of the class."""
+    jhat, mhat = cls
+    block_of = {i: b for b, blk in enumerate(blocks) for i in blk}
+    out = []
+    for mask in range(1 << n):
+        k = [mask >> i & 1 for i in range(n)]
+        twice = sum(k) - 2 * sum(mhat) - jhat
+        if twice % 2:
+            continue
+        # a = e_K - mhat - s[block] with sum(s) = twice / 2
+        caps = [min(k[i] - mhat[i] for i in blk) for blk in blocks]
+        for s in _block_shift_vectors(caps, twice // 2):
+            a = tuple(k[i] - mhat[i] - s[block_of[i]] for i in range(n))
+            if class_representative(blocks, 2 * sum(a) - sum(k),
+                                    tuple(x - y for x, y in zip(k, a))) != cls:
+                raise ValueError(f"monomial {(mask, a)} escapes the class {cls}")
+            out.append((mask, a))
+    return out
+
+
+def _koszul_image(blocks, mask, a):
+    """Contraction of z^a theta_K with dW_0, W_0 = -sum_b z^{e_I_b}."""
+    out = {}
+    for blk in blocks:
+        for k in blk:
+            if mask >> k & 1:
+                new_a = tuple(x + (i in blk) - (i == k) for i, x in enumerate(a))
+                out[(mask ^ 1 << k, new_a)] = -_sign_past_lower_generators(mask, k)
+    return out
+
+
+def koszul_class_matrix(blocks, n, j, m):
+    """The differential out of the class (j, m) as {column: coefficient} rows,
+    one row per source monomial, one column per monomial of the class (j + 1, m)."""
+    target = {mono: col for col, mono in
+              enumerate(_koszul_class_monomials(blocks, n, (j + 1, m)))}
+    return [{target[key]: c for key, c in _koszul_image(blocks, mask, a).items()}
+            for mask, a in _koszul_class_monomials(blocks, n, (j, m))]
+
+
+def koszul_class_dimension(blocks, n, cls):
+    """dim of the Koszul cohomology at one class: size minus the ranks in and out."""
+    j, m = cls
+    size = len(_koszul_class_monomials(blocks, n, cls))
+    return (size - _sparse_rank(koszul_class_matrix(blocks, n, j, m))
+            - _sparse_rank(koszul_class_matrix(blocks, n, j - 1, m)))

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from mirrorcone.bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
 from mirrorcone.fans import (
@@ -41,7 +42,13 @@ from mirrorcone.toricdata import (
     symmetry_groups,
     validate,
 )
-from oracles import normalized_volume, subdivision_by_hyperplane_scan, subdivision_volume
+from mirrorcone.report import section_fans
+from oracles import (
+    _facets_by_scan,
+    normalized_volume,
+    subdivision_by_hyperplane_scan,
+    subdivision_volume,
+)
 from tests_support import random_admissible_v
 
 
@@ -165,6 +172,50 @@ def test_criterion_2_cubic_fourfold_generic_chain():
     assert subdivision_volume(sub, cfg) == normalized_volume(points) == 729
     elapsed = _elapsed_guard(t0, 30.0, "criterion 2, cubic fourfold")
     print(f"\nACCEPTANCE 2 PASS cubic-fourfold generic chain ({elapsed:.2f}s < 30s)")
+
+
+def test_criterion_2_cubic_fourfold_generic_cells_pass_the_oracle_checks():
+    # the printed cells and support functionals, checked by oracle code alone:
+    # each functional supports its cell exactly, the cells fill the hull, and
+    # every cell facet is shared by exactly two cells on opposite sides or
+    # lies on the hull boundary
+    t0 = time.monotonic()
+    vt = fixture("cubic-fourfold")
+    weights = generic_weights(vt, 1)
+    fans = section_fans(validate(dataclasses.replace(vt.input, weights=weights)))
+    cfg = project_config(vt)
+    heights = resolve_weights(cfg, weights)
+    cells = [tuple(cell) for cell in fans["cells"]]
+    assert len(cells) == 104
+    for cell in cells:
+        support = fans["supports"]["|".join(cell)]
+        a, c = [Fraction(x) for x in support["a"]], Fraction(support["c"])
+        for pid in cfg.ids:
+            value = sum(x * y for x, y in zip(a, cfg.coords[pid])) + c
+            assert value == heights[pid] if pid in cell else value < heights[pid]
+    points = [cfg.coords[pid] for pid in cfg.ids]
+    assert subdivision_volume(SimpleNamespace(cells=cells), cfg) == normalized_volume(points) == 729
+
+    def side(normal, base, pid):
+        return sum(g * (x - y) for g, x, y in zip(normal, cfg.coords[pid], base))
+
+    facets = {}
+    for cell in cells:
+        pts = [cfg.coords[pid] for pid in cell]
+        for contact, normal in _facets_by_scan(pts, cfg.dim).items():
+            facets.setdefault(frozenset(cell[k] for k in contact), []).append((cell, normal))
+    for facet, owners in facets.items():
+        base = cfg.coords[next(iter(facet))]
+        if len(owners) == 1:
+            (_, normal), = owners
+            assert all(side(normal, base, pid) <= 0 for pid in cfg.ids)
+        else:
+            (cell1, normal1), (cell2, normal2) = owners
+            for normal, other in ((normal1, cell2), (normal2, cell1)):
+                values = [side(normal, base, pid) for pid in other]
+                assert min(values) == 0 < max(values)
+    elapsed = _elapsed_guard(t0, 10.0, "criterion 2, cubic-fourfold oracle checks")
+    print(f"\nACCEPTANCE 2 PASS cubic-fourfold generic cells by oracle ({elapsed:.2f}s < 10s)")
 
 
 def test_criterion_2_zmanifold_generic_chain():

@@ -132,6 +132,17 @@ def test_analyze_algebra_requires_cutoff(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("name,cutoff", (
+    ("quartic", "2"), ("quartic", "-1"), ("cubic-fourfold", "2")))
+def test_analyze_cutoff_below_the_largest_block_is_an_input_error(
+        tmp_path, capsys, name, cutoff):
+    assert main(["examples", "show", name]) == 0
+    cfg = write_cfg(tmp_path, capsys.readouterr().out)
+    assert main(["analyze", cfg, "--sections", "algebra", "--cutoff", cutoff]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: --algebra requires --cutoff")
+
+
 def test_analyze_perturb_triangulates(tmp_path):
     cfg = write_cfg(tmp_path, QUARTIC_CFG)
     proc = run_cli(["analyze", cfg, "--sections", "fans", "--perturb", "5"])

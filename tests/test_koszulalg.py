@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcone import koszulalg
+from mirrorcone import CertificateFailure, koszulalg
 from mirrorcone import report
+from mirrorcone.cli import main
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.koszulalg import (
+    ClassificationViolation,
     CutoffTooSmall,
     _koszul_differential,
     _koszul_piece,
@@ -33,7 +35,14 @@ from mirrorcone.koszulalg import (
     wedge,
 )
 from mirrorcone.toricdata import check_no_bc, validate
-from oracles import convolve_block_tables, nullspace_int, permutation_sign
+from oracles import (
+    convolve_block_tables,
+    in_ideal_by_class,
+    j_class_dimension,
+    koszul_class_dimension,
+    nullspace_int,
+    permutation_sign,
+)
 
 BLOCKS3 = (tuple(range(3)),)
 
@@ -107,6 +116,133 @@ def test_koszul_dims_build_each_piece_once(monkeypatch):
     monkeypatch.setattr(koszulalg, "_koszul_piece", counting)
     koszul_cohomology_dims(4, 6)
     assert seen and len(seen) == len(set(seen))
+
+
+@pytest.fixture
+def fresh_caches():
+    """The module's caches emptied before and after: work is counted from
+    scratch, and nothing computed under a monkeypatch outlives the test."""
+    caches = (koszulalg._j_slice, koszulalg._expand_slice_monomials,
+              koszulalg._ideal_generators)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def _count_ranks(monkeypatch):
+    calls = []
+    rank = koszulalg.matrix_rank
+
+    def counting(rows):
+        calls.append(len(rows))
+        return rank(rows)
+
+    monkeypatch.setattr(koszulalg, "matrix_rank", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n,most", ((3, 24), (4, 64)))
+def test_j_dims_rank_each_slice_shape_once(monkeypatch, fresh_caches, n, most):
+    # one rank per (wedge distribution, zero set of a): 3 x 8 and 4 x 16
+    calls = _count_ranks(monkeypatch)
+    j_algebra_dims(n, 10)
+    assert 0 < len(calls) <= most
+
+
+def test_koszul_dims_rank_each_source_shape_once(monkeypatch):
+    # 2,001 classes share about 200 source shapes
+    calls = _count_ranks(monkeypatch)
+    koszul_cohomology_dims(4, 6)
+    assert 0 < len(calls) < 300
+
+
+def _blocks_of(name):
+    """(blocks, n) of a fixture, or of the single block of size k for "n<k>"."""
+    if name[1:].isdigit():
+        return (tuple(range(int(name[1:]))),), int(name[1:])
+    vt = fixture(name)
+    return vt.blocks, vt.n
+
+
+@pytest.mark.parametrize("name,cutoff", (
+    ("n3", 10), ("n4", 8), ("cubic-fourfold", 3), ("z-manifold", 1)))
+def test_j_dims_match_the_whole_class_oracle(name, cutoff):
+    blocks, n = _blocks_of(name)
+    for cls in degree_classes(blocks, n, cutoff):
+        assert j_algebra_dim_for_class(blocks, n, cls) == j_class_dimension(blocks, n, cls), cls
+
+
+@pytest.mark.parametrize("name,cutoff", (("n3", 6), ("n4", 6), ("cubic-fourfold", 2)))
+def test_koszul_dims_match_the_whole_class_oracle(name, cutoff):
+    blocks, n = _blocks_of(name)
+    dims = multiblock_koszul_dims(blocks, n, cutoff).as_dict()
+    for cls in degree_classes(blocks, n, cutoff):
+        assert dims.get(cls, 0) == koszul_class_dimension(blocks, n, cls), cls
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_deformation_membership_queries_match_the_whole_class_oracle(monkeypatch, name):
+    queries = []
+    member = koszulalg.element_in_ideal
+
+    def recording(blocks, n, a, elem):
+        answer = member(blocks, n, a, elem)
+        queries.append((blocks, n, a, elem, answer))
+        return answer
+
+    monkeypatch.setattr(koszulalg, "element_in_ideal", recording)
+    enumerate_deformation_classes(fixture(name))
+    assert queries
+    for blocks, n, a, elem, answer in queries:
+        assert answer == in_ideal_by_class(blocks, n, a, elem), (a, elem)
+
+
+def test_membership_across_two_wedge_distributions():
+    # an element is a member iff each wedge-distribution component is
+    vt = fixture("cubic-fourfold")
+    zero = (0,) * vt.n
+    h0, h1 = h_basis(vt.blocks[0]), h_basis(vt.blocks[1])
+    top0, top1 = wedge(h0[0], h0[1]), wedge(h1[0], h1[1])
+    mixed = wedge(h0[0], h1[0])
+    for elem, expected in ((top0, True), (mixed, False),
+                           ({**top0, **top1}, True), ({**top0, **mixed}, False)):
+        assert element_in_ideal(vt.blocks, vt.n, zero, elem) is expected
+        assert in_ideal_by_class(vt.blocks, vt.n, zero, elem) is expected
+
+
+@pytest.mark.parametrize("a,elem", (
+    ((0, 0, 0), {0b111: 1}),        # u_1 u_2 u_3 lies above the block's top wedge
+    ((1, 0, 0), {0: 1, 0b001: 1}),  # two wedge degrees in one element
+))
+def test_an_element_outside_its_class_piece_is_a_classification_violation(a, elem):
+    with pytest.raises(ClassificationViolation, match="does not lie in its class piece"):
+        element_in_ideal(BLOCKS3, 3, a, elem)
+
+
+@pytest.fixture
+def escaping_generators(monkeypatch, fresh_caches):
+    """Every ideal generator's g_K replaced by u_K, one wedge degree too high."""
+    generators = koszulalg._ideal_generators
+    monkeypatch.setattr(koszulalg, "_ideal_generators", lambda blocks: [
+        (j, drop, degree, {sum(1 << i for i in blocks[j]) ^ drop: 1})
+        for j, drop, degree, _ in generators(blocks)])
+
+
+def test_an_ideal_vector_escaping_its_slice_is_a_certificate_failure(escaping_generators):
+    with pytest.raises(CertificateFailure, match="ideal vector escapes the class piece"):
+        j_algebra_dims(3, 3)
+
+
+def test_an_escaping_ideal_vector_makes_analyze_exit_3(tmp_path, capsys,
+                                                       escaping_generators):
+    assert main(["examples", "show", "quartic"]) == 0
+    cfg = tmp_path / "quartic.json"
+    cfg.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(cfg), "--sections", "algebra", "--cutoff", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "certificate failure [CertificateFailure]: ideal vector escapes" in err
 
 
 def test_tensor_builds_one_table_per_block_size(monkeypatch):
