@@ -141,11 +141,6 @@ class FiniteAbelianGroup:
     def is_trivial(self):
         return not self.invariant_factors
 
-    def __str__(self):
-        if not self.invariant_factors:
-            return "trivial"
-        return " x ".join(f"Z/{f}" for f in self.invariant_factors)
-
 
 def group_from_diagonal(diag):
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))

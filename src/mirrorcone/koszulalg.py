@@ -1,21 +1,22 @@
-"""Graded exterior-polynomial computations: Koszul cohomology, the quotient
-algebra presented by the block-top-wedge ideal, the sign action, and the
-enumeration of deformation and curvature classes.
+"""Graded exterior-polynomial computations: the quotient algebra presented by
+the block-top-wedge ideal, which gives the graded dimensions of the Koszul
+cohomology of W_0 (the two are isomorphic class by class), the sign action,
+and the enumeration of deformation and curvature classes.
 
 Degrees live in the cover grading datum Z (+) Z^I / <(2(1-|I_j|), e_I_j)>;
 a degree class is canonicalized by shifting each block's m-part to have
 minimum zero.  Every degree class meets only finitely many monomials, so all
 dimensions are exact integer ranks, with a z-degree cutoff controlling only
-which classes get reported.  Ranks are taken once per matrix shape: the
-Koszul differential once per source shape, the quotient algebra slice by
-slice.
+which classes get reported.  A class piece splits into slices, and each
+slice shape is ranked once.  The Koszul complex itself is built only by the
+test oracles, which compare its cohomology with these dimensions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 from operator import itemgetter
 
@@ -107,90 +108,6 @@ def degree_classes(blocks, n, cutoff):
     return sorted(classes)
 
 
-# --- Koszul complex side --------------------------------------------------
-# A monomial z^a theta^K is a pair (mask, a): bit i of the int mask is theta_i.
-
-
-def _koszul_piece(blocks, n, cls):
-    """All monomials z^a theta^K of the given degree class, as (mask, a) pairs."""
-    jhat, mhat = cls
-    msum = sum(mhat)
-    block_of = _block_index(blocks, n)
-    out = []
-    for mask in range(1 << n):
-        twice = mask.bit_count() - 2 * msum - jhat
-        if twice % 2:
-            continue
-        base = [(mask >> i & 1) - mhat[i] for i in range(n)]
-        # t_j <= caps[j] keeps every exponent of block j non-negative
-        caps = [min(base[i] for i in blk) for blk in blocks]
-        if sum(caps) < twice // 2:
-            continue
-        for t in _block_shifts(caps, twice // 2):
-            out.append((mask, tuple(b - t[block_of[i]] for i, b in enumerate(base))))
-    return out
-
-
-def _koszul_differential(blocks, mono):
-    """Image of the monomial (mask, a) under contraction with dW_0, W_0 = -sum z^{e_I_j}.
-
-    Each theta_k in mask gives the key mask ^ (1 << k), so no two terms meet.
-    """
-    mask, a = mono
-    out = {}
-    for blk in blocks:
-        for k in blk:
-            if mask >> k & 1:
-                new_a = list(a)
-                for i in blk:
-                    new_a[i] += 1
-                new_a[k] -= 1
-                # dW_0/dz_k carries the minus sign
-                out[(mask ^ (1 << k), tuple(new_a))] = -front_sign(mask, k)
-    return out
-
-
-def _koszul_dim_table(blocks, n):
-    """dim of ker/im as a function of a canonical class, each piece and rank built once.
-
-    The differential maps the class (j, m) to (j + 1, m), so the rank into a
-    class is the rank out of the class below it.  Written as (mask, t) with
-    a = base(mask) - t[block_of], a monomial goes to (mask ^ 1 << k, t - e_blk(k)),
-    so the rank out of a class depends only on the set of (mask, t) of its
-    piece, its source shape; the matrix columns are the images.
-    """
-    firsts = [min(blk) for blk in blocks]
-    ranks = {}
-
-    @cache
-    def piece(cls):
-        return _koszul_piece(blocks, n, cls)
-
-    @cache
-    def rank_out(j, m):
-        source = piece((j, m))
-        shape = tuple((mask, tuple((mask >> f & 1) - m[f] - a[f] for f in firsts))
-                      for mask, a in source)
-        if shape not in ranks:
-            images = [_koszul_differential(blocks, mono) for mono in source]
-            cols = dict.fromkeys(key for image in images for key in image)
-            ranks[shape] = matrix_rank([[image.get(key, 0) for key in cols]
-                                        for image in images])
-        return ranks[shape]
-
-    def dim(cls):
-        j, m = cls
-        size = len(piece(cls))
-        return size and size - rank_out(j, m) - rank_out(j - 1, m)
-
-    return dim
-
-
-def koszul_cohomology_dim_for_class(blocks, n, cls):
-    """dim of ker/im of the Koszul differential at one canonical degree class."""
-    return _koszul_dim_table(blocks, n)(cls)
-
-
 @dataclass(frozen=True)
 class GradedDims:
     """Finitely many degree classes with their dimensions (zeros omitted).
@@ -214,20 +131,6 @@ def _single_block(n, cutoff):
     if cutoff < n:
         raise CutoffTooSmall(f"cutoff {cutoff} < block size {n}")
     return (tuple(range(n)),)
-
-
-def _graded_dims(dim_of, blocks, n, z_cutoff) -> GradedDims:
-    dims = ((cls, dim_of(cls)) for cls in degree_classes(blocks, n, z_cutoff))
-    return GradedDims(tuple((j, *m, d) for (j, m), d in dims if d))
-
-
-def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
-    """Graded dimensions of the Koszul cohomology for a single block of size n."""
-    return multiblock_koszul_dims(_single_block(n, z_cutoff), n, z_cutoff)
-
-
-def multiblock_koszul_dims(blocks, n, z_cutoff) -> GradedDims:
-    return _graded_dims(_koszul_dim_table(blocks, n), blocks, n, z_cutoff)
 
 
 # --- exterior algebra on the odd generators u_i ---------------------------
@@ -377,13 +280,16 @@ def j_algebra_dim_for_class(blocks, n, cls):
     return sum(size - rank for size, _, _, rank in slices)
 
 
-def j_algebra_dims(n, z_cutoff) -> GradedDims:
-    """Graded dimensions of the quotient algebra for a single block of size n."""
-    return multiblock_j_dims(_single_block(n, z_cutoff), n, z_cutoff)
-
-
 def multiblock_j_dims(blocks, n, z_cutoff) -> GradedDims:
-    return _graded_dims(partial(j_algebra_dim_for_class, blocks, n), blocks, n, z_cutoff)
+    dims = ((cls, j_algebra_dim_for_class(blocks, n, cls))
+            for cls in degree_classes(blocks, n, z_cutoff))
+    return GradedDims(tuple((j, *m, d) for (j, m), d in dims if d))
+
+
+def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
+    """Graded dimensions of the Koszul cohomology of W_0 for a single block of
+    size n, read off the quotient algebra it is isomorphic to class by class."""
+    return multiblock_j_dims(_single_block(n, z_cutoff), n, z_cutoff)
 
 
 def element_in_ideal(blocks, n, a, elem):
@@ -429,7 +335,7 @@ def tensor_j_dims(vt: ValidatedToricData, z_cutoff) -> GradedDims:
     if z_cutoff < max(len(b) for b in vt.blocks):
         raise CutoffTooSmall("cutoff below the largest block size")
     tables = {nb: [(j, m, d) for (j, m), d in
-                   j_algebra_dims(nb, z_cutoff + nb + 1).dims]
+                   koszul_cohomology_dims(nb, z_cutoff + nb + 1).dims]
               for nb in {len(blk) for blk in vt.blocks}}
     total = {(0,): 1}
     for blk in vt.blocks:

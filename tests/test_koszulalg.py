@@ -14,8 +14,6 @@ from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.koszulalg import (
     ClassificationViolation,
     CutoffTooSmall,
-    _koszul_differential,
-    _koszul_piece,
     canonical_class,
     contract_block,
     degree_classes,
@@ -25,17 +23,16 @@ from mirrorcone.koszulalg import (
     front_sign,
     h_basis,
     j_algebra_dim_for_class,
-    j_algebra_dims,
-    koszul_cohomology_dim_for_class,
     koszul_cohomology_dims,
     multiblock_j_dims,
-    multiblock_koszul_dims,
     sign_action,
     tensor_j_dims,
     wedge,
 )
 from mirrorcone.toricdata import check_no_bc, validate
 from oracles import (
+    _koszul_class_monomials,
+    _koszul_image,
     convolve_block_tables,
     in_ideal_by_class,
     j_class_dimension,
@@ -46,25 +43,45 @@ from oracles import (
 
 BLOCKS3 = (tuple(range(3)),)
 
+# The Koszul complex of W_0 is built only by the oracle; the tests that use
+# it compare its cohomology with the quotient-algebra dimensions of src.
+
+
+def _oracle_koszul_dims(blocks, n, cutoff):
+    """The nonzero Koszul cohomology dimensions of the cutoff's classes, by the oracle."""
+    dims = ((cls, koszul_class_dimension(blocks, n, cls))
+            for cls in degree_classes(blocks, n, cutoff))
+    return {cls: d for cls, d in dims if d}
+
+
+def _differential_squared(blocks, mono):
+    """d(d(mono)) on the oracle's Koszul complex, zero terms kept."""
+    twice = {}
+    for mono1, c1 in _koszul_image(blocks, *mono).items():
+        for mono2, c2 in _koszul_image(blocks, *mono1).items():
+            twice[mono2] = twice.get(mono2, 0) + c1 * c2
+    return twice
+
 
 def test_hand_dims_three_variables_z_degree_zero():
     # wedge degrees 0, 1, 2 at z-degree zero: dimensions 1, 2, 0
     for w, expected in ((0, 1), (1, 2), (2, 0)):
         cls = (w, (0, 0, 0))
-        assert koszul_cohomology_dim_for_class(BLOCKS3, 3, cls) == expected
+        assert koszul_class_dimension(BLOCKS3, 3, cls) == expected
         assert j_algebra_dim_for_class(BLOCKS3, 3, cls) == expected
 
 
 def test_unit_class_survives():
-    assert koszul_cohomology_dim_for_class(BLOCKS3, 3, (0, (0, 0, 0))) == 1
+    assert koszul_class_dimension(BLOCKS3, 3, (0, (0, 0, 0))) == 1
+    assert koszul_cohomology_dims(3, 3).as_dict()[(0, (0, 0, 0))] == 1
 
 
 def test_z2z3_is_a_boundary():
     # z_2 z_3 equals the differential of theta_1 up to sign, so its class dies
-    image = _koszul_differential(BLOCKS3, (0b1, (0, 0, 0)))
-    assert image == {(0, (0, 1, 1)): -1}
+    assert _koszul_image(BLOCKS3, 0b1, (0, 0, 0)) == {(0, (0, 1, 1)): -1}
     cls = canonical_class(BLOCKS3, 4, (0, -1, -1))
-    assert koszul_cohomology_dim_for_class(BLOCKS3, 3, cls) == 0
+    assert koszul_class_dimension(BLOCKS3, 3, cls) == 0
+    assert j_algebra_dim_for_class(BLOCKS3, 3, cls) == 0
 
 
 def test_differential_squares_to_zero():
@@ -72,50 +89,28 @@ def test_differential_squares_to_zero():
         blocks = (tuple(range(n)),)
         for size in range(n + 1):
             for K in combinations(range(n), size):
-                once = _koszul_differential(blocks, (_mask(K), (0,) * n))
-                twice = {}
-                for mono, c1 in once.items():
-                    for mono2, c2 in _koszul_differential(blocks, mono).items():
-                        twice[mono2] = twice.get(mono2, 0) + c1 * c2
+                twice = _differential_squared(blocks, (_mask(K), (0,) * n))
                 assert all(v == 0 for v in twice.values())
 
 
 def test_differential_squares_to_zero_multiblock():
     vt = fixture("cubic-fourfold")
     for K in (tuple(range(6)), (0, 3), (0, 1, 4, 5)):
-        once = _koszul_differential(vt.blocks, (_mask(K), (0,) * 6))
-        twice = {}
-        for mono, c1 in once.items():
-            for mono2, c2 in _koszul_differential(vt.blocks, mono).items():
-                twice[mono2] = twice.get(mono2, 0) + c1 * c2
+        twice = _differential_squared(vt.blocks, (_mask(K), (0,) * 6))
         assert all(v == 0 for v in twice.values())
 
 
 @pytest.mark.parametrize("n", (3, 4))
 def test_dnsh_equivalence_small(n):
     k = koszul_cohomology_dims(n, n + 2)
-    j = j_algebra_dims(n, n + 2)
-    assert k.as_dict() == j.as_dict()
+    assert k.as_dict() == _oracle_koszul_dims((tuple(range(n)),), n, n + 2)
 
 
 def test_multiblock_koszul_matches_quotient_cubic_fourfold():
     vt = fixture("cubic-fourfold")
-    k = multiblock_koszul_dims(vt.blocks, vt.n, 2)
-    assert len(k.dims) == 141
-    assert k == multiblock_j_dims(vt.blocks, vt.n, 2)
-
-
-def test_koszul_dims_build_each_piece_once(monkeypatch):
-    seen = []
-    piece = koszulalg._koszul_piece
-
-    def counting(blocks, n, cls):
-        seen.append(cls)
-        return piece(blocks, n, cls)
-
-    monkeypatch.setattr(koszulalg, "_koszul_piece", counting)
-    koszul_cohomology_dims(4, 6)
-    assert seen and len(seen) == len(set(seen))
+    j = multiblock_j_dims(vt.blocks, vt.n, 2)
+    assert len(j.dims) == 141
+    assert j.as_dict() == _oracle_koszul_dims(vt.blocks, vt.n, 2)
 
 
 @pytest.fixture
@@ -147,15 +142,15 @@ def _count_ranks(monkeypatch):
 def test_j_dims_rank_each_slice_shape_once(monkeypatch, fresh_caches, n, most):
     # one rank per (wedge distribution, zero set of a): 3 x 8 and 4 x 16
     calls = _count_ranks(monkeypatch)
-    j_algebra_dims(n, 10)
+    koszul_cohomology_dims(n, 10)
     assert 0 < len(calls) <= most
 
 
-def test_koszul_dims_rank_each_source_shape_once(monkeypatch):
-    # 2,001 classes share about 200 source shapes
+def test_r1_dims_at_the_report_cutoff_rank_each_slice_shape_once(monkeypatch, fresh_caches):
+    # the r = 1 report path: 4 wedge distributions x 16 zero sets
     calls = _count_ranks(monkeypatch)
     koszul_cohomology_dims(4, 6)
-    assert 0 < len(calls) < 300
+    assert 0 < len(calls) <= 64
 
 
 def _blocks_of(name):
@@ -177,7 +172,7 @@ def test_j_dims_match_the_whole_class_oracle(name, cutoff):
 @pytest.mark.parametrize("name,cutoff", (("n3", 6), ("n4", 6), ("cubic-fourfold", 2)))
 def test_koszul_dims_match_the_whole_class_oracle(name, cutoff):
     blocks, n = _blocks_of(name)
-    dims = multiblock_koszul_dims(blocks, n, cutoff).as_dict()
+    dims = multiblock_j_dims(blocks, n, cutoff).as_dict()
     for cls in degree_classes(blocks, n, cutoff):
         assert dims.get(cls, 0) == koszul_class_dimension(blocks, n, cls), cls
 
@@ -232,7 +227,7 @@ def escaping_generators(monkeypatch, fresh_caches):
 
 def test_an_ideal_vector_escaping_its_slice_is_a_certificate_failure(escaping_generators):
     with pytest.raises(CertificateFailure, match="ideal vector escapes the class piece"):
-        j_algebra_dims(3, 3)
+        koszul_cohomology_dims(3, 3)
 
 
 def test_an_escaping_ideal_vector_makes_analyze_exit_3(tmp_path, capsys,
@@ -247,13 +242,13 @@ def test_an_escaping_ideal_vector_makes_analyze_exit_3(tmp_path, capsys,
 
 def test_tensor_builds_one_table_per_block_size(monkeypatch):
     calls = []
-    table = koszulalg.j_algebra_dims
+    table = koszulalg.koszul_cohomology_dims
 
     def counting(n, z_cutoff):
         calls.append(n)
         return table(n, z_cutoff)
 
-    monkeypatch.setattr(koszulalg, "j_algebra_dims", counting)
+    monkeypatch.setattr(koszulalg, "koszul_cohomology_dims", counting)
     tensor_j_dims(fixture("z-manifold"), 3)
     assert calls == [3]
 
@@ -269,16 +264,17 @@ def test_kernel_inside_image_of_f():
     blocks = (tuple(range(n)),)
     sampled = [cls for cls in degree_classes(blocks, n, 4)][::7]
     for cls in sampled:
-        here = _koszul_piece(blocks, n, cls)
+        assert koszul_class_dimension(blocks, n, cls) == j_algebra_dim_for_class(blocks, n, cls)
+        here = _koszul_class_monomials(blocks, n, cls)
         if not here:
             continue
         jhat, mhat = cls
-        above = _koszul_piece(blocks, n, canonical_class(blocks, jhat + 1, mhat))
+        above = _koszul_class_monomials(blocks, n, canonical_class(blocks, jhat + 1, mhat))
         index = {mono: i for i, mono in enumerate(above)}
         rows = []
         for mono in here:
             row = [0] * len(above)
-            for key, coeff in _koszul_differential(blocks, mono).items():
+            for key, coeff in _koszul_image(blocks, *mono).items():
                 row[index[key]] = coeff
             rows.append(row)
         if not above:
@@ -361,13 +357,13 @@ def test_tensor_matches_direct_zmanifold_sampled():
 def test_tensor_single_block_equals_plain():
     vt = fixture("quartic")
     conv = tensor_j_dims(vt, 5).as_dict()
-    plain = j_algebra_dims(4, 5).as_dict()
+    plain = koszul_cohomology_dims(4, 5).as_dict()
     for cls, dim in plain.items():
         assert conv.get(cls) == dim
 
 
 def _convolution_by_oracle(vt, cutoff):
-    tables = {nb: j_algebra_dims(nb, cutoff + nb + 1).as_dict()
+    tables = {nb: koszul_cohomology_dims(nb, cutoff + nb + 1).as_dict()
               for nb in {len(blk) for blk in vt.blocks}}
     return convolve_block_tables(vt.blocks, vt.n, tables)
 

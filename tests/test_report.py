@@ -84,14 +84,16 @@ def test_tracer_hooks_resolve_and_record_each_section():
             owner = getattr(owner, part)
         assert callable(owner), (mod_name, attr)
 
-    sections = ("validation", "grading", "bside", "fans")
+    sections = ("validation", "grading", "bside", "fans", "algebra")
     tracer = tracing.Tracer()
     tracer.begin_input("elliptic")
     with tracer.patched():
-        report.build_report(fixture("elliptic"), sections)
+        report.build_report(fixture("elliptic"), sections, algebra_cutoff=3)
     names = Counter(name for _, name, _, _, _ in tracer.spans)
     assert {n: c for n, c in names.items() if n.startswith("report.")} == {
         f"report.{s}": 1 for s in sections}
+    # the r = 1 graded dims pass through the hooked koszul_cohomology_dims
+    assert names["koszulalg.dims"] == 1
     assert tracer.counts["elliptic"]["fans.subdivision_calls"] == 1
     assert tracer.counts["elliptic"]["grading.build_calls"] == 1
 
