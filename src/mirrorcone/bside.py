@@ -2,23 +2,19 @@
 
 Coefficients are formal units: a block term carries the unit -1, a
 distinguished-monomial term carries a named symbol with a valuation.  Every
-identity checked here (weighted homogeneity, the sign flip, delta^2 = W) is
-coefficient-agnostic, so no series arithmetic is needed.  A polynomial
-element is one flat map from (packed monomial, odd-generator bitmask) to an
-integer, and one Koszul operator serves both delta and the dual
-differential.  The packed monomial is one int whose base-2^B digits are the
-n z-exponents followed by one count per coefficient symbol, so multiplying
-two monomials is one int addition.  B is chosen from the data so that 2^B
-exceeds every digit of a product of two entries (the most any check forms):
-no addition carries, and the packing is injective on everything compared.
+identity checked here (weighted homogeneity, the sign flip, delta^2 = W, the
+dual) is coefficient-agnostic, so no series arithmetic is needed.  Neither
+delta^2 = W nor the dual is checked by applying an operator to basis
+elements: delta^2 = W reduces to sum_i z_i W_i = W on the split of W plus
+the Clifford sign identities of the generator flips (O(n^2) masks), and the
+intertwining of the dual to one sign identity per generator (O(n) masks).
+The scan over all 2^n basis elements is the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import eq
 
 from . import CertificateFailure
 from .grading import GradingData, deg_equal
@@ -105,42 +101,25 @@ def check_wflips(w: Superpotential) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Koszul matrix factorization.  An element of the free module S[phi] is one
-# flat map {(monomial, mask): int}: bit i of the int mask is the odd
-# generator phi_i, products of generators are kept in increasing index order,
-# and monomial is z^a times the coefficient symbols packed by KoszulMF.pack.
-# A product of monomials is their sum, which never carries because 2^B
-# exceeds every digit of a product of two entries.  A polynomial such as W_i
-# or z_i is a tuple of (sign, monomial) entries.
+# Koszul matrix factorization on S[phi], bit i of an int mask the odd
+# generator phi_i, products of generators in increasing index order.  A split
+# W_i is a tuple of (sign, symbols, reduced exponent) entries.
 
 
-def koszul_operator(elem, contract, insert):
-    """Apply sum_i contract[i] d/dx_i + insert[i] x_i to a flat element.
-
-    x_i is the odd generator of bit i; contract[i] and insert[i] are
-    polynomials given as (sign, packed monomial) entries.
-    """
+def _collect(entries):
+    """{(exponent, symbols): coefficient} of (sign, exponent, symbols) entries."""
     out = {}
-    for (mono, mask), coeff in elem.items():
-        for i in range(len(insert)):
-            bit = 1 << i
-            # d/dx_i and x_i both move x_i past the generators below it
-            c = coeff * front_sign(mask, i)
-            for sign, m in contract[i] if mask & bit else insert[i]:
-                key = (mono + m, mask ^ bit)
-                out[key] = out.get(key, 0) + sign * c
-    return {key: c for key, c in out.items() if c}
+    for sign, exp, syms in entries:
+        out[exp, syms] = out.get((exp, syms), 0) + sign
+    return out
 
 
-def _negated(polys):
-    return tuple(tuple((-sign, m) for sign, m in p) for p in polys)
-
-
-def _check_every_basis_element(n, holds, failure, what):
-    """Raise failure unless holds(mask, phi_mask) for each of the 2^n basis masks."""
-    for mask in range(1 << n):
-        if not holds(mask, {(0, mask): 1}):
-            raise failure(f"{what}{tuple(bits(mask))}")
+def _representative_masks(i, j):
+    """Every mask over bits i and j, one bit below i and one strictly between
+    i and j (each where there is room): all the parities front_sign sees."""
+    free = sorted({i, j, *([i - 1] if i else []), *([i + 1] if j > i + 1 else [])})
+    return [sum(1 << b for k, b in enumerate(free) if sel >> k & 1)
+            for sel in range(1 << len(free))]
 
 
 @dataclass
@@ -155,58 +134,50 @@ class KoszulMF:
     def n(self):
         return self.vt.n
 
-    @cached_property
-    def z(self):
-        """Per variable i: z_i as a polynomial of one entry."""
-        n = self.n
-        return tuple(((1, (), tuple(int(k == i) for k in range(n))),)
-                     for i in range(n))
-
-    def _entries(self):
-        """Every (sign, symbols, exponent) entry of z, the splits and W."""
-        return [*(e for p in (*self.z, *self.splits) for e in p),
-                *((t.sign, t.symbol(), t.exponent) for t in self.w.terms)]
-
-    @cached_property
-    def width(self):
-        """Digit width B of a packed monomial: 2^B exceeds twice the largest
-        digit (exponent or symbol count) of any entry, hence every digit of a
-        product of two entries."""
-        return (2 * max(max((*exp, *map(syms.count, syms)))
-                        for _, syms, exp in self._entries())).bit_length()
-
-    @cached_property
-    def _symbol_digit(self):
-        """Digit index n + k of the k-th coefficient symbol in sorted order."""
-        symbols = sorted({s for _, syms, _ in self._entries() for s in syms})
-        return {s: self.n + k for k, s in enumerate(symbols)}
-
-    def pack(self, exponent, symbols=()):
-        """z^exponent times the coefficient symbols as one packed monomial."""
-        b = self.width
-        return (sum(e << b * k for k, e in enumerate(exponent))
-                + sum(1 << b * self._symbol_digit[s] for s in symbols))
-
-    @cached_property
-    def packed_z(self):
-        return tuple(((1, 1 << self.width * i),) for i in range(self.n))
-
-    @cached_property
-    def packed_splits(self):
-        return tuple(tuple((sign, self.pack(exp, syms)) for sign, syms, exp in p)
-                     for p in self.splits)
-
-    def delta(self, elem):
-        return koszul_operator(elem, self.packed_z, self.packed_splits)
-
     def verify_factorization(self):
-        """delta^2 = W * id on every basis element phi_S."""
-        w = [(self.pack(t.exponent, t.symbol()), t.sign) for t in self.w.terms]
-        _check_every_basis_element(
-            self.n,
-            lambda mask, basis: self.delta(self.delta(basis))
-            == {(m, mask): sign for m, sign in w},
-            FactorizationCheckFailed, "delta^2 != W*id on basis element ")
+        """Certify delta^2 = W * id without applying delta.
+
+        Write delta = sum_i (z_i iota_i + W_i eps_i), where iota_i removes and
+        eps_i adds phi_i, both flipping bit i of phi_S with the sign
+        fs(S, i) = front_sign(S, i).  If the flips anticommute for i != j and
+        each squares to the identity, these are the Clifford relations
+        {iota_i, iota_j} = {eps_i, eps_j} = 0, {iota_i, eps_j} = delta_ij, so
+        the cross terms of delta^2 cancel in pairs and
+        delta^2 = (sum_i z_i W_i) * id.  Hence two checks, each raising
+        FactorizationCheckFailed with its witness:
+
+        (a) sum_i z_i W_i = W as polynomials, on the readable
+            (exponent, symbols) entries: O(|W|) work;
+        (b) for every pair i <= j the sign identities
+            fs(S, i) fs(S ^ 2^i, j) = -fs(S, j) fs(S ^ 2^j, i)  (i != j),
+            fs(S, i) = fs(S ^ 2^i, i)                            (i == j).
+            fs(S, i) sees S only through the parity of S below i, so both
+            sides see S only through bits i and j, the parity of S below i
+            and its parity strictly between i and j.  The masks of
+            _representative_masks realise every combination, so O(n^2)
+            checks stand for all 2^n masks.
+        """
+        product = _collect((sign, exp[:i] + (exp[i] + 1,) + exp[i + 1:], syms)
+                           for i, split in enumerate(self.splits)
+                           for sign, syms, exp in split)
+        w = _collect((t.sign, t.exponent, t.symbol()) for t in self.w.terms)
+        for key in sorted(product.keys() | w.keys()):
+            if product.get(key, 0) != w.get(key, 0):
+                raise FactorizationCheckFailed(
+                    f"sum_i z_i W_i != W at z^{key[0]} {key[1]}: coefficient "
+                    f"{product.get(key, 0)}, not {w.get(key, 0)}")
+        for j in range(self.n):
+            for i in range(j + 1):
+                for s in _representative_masks(i, j):
+                    if i == j:
+                        holds = front_sign(s, i) == front_sign(s ^ (1 << i), i)
+                    else:
+                        holds = (front_sign(s, i) * front_sign(s ^ (1 << i), j)
+                                 == -front_sign(s, j) * front_sign(s ^ (1 << j), i))
+                    if not holds:
+                        raise FactorizationCheckFailed(
+                            f"flips of phi_{i} and phi_{j} break the Clifford "
+                            f"relations on phi_{tuple(bits(s))}")
         return True
 
     def delta_degree_check(self, gd: GradingData) -> bool:
@@ -218,12 +189,14 @@ class KoszulMF:
         """
         n = self.n
         one = gd.cover.deg(1, (0,) * n)
+        z_deg = [gd.deg_z(gd.cover, k) for k in range(n)]
         for i in range(n):
             phi_deg = gd.cover.deg(1, tuple(-1 if k == i else 0 for k in range(n)))
             for _, syms, wexp in self.splits[i]:
                 deg = phi_deg
                 for k, e in enumerate(wexp):
-                    deg = deg + gd.deg_z(gd.cover, k).scale(e)
+                    if e:
+                        deg = deg + z_deg[k].scale(e)
                 for _, exp in syms:
                     deg = deg + gd.deg_r_monomial(exp, 1)
                 if not deg_equal(deg, one):
@@ -248,50 +221,51 @@ class DualizationReport:
     intertwines: bool
 
 
-def intertwining_sides(mf: KoszulMF):
-    """The two sides of the intertwining identity as a function of a theta
-    basis element: (comparison map after the dual differential, delta after
-    the comparison map), both as packed flat elements.
+def comparison_sign(mask):
+    """Sign s(T) of the comparison map theta_T -> s(T) phi_{T^c}.
 
-    The dual differential on S[theta] is sum_i(-z_i theta_i - W_i d/dtheta_i)
-    (the coefficient involution composed with the theta rescaling), i.e. the
-    Koszul operator with -W_i and -z_i; the comparison map sends
-    theta_{i_1}..theta_{i_k} to (-1)^k d/dphi_{i_1} .. d/dphi_{i_k} applied
-    to phi_1..phi_n.
+    The map sends theta_{i_1}..theta_{i_k} to (-1)^k d/dphi_{i_1} ..
+    d/dphi_{i_k} applied to phi_1..phi_n, the rightmost contraction first.
+    The contraction of phi_i meets every phi_k, k < i, still in place, so
+    s(T) = prod_{i in T} (-1)^(i + 1).
     """
-    n = mf.n
-    contract, insert = _negated(mf.packed_splits), _negated(mf.packed_z)
-    full = (1 << n) - 1
+    return -1 if sum(i + 1 for i in bits(mask)) & 1 else 1
 
-    def comparison(mask):
-        """Image of theta_mask: sign and the complementary phi mask."""
-        # d/dphi_{i_1} .. d/dphi_{i_k} (phi_1 .. phi_n) with i_1 < ... < i_k
-        # and the rightmost contraction acting first, then the (-1)^k factor.
-        sign, remaining = 1, full
-        for i in reversed(bits(mask)):
-            sign *= front_sign(remaining, i)
-            remaining ^= 1 << i
-        return sign * (-1) ** mask.bit_count(), remaining
 
-    images = [comparison(mask) for mask in range(1 << n)]
-
-    def map_elem(elem):
-        out = {}
-        for (mono, mask), coeff in elem.items():
-            sign, image = images[mask]
-            out[(mono, image)] = sign * coeff
-        return out
-
-    return lambda elem: (map_elem(koszul_operator(elem, contract, insert)),
-                         mf.delta(map_elem(elem)))
+def dual_signs(n):
+    """Per generator i: the signs (a_i, b_i) of z_i theta_i and W_i d/dtheta_i
+    in the dual differential sum_i (-z_i theta_i - W_i d/dtheta_i) on
+    S[theta], the coefficient involution composed with the theta rescaling."""
+    return [(-1, -1)] * n
 
 
 def dualize_mf(mf: KoszulMF) -> DualizationReport:
-    """Check that the standard comparison map intertwines the pulled-back dual
-    differential with delta on every theta basis element, and report its
-    degree r - |I|."""
-    sides = intertwining_sides(mf)
-    _check_every_basis_element(
-        mf.n, lambda mask, basis: eq(*sides(basis)),
-        IntertwineCheckFailed, "comparison map fails on theta_")
-    return DualizationReport(iso_degree=mf.vt.r - mf.n, intertwines=True)
+    """Certify that the comparison map C intertwines the dual differential D
+    with delta, C D = delta C, and report the isomorphism's degree r - |I|.
+
+    With fs = front_sign and T^c the complement of T in I,
+      C D theta_T = sum_{i not in T} a_i z_i fs(T, i) s(T + i) phi_{T^c - i}
+                  + sum_{i in T} b_i W_i fs(T, i) s(T - i) phi_{T^c + i},
+      delta C theta_T = s(T) (sum_{i not in T} z_i fs(T^c, i) phi_{T^c - i}
+                             + sum_{i in T} W_i fs(T^c, i) phi_{T^c + i}).
+    The terms match generator by generator, so C D = delta C iff for every
+    i and every T not containing i
+      a_i fs(T, i) s(T + i) = s(T) fs(T^c, i)              (z_i terms at T),
+      b_i fs(T + i, i) s(T) = s(T + i) fs(T^c - i, i)      (W_i terms at T + i).
+    s(T + i) = (-1)^(i + 1) s(T) and fs(., i) sees only the parity below i,
+    so both identities see T only through its parity below i, which T = {}
+    and T = {i - 1} realise: O(n) checks, each raising
+    IntertwineCheckFailed.
+    """
+    n = mf.n
+    full = (1 << n) - 1
+    for i, (a, b) in enumerate(dual_signs(n)):
+        bit = 1 << i
+        for t in (0, bit >> 1) if i else (0,):
+            s, s_up = comparison_sign(t), comparison_sign(t | bit)
+            if (a * front_sign(t, i) * s_up != s * front_sign(full ^ t, i)
+                    or b * front_sign(t | bit, i) * s
+                    != s_up * front_sign(full ^ t ^ bit, i)):
+                raise IntertwineCheckFailed(
+                    f"comparison map fails at generator {i} on theta_{tuple(bits(t))}")
+    return DualizationReport(iso_degree=mf.vt.r - n, intertwines=True)

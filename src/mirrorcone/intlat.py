@@ -138,9 +138,6 @@ class FiniteAbelianGroup:
             n *= f
         return n
 
-    def is_trivial(self):
-        return not self.invariant_factors
-
 
 def group_from_diagonal(diag):
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))

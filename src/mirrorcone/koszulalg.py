@@ -122,9 +122,6 @@ class GradedDims:
         """Sorted tuple of ((jhat, mhat), dim)."""
         return tuple(((row[0], row[1:-1]), row[-1]) for row in self.rows)
 
-    def as_dict(self):
-        return dict(self.dims)
-
 
 def _single_block(n, cutoff):
     """The one block of size n, once the cutoff reaches it."""
@@ -368,7 +365,7 @@ def involution_sign(vt: ValidatedToricData, b, h_size):
     volume orders v: the coefficient's sign times the sign action.
     """
     v = vt.volume_orders
-    pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, b))
+    pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, b) if x)
     if pairing.denominator != 1:
         raise CertificateFailure(f"<n_sigma + v - e_I, {b}> is not integral")
     return sign_action(b, h_size, v) * (-1) ** (int(pairing) % 2)

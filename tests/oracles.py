@@ -349,16 +349,21 @@ def koszul_delta_squared(n, splits, mask):
         koszul_operator_by_tuples(_basis(n, mask), z, splits), z, splits)
 
 
-def _comparison(n, elem):
-    """theta_{i_1}..theta_{i_k} -> (-1)^k d/dphi_{i_1}..d/dphi_{i_k}(phi_1..phi_n),
+def comparison_image(n, mask):
+    """(sign, phi mask) of theta_mask -> (-1)^k d/dphi_{i_1}..d/dphi_{i_k}(phi_1..phi_n),
     the contractions applied one at a time, the rightmost first."""
+    image = {((0,) * n, (1 << n) - 1, ()): (-1) ** bin(mask).count("1")}
+    for i in reversed([k for k in range(n) if mask >> k & 1]):
+        unit = tuple(((1, (), (0,) * n),) if k == i else () for k in range(n))
+        image = koszul_operator_by_tuples(image, unit, ((),) * n)
+    ((_, phi_mask, _), sign), = image.items()
+    return sign, phi_mask
+
+
+def _comparison(n, elem):
     out = {}
     for (zexp, mask, syms), coeff in elem.items():
-        image = {((0,) * n, (1 << n) - 1, ()): (-1) ** bin(mask).count("1")}
-        for i in reversed([k for k in range(n) if mask >> k & 1]):
-            unit = tuple(((1, (), (0,) * n),) if k == i else () for k in range(n))
-            image = koszul_operator_by_tuples(image, unit, ((),) * n)
-        ((_, phi_mask, _), sign), = image.items()
+        sign, phi_mask = comparison_image(n, mask)
         out[(zexp, phi_mask, syms)] = sign * coeff
     return out
 

@@ -1,8 +1,8 @@
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -20,7 +20,8 @@ from mirrorcone.cli import fixture_config_json, main
 from mirrorcone.fixtures import fixture
 from mirrorcone.grading import build_grading_data
 from mirrorcone.toricdata import LatticeSpec, ToricInput, UnknownMonomial, validate
-from oracles import koszul_delta_squared, koszul_intertwining_sides
+from oracles import comparison_image, koszul_delta_squared, koszul_intertwining_sides
+from tests_support import cubic_block_input, random_admissible_v
 
 TERM_COUNTS = {"elliptic": 4, "quartic": 23, "cubic-fourfold": 26, "z-manifold": 39}
 ISO_DEGREES = {"elliptic": -2, "quartic": -3, "cubic-fourfold": -4, "z-manifold": -6}
@@ -54,9 +55,6 @@ def test_unknown_valuation_key_rejected():
     vt = fixture("quartic")
     with pytest.raises(UnknownMonomial):
         validate(dataclasses.replace(vt.input, b_valuations={(1, 1, 1, 1): Fraction(1)}))
-
-
-from tests_support import random_admissible_v
 
 
 @pytest.mark.parametrize("name", sorted(TERM_COUNTS))
@@ -128,39 +126,44 @@ def test_split_reassembles_w():
     assert rebuilt == expected
 
 
-def _packed(mf, elem):
-    """A tuple-keyed oracle element on mf's packed keys; the packing must not merge keys."""
-    out = {(mf.pack(exp, syms), mask): c for (exp, mask, syms), c in elem.items()}
-    assert len(out) == len(elem)
-    return out
+ORACLE_INPUTS = {name: lambda name=name: fixture(name) for name in sorted(TERM_COUNTS)}
+# one cubic block is the elliptic fixture
+ORACLE_INPUTS.update({f"cubic-blocks-{k}": lambda k=k: validate(cubic_block_input(k))
+                      for k in (2, 3)})
 
 
-@pytest.mark.parametrize("name", sorted(TERM_COUNTS))
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
 def test_packed_certificate_matches_the_tuple_oracle(name):
-    w = build_superpotential(fixture(name))
+    """The 2^n basis scan on readable keys agrees with the sign-identity
+    certificate: delta^2 = W * id and the comparison map intertwines on
+    every basis element."""
+    w = build_superpotential(ORACLE_INPUTS[name]())
     mf = build_koszul_mf(w)
-    sides = bside.intertwining_sides(mf)
+    assert mf.verify_factorization() and dualize_mf(mf).intertwines
     for mask in range(1 << mf.n):
         square = koszul_delta_squared(mf.n, mf.splits, mask)
         assert square == {(t.exponent, mask, t.symbol()): t.sign for t in w.terms}
-        basis = {(0, mask): 1}
-        assert mf.delta(mf.delta(basis)) == _packed(mf, square)
         lhs, rhs = koszul_intertwining_sides(mf.n, mf.splits, mask)
         assert lhs == rhs
-        assert sides(basis) == (_packed(mf, lhs), _packed(mf, rhs))
 
 
-@pytest.mark.parametrize("name", sorted(TERM_COUNTS))
-def test_packing_width_exceeds_every_digit_of_a_sum_of_two_entries(name):
-    # a base-2^B digit holds 0 .. 2^B - 1, so no sum of two entries carries
-    w = build_superpotential(fixture(name))
-    mf = build_koszul_mf(w)
-    symbols = sorted({s for t in w.terms for s in t.symbol()})
-    entries = [(syms, exp) for p in (*mf.z, *mf.splits) for _, syms, exp in p]
-    entries += [(t.symbol(), t.exponent) for t in w.terms]
-    digits = [(*exp, *(syms.count(s) for s in symbols)) for syms, exp in entries]
-    top = max(a + b for d1, d2 in product(digits, repeat=2) for a, b in zip(d1, d2))
-    assert 2 ** mf.width > top
+def test_comparison_sign_matches_the_contractions():
+    for n in range(1, 10):
+        for mask in range(1 << n):
+            assert comparison_image(n, mask) == (bside.comparison_sign(mask),
+                                                 ((1 << n) - 1) ^ mask)
+
+
+def test_six_cubic_blocks_bside_within_budget(tmp_path):
+    cfg = tmp_path / "cubic6.json"
+    cfg.write_text(json.dumps(report.input_echo(validate(cubic_block_input(6)))))
+    t0 = time.monotonic()
+    assert main(["analyze", str(cfg), "--sections", "bside",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert time.monotonic() - t0 < 10
+    body = json.loads((tmp_path / "report.json").read_text())["sections"]["bside"]
+    assert body["delta_squared_is_w"] and body["dual_intertwines"]
+    assert body["dual_iso_degree"] == 6 - 18
 
 
 def _with_one_split_sign_flipped(mf):
@@ -183,16 +186,36 @@ def test_flipped_split_sign_exits_3(tmp_path, monkeypatch, capsys):
     assert "certificate failure [FactorizationCheckFailed]" in capsys.readouterr().err
 
 
+def test_dropped_split_term_fails_factorization():
+    mf = build_koszul_mf(build_superpotential(fixture("quartic")))
+    bad = dataclasses.replace(mf, splits=(mf.splits[0][1:],) + mf.splits[1:])
+    with pytest.raises(FactorizationCheckFailed, match="z_i W_i != W"):
+        bad.verify_factorization()
+    # the basis scan sees the same defect
+    assert any(koszul_delta_squared(mf.n, bad.splits, mask)
+               != koszul_delta_squared(mf.n, mf.splits, mask)
+               for mask in range(1 << mf.n))
+
+
+def test_front_sign_ignoring_a_lower_bit_fails_both_checks(monkeypatch):
+    mf = build_koszul_mf(build_superpotential(fixture("quartic")))
+    sign = bside.front_sign
+    monkeypatch.setattr(bside, "front_sign", lambda mask, i: sign(mask & ~0b10, i))
+    with pytest.raises(FactorizationCheckFailed, match="Clifford"):
+        mf.verify_factorization()
+    with pytest.raises(IntertwineCheckFailed):
+        dualize_mf(mf)
+
+
 def test_flipped_dual_sign_fails_intertwining(monkeypatch):
     mf = build_koszul_mf(build_superpotential(fixture("elliptic")))
-    operator = bside.koszul_operator
+    signs = bside.dual_signs
 
-    def dual_with_one_sign_flipped(elem, contract, insert):
-        if insert is not mf.packed_splits:
-            # the dual operator: -z_0 theta_0 becomes +z_0 theta_0
-            insert = (tuple((-s, m) for s, m in insert[0]),) + insert[1:]
-        return operator(elem, contract, insert)
+    def dual_with_one_sign_flipped(n):
+        # the dual differential: -z_0 theta_0 becomes +z_0 theta_0
+        (a, b), *rest = signs(n)
+        return [(-a, b), *rest]
 
-    monkeypatch.setattr(bside, "koszul_operator", dual_with_one_sign_flipped)
-    with pytest.raises(IntertwineCheckFailed):
+    monkeypatch.setattr(bside, "dual_signs", dual_with_one_sign_flipped)
+    with pytest.raises(IntertwineCheckFailed, match="generator 0"):
         dualize_mf(mf)

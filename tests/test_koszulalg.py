@@ -73,7 +73,7 @@ def test_hand_dims_three_variables_z_degree_zero():
 
 def test_unit_class_survives():
     assert koszul_class_dimension(BLOCKS3, 3, (0, (0, 0, 0))) == 1
-    assert koszul_cohomology_dims(3, 3).as_dict()[(0, (0, 0, 0))] == 1
+    assert dict(koszul_cohomology_dims(3, 3).dims)[(0, (0, 0, 0))] == 1
 
 
 def test_z2z3_is_a_boundary():
@@ -100,17 +100,10 @@ def test_differential_squares_to_zero_multiblock():
         assert all(v == 0 for v in twice.values())
 
 
-@pytest.mark.parametrize("n", (3, 4))
+@pytest.mark.parametrize("n", (3,))
 def test_dnsh_equivalence_small(n):
     k = koszul_cohomology_dims(n, n + 2)
-    assert k.as_dict() == _oracle_koszul_dims((tuple(range(n)),), n, n + 2)
-
-
-def test_multiblock_koszul_matches_quotient_cubic_fourfold():
-    vt = fixture("cubic-fourfold")
-    j = multiblock_j_dims(vt.blocks, vt.n, 2)
-    assert len(j.dims) == 141
-    assert j.as_dict() == _oracle_koszul_dims(vt.blocks, vt.n, 2)
+    assert dict(k.dims) == _oracle_koszul_dims((tuple(range(n)),), n, n + 2)
 
 
 @pytest.fixture
@@ -169,12 +162,15 @@ def test_j_dims_match_the_whole_class_oracle(name, cutoff):
         assert j_algebra_dim_for_class(blocks, n, cls) == j_class_dimension(blocks, n, cls), cls
 
 
+KOSZUL_ROW_COUNTS = {"n3": 41, "n4": 463, "cubic-fourfold": 141}
+
+
 @pytest.mark.parametrize("name,cutoff", (("n3", 6), ("n4", 6), ("cubic-fourfold", 2)))
 def test_koszul_dims_match_the_whole_class_oracle(name, cutoff):
     blocks, n = _blocks_of(name)
-    dims = multiblock_j_dims(blocks, n, cutoff).as_dict()
-    for cls in degree_classes(blocks, n, cutoff):
-        assert dims.get(cls, 0) == koszul_class_dimension(blocks, n, cls), cls
+    dims = multiblock_j_dims(blocks, n, cutoff).dims
+    assert len(dims) == KOSZUL_ROW_COUNTS[name]
+    assert dict(dims) == _oracle_koszul_dims(blocks, n, cutoff)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -340,15 +336,15 @@ def test_contraction_kills_h_basis():
 
 def test_tensor_matches_direct_cubic_fourfold():
     vt = fixture("cubic-fourfold")
-    conv = tensor_j_dims(vt, 3).as_dict()
-    direct = multiblock_j_dims(vt.blocks, vt.n, 3).as_dict()
+    conv = dict(tensor_j_dims(vt, 3).dims)
+    direct = dict(multiblock_j_dims(vt.blocks, vt.n, 3).dims)
     for cls, dim in direct.items():
         assert conv.get(cls) == dim
 
 
 def test_tensor_matches_direct_zmanifold_sampled():
     vt = fixture("z-manifold")
-    conv = tensor_j_dims(vt, 3).as_dict()
+    conv = dict(tensor_j_dims(vt, 3).dims)
     sample = degree_classes(vt.blocks, vt.n, 1)
     for cls in sample:
         assert j_algebra_dim_for_class(vt.blocks, vt.n, cls) == conv.get(cls, 0)
@@ -356,14 +352,14 @@ def test_tensor_matches_direct_zmanifold_sampled():
 
 def test_tensor_single_block_equals_plain():
     vt = fixture("quartic")
-    conv = tensor_j_dims(vt, 5).as_dict()
-    plain = koszul_cohomology_dims(4, 5).as_dict()
+    conv = dict(tensor_j_dims(vt, 5).dims)
+    plain = dict(koszul_cohomology_dims(4, 5).dims)
     for cls, dim in plain.items():
         assert conv.get(cls) == dim
 
 
 def _convolution_by_oracle(vt, cutoff):
-    tables = {nb: koszul_cohomology_dims(nb, cutoff + nb + 1).as_dict()
+    tables = {nb: dict(koszul_cohomology_dims(nb, cutoff + nb + 1).dims)
               for nb in {len(blk) for blk in vt.blocks}}
     return convolve_block_tables(vt.blocks, vt.n, tables)
 
@@ -401,7 +397,7 @@ def test_partial_sum_class_lies_outside_the_cutoff_classes():
 def test_printed_graded_dims_row_is_never_a_partial_sum():
     vt = fixture("cubic-fourfold")
     body = report.build_report(vt, ("algebra",), algebra_cutoff=3)
-    printed = body["sections"]["algebra"]["graded_dims"].as_dict()
+    printed = dict(body["sections"]["algebra"]["graded_dims"].dims)
     truth = j_algebra_dim_for_class(vt.blocks, vt.n, PARTIAL_SUM_CLASS)
     assert printed.get(PARTIAL_SUM_CLASS, truth) == truth
 

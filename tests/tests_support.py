@@ -11,3 +11,21 @@ def random_admissible_v(vt, rng):
         for i, val in zip(idx, entries):
             out[i] = val
     return tuple(out)
+
+
+def cubic_block_input(k):
+    """k cubic blocks: blocks {0,1,2}, {3,4,5}, ..., d = 3 everywhere, one
+    congruence e_{I_b} = 0 mod 3 per block and uniform weights 1."""
+    from fractions import Fraction
+
+    from mirrorcone.toricdata import LatticeSpec, ToricInput
+
+    n = 3 * k
+    return ToricInput(
+        blocks=tuple(tuple(range(3 * b, 3 * b + 3)) for b in range(k)),
+        degrees=(3,) * n,
+        lattice=LatticeSpec(congruences=tuple(
+            (tuple(int(3 * b <= i < 3 * b + 3) for i in range(n)), 3)
+            for b in range(k))),
+        weights=Fraction(1),
+    )
