@@ -14,15 +14,15 @@ test oracles, which compare its cohomology with these dimensions.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
-from operator import itemgetter
+from functools import cache, reduce
+from itertools import combinations, product, starmap
 
 from . import CertificateFailure
 from .intlat import matrix_rank
-from .toricdata import ValidatedToricData, subsets_in_lattice
+from .toricdata import ValidatedToricData
 
 
 class CutoffTooSmall(ValueError):
@@ -108,26 +108,62 @@ def degree_classes(blocks, n, cutoff):
     return sorted(classes)
 
 
+def _times(left, right):
+    """Two table entries (m, {j: dim}): m parts joined, j-polynomials multiplied."""
+    (m1, p1), (m2, p2) = left, right
+    poly = {}
+    for (j1, d1), (j2, d2) in product(p1.items(), p2.items()):
+        poly[j1 + j2] = poly.get(j1 + j2, 0) + d1 * d2
+    return m1 + m2, poly
+
+
+def _product(tables):
+    """The entries of the tables' product in nested order, the last table fastest."""
+    return reduce(lambda combos, table: starmap(_times, product(combos, table)), tables)
+
+
+def classes_by_j(tables):
+    """{j: (m parts, dims)} over the tables' product, each list in ``_product`` order."""
+    groups = defaultdict(lambda: ([], []))
+    for m, poly in _product(tables):
+        for j, d in poly.items():
+            parts, dims = groups[j]
+            parts.append(m)
+            dims.append(d)
+    return groups
+
+
 @dataclass(frozen=True)
 class GradedDims:
-    """Finitely many degree classes with their dimensions (zeros omitted).
+    """Graded dimensions of a tensor product of per-block algebras, zeros omitted:
+    ``factors[b]`` lists (m_b, {j_b: dim}) by m_b, m_b at the indices ``blocks[b]``.
+    One block, or the direct multi-block computation, is one factor.  From
+    ``tensor_j_dims`` (r > 1), a class outside ``degree_classes`` is a partial sum."""
 
-    From ``tensor_j_dims`` (r > 1), a class outside the cutoff's
-    ``degree_classes`` carries a partial convolution sum."""
+    blocks: tuple
+    factors: tuple
 
-    rows: tuple  # sorted tuple of flat rows (jhat, *mhat, dim)
+    def tables(self):
+        """Tables whose m parts concatenate to m in index order: the factors by
+        first index if that puts every index in order, else their product, sorted."""
+        # disjoint blocks differ at their first index, so no table is compared
+        blocks, tables = zip(*sorted(zip(self.blocks, self.factors)))
+        where = sum(blocks, ())
+        if list(where) == sorted(where):
+            return tables
+        order = sorted(range(len(where)), key=where.__getitem__)
+        return [sorted((tuple(m[k] for k in order), poly) for m, poly in _product(tables))]
 
     @property
     def dims(self):
         """Sorted tuple of ((jhat, mhat), dim)."""
-        return tuple(((row[0], row[1:-1]), row[-1]) for row in self.rows)
+        groups = classes_by_j(self.tables())
+        return tuple(((j, m), d) for j in sorted(groups) for m, d in zip(*groups[j]))
 
-
-def _single_block(n, cutoff):
-    """The one block of size n, once the cutoff reaches it."""
-    if cutoff < n:
-        raise CutoffTooSmall(f"cutoff {cutoff} < block size {n}")
-    return (tuple(range(n)),)
+    @property
+    def rows(self):
+        """Sorted tuple of flat rows (jhat, *mhat, dim)."""
+        return tuple((j, *m, d) for (j, m), d in self.dims)
 
 
 # --- exterior algebra on the odd generators u_i ---------------------------
@@ -278,15 +314,19 @@ def j_algebra_dim_for_class(blocks, n, cls):
 
 
 def multiblock_j_dims(blocks, n, z_cutoff) -> GradedDims:
-    dims = ((cls, j_algebra_dim_for_class(blocks, n, cls))
-            for cls in degree_classes(blocks, n, z_cutoff))
-    return GradedDims(tuple((j, *m, d) for (j, m), d in dims if d))
+    table = {}
+    for j, m in degree_classes(blocks, n, z_cutoff):
+        if d := j_algebra_dim_for_class(blocks, n, (j, m)):
+            table.setdefault(m, {})[j] = d
+    return GradedDims((tuple(range(n)),), (sorted(table.items()),))
 
 
 def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     """Graded dimensions of the Koszul cohomology of W_0 for a single block of
     size n, read off the quotient algebra it is isomorphic to class by class."""
-    return multiblock_j_dims(_single_block(n, z_cutoff), n, z_cutoff)
+    if z_cutoff < n:
+        raise CutoffTooSmall(f"cutoff {z_cutoff} < block size {n}")
+    return multiblock_j_dims((tuple(range(n)),), n, z_cutoff)
 
 
 def element_in_ideal(blocks, n, a, elem):
@@ -317,36 +357,22 @@ def element_in_ideal(blocks, n, a, elem):
 
 
 def tensor_j_dims(vt: ValidatedToricData, z_cutoff) -> GradedDims:
-    """Convolution of the per-block graded dimensions in the total datum.
+    """The per-block graded dimensions as the factors of the total datum.
 
-    Per-block dictionaries are computed with a margin above the requested
-    cutoff so that every class reachable at total z-degree <= z_cutoff has all
-    its tensor decompositions covered (a class reachable on the theta side at
+    Per-block tables are computed with a margin above the requested cutoff so
+    that every class reachable at total z-degree <= z_cutoff has all its
+    tensor decompositions covered (a class reachable on the theta side at
     degree c can need per-block quotient-algebra representatives of degree up
     to c plus the block size); the margin is validated against the direct
-    multi-block computation in the tests.  Every nonzero entry is returned,
-    so for r > 1 a class outside ``degree_classes(vt.blocks, vt.n, z_cutoff)``
-    gets a partial sum.  Keys are flat, (j, m of block 1, m of block 2, ...);
-    one itemgetter puts m back in index order.
+    multi-block computation in the tests.  Every nonzero entry of the product
+    is a row: for r > 1 a class outside the cutoff's classes is a partial sum.
     """
     if z_cutoff < max(len(b) for b in vt.blocks):
         raise CutoffTooSmall("cutoff below the largest block size")
-    tables = {nb: [(j, m, d) for (j, m), d in
-                   koszul_cohomology_dims(nb, z_cutoff + nb + 1).dims]
+    tables = {nb: koszul_cohomology_dims(nb, z_cutoff + nb + 1).factors[0]
               for nb in {len(blk) for blk in vt.blocks}}
-    total = {(0,): 1}
-    for blk in vt.blocks:
-        nxt = {}
-        for (j1, *rest), d1 in total.items():
-            rest = tuple(rest)
-            for j2, m2, d2 in tables[len(blk)]:
-                key = (j1 + j2,) + rest + m2
-                nxt[key] = nxt.get(key, 0) + d1 * d2
-        total = nxt
-    order = [i for blk in vt.blocks for i in sorted(blk)]
-    in_index_order = itemgetter(0, *(1 + order.index(i) for i in range(vt.n)))
-    return GradedDims(tuple(sorted(in_index_order(key) + (d,)
-                                   for key, d in total.items() if d)))
+    return GradedDims(tuple(tuple(sorted(blk)) for blk in vt.blocks),
+                      tuple(tables[len(blk)] for blk in vt.blocks))
 
 
 # --- sign action and deformation classes ----------------------------------
@@ -451,5 +477,5 @@ def enumerate_curvature_candidates(vt: ValidatedToricData):
     The defining arithmetic is the same as the no-bc condition, so the output
     must coincide with its witness list.
     """
-    return tuple(K for K in subsets_in_lattice(vt)
+    return tuple(K for K in vt.subsets_in_lattice
                  if sum(1 - Fraction(2, vt.degrees[i]) for i in K) == 1)

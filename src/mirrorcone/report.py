@@ -5,7 +5,8 @@ identical input yields byte-identical JSON (no timestamps, no floats, fixed
 version string).  ``write_json`` streams a report as exactly the text of
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, in joined
 batches, so the report's text is never all in memory at once.  The algebra
-section holds its ``GradedDims``, which the writer formats from one template.
+section holds its ``GradedDims``, whose factor tables the writer expands
+straight into row text.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .grading import (
 )
 from .koszulalg import (
     GradedDims,
+    classes_by_j,
     enumerate_curvature_candidates,
     enumerate_deformation_classes,
     koszul_cohomology_dims,
@@ -181,10 +183,7 @@ def section_fans(vt, perturb_seed=None):
 def section_algebra(vt, cutoff):
     classes = enumerate_deformation_classes(vt)
     curvature = enumerate_curvature_candidates(vt)
-    if vt.r == 1:
-        dims = koszul_cohomology_dims(vt.n, cutoff)
-    else:
-        dims = tensor_j_dims(vt, cutoff)
+    dims = koszul_cohomology_dims(vt.n, cutoff) if vt.r == 1 else tensor_j_dims(vt, cutoff)
     return {
         "cutoff": cutoff,
         "graded_dims": dims,
@@ -245,10 +244,11 @@ def write_json(obj, fh):
 
     Takes the value types a report holds: dict with str keys, list, tuple,
     str, int, bool, None and GradedDims, whose rows are written as the dicts
-    ``{"deg": {"j": j, "m": m}, "dim": dim}`` from one row template built at
-    their indent; any other type raises TypeError.  The tree is walked once,
-    a list of plain ints is joined in one step, and the text goes to
-    ``fh.write`` in batches of about _BATCH_CHUNKS chunks (or lines of rows).
+    ``{"deg": {"j": j, "m": m}, "dim": dim}``: one text per m-combination
+    joined from per-entry fragments, one head per j; any other type raises
+    TypeError.  The tree is walked once, a list of plain ints is joined in
+    one step, and the text goes to ``fh.write`` in batches of about
+    _BATCH_CHUNKS chunks (or lines of rows).
     """
     chunks = []
     append = chunks.append
@@ -297,24 +297,23 @@ def write_json(obj, fh):
                     emit(value, inner)
             append(nl + "}" if o else "{}")
         elif isinstance(o, GradedDims):
-            rows = o.rows
-            if not rows:
-                append("[]")
-            else:
-                # the text of {"deg": {"j": j, "m": m}, "dim": dim} at this
-                # indent, one %d per entry of a flat row (j, *m, dim)
-                inner, i1, i2, i3 = (nl + "  " * k for k in range(1, 5))
-                m = "[" + i3 + ("," + i3).join(["%d"] * (len(rows[0]) - 2)) + i2 + "]"
-                row = (inner + "{" + i1 + '"deg": {' + i2 + '"j": %d,' + i2 + '"m": '
-                       + m + i1 + "}," + i1 + '"dim": %d' + inner + "}")
-                append(("[" + row) % rows[0])
-                step = _BATCH_CHUNKS // row.count("\n")
-                row = "," + row
-                for k in range(1, len(rows), step):
+            # a row (n + 8 lines) is head(j) + m text from table-entry fragments + dim
+            inner, i1, i2, i3 = (nl + "  " * k for k in range(1, 5))
+            sep, tail, tables = "," + i3, i2 + "]" + i1 + "}," + i1 + '"dim": ', o.tables()
+            groups = classes_by_j([[((sep if k else i3) + sep.join(map(str, m))
+                                     + (tail if k == len(tables) - 1 else ""), poly)
+                                    for m, poly in table] for k, table in enumerate(tables)])
+            step = _BATCH_CHUNKS // (sum(map(len, o.blocks)) + 8)
+            lead = "["
+            for j in sorted(groups):
+                head = inner + "{" + i1 + '"deg": {' + i2 + f'"j": {j},' + i2 + '"m": ['
+                parts, dims = groups[j]
+                for k in range(0, len(parts), step):
                     fh.write("".join(chunks))
-                    chunks.clear()
-                    chunks.extend(map(row.__mod__, rows[k:k + step]))
-                append(nl + "]")
+                    chunks[:] = [lead + head + (inner + "}," + head).join(
+                        map(str.__add__, parts[k:k + step], map(str, dims[k:k + step])))]
+                    lead = inner + "},"
+            append(inner + "}" + nl + "]" if groups else "[]")
         else:
             raise TypeError(f"cannot write {type(o).__name__} into a report")
 

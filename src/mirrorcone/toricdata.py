@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 
@@ -123,6 +124,16 @@ class ValidatedToricData:
     @property
     def r(self):
         return len(self.input.blocks)
+
+    @cached_property
+    def subsets_in_lattice(self):
+        """Every nonempty K with e_K in M_bar, sorted by size then
+        lexicographically: the 2^n subsets are scanned once per instance."""
+        if self.n > 30:
+            raise IndexSetTooLarge(f"2^{self.n} subset scan refused")
+        return tuple(K for size in range(1, self.n + 1)
+                     for K in combinations(range(self.n), size)
+                     if contains(self.m_bar, tuple(int(i in K) for i in range(self.n))))
 
     def block_of(self, i):
         for j, blk in enumerate(self.blocks):
@@ -287,16 +298,6 @@ def check_nef_partition(vt: ValidatedToricData) -> ConditionVerdict:
     return ConditionVerdict(True)
 
 
-def subsets_in_lattice(vt: ValidatedToricData):
-    """Every nonempty K with e_K in M_bar, sorted by size then lexicographically."""
-    if vt.n > 30:
-        raise IndexSetTooLarge(f"2^{vt.n} subset scan refused")
-    for size in range(1, vt.n + 1):
-        for K in combinations(range(vt.n), size):
-            if contains(vt.m_bar, tuple(1 if i in K else 0 for i in range(vt.n))):
-                yield K
-
-
 def check_embeddedness(vt: ValidatedToricData) -> ConditionVerdict:
     """Holds iff every 0/1 vector in M_bar is a union of blocks.
 
@@ -304,20 +305,14 @@ def check_embeddedness(vt: ValidatedToricData) -> ConditionVerdict:
     so any particular counterexample of interest can be located in the output.
     """
     block_sets = [frozenset(blk) for blk in vt.blocks]
-    witnesses = []
-    for K in subsets_in_lattice(vt):
-        covered = set(K)
-        for bs in block_sets:
-            if bs <= covered:
-                covered -= bs
-        if covered:
-            witnesses.append(K)
-    return ConditionVerdict(not witnesses, tuple(witnesses))
+    witnesses = tuple(K for K in vt.subsets_in_lattice
+                      if set(K) != set().union(*(b for b in block_sets if b <= set(K))))
+    return ConditionVerdict(not witnesses, witnesses)
 
 
 def check_no_bc(vt: ValidatedToricData) -> ConditionVerdict:
     """Holds iff no K has e_K in M_bar with |K| - 1 = 2 * sum_{i in K} 1/d_i."""
-    witnesses = tuple(K for K in subsets_in_lattice(vt)
+    witnesses = tuple(K for K in vt.subsets_in_lattice
                       if sum(Fraction(2, vt.degrees[i]) for i in K) == len(K) - 1)
     return ConditionVerdict(not witnesses, witnesses)
 

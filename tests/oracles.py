@@ -382,23 +382,24 @@ def koszul_intertwining_sides(n, splits, mask):
 # Graded dimensions on (j, m) tuple keys.
 
 
-def graded_rows_as_dicts(dims):
-    """The report rows of a graded-dims table, one dict per ((j, m), dim) of dims.dims."""
-    return [{"deg": {"j": j, "m": list(m)}, "dim": d} for (j, m), d in dims.dims]
+def graded_rows_as_dicts(pairs):
+    """The report rows of a graded-dims table, one dict per ((j, m), dim) pair."""
+    return [{"deg": {"j": j, "m": list(m)}, "dim": d} for (j, m), d in pairs]
 
 
 def convolve_block_tables(blocks, n, tables):
     """Convolution of per-block tables in the total datum, block by block.
 
-    tables maps a block size to {(j, m_local): dim}, m_local in the block's
-    sorted index order.  Returns the sorted nonzero ((j, m), dim) pairs.
+    tables holds one {(j, m_local): dim} per block, in block order, m_local
+    in the block's sorted index order.  Returns the sorted nonzero
+    ((j, m), dim) pairs.
     """
     total = {(0, (0,) * n): 1}
-    for blk in blocks:
+    for blk, table in zip(blocks, tables):
         positions = sorted(blk)
         nxt = {}
         for (j1, m1), d1 in total.items():
-            for (j2, m2loc), d2 in tables[len(blk)].items():
+            for (j2, m2loc), d2 in table.items():
                 m = list(m1)
                 for i, x in zip(positions, m2loc):
                     m[i] += x

@@ -385,7 +385,7 @@ def test_analyze_writes_the_same_bytes_to_stdout_and_out_file(tmp_path):
     report = build_report(toricdata.validate(load_config(cfg)), ALL_SECTIONS,
                           algebra_cutoff=4)
     algebra = report["sections"]["algebra"]
-    algebra["graded_dims"] = graded_rows_as_dicts(algebra["graded_dims"])
+    algebra["graded_dims"] = graded_rows_as_dicts(algebra["graded_dims"].dims)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert stdout.stdout == text
     assert out.read_text() == text

@@ -33,13 +33,13 @@ from mirrorcone.toricdata import check_no_bc, validate
 from oracles import (
     _koszul_class_monomials,
     _koszul_image,
-    convolve_block_tables,
     in_ideal_by_class,
     j_class_dimension,
     koszul_class_dimension,
     nullspace_int,
     permutation_sign,
 )
+from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle
 
 BLOCKS3 = (tuple(range(3)),)
 
@@ -358,28 +358,17 @@ def test_tensor_single_block_equals_plain():
         assert conv.get(cls) == dim
 
 
-def _convolution_by_oracle(vt, cutoff):
-    tables = {nb: dict(koszul_cohomology_dims(nb, cutoff + nb + 1).dims)
-              for nb in {len(blk) for blk in vt.blocks}}
-    return convolve_block_tables(vt.blocks, vt.n, tables)
-
-
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_tensor_convolution_matches_the_oracle_row_for_row(name):
     # every row, the ones beyond the cutoff included
     vt = fixture(name)
-    assert tensor_j_dims(vt, 4).dims == _convolution_by_oracle(vt, 4)
+    assert tensor_j_dims(vt, 4).dims == convolution_by_oracle(vt, 4)
 
 
-@pytest.mark.parametrize("blocks", [
-    ((0, 4, 2), (1, 3, 5)),
-    ((5, 0, 3), (4, 1, 2)),
-    ((0, 1, 2), (3, 4, 5, 6)),
-    ((3, 6, 0, 5), (1, 4, 2)),
-])
+@pytest.mark.parametrize("blocks", INTERLEAVED_BLOCKS)
 def test_tensor_convolution_matches_the_oracle_on_interleaved_blocks(blocks):
     vt = SimpleNamespace(blocks=blocks, n=sum(map(len, blocks)))
-    assert tensor_j_dims(vt, 4).dims == _convolution_by_oracle(vt, 4)
+    assert tensor_j_dims(vt, 4).dims == convolution_by_oracle(vt, 4)
 
 
 PARTIAL_SUM_CLASS = (-15, (0, 0, 0, 0, 8, 8))

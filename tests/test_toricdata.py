@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcone.fixtures import fixture, fixture_input
+from mirrorcone import report, toricdata
+from mirrorcone.fixtures import FIXTURE_NAMES, fixture, fixture_input
 from mirrorcone.toricdata import (
     BlockTooSmall,
     DegreeSumNotOne,
@@ -190,6 +191,23 @@ def test_no_bc_zmanifold_fails_with_147():
     verdict = check_no_bc(fixture("z-manifold"))
     assert not verdict.holds
     assert (0, 3, 6) in verdict.witnesses
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_one_report_scans_the_subsets_once(name, monkeypatch):
+    # embeddedness, no-bc and the curvature candidates share one 2^n scan
+    vt = fixture(name)
+    calls = []
+    contains = toricdata.contains
+
+    def counting(lattice, vec):
+        calls.append(vec)
+        return contains(lattice, vec)
+
+    monkeypatch.setattr(toricdata, "contains", counting)
+    report.build_report(vt, ("conditions", "algebra"),
+                        algebra_cutoff=max(map(len, vt.blocks)))
+    assert len(calls) == 2 ** vt.n - 1
 
 
 def test_symmetry_groups_fixture_values():

@@ -1,19 +1,23 @@
 """report.write_json against the standard library's json.dumps as oracle.
 
-A GradedDims table is written as the list of its rows as dicts
-(``oracles.graded_rows_as_dicts``)."""
+A GradedDims is written as the list of the rows of its factors' product as
+dicts: ``oracles.convolve_block_tables`` on the factor tables, then
+``oracles.graded_rows_as_dicts``."""
 
 import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcone.koszulalg import GradedDims
+from mirrorcone.fixtures import FIXTURE_NAMES, fixture
+from mirrorcone.koszulalg import GradedDims, tensor_j_dims
 from mirrorcone.report import write_json
-from oracles import graded_rows_as_dicts
+from oracles import convolve_block_tables, graded_rows_as_dicts
+from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle
 
 
 def expected(obj):
@@ -42,18 +46,36 @@ def nested(kids):
 
 
 trees = st.recursive(leaves, nested, max_leaves=30)
-# flat rows (j, *m, dim), m of length n
-graded_dims = st.integers(1, 10).flatmap(lambda n: st.lists(
-    st.tuples(*[ints] * (n + 1), st.integers(0, 2**80)), max_size=30)).map(
-        lambda rows: GradedDims(tuple(sorted(rows))))
-trees_with_graded_dims = st.recursive(st.one_of(leaves, graded_dims), nested,
+
+
+@st.composite
+def graded_dims(draw):
+    """1 to 3 factors on a partition of 1 to 8 indices, interleaved or not;
+    each table has at most 5 entries (m_b, {j_b: dim})."""
+    n = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=2))) - {n})
+    blocks = tuple(tuple(sorted(perm[a:b])) for a, b in zip([0, *cuts], [*cuts, n]))
+    factors = []
+    for blk in blocks:
+        table = draw(st.dictionaries(st.tuples(*[ints] * len(blk)), st.dictionaries(
+            st.one_of(st.integers(-2, 2), ints), st.integers(1, 2**80),
+            min_size=1, max_size=3), max_size=5))
+        factors.append(sorted(table.items()))
+    return GradedDims(blocks, tuple(factors))
+
+
+trees_with_graded_dims = st.recursive(st.one_of(leaves, graded_dims()), nested,
                                       max_leaves=30)
 
 
 def plain(obj):
     """obj with every GradedDims replaced by its rows as dicts."""
     if isinstance(obj, GradedDims):
-        return graded_rows_as_dicts(obj)
+        tables = [{(j, m): d for m, poly in factor for j, d in poly.items()}
+                  for factor in obj.factors]
+        n = sum(map(len, obj.blocks))
+        return graded_rows_as_dicts(convolve_block_tables(obj.blocks, n, tables))
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -74,8 +96,9 @@ def test_graded_dims_at_any_depth_match_json_dumps_of_their_rows(obj):
 
 
 def test_empty_graded_dims_is_an_empty_list():
-    assert written(GradedDims(())) == "[]\n"
-    assert written({"a": [GradedDims(())]}) == expected({"a": [[]]})
+    empty = GradedDims(((0, 2), (1,)), ([((0, 0), {0: 1})], []))
+    assert written(empty) == "[]\n"
+    assert written({"a": [empty]}) == expected({"a": [[]]})
 
 
 @pytest.mark.parametrize("obj", [{}, [], (), "", 0, None, {"a": {}, "b": [[], ()]}])
@@ -115,7 +138,8 @@ def test_large_values_are_written_in_bounded_batches():
 
 
 def test_large_graded_dims_are_written_in_bounded_batches():
-    dims = GradedDims(tuple((k % 11 - 5, k, -k, k % 3, k * k) for k in range(300_000)))
+    dims = GradedDims(((0, 1, 2),), (
+        [((k, -k, k % 3), {k % 11 - 5: k * k + 1}) for k in range(300_000)],))
     obj = {"sections": {"algebra": {"graded_dims": dims}}}
     fh = RecordingFile()
     write_json(obj, fh)
@@ -123,3 +147,29 @@ def test_large_graded_dims_are_written_in_bounded_batches():
     assert max(len(p) for p in fh.parts) < 4 * 2**20
     same = "".join(fh.parts) == expected(plain(obj))
     assert same
+
+
+# The tests below compare their texts outside the assert, as above.
+GRADED_DIMS_INPUTS = {name: lambda name=name: fixture(name) for name in FIXTURE_NAMES}
+GRADED_DIMS_INPUTS.update({
+    f"interleaved-{k}": lambda blocks=blocks: SimpleNamespace(blocks=blocks, n=sum(map(len, blocks)))
+    for k, blocks in enumerate(INTERLEAVED_BLOCKS)})
+
+
+@pytest.mark.parametrize("name", GRADED_DIMS_INPUTS)
+def test_written_graded_dims_match_the_convolution_oracle(name):
+    vt = GRADED_DIMS_INPUTS[name]()
+    obj = {"sections": {"algebra": {"graded_dims": tensor_j_dims(vt, 4)}}}
+    rows = graded_rows_as_dicts(convolution_by_oracle(vt, 4))
+    same = written(obj) == expected({"sections": {"algebra": {"graded_dims": rows}}})
+    assert same
+
+
+def test_z_manifold_graded_dims_at_cutoff_6_are_written_in_bounded_batches():
+    # about 41 MB of text
+    obj = {"sections": {"algebra": {"graded_dims": tensor_j_dims(fixture("z-manifold"), 6)}}}
+    fh = RecordingFile()
+    write_json(obj, fh)
+    assert len(fh.parts) > 1
+    assert max(len(p) for p in fh.parts) < 4 * 2**20
+    assert sum(p.count('"dim": ') for p in fh.parts) == 146_812

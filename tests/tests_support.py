@@ -29,3 +29,24 @@ def cubic_block_input(k):
             for b in range(k))),
         weights=Fraction(1),
     )
+
+
+# The block layouts of the interleaved-block convolution tests: in all but
+# the third, the blocks interleave in index order.
+INTERLEAVED_BLOCKS = [
+    ((0, 4, 2), (1, 3, 5)),
+    ((5, 0, 3), (4, 1, 2)),
+    ((0, 1, 2), (3, 4, 5, 6)),
+    ((3, 6, 0, 5), (1, 4, 2)),
+]
+
+
+def convolution_by_oracle(vt, cutoff):
+    """The oracle's convolution of the per-block tables ``tensor_j_dims``
+    starts from, as sorted ((j, m), dim) pairs."""
+    from mirrorcone.koszulalg import koszul_cohomology_dims
+    from oracles import convolve_block_tables
+
+    tables = {nb: dict(koszul_cohomology_dims(nb, cutoff + nb + 1).dims)
+              for nb in {len(blk) for blk in vt.blocks}}
+    return convolve_block_tables(vt.blocks, vt.n, [tables[len(blk)] for blk in vt.blocks])
