@@ -133,7 +133,7 @@ ORACLE_INPUTS.update({f"cubic-blocks-{k}": lambda k=k: validate(cubic_block_inpu
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
-def test_tuple_oracle_basis_scan_agrees_with_the_sign_identity_certificate(name):
+def test_packed_certificate_matches_the_tuple_oracle(name):
     """The 2^n basis scan on readable keys agrees with the sign-identity
     certificate: delta^2 = W * id and the comparison map intertwines on
     every basis element."""
