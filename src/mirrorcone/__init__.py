@@ -2,6 +2,9 @@
 
 __version__ = "0.1.0"
 
+# The report's sections in report order; ``report.SECTIONS`` says how each runs.
+ALL_SECTIONS = ("validation", "conditions", "groups", "grading", "bside", "fans", "algebra")
+
 
 class CertificateFailure(Exception):
     """An identity the computation certifies turned out false: a bug, not bad input.

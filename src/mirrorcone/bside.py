@@ -13,8 +13,8 @@ The scan over all 2^n basis elements is the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import CertificateFailure
 from .grading import GradingData, deg_equal
@@ -31,8 +31,7 @@ class IntertwineCheckFailed(CertificateFailure):
     pass
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One monomial of the superpotential: sign * (unit) * z^exponent."""
 
     sign: int
@@ -51,8 +50,7 @@ class Term:
         }
 
 
-@dataclass(frozen=True)
-class Superpotential:
+class Superpotential(NamedTuple):
     terms: tuple[Term, ...]
     vt: ValidatedToricData
 
@@ -122,13 +120,12 @@ def _representative_masks(i, j):
             for sel in range(1 << len(free))]
 
 
-@dataclass
 class KoszulMF:
     """The rank-2^|I| Koszul factorization delta = sum z_i d/dphi_i + W_i phi_i."""
 
-    vt: ValidatedToricData
-    w: Superpotential
-    splits: tuple  # per variable i: W_i as (sign, symbols, exponent) entries
+    def __init__(self, vt: ValidatedToricData, w: Superpotential, splits: tuple):
+        # splits: per variable i, W_i as (sign, symbols, exponent) entries
+        self.vt, self.w, self.splits = vt, w, splits
 
     @property
     def n(self):
@@ -215,8 +212,7 @@ def build_koszul_mf(w: Superpotential) -> KoszulMF:
     return KoszulMF(vt=vt, w=w, splits=tuple(tuple(s) for s in splits))
 
 
-@dataclass(frozen=True)
-class DualizationReport:
+class DualizationReport(NamedTuple):
     iso_degree: int
     intertwines: bool
 

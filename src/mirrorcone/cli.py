@@ -13,10 +13,7 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
-from . import CertificateFailure
-from .fans import FanError
-from .fixtures import FIXTURE_NAMES, fixture_input
-from .report import ALL_SECTIONS, build_report, input_echo, write_json
+from . import ALL_SECTIONS, CertificateFailure
 from .toricdata import LatticeSpec, ToricDataError, ToricInput, validate
 
 EXIT_OK = 0
@@ -175,6 +172,9 @@ def load_config(path) -> ToricInput:
 
 
 def fixture_config_json(name):
+    from .fixtures import fixture_input
+    from .report import input_echo
+
     return input_echo(validate(fixture_input(name)))
 
 
@@ -227,13 +227,15 @@ def cmd_analyze(args):
               file=sys.stderr)
         return EXIT_INPUT
 
+    from .report import build_report, write_json
+
     try:
         report = build_report(vt, sections, algebra_cutoff=args.cutoff,
                               perturb_seed=args.perturb)
     except CertificateFailure as exc:
         print(f"certificate failure [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ToricDataError, FanError, ValueError) as exc:
+    except ValueError as exc:  # every domain error (ToricDataError, FanError, ...)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
@@ -247,6 +249,8 @@ def cmd_analyze(args):
 
 
 def cmd_examples(args):
+    from .fixtures import FIXTURE_NAMES
+
     if args.action == "list":
         for name in FIXTURE_NAMES:
             print(name)
@@ -255,6 +259,8 @@ def cmd_examples(args):
         print(f"unknown example {args.name!r}; choose from {', '.join(FIXTURE_NAMES)}",
               file=sys.stderr)
         return EXIT_INPUT
+    from .report import write_json
+
     write_json(fixture_config_json(args.name), sys.stdout)
     return EXIT_OK
 

@@ -14,11 +14,11 @@ it (equality on the cell, strictly below the heights elsewhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 import random
+from typing import NamedTuple
 
 from . import CertificateFailure
 from .intlat import (
@@ -52,8 +52,7 @@ def point_id(p):
     return ",".join(str(x) for x in p)
 
 
-@dataclass(frozen=True)
-class ProjectedConfig:
+class ProjectedConfig(NamedTuple):
     dim: int
     ids: tuple[str, ...]                 # origin first, then Xi_0 in lex order
     coords: dict                         # id -> tuple of ints (projected)
@@ -97,7 +96,7 @@ def project_config(vt: ValidatedToricData) -> ProjectedConfig:
             if min(p[i] for i in blk) != 0:
                 raise CertificateFailure(f"Xi_0 point {p} without block zero")
         lifts[pid] = p
-    return replace(cfg, ids=tuple(ids))
+    return cfg._replace(ids=tuple(ids))
 
 
 def resolve_weights(cfg: ProjectedConfig, weights) -> dict:
@@ -108,13 +107,12 @@ def resolve_weights(cfg: ProjectedConfig, weights) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class Subdivision:
+class Subdivision(NamedTuple):
     cells: tuple[tuple[str, ...], ...]   # sorted id tuples, sorted overall
     supports: dict                       # cell tuple -> (a: tuple[Fraction], c: Fraction)
     weights: dict                        # id -> Fraction
-    perturbed: bool = False
-    parents: dict = field(default_factory=dict)  # refined cell -> unperturbed cell
+    perturbed: bool
+    parents: dict                        # refined cell -> unperturbed cell
 
     def is_triangulation(self, dim):
         return all(len(c) == dim + 1 for c in self.cells)
@@ -290,8 +288,7 @@ def _perturb(cfg, parents, seed, table):
     return parents
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     mpcp: bool
     mpcs: bool | None
     is_triangulation: bool
@@ -405,12 +402,11 @@ def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
         grow([], [set() for _ in vt.blocks], gens_all)
     for gens in sorted(set(bad)):
         failures.append((gens, "boundary-relevant cone not unimodular"))
-    return replace(mpcp_report, mpcs=mpcp_report.mpcp and not bad,
-                   failures=tuple(failures))
+    return mpcp_report._replace(mpcs=mpcp_report.mpcp and not bad,
+                                failures=tuple(failures))
 
 
-@dataclass(frozen=True)
-class LiftedCell:
+class LiftedCell(NamedTuple):
     cell: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
 
@@ -479,8 +475,7 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SingularityCertificate:
+class SingularityCertificate(NamedTuple):
     certified: bool
     links: tuple  # (name, ok, detail)
     failing_link: str | None

@@ -10,9 +10,9 @@ and ``mf`` (Z (+) Z/(2,-d)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import CertificateFailure
 from .intlat import contains, hnf_canonicalize, lattice_intersection, lattice_quotient
@@ -23,20 +23,24 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class GradingDatum:
-    name: str
-    rank: int
-    relations: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for rel in self.relations:
-            if len(rel) != 1 + self.rank:
+    def __init__(self, name: str, rank: int, relations: tuple[tuple[int, ...], ...]):
+        for rel in relations:
+            if len(rel) != 1 + rank:
                 raise GradingError("relator length must be 1 + rank")
             if rel[0] % 2 != 0:
                 raise GradingError(
-                    f"datum {self.name}: relator {rel} has odd first coordinate, "
+                    f"datum {name}: relator {rel} has odd first coordinate, "
                     "sign map would be ill-defined")
+        self.name, self.rank, self.relations = name, rank, relations
+
+    def __eq__(self, other):
+        if type(other) is not GradingDatum:
+            return NotImplemented
+        return (self.name, self.rank, self.relations) == (other.name, other.rank, other.relations)
+
+    def __hash__(self):
+        return hash((self.name, self.rank, self.relations))
 
     @cached_property
     def relation_lattice(self):
@@ -54,8 +58,7 @@ class GradingDatum:
         return self.deg(0, (0,) * self.rank)
 
 
-@dataclass(frozen=True)
-class GDeg:
+class GDeg(NamedTuple):
     datum: GradingDatum
     j: int
     m: tuple[int, ...]
@@ -90,8 +93,7 @@ def deg_equal(a: GDeg, b: GDeg) -> bool:
     return contains(lat, vec)
 
 
-@dataclass(frozen=True)
-class GradingMorphism:
+class GradingMorphism(NamedTuple):
     """(j, m) -> (j + <w, m>, T m); w may be rational but must evaluate integrally."""
 
     name: str
@@ -120,8 +122,7 @@ class GradingMorphism:
         return True
 
 
-@dataclass(frozen=True)
-class GradingData:
+class GradingData(NamedTuple):
     """The grading data and named morphisms attached to one toric input."""
 
     amb: GradingDatum

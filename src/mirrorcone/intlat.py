@@ -10,8 +10,8 @@ are tiny (rank at most ~10), so neither uses size-reduction tricks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from . import CertificateFailure
 
@@ -118,18 +118,16 @@ def smith_normal_form(rows):
     return diag
 
 
-@dataclass(frozen=True)
 class FiniteAbelianGroup:
     """Finite abelian group given by its invariant factors (each dividing the next)."""
 
-    invariant_factors: tuple[int, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        for a, b in zip(invariant_factors, invariant_factors[1:]):
             if b % a != 0:
                 raise LatticeError("invariant factors must form a divisibility chain")
-        if any(f < 2 for f in self.invariant_factors):
+        if any(f < 2 for f in invariant_factors):
             raise LatticeError("invariant factors must be >= 2")
+        self.invariant_factors = invariant_factors
 
     @property
     def order(self):
@@ -143,8 +141,7 @@ def group_from_diagonal(diag):
     return FiniteAbelianGroup(tuple(d for d in diag if d > 1))
 
 
-@dataclass(frozen=True)
-class Sublattice:
+class Sublattice(NamedTuple):
     """A sublattice of Z^ambient_rank held by its unique HNF basis."""
 
     ambient_rank: int

@@ -15,10 +15,10 @@ test oracles, which compare its cohomology with these dimensions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, product, starmap
+from typing import NamedTuple
 
 from . import CertificateFailure
 from .intlat import matrix_rank
@@ -133,8 +133,7 @@ def classes_by_j(tables):
     return groups
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(NamedTuple):
     """Graded dimensions of a tensor product of per-block algebras, zeros omitted:
     ``factors[b]`` lists (m_b, {j_b: dim}) by m_b, m_b at the indices ``blocks[b]``.
     One block, or the direct multi-block computation, is one factor.  From
@@ -406,8 +405,7 @@ def deformation_sign(vt: ValidatedToricData, b, h_size):
     return sign
 
 
-@dataclass(frozen=True)
-class DeformationClassification:
+class DeformationClassification(NamedTuple):
     surviving: tuple            # exponents in Xi_0, as tuples
     killed_in_ideal: tuple      # exponents in Xi minus Xi_0
     sign_killed: tuple          # (pair of H-basis labels, nonzero_in_algebra)

@@ -11,12 +11,11 @@ straight into row text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
-from . import __version__
+from . import ALL_SECTIONS, __version__
 from .bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
 from .fans import (
     certify_isolated_singularity,
@@ -197,31 +196,30 @@ def section_algebra(vt, cutoff):
     }
 
 
-@dataclass
 class _Run:
     """The inputs of one report run and the data its sections share."""
 
-    vt: ValidatedToricData
-    algebra_cutoff: int | None
-    perturb_seed: int | None
+    def __init__(self, vt: ValidatedToricData, algebra_cutoff: int | None,
+                 perturb_seed: int | None):
+        self.vt, self.algebra_cutoff, self.perturb_seed = vt, algebra_cutoff, perturb_seed
 
     @cached_property
     def grading(self):
         return build_grading_data(self.vt)
 
 
-# Section name -> how to call it.  The section functions are looked up by
-# name at call time, so a wrapper installed on this module sees every call.
-SECTIONS = {
-    "validation": lambda run: section_validation(run.vt),
-    "conditions": lambda run: section_conditions(run.vt),
-    "groups": lambda run: section_groups(run.vt),
-    "grading": lambda run: section_grading(run.vt, run.grading),
-    "bside": lambda run: section_bside(run.vt, run.grading),
-    "fans": lambda run: section_fans(run.vt, run.perturb_seed),
-    "algebra": lambda run: section_algebra(run.vt, run.algebra_cutoff),
-}
-ALL_SECTIONS = tuple(SECTIONS)
+# Section name (ALL_SECTIONS, in report order) -> how to call it.  The section
+# functions are looked up by name at call time, so a wrapper installed on this
+# module sees every call.
+SECTIONS = dict(zip(ALL_SECTIONS, (
+    lambda run: section_validation(run.vt),
+    lambda run: section_conditions(run.vt),
+    lambda run: section_groups(run.vt),
+    lambda run: section_grading(run.vt, run.grading),
+    lambda run: section_bside(run.vt, run.grading),
+    lambda run: section_fans(run.vt, run.perturb_seed),
+    lambda run: section_algebra(run.vt, run.algebra_cutoff),
+), strict=True))
 
 
 def build_report(vt: ValidatedToricData, sections, algebra_cutoff=None,
@@ -245,10 +243,10 @@ def write_json(obj, fh):
     Takes the value types a report holds: dict with str keys, list, tuple,
     str, int, bool, None and GradedDims, whose rows are written as the dicts
     ``{"deg": {"j": j, "m": m}, "dim": dim}``: one text per m-combination
-    joined from per-entry fragments, one head per j; any other type raises
-    TypeError.  The tree is walked once, a list of plain ints is joined in
-    one step, and the text goes to ``fh.write`` in batches of about
-    _BATCH_CHUNKS chunks (or lines of rows).
+    joined from per-entry fragments, one head per j; any other type, a
+    record (a NamedTuple) included, raises TypeError.  The tree is walked
+    once, a list of plain ints is joined in one step, and the text goes to
+    ``fh.write`` in batches of about _BATCH_CHUNKS chunks (or lines of rows).
     """
     chunks = []
     append = chunks.append
@@ -268,7 +266,7 @@ def write_json(obj, fh):
             append("false")
         elif isinstance(o, int):
             append(int.__repr__(o))
-        elif isinstance(o, (list, tuple)):
+        elif type(o) is list or type(o) is tuple:
             inner = nl + "  "
             if not o:
                 append("[]")

@@ -9,11 +9,11 @@ symmetry groups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
+from typing import NamedTuple
 
 from . import CertificateFailure
 from .intlat import (
@@ -61,8 +61,7 @@ class UnknownMonomial(ToricDataError):
     pass
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
+class LatticeSpec(NamedTuple):
     """Sublattice given either by generator rows or by congruences (c, mod)."""
 
     generators: tuple[IntVec, ...] | None = None
@@ -76,8 +75,7 @@ class LatticeSpec:
         return sublattice_from_congruences(ambient_rank, self.congruences)
 
 
-@dataclass(frozen=True)
-class ToricInput:
+class ToricInput(NamedTuple):
     """Raw input: blocks (0-based index tuples), degrees, sublattice, weights.
 
     ``weights`` is either a single positive rational (uniform) or a mapping
@@ -94,20 +92,16 @@ class ToricInput:
     b_valuations: dict | None = None
 
 
-@dataclass(frozen=True)
 class ValidatedToricData:
     """The input and what ``validate`` derives from it.  ``volume_orders`` is
     the resolved v: the input's, else 1 except 0 at each block's largest index.
     """
 
-    input: ToricInput
-    m_bar: Sublattice
-    d: int
-    q: IntVec
-    n_sigma: tuple[Fraction, ...]
-    xi: tuple[IntVec, ...]
-    xi0: tuple[IntVec, ...]
-    volume_orders: IntVec
+    def __init__(self, input: ToricInput, m_bar: Sublattice, d: int, q: IntVec,
+                 n_sigma: tuple[Fraction, ...], xi: tuple[IntVec, ...],
+                 xi0: tuple[IntVec, ...], volume_orders: IntVec):
+        self.input, self.m_bar, self.d, self.q = input, m_bar, d, q
+        self.n_sigma, self.xi, self.xi0, self.volume_orders = n_sigma, xi, xi0, volume_orders
 
     @property
     def blocks(self):
@@ -161,8 +155,7 @@ def resolve_weight(weights, p):
     return lam
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     holds: bool
     witnesses: tuple = ()
 
@@ -317,8 +310,7 @@ def check_no_bc(vt: ValidatedToricData) -> ConditionVerdict:
     return ConditionVerdict(not witnesses, witnesses)
 
 
-@dataclass(frozen=True)
-class SymmetryGroups:
+class SymmetryGroups(NamedTuple):
     g: FiniteAbelianGroup
     gamma: FiniteAbelianGroup
 

@@ -8,7 +8,6 @@ provably induce only the coarse facet star (which is asserted against the
 brute-force oracle, with its negative certificate checked).
 """
 
-import dataclasses
 import json
 import random
 import subprocess
@@ -183,7 +182,7 @@ def test_criterion_2_cubic_fourfold_generic_cells_pass_the_oracle_checks():
     t0 = time.monotonic()
     vt = fixture("cubic-fourfold")
     weights = generic_weights(vt, 1)
-    fans = section_fans(validate(dataclasses.replace(vt.input, weights=weights)))
+    fans = section_fans(validate(vt.input._replace(weights=weights)))
     cfg = project_config(vt)
     heights = resolve_weights(cfg, weights)
     cells = [tuple(cell) for cell in fans["cells"]]
@@ -281,7 +280,7 @@ def test_criterion_4_identity_suite():
         for _ in range(10):
             v = random_admissible_v(vt, rng)
             assert check_wflips(build_superpotential(
-                validate(dataclasses.replace(vt.input, volume_orders=v))))
+                validate(vt.input._replace(volume_orders=v))))
         gd = build_grading_data(vt)
         assert check_commutative_square(vt, gd)
         assert coker_H(vt, gd).invariant_factors == ()

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -10,6 +9,7 @@ from mirrorcone import bside, report
 from mirrorcone.bside import (
     FactorizationCheckFailed,
     IntertwineCheckFailed,
+    KoszulMF,
     build_koszul_mf,
     build_superpotential,
     check_wflips,
@@ -45,7 +45,7 @@ def test_valuations_default_to_weights():
 def test_explicit_valuations_override():
     vt = fixture("quartic")
     key = vt.xi0[0]
-    vt = validate(dataclasses.replace(vt.input, b_valuations={key: Fraction(9, 4)}))
+    vt = validate(vt.input._replace(b_valuations={key: Fraction(9, 4)}))
     w = build_superpotential(vt)
     vals = {t.exponent: t.valuation for t in w.terms if not t.is_block}
     assert vals[key] == Fraction(9, 4)
@@ -54,7 +54,7 @@ def test_explicit_valuations_override():
 def test_unknown_valuation_key_rejected():
     vt = fixture("quartic")
     with pytest.raises(UnknownMonomial):
-        validate(dataclasses.replace(vt.input, b_valuations={(1, 1, 1, 1): Fraction(1)}))
+        validate(vt.input._replace(b_valuations={(1, 1, 1, 1): Fraction(1)}))
 
 
 @pytest.mark.parametrize("name", sorted(TERM_COUNTS))
@@ -66,7 +66,7 @@ def test_wflips_default_and_random_v(name):
     for _ in range(10):
         v = random_admissible_v(vt, rng)
         assert check_wflips(build_superpotential(
-            validate(dataclasses.replace(vt.input, volume_orders=v))))
+            validate(vt.input._replace(volume_orders=v))))
 
 
 def test_block_term_flip_is_forced():
@@ -168,7 +168,7 @@ def test_six_cubic_blocks_bside_within_budget(tmp_path):
 
 def _with_one_split_sign_flipped(mf):
     (sign, syms, exp), *rest = mf.splits[0]
-    return dataclasses.replace(mf, splits=(((-sign, syms, exp), *rest),) + mf.splits[1:])
+    return KoszulMF(mf.vt, mf.w, (((-sign, syms, exp), *rest),) + mf.splits[1:])
 
 
 def test_flipped_split_sign_fails_factorization():
@@ -188,7 +188,7 @@ def test_flipped_split_sign_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_dropped_split_term_fails_factorization():
     mf = build_koszul_mf(build_superpotential(fixture("quartic")))
-    bad = dataclasses.replace(mf, splits=(mf.splits[0][1:],) + mf.splits[1:])
+    bad = KoszulMF(mf.vt, mf.w, (mf.splits[0][1:],) + mf.splits[1:])
     with pytest.raises(FactorizationCheckFailed, match="z_i W_i != W"):
         bad.verify_factorization()
     # the basis scan sees the same defect

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mirrorcone import toricdata
 from mirrorcone.cli import load_config, main, parse_config, ConfigError
-from mirrorcone.fixtures import FIXTURE_NAMES, fixture
+from mirrorcone.fixtures import FIXTURE_NAMES, fixture, generic_weights
 from mirrorcone.intlat import FiniteAbelianGroup
 from mirrorcone.report import ALL_SECTIONS, build_report, input_echo, write_json
 from oracles import graded_rows_as_dicts
@@ -38,6 +38,39 @@ def write_cfg(tmp_path, data, name="cfg.json"):
 def run_cli(args, python_flags=()):
     return subprocess.run([sys.executable, *python_flags, "-m", "mirrorcone.cli", *args],
                           capture_output=True, text=True, timeout=120)
+
+
+# Runs cli.main on its arguments in a fresh interpreter (pytest itself loads
+# dataclasses) and prints the loaded module names as its last stdout line.
+FOOTPRINT = """
+import json, sys
+from mirrorcone import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def loaded_modules(args):
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *args],
+                          capture_output=True, text=True, timeout=120)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+def test_validate_loads_only_cli_toricdata_and_intlat(tmp_path):
+    modules = loaded_modules(["validate", write_cfg(tmp_path, QUARTIC_CFG)])
+    assert {m for m in modules if m.startswith("mirrorcone")} == {
+        "mirrorcone", "mirrorcone.cli", "mirrorcone.toricdata", "mirrorcone.intlat"}
+
+
+def test_analyze_loads_neither_dataclasses_nor_inspect(tmp_path):
+    vt = fixture("quartic")
+    cfg = input_echo(toricdata.validate(vt.input._replace(weights=generic_weights(vt, 1))))
+    modules = loaded_modules(["analyze", write_cfg(tmp_path, cfg),
+                              "--out", str(tmp_path / "report.json")])
+    assert "mirrorcone.fans" in modules
+    assert not {"dataclasses", "inspect"} & modules
 
 
 def test_examples_list():

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import json
 import pathlib
 import random
@@ -247,7 +246,7 @@ def test_lift_rejects_a_functional_that_does_not_support():
     cfg, sub = quartic_mpcp_chain()
     cell = sub.cells[5]
     a, c = sub.supports[cell]
-    tampered = dataclasses.replace(sub, supports={**sub.supports, cell: (a, c + 1)})
+    tampered = sub._replace(supports={**sub.supports, cell: (a, c + 1)})
     with pytest.raises(CellLiftFailure) as exc:
         lift_subdivision(tampered, cfg)
     assert exc.value.cell == cell

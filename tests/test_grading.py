@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -94,7 +93,7 @@ def test_default_volume_vector_quartic():
 def test_volume_vector_validation():
     vt = fixture("quartic")
     with pytest.raises(ToricDataError):
-        validate(dataclasses.replace(vt.input, volume_orders=(1, 1, 1, 1)))
+        validate(vt.input._replace(volume_orders=(1, 1, 1, 1)))
 
 
 def test_w_monomials_have_degree_two_in_cover():

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import combinations
 from types import SimpleNamespace
@@ -427,7 +426,7 @@ def test_deformation_classes_random_v():
     for _ in range(5):
         v = random_admissible_v(vt, rng)
         cls = enumerate_deformation_classes(
-            validate(dataclasses.replace(vt.input, volume_orders=v)))
+            validate(vt.input._replace(volume_orders=v)))
         assert cls.surviving == vt.xi0
 
 

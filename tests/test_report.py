@@ -2,7 +2,6 @@
 volume orders reach every sign check, and the benchmark's tracer hooks
 (``perfbench/tracing.py``, loaded by path) still find what they wrap."""
 
-import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -49,7 +48,7 @@ def test_each_stage_runs_once_per_report(monkeypatch):
 
 def test_config_volume_orders_reach_both_sign_checks(monkeypatch):
     v = (0, 1, 1, 1)
-    vt = validate(dataclasses.replace(fixture("quartic").input, volume_orders=v))
+    vt = validate(fixture("quartic").input._replace(volume_orders=v))
     calls = {"bside": [], "algebra": []}
     running = []
     sign_action = koszulalg.sign_action

@@ -14,3 +14,16 @@ def test_src_has_no_assert_statements():
                if isinstance(node, ast.Assert)]
     assert len(sources) >= 10
     assert asserts == []
+
+
+def test_src_does_not_import_dataclasses():
+    # importing dataclasses loads inspect, and each class it makes execs code:
+    # start-up cost paid by every process
+    sources = sorted(Path(mirrorcone.__file__).parent.glob("*.py"))
+    imports = [f"{path.name}:{node.lineno}" for path in sources
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Import)
+               and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert len(sources) >= 10
+    assert imports == []
