@@ -114,9 +114,6 @@ class Subdivision(NamedTuple):
     perturbed: bool
     parents: dict                        # refined cell -> unperturbed cell
 
-    def is_triangulation(self, dim):
-        return all(len(c) == dim + 1 for c in self.cells)
-
 
 def _affine_rank(points):
     if not points:

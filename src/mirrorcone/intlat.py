@@ -2,15 +2,18 @@
 
 Everything here works on plain Python ints (arbitrary precision); no
 floating point enters any computation.  Matrices are lists of row tuples.
-One integer echelon (``_echelon``, gcd row steps) gives Hermite forms,
-lattice kernels and the Smith form; one fraction-free Bareiss kernel gives
-rank and the rational nullspace as primitive integer vectors.  The lattices
-are tiny (rank at most ~10), so neither uses size-reduction tricks.
+One elimination, the integer echelon ``_echelon`` (gcd row steps), gives
+Hermite forms, lattice kernels, the Smith form, rank, and the rational
+nullspace as primitive integer vectors.  The matrices are small (at most a
+few dozen rows of ~10 columns with small entries), so it uses no
+size-reduction tricks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from math import gcd
+from operator import mul
 from typing import NamedTuple
 
 from . import CertificateFailure
@@ -247,79 +250,39 @@ def lattice_quotient(sup: Sublattice, sub: Sublattice):
     return group_from_diagonal(smith_normal_form(coeff_rows))
 
 
-def _bareiss(a, ncols, reduce=False):
-    """Fraction-free elimination (Bareiss 1968) of the integer rows ``a``, in place.
-
-    Pivots are the first nonzero entries column by column among the first
-    ``ncols`` columns, which are the pivot columns of the reduced row echelon
-    form; any later columns (right-hand sides) ride along.  Every entry stays
-    an integer minor of the input, so each division is exact.  With
-    ``reduce`` the rows above each pivot are cleared as well and pivot row i
-    ends as ``scale`` times row i of the reduced row echelon form.  Returns
-    (pivot columns, scale): scale is the last pivot (1 if there is none).
-
-    A step of the textbook algorithm rescales every row by pivot / previous
-    pivot, also rows that are zero in the pivot column.  Here such rows are
-    left alone and row i stands for ``a[i] * prev / base[i]`` instead, so a
-    step touches only the rows it eliminates, as sparse rows need.
-    """
-    m = len(a)
-    base = [1] * m
-    pivots = []
-    prev = 1
-    for col in range(ncols):
-        r = len(pivots)
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if a[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            base[r], base[piv] = base[piv], base[r]
-        if base[r] != prev:
-            a[r] = [x * prev // base[r] for x in a[r]]
-        top = a[r]
-        p = top[col]
-        for i in range(0 if reduce else r + 1, m):
-            f = a[i][col]
-            if f and i != r:
-                a[i] = [(p * x - f * y) // base[i] for x, y in zip(a[i], top)]
-                base[i] = p
-        base[r] = p
-        pivots.append(col)
-        prev = p
-    if reduce:
-        for i in range(len(pivots)):
-            if base[i] != prev:
-                a[i] = [x * prev // base[i] for x in a[i]]
-    return pivots, prev
-
-
 def matrix_rank(rows):
     """Rank of an integer matrix."""
-    a = [list(row) for row in rows if any(row)]
-    return len(_bareiss(a, len(a[0]) if a else 0)[0])
+    a = [row for row in rows if any(row)]
+    return len(_echelon(a, len(a[0]) if a else 0))
 
 
 def nullspace(rows, ncols):
     """Basis of {x in Q^ncols : <row, x> = 0 for all integer rows}.
 
-    One primitive integer vector per free column of the reduced row echelon
-    form, positive at that column and 0 at the other free columns.
+    One primitive integer vector per free column (a column that adds no
+    rank), positive at that column and 0 at the other free columns.  Each is
+    back-substituted through the echelon rows from the bottom, scaled up
+    whenever a pivot does not divide its partial sum.
     """
-    a = [list(row) for row in rows]
-    pivots, scale = _bareiss(a, ncols, reduce=True)
+    a = list(rows)
+    pivots = _echelon(a, ncols)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        # scale times the reduced row echelon vector (1 at free), made primitive
         vec = [0] * ncols
-        vec[free] = scale
-        for row, col in zip(a, pivots):
-            vec[col] = -row[free]
-        g = gcd(*vec) if scale > 0 else -gcd(*vec)
+        vec[free] = 1
+        # rows with a pivot right of free give 0: start at the last pivot left of it
+        for r in range(bisect(pivots, free) - 1, -1, -1):
+            row, col = a[r], pivots[r]
+            # the row is zero left of col and vec is zero at col: s sums j > col
+            s = sum(map(mul, row, vec))
+            m = row[col] // gcd(s, row[col])
+            if m != 1:
+                vec = [x * m for x in vec]
+                s *= m
+            vec[col] = -s // row[col]
+        g = gcd(*vec)
         basis.append(tuple(x // g for x in vec))
     return basis
 

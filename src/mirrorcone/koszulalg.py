@@ -159,11 +159,6 @@ class GradedDims(NamedTuple):
         groups = classes_by_j(self.tables())
         return tuple(((j, m), d) for j in sorted(groups) for m, d in zip(*groups[j]))
 
-    @property
-    def rows(self):
-        """Sorted tuple of flat rows (jhat, *mhat, dim)."""
-        return tuple((j, *m, d) for (j, m), d in self.dims)
-
 
 # --- exterior algebra on the odd generators u_i ---------------------------
 # An element is a map {mask: int}: bit i of the int mask is the generator

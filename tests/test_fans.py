@@ -193,7 +193,7 @@ def test_perturbation_refines_to_triangulation():
     cfg = project_config(vt)
     sub = regular_subdivision(cfg, Fraction(1), perturb_seed=11)
     assert sub.perturbed
-    assert sub.is_triangulation(cfg.dim)
+    assert check_mpcp(sub, cfg).is_triangulation
     # the refinement still covers the hull
     points = [cfg.coords[pid] for pid in cfg.ids]
     assert subdivision_volume(sub, cfg) == normalized_volume(points)
@@ -442,7 +442,7 @@ def test_perturbed_cubic_fourfold_keeps_the_star_volume():
     cfg = project_config(fixture("cubic-fourfold"))
     star = regular_subdivision(cfg, Fraction(1))
     sub = regular_subdivision(cfg, Fraction(1), perturb_seed=5)
-    assert len(sub.cells) == 90 and sub.is_triangulation(cfg.dim)
+    assert len(sub.cells) == 90 and check_mpcp(sub, cfg).is_triangulation
     assert subdivision_volume(sub, cfg) == subdivision_volume(star, cfg) == 729
 
 

@@ -7,12 +7,14 @@ from mirrorcone.fixtures import fixture
 from mirrorcone.grading import (
     GradingDatum,
     GradingError,
+    GradingMorphism,
     build_grading_data,
     check_commutative_square,
     coker_H,
     deg_equal,
     p_injective_mod_z,
 )
+from mirrorcone.report import build_report
 from mirrorcone.toricdata import ToricDataError, validate
 
 FIXTURES = ("elliptic", "quartic", "cubic-fourfold", "z-manifold")
@@ -24,6 +26,28 @@ def test_morphisms_well_defined(name):
     gd = build_grading_data(vt)
     for morph in gd.morphisms().values():
         assert morph.is_well_defined()
+
+
+def test_report_prints_the_build_verdicts_and_checks_each_morphism_once(monkeypatch):
+    calls = []
+    check = GradingMorphism.is_well_defined
+
+    def counting(self):
+        calls.append(self.name)
+        return check(self)
+
+    monkeypatch.setattr(GradingMorphism, "is_well_defined", counting)
+    section = build_report(fixture("quartic"), ("grading",))["sections"]["grading"]
+    assert section["morphisms_well_defined"] == dict.fromkeys("pqrstuv", True)
+    assert sorted(calls) == list("pqrstuv")
+
+
+def test_a_morphism_that_is_not_well_defined_stops_the_report(monkeypatch):
+    check = GradingMorphism.is_well_defined
+    monkeypatch.setattr(GradingMorphism, "is_well_defined",
+                        lambda self: self.name != "t" and check(self))
+    with pytest.raises(GradingError, match="morphism t"):
+        build_report(fixture("quartic"), ("grading",))
 
 
 def test_mf_datum_relator():

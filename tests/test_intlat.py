@@ -210,19 +210,29 @@ def test_congruence_membership_matches_direct_check(case):
 
 # --- the exact elimination kernel, on integer rows --------------------------
 
-ENTRIES = {"int": st.integers(-6, 6)}
+ENTRIES = {"int": st.integers(-8, 8), "large": st.integers(-10**6, 10**6)}
 KINDS = sorted(ENTRIES)
+# the largest shape drawn per kind: the program passes up to 36 x 10 matrices
+# with entries of at most 8, and no large entries
+MAX_SHAPE = {"int": (36, 10), "large": (6, 6)}
 
 
-def draw_rows(data, kind, nrows, ncols):
-    """Random rows; sometimes the last one is a combination of the first two."""
+def draw_matrix(data, kind):
+    """(rows, ncols): random rows, those past a drawn count combinations of
+    two earlier rows, so that wide matrices often lose rank."""
+    max_rows, max_cols = MAX_SHAPE[kind]
+    ncols = data.draw(st.integers(1, max_cols))
+    nrows = data.draw(st.integers(0, max_rows))
     entry = ENTRIES[kind]
     rows = [data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
             for _ in range(nrows)]
-    if nrows >= 3 and data.draw(st.booleans()):
-        k = data.draw(entry)
-        rows[-1] = [x + k * y for x, y in zip(rows[0], rows[1])]
-    return rows
+    if nrows:
+        base = data.draw(st.integers(1, nrows))
+        for i in range(base, nrows):
+            x, y = (rows[data.draw(st.integers(0, base - 1))] for _ in range(2))
+            k = data.draw(st.integers(-3, 3))
+            rows[i] = [a + k * b for a, b in zip(x, y)]
+    return rows, ncols
 
 
 def times(rows, x):
@@ -233,8 +243,10 @@ def times(rows, x):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_kernel_rank_matches_oracle(kind, data):
-    rows = draw_rows(data, kind, data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5)))
+    rows, _ = draw_matrix(data, kind)
+    before = [list(r) for r in rows]
     assert matrix_rank(rows) == _rank(rows)
+    assert rows == before
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -243,12 +255,13 @@ def test_kernel_rank_matches_oracle(kind, data):
 def test_kernel_nullspace_matches_oracle(kind, data):
     # each vector is primitive, positive at its free column (a column that
     # adds no rank), and a positive multiple of the oracle's vector, 1 there
-    ncols = data.draw(st.integers(1, 5))
-    rows = draw_rows(data, kind, data.draw(st.integers(0, 5)), ncols)
+    rows, ncols = draw_matrix(data, kind)
+    before = [list(r) for r in rows]
     basis = nullspace(rows, ncols)
+    assert rows == before
     expected = nullspace_int(rows, ncols)
-    free_cols = [c for c in range(ncols)
-                 if _rank([r[:c + 1] for r in rows]) == _rank([r[:c] for r in rows])]
+    ranks = [_rank([r[:c] for r in rows]) for c in range(ncols + 1)]
+    free_cols = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
     assert len(basis) == len(expected) == len(free_cols) == ncols - _rank(rows)
     for vec, ref, free in zip(basis, expected, free_cols):
         assert all(type(x) is int for x in vec)
