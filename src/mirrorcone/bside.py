@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import CertificateFailure
 from .grading import GradingData, deg_equal
-from .toricdata import ToricDataError, ValidatedToricData, resolve_weight
+from .toricdata import ValidatedToricData, resolve_weight
 from .intlat import contains
 from .koszulalg import bits, front_sign, involution_sign
 
@@ -28,6 +28,10 @@ class FactorizationCheckFailed(CertificateFailure):
 
 
 class IntertwineCheckFailed(CertificateFailure):
+    pass
+
+
+class HomogeneityCheckFailed(CertificateFailure):
     pass
 
 
@@ -72,18 +76,20 @@ def build_superpotential(vt: ValidatedToricData) -> Superpotential:
         terms.append(Term(sign=1, exponent=p, valuation=val, is_block=False))
     terms.sort(key=lambda t: (not t.is_block, t.exponent))
     w = Superpotential(terms=tuple(terms), vt=vt)
-    _assert_homogeneous(w)
+    _check_homogeneous(w)
     return w
 
 
-def _assert_homogeneous(w: Superpotential):
+def _check_homogeneous(w: Superpotential):
+    """Every term has degree d and lies in M_bar: ``validate`` guarantees
+    both, so a failure is a falsified identity."""
     vt = w.vt
     for t in w.terms:
         deg = sum(q * e for q, e in zip(vt.q, t.exponent))
         if deg != vt.d:
-            raise ToricDataError(f"term {t.exponent} is not weighted homogeneous")
+            raise HomogeneityCheckFailed(f"term {t.exponent} is not weighted homogeneous")
         if not contains(vt.m_bar, t.exponent):
-            raise ToricDataError(f"term exponent {t.exponent} is not in M_bar")
+            raise HomogeneityCheckFailed(f"term exponent {t.exponent} is not in M_bar")
 
 
 def term_flip_sign(vt: ValidatedToricData, term: Term):

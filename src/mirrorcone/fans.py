@@ -9,14 +9,16 @@ same pivot one dimension down, each point set's facets enumerated once per
 subdivision.  The lift tests a point only against the cells of the lower
 envelope (the maximum of the cells' support functionals) at its projection.
 All arithmetic is exact; each cell carries the affine functional certifying
-it (equality on the cell, strictly below the heights elsewhere).
+it (equality on the cell, strictly below the heights elsewhere).  MPCP and
+MPCS read each lift's support as a bitmask; MPCS solves each point in M once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import mul
+from operator import mul, or_
 import random
 from typing import NamedTuple
 
@@ -57,45 +59,45 @@ class ProjectedConfig(NamedTuple):
     ids: tuple[str, ...]                 # origin first, then Xi_0 in lex order
     coords: dict                         # id -> tuple of ints (projected)
     lifts: dict                          # id -> canonical lift in Z^I
-    kept: tuple[int, ...]                # ambient indices kept by the projection
-    dropped: tuple[int, ...]             # per block, the dropped index
+    nonzero: dict                        # id -> bitmask of the lift's nonzero indices
+    pairs: tuple[tuple[int, int], ...]   # (kept index, dropped index of its block)
     vt: ValidatedToricData
 
     def project(self, x):
-        out = []
-        for k in self.kept:
-            j = self.vt.block_of(k)
-            out.append(x[k] - x[self.dropped[j]])
-        return tuple(out)
+        return tuple(x[k] - x[i] for k, i in self.pairs)
 
     def pullback_functional(self, a, c):
         """Coefficients of (a, c) composed with the projection, on R^I."""
         coeff = [0] * self.vt.n
-        for pos, k in enumerate(self.kept):
-            coeff[k] += a[pos]
-            j = self.vt.block_of(k)
-            coeff[self.dropped[j]] -= a[pos]
+        for (k, i), x in zip(self.pairs, a):
+            coeff[k] += x
+            coeff[i] -= x
         return tuple(coeff), c
 
 
+def _block_masks(vt):
+    return [sum(1 << i for i in blk) for blk in vt.blocks]
+
+
 def project_config(vt: ValidatedToricData) -> ProjectedConfig:
-    dropped = tuple(max(blk) for blk in vt.blocks)
-    kept = tuple(i for i in range(vt.n) if i not in set(dropped))
-    coords = {}
-    lifts = {}
+    dropped = {i: max(blk) for blk in vt.blocks for i in blk}
+    pairs = tuple((k, dropped[k]) for k in range(vt.n) if k != dropped[k])
+    block_masks = _block_masks(vt)
     ids = [ORIGIN]
-    coords[ORIGIN] = (0,) * len(kept)
-    lifts[ORIGIN] = (0,) * vt.n
-    cfg = ProjectedConfig(dim=len(kept), ids=(), coords=coords, lifts=lifts,
-                          kept=kept, dropped=dropped, vt=vt)
+    coords = {ORIGIN: (0,) * len(pairs)}
+    lifts = {ORIGIN: (0,) * vt.n}
+    nonzero = {ORIGIN: 0}
+    cfg = ProjectedConfig(dim=len(pairs), ids=(), coords=coords, lifts=lifts,
+                          nonzero=nonzero, pairs=pairs, vt=vt)
     for p in vt.xi0:
+        mask = sum(1 << i for i, x in enumerate(p) if x)
+        if any(mask & bm == bm for bm in block_masks):
+            raise CertificateFailure(f"Xi_0 point {p} without block zero")
         pid = point_id(p)
         ids.append(pid)
         coords[pid] = cfg.project(p)
-        for blk in vt.blocks:
-            if min(p[i] for i in blk) != 0:
-                raise CertificateFailure(f"Xi_0 point {p} without block zero")
         lifts[pid] = p
+        nonzero[pid] = mask
     return cfg._replace(ids=tuple(ids))
 
 
@@ -304,45 +306,22 @@ class ConditionReport(NamedTuple):
         }
 
 
-def _cell_block_supports(cfg, cell):
-    """Per block, the set of indices hit by the canonical lifts of the cell."""
-    vt = cfg.vt
-    out = []
-    for blk in vt.blocks:
-        hit = set()
-        for pid in cell:
-            if pid == ORIGIN:
-                continue
-            lift = cfg.lifts[pid]
-            hit.update(i for i in blk if lift[i] != 0)
-        out.append(hit)
-    return out
-
-
 def check_mpcp(sub: Subdivision, cfg: ProjectedConfig) -> ConditionReport:
-    vt = cfg.vt
-    failures = []
-    is_tri = True
-    for cell in sub.cells:
-        if len(cell) != cfg.dim + 1:
-            is_tri = False
-            failures.append((cell, "cell is not a simplex"))
+    failures = [(cell, "cell is not a simplex")
+                for cell in sub.cells if len(cell) != cfg.dim + 1]
+    is_tri = not failures
     used = set().union(*sub.cells)
-    missing = [pid for pid in cfg.ids if pid != ORIGIN and pid not in used]
-    rays_ok = not missing
-    for pid in missing:
-        failures.append(((pid,), "point is not a vertex of the subdivision"))
-    refines = True
+    missing = [((pid,), "point is not a vertex of the subdivision")
+               for pid in cfg.ids[1:] if pid not in used]
+    covered = []
+    block_masks = _block_masks(cfg.vt)
     for cell in sub.cells:
-        supports = _cell_block_supports(cfg, cell)
-        for j, hit in enumerate(supports):
-            if len(hit) >= len(vt.blocks[j]):
-                refines = False
-                failures.append(
-                    (cell, f"block {j} support does not omit an index"))
-    mpcp = is_tri and rays_ok and refines
-    return ConditionReport(mpcp=mpcp, mpcs=None, is_triangulation=is_tri,
-                           refines_product_fan=refines, rays_are_xi0=rays_ok,
+        union = reduce(or_, map(cfg.nonzero.__getitem__, cell))
+        covered += [(cell, f"block {j} support does not omit an index")
+                    for j, bm in enumerate(block_masks) if union & bm == bm]
+    failures += missing + covered
+    return ConditionReport(mpcp=not failures, mpcs=None, is_triangulation=is_tri,
+                           refines_product_fan=not covered, rays_are_xi0=not missing,
                            failures=tuple(failures))
 
 
@@ -355,52 +334,39 @@ def lattice_m_basis(cfg: ProjectedConfig):
 def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
                mpcp_report: ConditionReport) -> ConditionReport:
     """Boundary-relevant cones (block supports omitting two indices per block)
-    must be unimodular with respect to M; ``mpcp_report`` is check_mpcp's."""
-    vt = cfg.vt
+    must be unimodular with respect to M; ``mpcp_report`` is check_mpcp's.
+    A cone grows as a sorted generator tuple with the OR of their supports."""
     m_basis = lattice_m_basis(cfg)
-    failures = list(mpcp_report.failures)
+    m_coords = {}
+    for pid in cfg.ids[1:]:
+        sol = solve_int(m_basis, cfg.coords[pid])
+        if sol is None:
+            raise CertificateFailure(f"Xi_0 projection {pid} escaped M")
+        m_coords[pid] = tuple(sol)
+    room = [(bm, len(blk) - 2) for bm, blk in zip(_block_masks(cfg.vt), cfg.vt.blocks)]
     checked = set()
     bad = []
 
-    def check_gens(gens):
-        coords = []
-        for pid in gens:
-            sol = solve_int(m_basis, cfg.coords[pid])
-            if sol is None:
-                raise CertificateFailure(f"Xi_0 projection {pid} escaped M")
-            coords.append(tuple(sol))
-        diag = smith_normal_form(coords)
-        if any(d != 1 for d in diag) or len(diag) != len(gens):
-            bad.append(tuple(sorted(gens)))
-
-    def grow(gens, supports, pool):
+    def grow(gens, union, pool):
         # boundary relevance (two omitted indices per block) is monotone
         # decreasing as generators are added, so failing branches are pruned
-        if gens:
-            key = frozenset(gens)
-            if key not in checked:
-                checked.add(key)
-                check_gens(gens)
         for k, pid in enumerate(pool):
-            lift = cfg.lifts[pid]
-            new_supports = []
-            ok = True
-            for j, blk in enumerate(vt.blocks):
-                hit = supports[j] | {i for i in blk if lift[i] != 0}
-                if len(blk) - len(hit) < 2:
-                    ok = False
-                    break
-                new_supports.append(hit)
-            if ok:
-                grow(gens + [pid], new_supports, pool[k + 1:])
+            hit = union | cfg.nonzero[pid]
+            if any((hit & bm).bit_count() > cap for bm, cap in room):
+                continue
+            cone = gens + (pid,)
+            if cone not in checked:
+                checked.add(cone)
+                diag = smith_normal_form([m_coords[g] for g in cone])
+                if any(d != 1 for d in diag) or len(diag) != len(cone):
+                    bad.append(cone)
+            grow(cone, hit, pool[k + 1:])
 
     for cell in sub.cells:
-        gens_all = sorted(pid for pid in cell if pid != ORIGIN)
-        grow([], [set() for _ in vt.blocks], gens_all)
-    for gens in sorted(set(bad)):
-        failures.append((gens, "boundary-relevant cone not unimodular"))
-    return mpcp_report._replace(mpcs=mpcp_report.mpcp and not bad,
-                                failures=tuple(failures))
+        grow((), 0, sorted(pid for pid in cell if pid != ORIGIN))
+    failures = mpcp_report.failures + tuple(
+        (cone, "boundary-relevant cone not unimodular") for cone in sorted(bad))
+    return mpcp_report._replace(mpcs=mpcp_report.mpcp and not bad, failures=failures)
 
 
 class LiftedCell(NamedTuple):

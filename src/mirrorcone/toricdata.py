@@ -129,12 +129,6 @@ class ValidatedToricData:
                      for K in combinations(range(self.n), size)
                      if contains(self.m_bar, tuple(int(i in K) for i in range(self.n))))
 
-    def block_of(self, i):
-        for j, blk in enumerate(self.blocks):
-            if i in blk:
-                return j
-        raise ToricDataError(f"index {i} not in any block")
-
     def block_vector(self, j):
         return tuple(1 if i in self.blocks[j] else 0 for i in range(self.n))
 

@@ -4,9 +4,10 @@ These deliberately avoid the code paths they check: lattice membership via
 subgroup closure in a finite quotient, point enumeration by box scan with the
 congruences applied directly, subdivisions by scanning all candidate
 supporting hyperplanes, volumes by a pulling triangulation over a facet
-scan of their own, the Koszul factorization on readable tuple keys, the
-convolution of graded-dims tables on (j, m) tuple keys, and the quotient
-algebra and Koszul cohomology ranked over whole degree classes at once.
+scan of their own, MPCS over every subset of every cell, the Koszul
+factorization on readable tuple keys, the convolution of graded-dims tables
+on (j, m) tuple keys, and the quotient algebra and Koszul cohomology ranked
+over whole degree classes at once.
 Nothing here imports mirrorcone.
 """
 
@@ -303,6 +304,36 @@ def subdivision_volume(sub, cfg):
     """Sum of the normalized volumes of the cells of a subdivision."""
     return sum((normalized_volume([cfg.coords[pid] for pid in cell])
                 for cell in sub.cells), Fraction(0))
+
+
+def mpcs_by_subsets(cells, origin, lifts, coords, blocks, m_basis):
+    """Boundary-relevant cones that are not unimodular w.r.t. M, sorted.
+
+    Every nonempty subset of a cell's points other than ``origin`` is a cone.
+    It is boundary-relevant when the union of its lifts' supports omits two
+    indices of every block, and unimodular when the Smith diagonal of its
+    generators' coordinates in ``m_basis`` (rows of a basis of M) is one 1
+    per generator.
+    """
+    columns = [list(col) for col in zip(*m_basis)]
+    m_coords = {}
+    for pid in sorted({pid for cell in cells for pid in cell} - {origin}):
+        sol = _solve(columns, coords[pid])
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise ValueError(f"{pid} is not in M")
+        m_coords[pid] = [int(x) for x in sol]
+    bad = set()
+    for cell in cells:
+        gens = sorted(pid for pid in cell if pid != origin)
+        for size in range(1, len(gens) + 1):
+            for cone in combinations(gens, size):
+                support = {i for pid in cone for i, x in enumerate(lifts[pid]) if x}
+                if (cone not in bad
+                        and all(len(set(blk) - support) >= 2 for blk in blocks)
+                        and smith_by_minors([m_coords[pid] for pid in cone])
+                        != [1] * len(cone)):
+                    bad.add(cone)
+    return sorted(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import time
@@ -8,6 +9,7 @@ import pytest
 from mirrorcone import bside, report
 from mirrorcone.bside import (
     FactorizationCheckFailed,
+    HomogeneityCheckFailed,
     IntertwineCheckFailed,
     KoszulMF,
     build_koszul_mf,
@@ -184,6 +186,26 @@ def test_flipped_split_sign_exits_3(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps(fixture_config_json("elliptic")))
     assert main(["analyze", str(cfg), "--sections", "bside"]) == 3
     assert "certificate failure [FactorizationCheckFailed]" in capsys.readouterr().err
+
+
+def _with_q_tampered(vt):
+    tampered = copy.copy(vt)
+    tampered.q = (vt.q[0] + 1,) + vt.q[1:]
+    return tampered
+
+
+def test_tampered_q_fails_the_homogeneity_check():
+    with pytest.raises(HomogeneityCheckFailed, match="is not weighted homogeneous"):
+        build_superpotential(_with_q_tampered(fixture("quartic")))
+
+
+def test_tampered_q_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(report, "build_superpotential",
+                        lambda vt: build_superpotential(_with_q_tampered(vt)))
+    cfg = tmp_path / "elliptic.json"
+    cfg.write_text(json.dumps(fixture_config_json("elliptic")))
+    assert main(["analyze", str(cfg), "--sections", "bside"]) == 3
+    assert "certificate failure [HomogeneityCheckFailed]" in capsys.readouterr().err
 
 
 def test_dropped_split_term_fails_factorization():

@@ -1,4 +1,3 @@
-import ast
 import io
 import json
 import pathlib
@@ -449,11 +448,3 @@ def test_failed_certificate_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "certificate failure [" in err
     assert "Traceback" not in err
-
-
-def test_no_assert_statements_in_the_package():
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted(SRC.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Assert)]
-    assert found == []

@@ -26,10 +26,12 @@ from mirrorcone.fans import (
     regular_subdivision,
 )
 from mirrorcone.fixtures import fixture, generic_weights, quartic_mpcp_weights
+from mirrorcone.intlat import solve_int
 from oracles import (
     _facets_by_scan,
     _rank,
     _solve,
+    mpcs_by_subsets,
     normalized_volume,
     subdivision_by_hyperplane_scan,
     subdivision_volume,
@@ -199,13 +201,54 @@ def test_perturbation_refines_to_triangulation():
     assert subdivision_volume(sub, cfg) == normalized_volume(points)
 
 
+def non_unimodular_cones(report):
+    return [cone for cone, reason in report.failures
+            if reason == "boundary-relevant cone not unimodular"]
+
+
 def test_zmanifold_mpcs_equals_mpcp_uniform():
-    # dim 6 case is too large here; the dim <= 4 fixtures cover the remark.
-    vt = fixture("cubic-fourfold")
+    for name, count in (("quartic", 132), ("cubic-fourfold", 72), ("z-manifold", 54)):
+        cfg = project_config(fixture(name))
+        sub = regular_subdivision(cfg, Fraction(1))
+        report = check_mpcs(sub, cfg, check_mpcp(sub, cfg))
+        assert report.mpcs == report.mpcp
+        assert len(non_unimodular_cones(report)) == count
+
+
+@pytest.mark.parametrize("name,weights,perturb", [
+    ("quartic", "uniform", None),
+    ("cubic-fourfold", "uniform", None),
+    ("quartic", 1, None),
+    ("quartic", 2, None),
+    ("cubic-fourfold", 1, None),
+    ("cubic-fourfold", 2, None),
+    ("quartic", "uniform", 5),
+])
+def test_mpcs_matches_the_subset_oracle(name, weights, perturb):
+    vt = fixture(name)
     cfg = project_config(vt)
-    sub = regular_subdivision(cfg, Fraction(1))
+    weights = Fraction(1) if weights == "uniform" else generic_weights(vt, weights)
+    sub = regular_subdivision(cfg, weights, perturb_seed=perturb)
     report = check_mpcs(sub, cfg, check_mpcp(sub, cfg))
-    assert report.mpcs == report.mpcp
+    expected = mpcs_by_subsets(sub.cells, ORIGIN, cfg.lifts, cfg.coords, vt.blocks,
+                               fans.lattice_m_basis(cfg).basis)
+    assert non_unimodular_cones(report) == expected
+    assert report.mpcs == (report.mpcp and not expected)
+
+
+def test_mpcs_solves_each_point_once(monkeypatch):
+    cfg = project_config(fixture("quartic"))
+    sub = regular_subdivision(cfg, Fraction(1))
+    mpcp = check_mpcp(sub, cfg)
+    calls = []
+
+    def counting_solve(basis, v):
+        calls.append(v)
+        return solve_int(basis, v)
+
+    monkeypatch.setattr(fans, "solve_int", counting_solve)
+    check_mpcs(sub, cfg, mpcp)
+    assert len(calls) == len(cfg.vt.xi0)
 
 
 @pytest.mark.parametrize("name,draws", [("quartic", 4), ("cubic-fourfold", 2)])
