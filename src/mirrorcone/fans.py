@@ -6,11 +6,12 @@ A weight vector lifts the configuration; the cells of the subdivision are the
 projections of the lower faces of the lifted point set, found by an integer
 pivot from an initial lowest face across ridges, the facets of a cell by the
 same pivot one dimension down, each point set's facets enumerated once per
-subdivision.  The lift tests a point only against the cells of the lower
-envelope (the maximum of the cells' support functionals) at its projection.
-All arithmetic is exact; each cell carries the affine functional certifying
-it (equality on the cell, strictly below the heights elsewhere).  MPCP and
-MPCS read each lift's support as a bitmask; MPCS solves each point in M once.
+subdivision.  The lift factors each cell once and tests a point only against
+the cells of the lower envelope (the maximum of the cells' support
+functionals) at its projection.  All arithmetic is exact; each cell carries
+the affine functional certifying it (equality on the cell, strictly below the
+heights elsewhere).  MPCP and MPCS read each lift's support as a bitmask;
+MPCS solves each point in M once.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import NamedTuple
 
 from . import CertificateFailure
 from .intlat import (
+    barycentric,
     hnf_canonicalize,
     matrix_rank,
     nullspace,
@@ -65,14 +67,6 @@ class ProjectedConfig(NamedTuple):
 
     def project(self, x):
         return tuple(x[k] - x[i] for k, i in self.pairs)
-
-    def pullback_functional(self, a, c):
-        """Coefficients of (a, c) composed with the projection, on R^I."""
-        coeff = [0] * self.vt.n
-        for (k, i), x in zip(self.pairs, a):
-            coeff[k] += x
-            coeff[i] -= x
-        return tuple(coeff), c
 
 
 def _block_masks(vt):
@@ -151,16 +145,12 @@ def _enumerate_facets(pts, dim, table):
     if dim == 1:
         return {frozenset(i for i, p in enumerate(pts) if p[0] == v): ((s,), s * v)
                 for s, v in ((-1, min(pts)[0]), (1, max(pts)[0]))}
-    facets = {}
     if len(pts) == dim + 1:
-        # kernel vector k of the rows (p_i, 1, -e_i) starts with the barycentric
-        # coordinate of vertex k, as (-g, g0): zero on the facet without it
-        rows = [p + (1,) + tuple(-(i == k) for k in range(dim + 1))
-                for i, p in enumerate(pts)]
-        for k, vec in enumerate(nullspace(rows, 2 * dim + 2)):
-            facets[frozenset(range(dim + 1)) - {k}] = (tuple(-x for x in vec[:dim]),
-                                                       vec[dim])
-        return facets
+        # row k of W is D times the barycentric coordinate of vertex k, as
+        # (-g, g0): zero on the facet without it
+        return {frozenset(range(dim + 1)) - {k}: (tuple(-x for x in w[:dim]), w[dim])
+                for k, w in enumerate(barycentric(pts)[0])}
+    facets = {}
     base = [p[:-1] for p in pts]
     for s in (1, -1):
         # height s*x: the functional (a.x' + c)/e lies below, so a.x' - s*e*x <= -c
@@ -374,20 +364,6 @@ class LiftedCell(NamedTuple):
     vertices: tuple[tuple[int, ...], ...]
 
 
-def _barycentric_membership(vertices, x):
-    """x in conv(vertices) for affinely independent vertices, exactly.
-
-    A kernel vector (lam, t) of the rows [v_i | -x] and [1 ... 1 | -1] has
-    sum lam_j v_j = t x and sum lam_j = t.  For independent vertices the
-    kernel is one vector exactly when x is in their affine hull; then t > 0
-    and lam / t are the barycentric coordinates of x.
-    """
-    rows = [[v[i] for v in vertices] + [-xi] for i, xi in enumerate(x)]
-    rows.append([1] * len(vertices) + [-1])
-    kernel = nullspace(rows, len(vertices) + 1)
-    return len(kernel) == 1 and kernel[0][-1] > 0 and min(kernel[0]) >= 0
-
-
 def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell, ...]:
     """Lift each cell to the degree-one slice and certify the lift.
 
@@ -398,10 +374,13 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
     certificate raises CellLiftFailure (it falsifies the lifting lemma for
     this input, which for an MPCP subdivision means a bug).
 
-    The checks run on integers over one denominator.  A point is tested
-    against the cells whose functional attains the maximum of all (the lower
-    envelope) at its projection: given the support certificates, these are
-    the cells it projects into, as each d_i e_i lies in Xi_0.
+    The checks run on integers over one denominator.  Each cell's lifted
+    vertex set is factored once, by ``barycentric``: it is independent iff
+    that returns (W, N), and then a point x lies in its hull iff N(x, 1) = 0
+    and W(x, 1) >= 0.  A point is tested against the cells whose functional
+    attains the maximum of all (the lower envelope) at its projection: given
+    the support certificates, these are the cells it projects into, as each
+    d_i e_i lies in Xi_0.
     """
     vt = cfg.vt
     block_vectors = [vt.block_vector(j) for j in range(vt.r)]
@@ -409,29 +388,34 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
     den = lcm(*(h.denominator for h in sub.weights.values()),
               *(x.denominator for a, c in supports for x in (*a, c)))
     funcs = [(tuple(int(x * den) for x in a), int(c * den)) for a, c in supports]
-    # (id, lifted point, height); the block vectors stand for the origin
-    lifted_config = [(pid, cfg.lifts[pid], int(sub.weights[pid] * den))
-                     for pid in cfg.ids if pid != ORIGIN]
-    lifted_config += [(ORIGIN, bv, 0) for bv in block_vectors]
+    # every functional at every Xi point: its value at the projection is the
+    # pulled-back functional's value at the lifted point
     values = [[sum(map(mul, a, px)) + c for a, c in funcs]
               for px in map(cfg.project, vt.xi)]
+    at = dict(zip(vt.xi, values))
+    # (id, values, height); the block vectors, which stand for the origin,
+    # project to 0, where each functional is its constant
+    lifted_config = [(pid, at[cfg.lifts[pid]], int(sub.weights[pid] * den))
+                     for pid in cfg.ids if pid != ORIGIN]
+    lifted_config.append((ORIGIN, [c for _, c in funcs], 0))
     tops = [max(vals) for vals in values]  # the lower envelope at each point
+    ys = [(*x, 1) for x in vt.xi]
     out = []
-    for k, (cell, func) in enumerate(zip(sub.cells, funcs)):
-        coeff, const = cfg.pullback_functional(*func)
+    for k, cell in enumerate(sub.cells):
         in_cell = set(cell)
-        for pid, x, h in lifted_config:
-            val = sum(ci * xi for ci, xi in zip(coeff, x)) + const
-            if val > h or (val == h) != (pid in in_cell):
+        for pid, vals, h in lifted_config:
+            if vals[k] > h or (vals[k] == h) != (pid in in_cell):
                 raise CellLiftFailure(cell, "pulled-back functional does not "
                                             "support the lifted configuration")
         vertices = [cfg.lifts[pid] for pid in cell if pid != ORIGIN]
         if ORIGIN in in_cell:
             vertices.extend(block_vectors)
-        if _affine_rank(vertices) != len(vertices) - 1:
+        if (factored := barycentric(vertices)) is None:
             raise CellLiftFailure(cell, "lifted vertex set is affinely dependent")
-        for xi_pt, vals, top in zip(vt.xi, values, tops):
-            if vals[k] == top and not _barycentric_membership(vertices, xi_pt):
+        w, n = factored
+        for y, vals, top in zip(ys, values, tops):
+            if vals[k] == top and (any(sum(map(mul, r, y)) for r in n)
+                                   or min(sum(map(mul, r, y)) for r in w) < 0):
                 raise CellLiftFailure(
                     cell, "a degree-one lattice point escapes the lifted hull")
         out.append(LiftedCell(cell=cell, vertices=tuple(vertices)))

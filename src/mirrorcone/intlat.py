@@ -3,16 +3,16 @@
 Everything here works on plain Python ints (arbitrary precision); no
 floating point enters any computation.  Matrices are lists of row tuples.
 One elimination, the integer echelon ``_echelon`` (gcd row steps), gives
-Hermite forms, lattice kernels, the Smith form, rank, and the rational
-nullspace as primitive integer vectors.  The matrices are small (at most a
-few dozen rows of ~10 columns with small entries), so it uses no
-size-reduction tricks.
+Hermite forms, lattice kernels, the Smith form, rank, the rational nullspace
+as primitive integer vectors, and barycentric coordinates on a simplex.  The
+matrices are small (at most a few dozen rows of ~10 columns with small
+entries), so it uses no size-reduction tricks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -200,7 +200,7 @@ def sublattice_from_congruences(ambient_rank, congruences):
 
 
 def _identity(n):
-    return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    return [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
 
 
 def solve_int(lat: Sublattice, v):
@@ -285,6 +285,30 @@ def nullspace(rows, ncols):
         g = gcd(*vec)
         basis.append(tuple(x // g for x in vec))
     return basis
+
+
+def barycentric(vertices):
+    """Integer (W, N): x is in the affine hull of ``vertices`` iff N(x, 1) = 0,
+    and then W(x, 1) = D * (barycentric coordinates of x), D > 0; None when
+    the vertices are affinely dependent.  One echelon of the columns (v_i, 1),
+    the identity carried along, gives T [v_i; 1] = [E; 0], E upper triangular
+    with positive pivots: N is T below the rank and W = adj(E) T above it, by
+    integer back substitution, D = det E.
+    """
+    k = len(vertices)
+    rows = [*zip(*vertices), (1,) * k]
+    a = [[*row, *e] for row, e in zip(rows, _identity(len(rows)))]
+    if len(_echelon(a, k)) < k:
+        return None
+    d = prod(a[i][i] for i in range(k))
+    w = [None] * k
+    for i in range(k - 1, -1, -1):
+        acc = [d * t for t in a[i][k:]]
+        for j in range(i + 1, k):
+            if a[i][j]:
+                acc = [x - a[i][j] * y for x, y in zip(acc, w[j])]
+        w[i] = [x // a[i][i] for x in acc]
+    return w, [row[k:] for row in a[k:]]
 
 
 def lattice_intersection(a: Sublattice, b: Sublattice):

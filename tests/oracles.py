@@ -4,10 +4,10 @@ These deliberately avoid the code paths they check: lattice membership via
 subgroup closure in a finite quotient, point enumeration by box scan with the
 congruences applied directly, subdivisions by scanning all candidate
 supporting hyperplanes, volumes by a pulling triangulation over a facet
-scan of their own, MPCS over every subset of every cell, the Koszul
-factorization on readable tuple keys, the convolution of graded-dims tables
-on (j, m) tuple keys, and the quotient algebra and Koszul cohomology ranked
-over whole degree classes at once.
+scan of their own, simplex membership by a rational kernel, MPCS over
+every subset of every cell, the Koszul factorization on readable tuple keys,
+the convolution of graded-dims tables on (j, m) tuple keys, and the quotient
+algebra and Koszul cohomology ranked over whole degree classes at once.
 Nothing here imports mirrorcone.
 """
 
@@ -179,6 +179,20 @@ def nullspace_int(rows, ncols):
             vec[pcol] = -a[i][fcol]
         basis.append(vec)
     return basis
+
+
+def _barycentric_membership(vertices, x):
+    """x in conv(vertices) for affinely independent vertices, exactly.
+
+    A kernel vector (lam, t) of the rows [v_i | -x] and [1 ... 1 | -1] has
+    sum lam_j v_j = t x and sum lam_j = t.  For independent vertices the
+    kernel is one vector exactly when x is in their affine hull; then t = 1
+    and lam are the barycentric coordinates of x.
+    """
+    rows = [[v[i] for v in vertices] + [-xi] for i, xi in enumerate(x)]
+    rows.append([1] * len(vertices) + [-1])
+    kernel = nullspace_int(rows, len(vertices) + 1)
+    return len(kernel) == 1 and kernel[0][-1] > 0 and min(kernel[0]) >= 0
 
 
 def permutation_sign(seq):

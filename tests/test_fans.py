@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import pathlib
 import random
@@ -26,8 +27,10 @@ from mirrorcone.fans import (
     regular_subdivision,
 )
 from mirrorcone.fixtures import fixture, generic_weights, quartic_mpcp_weights
-from mirrorcone.intlat import solve_int
+from mirrorcone.intlat import hnf_canonicalize, solve_int
+from mirrorcone.toricdata import validate
 from oracles import (
+    _barycentric_membership,
     _facets_by_scan,
     _rank,
     _solve,
@@ -36,6 +39,7 @@ from oracles import (
     subdivision_by_hyperplane_scan,
     subdivision_volume,
 )
+from tests_support import cubic_block_input
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -76,7 +80,7 @@ def test_project_config_quartic_count():
 def test_project_config_product_of_triangles():
     # two blocks of size three whose only distinguished points are 3*e_i:
     # the projected configuration is the vertex set of a product of triangles
-    from mirrorcone.toricdata import LatticeSpec, ToricInput, validate
+    from mirrorcone.toricdata import LatticeSpec, ToricInput
     inp = ToricInput(
         blocks=((0, 1, 2), (3, 4, 5)),
         degrees=(3,) * 6,
@@ -270,6 +274,25 @@ def test_mpcp_implies_lift_certificates_random_weights(name, draws):
             assert full.mpcs == report.mpcp
 
 
+def test_project_config_rejects_an_xi0_point_with_full_block_support():
+    vt = fixture("quartic")
+    tampered = copy.copy(vt)
+    tampered.xi0 = vt.xi0 + ((1, 1, 1, 1),)
+    with pytest.raises(CertificateFailure,
+                       match=r"^Xi_0 point \(1, 1, 1, 1\) without block zero$"):
+        project_config(tampered)
+
+
+def test_check_mpcs_rejects_a_projection_that_escapes_m():
+    # M_bar replaced by 2 M_bar: the projection of 0,0,0,4 is not in its image
+    cfg, sub = quartic_mpcp_chain()
+    vt = copy.copy(cfg.vt)
+    vt.m_bar = hnf_canonicalize([[2 * x for x in row] for row in vt.m_bar.basis], vt.n)
+    tampered = cfg._replace(vt=vt)
+    with pytest.raises(CertificateFailure, match=r"^Xi_0 projection 0,0,0,4 escaped M$"):
+        check_mpcs(sub, tampered, check_mpcp(sub, tampered))
+
+
 def test_lift_vertices_elliptic():
     vt = fixture("elliptic")
     cfg = project_config(vt)
@@ -311,17 +334,17 @@ def test_lift_rejects_the_coarse_quartic_star():
 
 def test_lift_rejects_a_point_outside_the_lifted_hull(monkeypatch):
     cfg, sub = quartic_mpcp_chain()
-    inside = fans._barycentric_membership
-
-    def projected_only(vertices, x):
-        # membership holds downstairs, never in the lifted hull
-        return len(x) == cfg.dim and inside(vertices, x)
-
-    monkeypatch.setattr(fans, "_barycentric_membership", projected_only)
-    with pytest.raises(CellLiftFailure) as exc:
-        lift_subdivision(sub, cfg)
-    assert exc.value.cell == sub.cells[0]
-    assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
+    factor = fans.barycentric
+    # every point off the affine hull (an extra row of N that reads the 1 of
+    # (x, 1)), then every point with a negative coordinate (W negated)
+    tampers = [lambda w, n: (w, n + [[0] * cfg.vt.n + [1]]),
+               lambda w, n: ([[-t for t in r] for r in w], n)]
+    for tamper in tampers:
+        monkeypatch.setattr(fans, "barycentric", lambda v: tamper(*factor(v)))
+        with pytest.raises(CellLiftFailure) as exc:
+            lift_subdivision(sub, cfg)
+        assert exc.value.cell == sub.cells[0]
+        assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
 
 
 def _projects_into(cfg, cell, xi_pt):
@@ -332,30 +355,92 @@ def _projects_into(cfg, cell, xi_pt):
     return sol is not None and all(t >= 0 for t in sol)
 
 
+class _Probe:
+    """A zero entry of N that records the coordinates it is multiplied by."""
+
+    def __init__(self, seen):
+        self.seen = seen
+
+    def __mul__(self, other):
+        self.seen.append(other)
+        return 0
+
+
 @pytest.mark.parametrize("name", ["quartic", "cubic-fourfold"])
 def test_lift_tests_each_point_against_the_cells_it_projects_into(monkeypatch, name):
-    # the envelope candidates lose no pair: the lifted-hull calls are exactly
+    # the envelope candidates lose no pair: the lifted-hull tests are exactly
     # the (cell, Xi point) pairs whose projection lies in the cell, and no
-    # membership test runs on a projected point
+    # membership test runs on a projected point; a probe row in front of
+    # each cell's N records every (x, 1) tested
     vt = fixture(name)
     cfg = project_config(vt)
     weights = quartic_mpcp_weights(vt) if name == "quartic" else generic_weights(vt, 1)
     sub = regular_subdivision(cfg, weights)
-    inside = fans._barycentric_membership
+    factor = fans.barycentric
     calls = []
 
-    def recording(vertices, x):
-        calls.append((tuple(vertices), tuple(x)))
-        return inside(vertices, x)
+    def recording(vertices):
+        w, n = factor(vertices)
+        seen = []
+        calls.append((tuple(vertices), seen))
+        return w, [[_Probe(seen)] * (vt.n + 1)] + n
 
-    monkeypatch.setattr(fans, "_barycentric_membership", recording)
+    monkeypatch.setattr(fans, "barycentric", recording)
     cell_of = {lc.vertices: lc.cell for lc in lift_subdivision(sub, cfg)}
-    assert not [x for _, x in calls if len(x) == cfg.dim]
-    recorded = sorted((cell_of[v], x) for v, x in calls)
+    tested = [(v, tuple(seen[i:i + vt.n + 1]))
+              for v, seen in calls for i in range(0, len(seen), vt.n + 1)]
+    assert all(len(y) == vt.n + 1 and y[-1] == 1 for _, y in tested)
+    recorded = sorted((cell_of[v], y[:-1]) for v, y in tested)
     expected = sorted((cell, x) for cell in sub.cells for x in vt.xi
                       if _projects_into(cfg, cell, x))
     assert len(recorded) == len(set(recorded))
     assert recorded == expected
+
+
+def test_lift_factors_each_cell_once_and_solves_no_point(monkeypatch):
+    vt = fixture("cubic-fourfold")
+    cfg = project_config(vt)
+    sub = regular_subdivision(cfg, generic_weights(vt, 1))
+    factor = fans.barycentric
+    calls = []
+
+    def counting(vertices):
+        calls.append(vertices)
+        return factor(vertices)
+
+    def no_nullspace(*args):
+        raise AssertionError("nullspace called by the lift")
+
+    monkeypatch.setattr(fans, "barycentric", counting)
+    monkeypatch.setattr(fans, "nullspace", no_nullspace)
+    assert len(lift_subdivision(sub, cfg)) == len(sub.cells) == len(calls) == 104
+
+
+@pytest.mark.parametrize("name, seed", [("quartic", 1), ("quartic", 2),
+                                        ("cubic-fourfold", 1)])
+def test_factored_membership_matches_the_kernel_oracle(name, seed):
+    # on every (cell, Xi point) pair, not only the envelope candidates
+    vt = fixture(name)
+    cfg = project_config(vt)
+    sub = regular_subdivision(cfg, generic_weights(vt, seed))
+    inside = 0
+    for lc in lift_subdivision(sub, cfg):
+        w, n = fans.barycentric(lc.vertices)
+        for x in vt.xi:
+            y = (*x, 1)
+            member = (not any(sum(a * b for a, b in zip(r, y)) for r in n)
+                      and min(sum(a * b for a, b in zip(r, y)) for r in w) >= 0)
+            assert member == _barycentric_membership(lc.vertices, x)
+            inside += member
+    assert inside >= len(vt.xi)
+
+
+def test_six_cubic_block_star_certifies_all_729_simplices():
+    cfg = project_config(validate(cubic_block_input(6)))
+    sub = regular_subdivision(cfg, Fraction(1))
+    cert = certify_isolated_singularity(sub, cfg, check_mpcp(sub, cfg))
+    assert cert.certified
+    assert ("lifted_triangulation", True, "729 simplices certified") in cert.links
 
 
 @st.composite
@@ -392,7 +477,15 @@ def test_barycentric_membership_matches_oracle_solve(kind, data):
     sol = _solve(rows, list(x) + [1])
     expected = sol is not None and all(t >= 0 for t in sol)
     assert expected == (kind in ("inside", "face"))
-    assert fans._barycentric_membership(vertices, x) == expected
+    w, n = fans.barycentric(vertices)
+    y = (*x, 1)
+    off = [sum(a * b for a, b in zip(r, y)) for r in n]
+    coords = [sum(a * b for a, b in zip(r, y)) for r in w]
+    assert (not any(off) and min(coords) >= 0) == expected
+    # in the affine hull, W(x, 1) is D times the solve, D = sum W(x, 1) > 0
+    assert (sol is None) == any(off)
+    if sol is not None:
+        assert [Fraction(t, sum(coords)) for t in coords] == sol
 
 
 def shift_facets_off_their_ridges(monkeypatch):

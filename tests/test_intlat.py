@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mirrorcone.intlat import (
     LatticeError,
+    barycentric,
     contains,
     hnf_canonicalize,
     lattice_intersection,
@@ -269,6 +270,27 @@ def test_kernel_nullspace_matches_oracle(kind, data):
         assert vec[free] > 0 and ref[free] == 1
         assert [Fraction(x, vec[free]) for x in vec] == ref
         assert times(rows, vec) == [0] * len(rows)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_barycentric_factors_exactly_the_independent_vertex_sets(kind, data):
+    # each vertex is on the affine hull, with coordinates D e_j, one D > 0
+    vertices, _ = draw_matrix(data, kind)
+    if not vertices:
+        return
+    dirs = [[x - y for x, y in zip(v, vertices[0])] for v in vertices[1:]]
+    factored = barycentric(vertices)
+    assert (factored is not None) == (_rank(dirs) == len(vertices) - 1)
+    if factored is not None:
+        w, n = factored
+        assert len(n) == len(vertices[0]) + 1 - len(vertices)
+        d = times(w, (*vertices[0], 1))[0]
+        assert d > 0
+        for j, v in enumerate(vertices):
+            assert times(n, (*v, 1)) == [0] * len(n)
+            assert times(w, (*v, 1)) == [d * (i == j) for i in range(len(vertices))]
 
 
 def test_intlat_imports_nothing_from_fractions():
