@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import combinations, product, starmap
+from itertools import combinations, product
 from typing import NamedTuple
 
 from . import CertificateFailure
@@ -108,35 +108,40 @@ def degree_classes(blocks, n, cutoff):
     return sorted(classes)
 
 
-def _times(left, right):
-    """Two table entries (m, {j: dim}): m parts joined, j-polynomials multiplied."""
-    (m1, p1), (m2, p2) = left, right
-    poly = {}
-    for (j1, d1), (j2, d2) in product(p1.items(), p2.items()):
-        poly[j1 + j2] = poly.get(j1 + j2, 0) + d1 * d2
-    return m1 + m2, poly
+def _times_table(entries, table):
+    """entries x table in nested order, the table fastest: (m + m_t, p * q)."""
+    for (m, p), (m_t, q) in product(entries, table):
+        poly = {}
+        for (j1, d1), (j2, d2) in product(p.items(), q.items()):
+            poly[j1 + j2] = poly.get(j1 + j2, 0) + d1 * d2
+        yield m + m_t, poly
 
 
-def _product(tables):
-    """The entries of the tables' product in nested order, the last table fastest."""
-    return reduce(lambda combos, table: starmap(_times, product(combos, table)), tables)
-
-
-def classes_by_j(tables):
-    """{j: (m parts, dims)} over the tables' product, each list in ``_product`` order."""
-    groups = defaultdict(lambda: ([], []))
-    for m, poly in _product(tables):
-        for j, d in poly.items():
-            parts, dims = groups[j]
-            parts.append(m)
-            dims.append(d)
-    return groups
+def runs_by_j(tables, row, empty):
+    """The tables' product as {j: [(prefix, rows)]}, in nested order with the
+    last table fastest.  A prefix joins the m parts of all tables but the last
+    (``empty`` if none) and its j-polynomial is the product of theirs; its rows
+    at j are ``row(m_last, dim)`` over the last table, built once per polynomial."""
+    *front, last = tables
+    suffixes, runs = {}, defaultdict(list)
+    for prefix, poly in reduce(_times_table, front) if front else [(empty, {0: 1})]:
+        key = frozenset(poly.items())
+        if key not in suffixes:
+            suffixes[key] = suffix = defaultdict(list)
+            # with no front table the prefix polynomial is 1: the last table as it is
+            for m, prod in _times_table([(empty, poly)], last) if front else last:
+                for j, d in prod.items():
+                    suffix[j].append(row(m, d))
+        for j, rows in suffixes[key].items():
+            runs[j].append((prefix, rows))
+    return runs
 
 
 class GradedDims(NamedTuple):
     """Graded dimensions of a tensor product of per-block algebras, zeros omitted:
     ``factors[b]`` lists (m_b, {j_b: dim}) by m_b, m_b at the indices ``blocks[b]``.
-    One block, or the direct multi-block computation, is one factor.  From
+    One block, or the direct multi-block computation, is one factor.  ``dims``
+    and ``report.write_json`` expand the product by ``runs_by_j``.  From
     ``tensor_j_dims`` (r > 1), a class outside ``degree_classes`` is a partial sum."""
 
     blocks: tuple
@@ -151,13 +156,14 @@ class GradedDims(NamedTuple):
         if list(where) == sorted(where):
             return tables
         order = sorted(range(len(where)), key=where.__getitem__)
-        return [sorted((tuple(m[k] for k in order), poly) for m, poly in _product(tables))]
+        return [sorted((tuple(m[k] for k in order), p) for m, p in reduce(_times_table, tables))]
 
     @property
     def dims(self):
         """Sorted tuple of ((jhat, mhat), dim)."""
-        groups = classes_by_j(self.tables())
-        return tuple(((j, m), d) for j in sorted(groups) for m, d in zip(*groups[j]))
+        runs = runs_by_j(self.tables(), lambda m, d: (m, d), ())
+        return tuple(((j, prefix + m), d) for j in sorted(runs)
+                     for prefix, rows in runs[j] for m, d in rows)
 
 
 # --- exterior algebra on the odd generators u_i ---------------------------
@@ -387,7 +393,7 @@ def involution_sign(vt: ValidatedToricData, b, h_size):
     v = vt.volume_orders
     pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, b) if x)
     if pairing.denominator != 1:
-        raise CertificateFailure(f"<n_sigma + v - e_I, {b}> is not integral")
+        raise ClassificationViolation(f"<n_sigma + v - e_I, {b}> is not integral")
     return sign_action(b, h_size, v) * (-1) ** (int(pairing) % 2)
 
 
@@ -396,7 +402,7 @@ def deformation_sign(vt: ValidatedToricData, b, h_size):
     that it is (-1)^(|h|/2)."""
     sign = involution_sign(vt, b, h_size)
     if sign != (-1) ** (h_size // 2):
-        raise CertificateFailure("sign disagrees with |h|/2 rule")
+        raise ClassificationViolation("sign disagrees with |h|/2 rule")
     return sign
 
 
@@ -406,11 +412,7 @@ class DeformationClassification(NamedTuple):
     sign_killed: tuple          # (pair of H-basis labels, nonzero_in_algebra)
 
     def counts(self):
-        return {
-            "surviving": len(self.surviving),
-            "killed_in_ideal": len(self.killed_in_ideal),
-            "sign_killed": len(self.sign_killed),
-        }
+        return {name: len(getattr(self, name)) for name in self._fields}
 
 
 def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassification:
@@ -422,15 +424,12 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
     algebra; the survivors must be exactly the first-order classes indexed by
     Xi_0, each nonzero.
     """
-    blocks = vt.blocks
-    n = vt.n
-    xi0 = set(vt.xi0)
-    surviving = []
-    killed = []
+    blocks, n, xi0 = vt.blocks, vt.n, set(vt.xi0)
+    surviving, killed = [], []
     for b in vt.xi:
         pairing = sum(ns * x for ns, x in zip(vt.n_sigma, b))
         if pairing != 1:
-            raise CertificateFailure(f"<n_sigma, {b}> = {pairing}, not 1")
+            raise ClassificationViolation(f"<n_sigma, {b}> = {pairing}, not 1")
         sign = deformation_sign(vt, b, 0)
         if sign != 1:
             raise ClassificationViolation(f"|h|=0 class at {b} is not invariant")
@@ -457,11 +456,8 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
         pair = wedge(vec1, vec2)
         nonzero = bool(pair) and not element_in_ideal(blocks, n, zero_a, pair)
         sign_killed.append(((label1, label2), nonzero))
-    return DeformationClassification(
-        surviving=tuple(sorted(surviving)),
-        killed_in_ideal=tuple(sorted(killed)),
-        sign_killed=tuple(sign_killed),
-    )
+    return DeformationClassification(tuple(sorted(surviving)), tuple(sorted(killed)),
+                                     tuple(sign_killed))
 
 
 def enumerate_curvature_candidates(vt: ValidatedToricData):

@@ -6,7 +6,7 @@ version string).  ``write_json`` streams a report as exactly the text of
 ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, in joined
 batches, so the report's text is never all in memory at once.  The algebra
 section holds its ``GradedDims``, whose factor tables the writer expands
-straight into row text.
+into row text one run of rows per (j, prefix).
 """
 
 from __future__ import annotations
@@ -32,10 +32,10 @@ from .grading import (
 )
 from .koszulalg import (
     GradedDims,
-    classes_by_j,
     enumerate_curvature_candidates,
     enumerate_deformation_classes,
     koszul_cohomology_dims,
+    runs_by_j,
     tensor_j_dims,
 )
 from .toricdata import (
@@ -242,11 +242,11 @@ def write_json(obj, fh):
 
     Takes the value types a report holds: dict with str keys, list, tuple,
     str, int, bool, None and GradedDims, whose rows are written as the dicts
-    ``{"deg": {"j": j, "m": m}, "dim": dim}``: one text per m-combination
-    joined from per-entry fragments, one head per j; any other type, a
-    record (a NamedTuple) included, raises TypeError.  The tree is walked
-    once, a list of plain ints is joined in one step, and the text goes to
-    ``fh.write`` in batches of about _BATCH_CHUNKS chunks (or lines of rows).
+    ``{"deg": {"j": j, "m": m}, "dim": dim}``: each run of ``runs_by_j`` is
+    one join of its shared row texts behind head(j) + prefix text; any other
+    type, a record (a NamedTuple) included, raises TypeError.  The tree is
+    walked once, a list of plain ints is joined in one step, and the text goes
+    to ``fh.write`` in batches of about _BATCH_CHUNKS chunks (or lines of rows).
     """
     chunks = []
     append = chunks.append
@@ -295,23 +295,27 @@ def write_json(obj, fh):
                     emit(value, inner)
             append(nl + "}" if o else "{}")
         elif isinstance(o, GradedDims):
-            # a row (n + 8 lines) is head(j) + m text from table-entry fragments + dim
+            # a row (n + 8 lines) is head(j) + prefix text + last entry's text + dim
             inner, i1, i2, i3 = (nl + "  " * k for k in range(1, 5))
-            sep, tail, tables = "," + i3, i2 + "]" + i1 + "}," + i1 + '"dim": ', o.tables()
-            groups = classes_by_j([[((sep if k else i3) + sep.join(map(str, m))
-                                     + (tail if k == len(tables) - 1 else ""), poly)
-                                    for m, poly in table] for k, table in enumerate(tables)])
+            sep, tail = "," + i3, i2 + "]" + i1 + "}," + i1 + '"dim": '
+            runs = runs_by_j([[((sep if k else i3) + sep.join(map(str, m)), poly)
+                               for m, poly in table] for k, table in enumerate(o.tables())],
+                             lambda text, d: text + tail + str(d), "")
             step = _BATCH_CHUNKS // (sum(map(len, o.blocks)) + 8)
-            lead = "["
-            for j in sorted(groups):
+            room, lead = 0, "["
+            for j in sorted(runs):
                 head = inner + "{" + i1 + '"deg": {' + i2 + f'"j": {j},' + i2 + '"m": ['
-                parts, dims = groups[j]
-                for k in range(0, len(parts), step):
-                    fh.write("".join(chunks))
-                    chunks[:] = [lead + head + (inner + "}," + head).join(
-                        map(str.__add__, parts[k:k + step], map(str, dims[k:k + step])))]
-                    lead = inner + "},"
-            append(inner + "}" + nl + "]" if groups else "[]")
+                for prefix, rows in runs[j]:
+                    for k in range(0, len(rows), step):
+                        part = rows[k:k + step]
+                        if len(part) > room:  # at most step rows per write
+                            fh.write("".join(chunks))
+                            chunks.clear()
+                            room = step
+                        room -= len(part)
+                        append(lead + head + prefix + (inner + "}," + head + prefix).join(part))
+                        lead = inner + "},"
+            append(inner + "}" + nl + "]" if runs else "[]")
         else:
             raise TypeError(f"cannot write {type(o).__name__} into a report")
 

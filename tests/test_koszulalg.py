@@ -1,4 +1,6 @@
 import random
+import re
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -233,6 +235,57 @@ def test_an_escaping_ideal_vector_makes_analyze_exit_3(tmp_path, capsys,
     assert main(["analyze", str(cfg), "--sections", "algebra", "--cutoff", "4"]) == 3
     err = capsys.readouterr().err
     assert "certificate failure [CertificateFailure]: ideal vector escapes" in err
+
+
+def classify_tampered(monkeypatch, **tamper):
+    """The report classifies deformations on a view of vt whose named fields are
+    replaced by tamper[field](vt)."""
+    classify = koszulalg.enumerate_deformation_classes
+    fields = ("blocks", "n", "xi", "xi0", "n_sigma", "volume_orders")
+    monkeypatch.setattr(report, "enumerate_deformation_classes", lambda vt: classify(
+        SimpleNamespace(**{f: tamper.get(f, lambda vt: getattr(vt, f))(vt) for f in fields})))
+
+
+def flip_involution_sign(monkeypatch):
+    sign = koszulalg.involution_sign
+    monkeypatch.setattr(koszulalg, "involution_sign", lambda vt, b, h: -sign(vt, b, h))
+
+
+# Each classification certificate, the step that falsifies it and its message.
+CLASSIFICATION_SITES = {
+    "pairing-not-integral": (
+        lambda mp: classify_tampered(mp, volume_orders=lambda vt: tuple(
+            v + Fraction(1, 3) for v in vt.volume_orders)),
+        r"<n_sigma \+ v - e_I, \(0, 0, 0, 4\)> is not integral"),
+    "sign-against-the-half-h-rule": (flip_involution_sign, r"sign disagrees with \|h\|/2 rule"),
+    "n-sigma-pairing-not-1": (
+        lambda mp: classify_tampered(mp, n_sigma=lambda vt: tuple(2 * x for x in vt.n_sigma)),
+        r"<n_sigma, \(0, 0, 0, 4\)> = 2, not 1"),
+    "h0-class-not-invariant": (
+        lambda mp: mp.setattr(koszulalg, "deformation_sign", lambda vt, b, h: -1),
+        r"\|h\|=0 class at \(0, 0, 0, 4\) is not invariant"),
+    "first-order-class-vanishes": (
+        lambda mp: mp.setattr(koszulalg, "element_in_ideal", lambda *args: True),
+        r"first-order class z\^\(0, 0, 0, 4\) vanishes in the quotient algebra"),
+    "class-outside-xi0-survives": (
+        lambda mp: mp.setattr(koszulalg, "element_in_ideal", lambda *args: False),
+        r"class z\^\(0, 1, 1, 2\) with b outside Xi_0 survives the quotient"),
+    "h2-class-not-killed": (
+        lambda mp: mp.setattr(koszulalg, "deformation_sign", lambda vt, b, h: 1),
+        r"\|h\|=2 class not killed by the sign rule"),
+}
+
+
+@pytest.mark.parametrize("site", CLASSIFICATION_SITES)
+def test_a_falsified_classification_makes_analyze_exit_3(tmp_path, capsys, monkeypatch, site):
+    falsify, message = CLASSIFICATION_SITES[site]
+    assert main(["examples", "show", "quartic"]) == 0
+    cfg = tmp_path / "quartic.json"
+    cfg.write_text(capsys.readouterr().out)
+    falsify(monkeypatch)
+    assert main(["analyze", str(cfg), "--sections", "algebra", "--cutoff", "4"]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"certificate failure \[ClassificationViolation\]: " + message, err), err
 
 
 def test_tensor_builds_one_table_per_block_size(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorcone import koszulalg
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.koszulalg import GradedDims, tensor_j_dims
 from mirrorcone.report import write_json
@@ -48,14 +49,19 @@ def nested(kids):
 trees = st.recursive(leaves, nested, max_leaves=30)
 
 
+def draw_blocks(draw):
+    """A partition of 1 to 8 indices into 1 to 3 blocks, interleaved or not."""
+    n = draw(st.integers(1, 8))
+    perm = draw(st.permutations(range(n)))
+    cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=2))) - {n})
+    return tuple(tuple(sorted(perm[a:b])) for a, b in zip([0, *cuts], [*cuts, n]))
+
+
 @st.composite
 def graded_dims(draw):
     """1 to 3 factors on a partition of 1 to 8 indices, interleaved or not;
     each table has at most 5 entries (m_b, {j_b: dim})."""
-    n = draw(st.integers(1, 8))
-    perm = draw(st.permutations(range(n)))
-    cuts = sorted(set(draw(st.lists(st.integers(1, n), max_size=2))) - {n})
-    blocks = tuple(tuple(sorted(perm[a:b])) for a, b in zip([0, *cuts], [*cuts, n]))
+    blocks = draw_blocks(draw)
     factors = []
     for blk in blocks:
         table = draw(st.dictionaries(st.tuples(*[ints] * len(blk)), st.dictionaries(
@@ -65,17 +71,37 @@ def graded_dims(draw):
     return GradedDims(blocks, tuple(factors))
 
 
+@st.composite
+def graded_dims_sharing_polynomials(draw):
+    """Like ``graded_dims``, but each table draws its j-polynomials from a pool
+    of 2 or 3 with small j, so prefixes share a polynomial and j-sums collide."""
+    blocks = draw_blocks(draw)
+    factors = []
+    for blk in blocks:
+        pool = draw(st.lists(st.dictionaries(st.integers(-2, 2), st.integers(1, 3),
+                                             min_size=1, max_size=2),
+                             min_size=2, max_size=3))
+        ms = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(blk)),
+                           unique=True, max_size=6))
+        factors.append(sorted((m, draw(st.sampled_from(pool))) for m in ms))
+    return GradedDims(blocks, tuple(factors))
+
+
 trees_with_graded_dims = st.recursive(st.one_of(leaves, graded_dims()), nested,
                                       max_leaves=30)
+
+
+def oracle_dims(dims):
+    """The sorted ((j, m), dim) pairs of a GradedDims, by the oracle's convolution."""
+    tables = [{(j, m): d for m, poly in factor for j, d in poly.items()}
+              for factor in dims.factors]
+    return convolve_block_tables(dims.blocks, sum(map(len, dims.blocks)), tables)
 
 
 def plain(obj):
     """obj with every GradedDims replaced by its rows as dicts."""
     if isinstance(obj, GradedDims):
-        tables = [{(j, m): d for m, poly in factor for j, d in poly.items()}
-                  for factor in obj.factors]
-        n = sum(map(len, obj.blocks))
-        return graded_rows_as_dicts(convolve_block_tables(obj.blocks, n, tables))
+        return graded_rows_as_dicts(oracle_dims(obj))
     if isinstance(obj, dict):
         return {k: plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -93,6 +119,31 @@ def test_matches_json_dumps(obj):
 @given(trees_with_graded_dims)
 def test_graded_dims_at_any_depth_match_json_dumps_of_their_rows(obj):
     assert written(obj) == expected(plain(obj))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_dims_sharing_polynomials())
+def test_graded_dims_sharing_polynomials_match_the_oracle(dims):
+    assert written(dims) == expected(plain(dims))
+    assert dims.dims == oracle_dims(dims)
+
+
+SHARED = {0: 1, 1: 2}
+EDGE_GRADED_DIMS = {
+    "empty-last-table": GradedDims(((0, 1), (2,)), ([((0, 0), {0: 1}), ((0, 1), SHARED)], [])),
+    "empty-front-table": GradedDims(((0,), (1, 2)), ([], [((0, 0), {0: 1})])),
+    # six entries per table on two polynomials, every block interleaved
+    "r3-interleaved": GradedDims(((0, 3), (1, 4), (2, 5)), tuple(
+        [((a, b), SHARED if (a + b) % 2 else {-1: 1}) for a in (-1, 0, 1) for b in (0, 1)]
+        for _ in range(3))),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_GRADED_DIMS)
+def test_graded_dims_edge_cases_match_the_oracle(name):
+    dims = EDGE_GRADED_DIMS[name]
+    assert written({"graded_dims": dims}) == expected({"graded_dims": plain(dims)})
+    assert dims.dims == oracle_dims(dims)
 
 
 def test_empty_graded_dims_is_an_empty_list():
@@ -165,11 +216,25 @@ def test_written_graded_dims_match_the_convolution_oracle(name):
     assert same
 
 
-def test_z_manifold_graded_dims_at_cutoff_6_are_written_in_bounded_batches():
+def test_z_manifold_graded_dims_at_cutoff_6_are_written_in_bounded_batches(monkeypatch):
     # about 41 MB of text
     obj = {"sections": {"algebra": {"graded_dims": tensor_j_dims(fixture("z-manifold"), 6)}}}
+    products = []
+    times = koszulalg._times_table
+
+    def counting(entries, table):
+        # the helper multiplies every entry's j-polynomial with every table entry's
+        entries = list(entries)
+        products.append(len(entries) * len(table))
+        return times(entries, table)
+
+    monkeypatch.setattr(koszulalg, "_times_table", counting)
     fh = RecordingFile()
     write_json(obj, fh)
+    # three tables of 34 entries: the 1,156 prefixes carry only 42 distinct
+    # polynomials, so the writer multiplies far fewer than the 40,460 pairs of
+    # one product per m-combination
+    assert sum(products) <= 34**2 + 42 * 34
     assert len(fh.parts) > 1
     assert max(len(p) for p in fh.parts) < 4 * 2**20
     assert sum(p.count('"dim": ') for p in fh.parts) == 146_812
