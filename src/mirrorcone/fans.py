@@ -4,14 +4,16 @@ The projected configuration consists of the images of the distinguished
 lattice points under the per-block coordinate projection, plus the origin.
 A weight vector lifts the configuration; the cells of the subdivision are the
 projections of the lower faces of the lifted point set, found by an integer
-pivot from an initial lowest face across ridges, the facets of a cell by the
-same pivot one dimension down, each point set's facets enumerated once per
-subdivision.  The lift factors each cell once and tests a point only against
-the cells of the lower envelope (the maximum of the cells' support
-functionals) at its projection.  All arithmetic is exact; each cell carries
-the affine functional certifying it (equality on the cell, strictly below the
-heights elsewhere).  MPCP and MPCS read each lift's support as a bitmask;
-MPCS solves each point in M once.
+pivot from an initial lowest face across ridges.  A cell whose hull is a
+simplex, extra points and all, gets its facets from one barycentric
+factorization of its vertices; any other cell's come from the same pivot one
+dimension down, each point set's facets enumerated once per subdivision.  The
+lift factors each cell once and tests a point only against the cells of the
+lower envelope (the maximum of the cells' support functionals) at its
+projection.  All arithmetic is exact; each cell carries the affine functional
+certifying it (equality on the cell, strictly below the heights elsewhere).
+MPCP and MPCS read each lift's support as a bitmask; MPCS solves each point
+in M once.
 """
 
 from __future__ import annotations
@@ -123,9 +125,11 @@ def _facets(pts, dim, table):
     """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
 
     The normal is integral, not necessarily primitive, and points outward
-    (pts lie where <normal, x> <= offset); pts may repeat.  ``table``, one
-    per subdivision, keeps them by ``(tuple(pts), dim)``: the recursion and
-    the ridge pivot meet the same point sets again and again.
+    (pts lie where <normal, x> <= offset); pts may repeat.  A simplex hull
+    reads them from one barycentric factorization, any other hull from the
+    pivot one dimension down.  ``table``, one per subdivision, keeps them by
+    ``(tuple(pts), dim)``: the recursion, the ridge pivot and the --perturb
+    refinements meet the same point sets again and again.
     """
     key = (tuple(pts), dim)
     if key not in table:
@@ -134,22 +138,14 @@ def _facets(pts, dim, table):
 
 
 def _enumerate_facets(pts, dim, table):
-    """The facets ``_facets`` keeps: a simplex drops one vertex per facet;
-    otherwise the pivot of ``_lower_hull_cells`` finds them, on pts without
-    their last coordinate and with it, or its negative, as height (lower and
-    upper facets); the facets of that projection whose contact set still
-    spans a hyperplane are the vertical ones.
+    """The facets ``_facets`` keeps: a simplex hull's from one barycentric
+    factorization; otherwise the pivot of ``_lower_hull_cells`` finds them,
+    on pts without their last coordinate and with it, or its negative, as
+    height (lower and upper facets); the facets of that projection whose
+    contact set still spans a hyperplane are the vertical ones.
     """
-    if dim == 0:
-        return {}
-    if dim == 1:
-        return {frozenset(i for i, p in enumerate(pts) if p[0] == v): ((s,), s * v)
-                for s, v in ((-1, min(pts)[0]), (1, max(pts)[0]))}
-    if len(pts) == dim + 1:
-        # row k of W is D times the barycentric coordinate of vertex k, as
-        # (-g, g0): zero on the facet without it
-        return {frozenset(range(dim + 1)) - {k}: (tuple(-x for x in w[:dim]), w[dim])
-                for k, w in enumerate(barycentric(pts)[0])}
+    if (facets := _simplex_facets(pts, dim)) is not None:
+        return facets
     facets = {}
     base = [p[:-1] for p in pts]
     for s in (1, -1):
@@ -159,6 +155,51 @@ def _enumerate_facets(pts, dim, table):
     for contact, (g, g0) in _facets(base, dim - 1, table).items():
         if _affine_rank([pts[i] for i in contact]) == dim - 1:
             facets[contact] = (g + (0,), g0)
+    return facets
+
+
+def _simplex_facets(pts, dim):
+    """The facets of conv(pts) if it is a dim-simplex (always so for dim + 1
+    points or for dim = 1), else None.
+
+    The lexicographic extremes under every sign pattern of the coordinates,
+    read forward and backward, are vertices: split the points by the max and
+    the min of each coordinate in turn, and miss early once the groups or
+    the extremes outnumber dim + 1.  Each missing vertex is the lex-max point
+    at the max (or min) of a normal to the vertices' affine hull.  W of
+    ``barycentric`` then certifies the simplex by W(p, 1) >= 0 at every
+    point p; row k, as (-g, g0), is zero exactly on the facet without vertex
+    k, repeated points and points on faces included.
+    """
+    if len(pts) == dim + 1:  # the vertices: W(v_j, 1) = D [j == k], nothing to check
+        return {frozenset(range(dim + 1)) - {k}: (tuple(-x for x in w[:dim]), w[dim])
+                for k, w in enumerate(barycentric(pts)[0])}
+    verts = {}
+    for order in (range(dim), range(dim - 1, -1, -1)):
+        groups = [pts]
+        for k in order:
+            groups = [[p for p in grp if p[k] == x] for grp in groups
+                      for x in {max(p[k] for p in grp), min(p[k] for p in grp)}]
+            if len(groups) > dim + 1:
+                return None
+        verts |= dict.fromkeys(grp[0] for grp in groups)
+    if len(verts) > dim + 1:
+        return None
+    verts = list(verts)
+    while len(verts) <= dim:
+        g = nullspace([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]], dim)[0]
+        vals = [sum(map(mul, g, p)) for p in pts]
+        t = max(vals) if max(vals) != sum(map(mul, g, verts[0])) else min(vals)
+        verts.append(max(p for p, v in zip(pts, vals) if v == t))
+    if (factored := barycentric(verts)) is None:
+        return None
+    facets = {}
+    for w in factored[0]:
+        vals = [sum(map(mul, w, p)) + w[dim] for p in pts]
+        if min(vals) < 0:
+            return None
+        facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = (
+            tuple(-x for x in w[:dim]), w[dim])
     return facets
 
 

@@ -1,6 +1,8 @@
 import ast
 import copy
+import hashlib
 import json
+import math
 import pathlib
 import random
 import subprocess
@@ -508,14 +510,29 @@ def test_ridge_pivot_certificate_catches_a_shifted_facet(monkeypatch, name):
         regular_subdivision(cfg, weights)
 
 
-def test_shifted_facet_makes_analyze_exit_3(tmp_path, monkeypatch, capsys):
+def uniform_elliptic_config(tmp_path):
     cfg = tmp_path / "elliptic.json"
     cfg.write_text(json.dumps({
         "blocks": [[1, 2, 3]], "d": [3, 3, 3], "lambda": "uniform:1",
         "lattice": {"congruences": [{"c": [1, 1, 1], "mod": 3}]}}))
+    return str(cfg)
+
+
+def test_shifted_facet_makes_analyze_exit_3(tmp_path, monkeypatch, capsys):
+    cfg = uniform_elliptic_config(tmp_path)
     shift_facets_off_their_ridges(monkeypatch)
-    assert main(["analyze", str(cfg), "--sections", "fans"]) == 3
+    assert main(["analyze", cfg, "--sections", "fans"]) == 3
     assert "neighbor functional lost the ridge" in capsys.readouterr().err
+
+
+def test_unsupporting_rotation_makes_analyze_exit_3(tmp_path, monkeypatch, capsys):
+    # a negated gcd flips the sign of every rotated functional and slack, so
+    # the first rotation from the lowest point already leaves points below it
+    cfg = uniform_elliptic_config(tmp_path)
+    monkeypatch.setattr(fans, "gcd", lambda *xs: -math.gcd(*xs))
+    assert main(["analyze", cfg, "--sections", "fans"]) == 3
+    assert ("certificate failure [CertificateFailure]: rotated functional is not "
+            "supporting") in capsys.readouterr().err
 
 
 def test_shifted_facet_is_caught_after_a_clean_run(monkeypatch):
@@ -547,22 +564,52 @@ def test_configs_run_one_after_another_give_the_cells_of_fresh_runs():
 
 
 def test_each_point_set_is_enumerated_once_per_subdivision(monkeypatch):
-    # the uniform z-manifold star: 27 cells of 15 points in dim 6, whose facet
-    # recursion asked for the facets of these 282 point sets 5,625 times
+    # the uniform z-manifold star: 27 cells of 15 points in dim 6, each hull a
+    # 6-simplex, so each cell's facets come from one barycentric factorization
+    # and the pivot never recurses into a projected lower hull
     cfg = project_config(fixture("z-manifold"))
-    enumerate_facets = fans._enumerate_facets
-    seen = []
+    enumerate_facets, lower_hull_cells = fans._enumerate_facets, fans._lower_hull_cells
+    seen, hulls = [], []
 
     def counting(pts, dim, table):
         seen.append((tuple(pts), dim))
         return enumerate_facets(pts, dim, table)
 
+    def counting_hulls(points, heights, table):
+        hulls.append(len(points))
+        return lower_hull_cells(points, heights, table)
+
     monkeypatch.setattr(fans, "_enumerate_facets", counting)
+    monkeypatch.setattr(fans, "_lower_hull_cells", counting_hulls)
     for _ in range(2):
         seen.clear()
+        hulls.clear()
         sub = regular_subdivision(cfg, Fraction(1))
         assert len(sub.cells) == 27
-        assert len(seen) == len(set(seen)) == 282
+        assert len(seen) == len(set(seen)) == 27
+        assert {frozenset(pts) for pts, _ in seen} == {
+            frozenset(cfg.coords[pid] for pid in cell) for cell in sub.cells}
+        assert hulls == [len(cfg.ids)]
+
+
+# sha256 of `analyze --sections fans --perturb 1` on the uniform fixtures,
+# recorded before simplex hulls took their facets from one factorization
+PERTURB_1_FANS_SHA256 = {
+    "quartic": "c5d2ebd755b1f16d98a73d67d9d7ab69df77b5163a9882fa92a0eb0debbeb743",
+    "cubic-fourfold": "5e1d6a7b1eb599ab503810872f1095c2e650427da94f5fc1538beb0e7021d3b6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERTURB_1_FANS_SHA256))
+def test_perturbed_fans_report_keeps_its_digest(tmp_path, capsys, name):
+    # the refinement loop runs through the same facet enumeration
+    assert main(["examples", "show", name]) == 0
+    cfg = tmp_path / "config.json"
+    cfg.write_text(capsys.readouterr().out)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(cfg), "--sections", "fans", "--perturb", "1",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PERTURB_1_FANS_SHA256[name]
 
 
 def test_uniform_cubic_fourfold_star_cells_match_the_subset_scan():
@@ -622,8 +669,26 @@ def test_degenerate_config_rejected():
 
 
 @st.composite
+def dilated_simplex(draw, dim):
+    """The vertices of s * conv(verts), with lattice points of it added: a sum
+    of s vertices lies inside or, when it leaves a vertex out, on a face; a
+    few points are then repeated."""
+    verts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                          min_size=dim + 1, max_size=dim + 1, unique=True))
+    s = draw(st.integers(1, 3))
+    sums = draw(st.lists(st.lists(st.integers(0, dim), min_size=s, max_size=s),
+                         max_size=6))
+    pts = [tuple(s * x for x in v) for v in verts]
+    pts += [tuple(map(sum, zip(*(verts[i] for i in idx)))) for idx in sums]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=2))
+    return draw(st.permutations(pts))
+
+
+@st.composite
 def facet_config(draw):
     dim = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(dilated_simplex(dim)), dim
     pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
                         min_size=dim + 1, max_size=dim + 4, unique=True))
     if dim > 1 and draw(st.booleans()):
@@ -634,10 +699,27 @@ def facet_config(draw):
     return pts, dim
 
 
+# a uniform cubic-fourfold cell: a 4-simplex whose 13 points include ones on
+# its edges, like the z-manifold's 6-simplex cells of 15 points
+STAR_CELL = [(0, 0, -3, -3), (0, 0, 0, 3), (-1, -1, -2, -2), (-1, -1, 0, 2),
+             (-2, -2, -1, -1), (-2, -2, 0, 1), (-3, -3, 0, 0), (0, 1, -2, -2),
+             (0, 1, 0, 2), (0, 2, -1, -1), (0, 2, 0, 1), (0, 3, 0, 0), (0, 0, 0, 0)]
+CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+# (0,0) and (3,3) are the only lexicographic extremes of either hull, so a
+# normal to their line finds a third vertex; with (1,2) in place of (1,1), the
+# hull is a quadrilateral and (2,1) gets a negative barycentric coordinate
+COMPLETED = [(0, 0), (1, 1), (2, 1), (3, 3)]
+KITE = [(0, 0), (1, 2), (2, 1), (3, 3)]
+
+
 @given(facet_config())
 @example(([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 1), (2, 0, 1), (0, 2, 1)], 3))
 @example(([(0, 0), (1, 0), (3, 1), (0, 2), (1, 2)], 2))
-@settings(max_examples=80, deadline=None)
+@example((STAR_CELL, 4))
+@example((CUBE, 3))
+@example((COMPLETED, 2))
+@example((KITE, 2))
+@settings(max_examples=120, deadline=None)
 def test_facets_match_the_subset_scan(config):
     pts, dim = config
     assume(_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == dim)
@@ -648,6 +730,36 @@ def test_facets_match_the_subset_scan(config):
         vals = [sum(gi * xi for gi, xi in zip(g, p)) for p in pts]
         assert all(v <= g0 for v in vals)
         assert {i for i, v in enumerate(vals) if v == g0} == contact
+
+
+@pytest.mark.parametrize("pts, dim, solves, simplex", [
+    (STAR_CELL, 4, [], True),
+    (CUBE, 3, None, False),
+    (COMPLETED, 2, ["nullspace"], True),
+    (KITE, 2, ["nullspace"], False),
+], ids=["star-cell", "cube-misses-early", "completed", "kite-rejected-by-w"])
+def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim,
+                                                        solves, simplex):
+    # solves: the nullspaces before the one barycentric factorization; None
+    # when the branch misses before factoring
+    calls = []
+
+    def counted(name):
+        solve = getattr(fans, name)
+
+        def counting(*args):
+            calls.append(name)
+            return solve(*args)
+        return counting
+
+    for name in ("nullspace", "barycentric"):
+        monkeypatch.setattr(fans, name, counted(name))
+    facets = fans._simplex_facets(pts, dim)
+    assert (facets is not None) == simplex
+    assert calls == ([] if solves is None else solves + ["barycentric"])
+    if simplex:
+        assert len(facets) == dim + 1
+        assert set(facets) == set(_facets_by_scan(pts, dim))
 
 
 def _perfbench_workloads():
