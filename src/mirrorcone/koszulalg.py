@@ -5,11 +5,15 @@ and the enumeration of deformation and curvature classes.
 
 Degrees live in the cover grading datum Z (+) Z^I / <(2(1-|I_j|), e_I_j)>;
 a degree class is canonicalized by shifting each block's m-part to have
-minimum zero.  Every degree class meets only finitely many monomials, so all
-dimensions are exact integer ranks, with a z-degree cutoff controlling only
-which classes get reported.  A class piece splits into slices, and each
-slice shape is ranked once.  The Koszul complex itself is built only by the
-test oracles, which compare its cohomology with these dimensions.
+minimum zero.  A class piece splits into slices z^a h, one per exponent a
+and wedge distribution, and a slice's rank depends on a only through its
+zero set.  The slice lemma: z^a h lies in the ideal as soon as some block of
+a has at most one zero entry, since z^(e_I_b - e_i) is an ideal generator
+(g_{i} = +-1).  The exponents of a class (j, m) are a_i = s_b - m_i with
+s_b >= max_b m, and only s_b = max_b m leaves two zeros in block b, so each
+class has one exponent that can carry its dimension.  The Koszul complex
+itself is built only by the test oracles, which compare its cohomology with
+these dimensions.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ class CutoffTooSmall(ValueError):
 
 
 class ClassificationViolation(CertificateFailure):
+    pass
+
+
+class SliceLemmaViolation(CertificateFailure):
     pass
 
 
@@ -70,25 +78,6 @@ def _compositions(lo, hi, total):
             yield from rec(j + 1, rem - v)
 
     return rec(0, total) if lo_rest[0] <= total <= hi_rest[0] else iter(())
-
-
-def _block_shifts(caps, total):
-    """Block shifts t with t_j <= caps[j] and sum(t) = total.
-
-    Each t_j is at least caps[j] - slack, since the other blocks can take at
-    most sum(caps) - caps[j] of the total.
-    """
-    slack = sum(caps) - total
-    return _compositions([c - slack for c in caps], caps, total)
-
-
-def _block_index(blocks, n):
-    """Per index i, the number of the block that contains it."""
-    block_of = [0] * n
-    for j, blk in enumerate(blocks):
-        for i in blk:
-            block_of[i] = j
-    return block_of
 
 
 def degree_classes(blocks, n, cutoff):
@@ -139,10 +128,11 @@ def runs_by_j(tables, row, empty):
 
 class GradedDims(NamedTuple):
     """Graded dimensions of a tensor product of per-block algebras, zeros omitted:
-    ``factors[b]`` lists (m_b, {j_b: dim}) by m_b, m_b at the indices ``blocks[b]``.
-    One block, or the direct multi-block computation, is one factor.  ``dims``
-    and ``report.write_json`` expand the product by ``runs_by_j``.  From
-    ``tensor_j_dims`` (r > 1), a class outside ``degree_classes`` is a partial sum."""
+    ``factors[b]`` lists (m_b, {j_b: dim}) by m_b, m_b at the indices ``blocks[b]``,
+    one entry per class of the block, read at the class's one exponent with two
+    zeros (the slice lemma).  ``dims`` and ``report.write_json`` expand the
+    product by ``runs_by_j``.  From ``tensor_j_dims`` (r > 1), a class outside
+    ``degree_classes`` is a partial sum."""
 
     blocks: tuple
     factors: tuple
@@ -229,27 +219,6 @@ def wedge_basis_for_block(blk, degree):
 # --- quotient algebra side ------------------------------------------------
 
 
-def _j_piece_slices(blocks, n, cls):
-    """Slices (a, wedge-distribution) of the quotient-algebra degree class."""
-    jhat, mhat = cls
-    block_of = _block_index(blocks, n)
-    # t_j <= caps[j] keeps every exponent of block j non-negative
-    caps = [min(-mhat[i] for i in blk) for blk in blocks]
-    wedge_caps = [len(blk) - 1 for blk in blocks]
-    no_wedge = [0] * len(blocks)
-    slices = []
-    # sum(t) determines the total wedge degree: w = jhat + 2|mhat| + 2 sum(t)
-    for w in range(sum(wedge_caps) + 1):
-        twice = w - jhat - 2 * sum(mhat)
-        if twice % 2:
-            continue
-        dists = list(_compositions(no_wedge, wedge_caps, w))
-        for t in _block_shifts(caps, twice // 2):
-            a = tuple(-mhat[i] - t[block_of[i]] for i in range(n))
-            slices.extend((a, dist) for dist in dists)
-    return slices
-
-
 # cached, like _ideal_generators: pure in hashable arguments, results only read
 @cache
 def _expand_slice_monomials(blocks, dist):
@@ -278,11 +247,6 @@ def _ideal_generators(blocks):
     return gens
 
 
-def _zeros(a):
-    """The mask of the indices i with a[i] == 0."""
-    return sum(1 << i for i, x in enumerate(a) if x == 0)
-
-
 @cache
 def _j_slice(blocks, dist, zeros):
     """Size, u-monomial columns, ideal rows and their rank of a slice (a, dist).
@@ -309,43 +273,77 @@ def _j_slice(blocks, dist, zeros):
 
 
 def j_algebra_dim_for_class(blocks, n, cls):
-    slices = (_j_slice(blocks, dist, _zeros(a)) for a, dist in _j_piece_slices(blocks, n, cls))
-    return sum(size - rank for size, _, _, rank in slices)
+    """dim J at the class (j, m).  By the slice lemma it sits at the class's
+    one exponent that can have two zeros in every block, a_i = max_b m - m_i
+    for i in block b: the sum of size - rank over that exponent's slices,
+    the wedge distributions of total w = j + 2|m| - 2 sum_b max_b m."""
+    j, m = cls
+    w, zeros = j + 2 * sum(m), 0
+    for blk in blocks:
+        top = max(m[i] for i in blk)
+        w -= 2 * top
+        zeros |= sum(1 << i for i in blk if m[i] == top)
+    dists = _compositions([0] * len(blocks), [len(blk) - 1 for blk in blocks], w)
+    return sum(size - rank for size, _, _, rank in (_j_slice(blocks, d, zeros) for d in dists))
 
 
-def multiblock_j_dims(blocks, n, z_cutoff) -> GradedDims:
-    table = {}
-    for j, m in degree_classes(blocks, n, z_cutoff):
-        if d := j_algebra_dim_for_class(blocks, n, (j, m)):
-            table.setdefault(m, {})[j] = d
-    return GradedDims((tuple(range(n)),), (sorted(table.items()),))
+def least_z_degree(n, size, zeros, w):
+    """Least |a'| over the monomials z^a' h' and z^a' theta^K of the class of
+    z^a h in one block of size n: a is the class's exponent with ``zeros`` >= 2
+    zero entries, |a| = size and |h| = w.  The wedge side's least is z^a h; the
+    theta side's, if w + 2 < n, is z^(a - e_I + e_K) theta^K with |K| = w + 2
+    and K holding a's zeros."""
+    return size + w + 2 - n if zeros <= w + 2 < n else size
 
 
 def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     """Graded dimensions of the Koszul cohomology of W_0 for a single block of
-    size n, read off the quotient algebra it is isomorphic to class by class."""
+    size n, read off the quotient algebra it is isomorphic to class by class:
+    the nonzero classes of ``degree_classes``, i.e. of least z-degree at most
+    the cutoff.  Each (wedge degree, zero set) slice is ranked once, and a
+    surviving one with under two zeros falsifies the slice lemma.  By it each
+    class lives at its one exponent a with two zeros: the pair (a, w) is the
+    class (2|a| + w + 2(1 - n) max a, max a - a), and |a| <= cutoff + n - 2."""
     if z_cutoff < n:
         raise CutoffTooSmall(f"cutoff {z_cutoff} < block size {n}")
-    return multiblock_j_dims((tuple(range(n)),), n, z_cutoff)
+    blocks, table = (tuple(range(n)),), {}
+    for zeros in range(1 << n):
+        dims = [size - rank for size, _, _, rank in
+                (_j_slice(blocks, (w,), zeros) for w in range(n))]
+        count, free = zeros.bit_count(), [1 - (zeros >> i & 1) for i in range(n)]
+        if count < 2 and any(dims):
+            raise SliceLemmaViolation(f"slice with zero set {zeros:#b} survives the ideal")
+        if count < 2 or not any(dims):
+            continue
+        for size in range(n - count, z_cutoff + n - 1):
+            for a in _compositions(free, [size * x for x in free], size):
+                top = max(a)
+                row = {2 * size + w + 2 * (1 - n) * top: d for w, d in enumerate(dims)
+                       if d and least_z_degree(n, size, count, w) <= z_cutoff}
+                if row:
+                    table[tuple(top - x for x in a)] = row
+    return GradedDims(blocks, (sorted(table.items()),))
 
 
 def element_in_ideal(blocks, n, a, elem):
     """Exact membership of z^a * elem (u-expansion of one wedge degree) in the ideal.
 
-    The ideal is block-diagonal by slice, so elem is a member iff each of its
+    z^a elem lies in its class piece iff a >= 0 and each monomial's wedge
+    distribution is within the block caps and sums to elem's degree.  The
+    ideal is block-diagonal by slice, so elem is a member iff each of its
     wedge-distribution components is a member of its slice.
     """
+    if min(a) < 0:
+        raise ClassificationViolation("element does not lie in its class piece")
     degree = next(iter(elem), 0).bit_count()
-    cls = canonical_class(blocks, 2 * sum(a) + degree, tuple(-x for x in a))
-    slices = set(_j_piece_slices(blocks, n, cls))
     block_masks = [sum(1 << i for i in blk) for blk in blocks]
     parts = {}
     for s, c in elem.items():
         dist = tuple((s & bm).bit_count() for bm in block_masks)
-        if (a, dist) not in slices:
+        if sum(dist) != degree or any(w >= len(blk) for w, blk in zip(dist, blocks)):
             raise ClassificationViolation("element does not lie in its class piece")
         parts.setdefault(dist, {})[s] = c
-    zeros = _zeros(a)
+    zeros = sum(1 << i for i, x in enumerate(a) if x == 0)
     for dist, part in parts.items():
         _, index, rows, rank = _j_slice(blocks, dist, zeros)
         if matrix_rank(rows + [[part.get(s, 0) for s in index]]) != rank:

@@ -8,6 +8,7 @@ provably induce only the coarse facet star (which is asserted against the
 brute-force oracle, with its negative certificate checked).
 """
 
+import hashlib
 import json
 import random
 import subprocess
@@ -16,7 +17,10 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
+
 from mirrorcone.bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
+from mirrorcone.cli import main
 from mirrorcone.fans import (
     certify_isolated_singularity,
     check_mpcp,
@@ -49,7 +53,7 @@ from oracles import (
     subdivision_by_hyperplane_scan,
     subdivision_volume,
 )
-from tests_support import random_admissible_v
+from tests_support import GREENE_PLESSER_DEGREES, greene_plesser_config, random_admissible_v
 
 
 def _elapsed_guard(t0, budget, label):
@@ -311,3 +315,29 @@ def test_criterion_5_determinism(tmp_path):
     outputs = [run(), run(), run("-O"), run("-O")]
     assert len(set(outputs)) == 1, "reports differ across runs or under python -O"
     print("\nACCEPTANCE 5 PASS determinism (byte-identical across runs and under python -O)")
+
+
+# sha256 of each Greene-Plesser hypersurface's report with every section but
+# fans at cutoff 6, recorded from the degree-class scan of the algebra tables
+GREENE_PLESSER_DIGESTS = {
+    "quintic": "3d571c10efb5569c661bd7891e66e795674a532d1f9d0aafa52e7dd075b8d316",
+    "sextic": "70dc4da295e2c51ed6e0beedfe4d09c0ccc2e55eac5c4a4d641a7ddd9fbed471",
+    "octic": "b23ca4fd8beb21437995f00f031a247dca9fcb97df12726f9e3f43f6ef4d921f",
+    "dectic": "8f9ea4a3495d3e5f69836cf7b060236383d9950789c301db28a2b6ceed9a94f8",
+    "sextic-fourfold": "9082fc5937592b7c94401300fef9ee53a049c7c95d41729cd33e86aceeb03b1a",
+}
+
+
+@pytest.mark.parametrize("name", GREENE_PLESSER_DEGREES)
+def test_greene_plesser_hypersurfaces_through_the_algebra_section(tmp_path, capsys, name):
+    # the paper's own examples; the default sections (fans) still stall on them
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(greene_plesser_config(name)))
+    t0 = time.monotonic()
+    code = main(["analyze", str(cfg), "--sections",
+                 "validation,conditions,groups,grading,bside,algebra", "--cutoff", "6"])
+    elapsed = _elapsed_guard(t0, 30.0, f"{name} through the algebra section")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GREENE_PLESSER_DIGESTS[name]
+    print(f"\nACCEPTANCE 6 PASS {name} through the algebra section ({elapsed:.2f}s < 30s)")

@@ -446,5 +446,5 @@ def test_failed_certificate_exits_3(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path, QUARTIC_CFG)
     assert main(["analyze", cfg, "--sections", "groups"]) == 3
     err = capsys.readouterr().err
-    assert "certificate failure [" in err
+    assert "certificate failure [CertificateFailure]: |Gamma| * d = 28, not |G| = 4" in err, err
     assert "Traceback" not in err

@@ -1,8 +1,12 @@
 
+import copy
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorcone import report
 from mirrorcone.fixtures import fixture
 from mirrorcone.grading import (
     GradingDatum,
@@ -16,6 +20,7 @@ from mirrorcone.grading import (
 )
 from mirrorcone.report import build_report
 from mirrorcone.toricdata import ToricDataError, validate
+from tests_support import analyze_fixture
 
 FIXTURES = ("elliptic", "quartic", "cubic-fourfold", "z-manifold")
 
@@ -48,6 +53,20 @@ def test_a_morphism_that_is_not_well_defined_stops_the_report(monkeypatch):
                         lambda self: self.name != "t" and check(self))
     with pytest.raises(GradingError, match="morphism t"):
         build_report(fixture("quartic"), ("grading",))
+
+
+def test_a_non_integral_n_sigma_pairing_makes_analyze_exit_3(tmp_path, capsys, monkeypatch):
+    # n_sigma + 1/5 at every index: the M_bar basis row (4, 0, 0, 0) pairs to 1 + 4/5
+    def shifted(vt):
+        vt = copy.copy(vt)
+        vt.n_sigma = tuple(x + Fraction(1, 5) for x in vt.n_sigma)
+        return build_grading_data(vt)
+
+    monkeypatch.setattr(report, "build_grading_data", shifted)
+    code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "grading")
+    assert code == 3
+    assert ("certificate failure [CertificateFailure]: <n_sigma, (4, 0, 0, 0)> "
+            "is not integral") in err, err
 
 
 def test_mf_datum_relator():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirrorcone import intlat, report
 from mirrorcone.intlat import (
     LatticeError,
     barycentric,
@@ -29,6 +30,7 @@ from oracles import (
     nullspace_int,
     smith_by_minors,
 )
+from tests_support import analyze_fixture, patch_during
 
 
 def test_hnf_identity_is_canonical():
@@ -301,3 +303,19 @@ def test_intlat_imports_nothing_from_fractions():
     imported += [node.module or "" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom)]
     assert imported and "fractions" not in imported
+
+
+def test_a_dropped_kernel_pivot_makes_analyze_exit_3(tmp_path, capsys, monkeypatch):
+    # the echelon of right_kernel_basis (the one caller with a transform)
+    # reports one pivot too few, so its last pivot row lies below the rank
+    def short(echelon):
+        def dropping(a, ncols, trans=None):
+            pivots = echelon(a, ncols, trans)
+            return pivots if trans is None else pivots[:-1]
+        return dropping
+
+    patch_during(monkeypatch, report, "symmetry_groups", intlat, "_echelon", short)
+    code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "groups")
+    assert code == 3
+    assert ("certificate failure [CertificateFailure]: Hermite form has a nonzero "
+            "row below its rank") in err, err

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -25,7 +26,6 @@ from mirrorcone.koszulalg import (
     h_basis,
     j_algebra_dim_for_class,
     koszul_cohomology_dims,
-    multiblock_j_dims,
     sign_action,
     tensor_j_dims,
     wedge,
@@ -40,7 +40,7 @@ from oracles import (
     nullspace_int,
     permutation_sign,
 )
-from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle
+from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle, multiblock_j_dims
 
 BLOCKS3 = (tuple(range(3)),)
 
@@ -163,13 +163,40 @@ def test_j_dims_match_the_whole_class_oracle(name, cutoff):
         assert j_algebra_dim_for_class(blocks, n, cls) == j_class_dimension(blocks, n, cls), cls
 
 
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_single_block_tables_equal_the_whole_class_oracle_up_to_cutoff_10(n):
+    # the table at each cutoff is the nonzero part of the oracle over degree_classes
+    blocks = (tuple(range(n)),)
+    oracle = {cls: j_class_dimension(blocks, n, cls) for cls in degree_classes(blocks, n, 10)}
+    for cutoff in range(n, 11):
+        expected = {cls: oracle[cls] for cls in degree_classes(blocks, n, cutoff) if oracle[cls]}
+        assert dict(koszul_cohomology_dims(n, cutoff).dims) == expected, cutoff
+
+
+def test_quintic_block_table_at_cutoff_6_keeps_its_digest():
+    # recorded from the degree-class scan the table replaced
+    dims = koszul_cohomology_dims(5, 6).dims
+    assert len(dims) == 2869
+    assert hashlib.sha256(repr(dims).encode()).hexdigest() == (
+        "a918bca8b3030e11d2be840390d48cd86eb1e36d0a52f6d3bf4f7bd9549e7328")
+
+
+def test_single_block_tables_scan_no_degree_class(monkeypatch):
+    calls = []
+    for name in ("degree_classes", "canonical_class"):
+        monkeypatch.setattr(koszulalg, name, lambda *args, name=name: calls.append(name))
+    for n, cutoff in ((3, 10), (4, 6), (5, 6)):
+        assert koszul_cohomology_dims(n, cutoff).dims
+    assert calls == []
+
+
 KOSZUL_ROW_COUNTS = {"n3": 41, "n4": 463, "cubic-fourfold": 141}
 
 
 @pytest.mark.parametrize("name,cutoff", (("n3", 6), ("n4", 6), ("cubic-fourfold", 2)))
 def test_koszul_dims_match_the_whole_class_oracle(name, cutoff):
     blocks, n = _blocks_of(name)
-    dims = multiblock_j_dims(blocks, n, cutoff).dims
+    dims = multiblock_j_dims(blocks, n, cutoff)
     assert len(dims) == KOSZUL_ROW_COUNTS[name]
     assert dict(dims) == _oracle_koszul_dims(blocks, n, cutoff)
 
@@ -207,10 +234,32 @@ def test_membership_across_two_wedge_distributions():
 @pytest.mark.parametrize("a,elem", (
     ((0, 0, 0), {0b111: 1}),        # u_1 u_2 u_3 lies above the block's top wedge
     ((1, 0, 0), {0: 1, 0b001: 1}),  # two wedge degrees in one element
+    ((-1, 0, 0), {0: 1}),           # a negative exponent
 ))
 def test_an_element_outside_its_class_piece_is_a_classification_violation(a, elem):
     with pytest.raises(ClassificationViolation, match="does not lie in its class piece"):
         element_in_ideal(BLOCKS3, 3, a, elem)
+
+
+def test_a_surviving_slice_with_under_two_zeros_makes_analyze_exit_3(tmp_path, capsys,
+                                                                    monkeypatch, fresh_caches):
+    # the slice lemma falsified: the wedge-degree-1 slice of an exponent with
+    # no zero entry reported one dimension larger (the classification reads
+    # only wedge degrees 0 and 2)
+    ranked = koszulalg._j_slice
+
+    def grown(blocks, dist, zeros):
+        size, index, rows, rank = ranked(blocks, dist, zeros)
+        return size + (dist == (1,) and zeros == 0), index, rows, rank
+
+    monkeypatch.setattr(koszulalg, "_j_slice", grown)
+    assert main(["examples", "show", "quartic"]) == 0
+    cfg = tmp_path / "quartic.json"
+    cfg.write_text(capsys.readouterr().out)
+    assert main(["analyze", str(cfg), "--sections", "algebra", "--cutoff", "4"]) == 3
+    err = capsys.readouterr().err
+    assert ("certificate failure [SliceLemmaViolation]: slice with zero set 0b0 "
+            "survives the ideal") in err, err
 
 
 @pytest.fixture
@@ -389,7 +438,7 @@ def test_contraction_kills_h_basis():
 def test_tensor_matches_direct_cubic_fourfold():
     vt = fixture("cubic-fourfold")
     conv = dict(tensor_j_dims(vt, 3).dims)
-    direct = dict(multiblock_j_dims(vt.blocks, vt.n, 3).dims)
+    direct = dict(multiblock_j_dims(vt.blocks, vt.n, 3))
     for cls, dim in direct.items():
         assert conv.get(cls) == dim
 

@@ -24,6 +24,7 @@ from mirrorcone.toricdata import (
     validate,
 )
 from oracles import box_scan_xi
+from tests_support import analyze_fixture, patch_during
 
 QUARTIC_CONG = (((1, 1, 1, 1), 4),)
 CUBIC_CONG = (((1, 1, 1, 1, 1, 1), 3),)
@@ -208,6 +209,16 @@ def test_one_report_scans_the_subsets_once(name, monkeypatch):
     report.build_report(vt, ("conditions", "algebra"),
                         algebra_cutoff=max(map(len, vt.blocks)))
     assert len(calls) == 2 ** vt.n - 1
+
+
+def test_a_kernel_of_the_wrong_index_makes_analyze_exit_3(tmp_path, capsys, monkeypatch):
+    # K built from <q, m> = 0 mod d/2: it still holds M_bar, but its index is
+    # 2 where the diagonal character has order 4
+    patch_during(monkeypatch, report, "symmetry_groups", toricdata, "sublattice_from_congruences",
+                 lambda build: lambda n, congs: build(n, [(c, m // 2) for c, m in congs]))
+    code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "groups")
+    assert code == 3
+    assert "certificate failure [CertificateFailure]: [Z^I : K] = 2, not d = 4" in err, err
 
 
 def test_symmetry_groups_fixture_values():

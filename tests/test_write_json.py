@@ -189,8 +189,11 @@ def test_large_values_are_written_in_bounded_batches():
 
 
 def test_large_graded_dims_are_written_in_bounded_batches():
+    # 18,000 rows of about 450 bytes, about 8 MB: at 5,957 rows per write
+    # (n = 3) the table spans four writes, and written in one it breaks 4 MiB
+    big = 10 ** 99
     dims = GradedDims(((0, 1, 2),), (
-        [((k, -k, k % 3), {k % 11 - 5: k * k + 1}) for k in range(300_000)],))
+        [((k * big, -k * big, k % 3 * big), {k % 11 - 5: k * k + 1}) for k in range(18_000)],))
     obj = {"sections": {"algebra": {"graded_dims": dims}}}
     fh = RecordingFile()
     write_json(obj, fh)

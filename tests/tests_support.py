@@ -50,3 +50,65 @@ def convolution_by_oracle(vt, cutoff):
     tables = {nb: dict(koszul_cohomology_dims(nb, cutoff + nb + 1).dims)
               for nb in {len(blk) for blk in vt.blocks}}
     return convolve_block_tables(vt.blocks, vt.n, [tables[len(blk)] for blk in vt.blocks])
+
+
+def multiblock_j_dims(blocks, n, cutoff):
+    """The direct multi-block computation: ((j, m), dim) over the nonzero
+    classes of ``degree_classes``, one ``j_algebra_dim_for_class`` each."""
+    from mirrorcone.koszulalg import degree_classes, j_algebra_dim_for_class
+
+    dims = ((cls, j_algebra_dim_for_class(blocks, n, cls))
+            for cls in degree_classes(blocks, n, cutoff))
+    return [(cls, d) for cls, d in dims if d]
+
+
+def analyze_fixture(tmp_path, capsys, name, *args):
+    """``mirrorcone analyze`` on the named fixture's config through ``main``,
+    with the extra arguments: (exit code, standard error)."""
+    import json
+
+    from mirrorcone.cli import fixture_config_json, main
+
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(fixture_config_json(name)))
+    code = main(["analyze", str(cfg), *args])
+    return code, capsys.readouterr().err
+
+
+def patch_during(monkeypatch, owner, step, target, name, replace):
+    """Run ``owner.step`` with ``target.name`` set to ``replace(original)``
+    while, and only while, it runs: the tamper misses the config's validation."""
+    run, original = getattr(owner, step), getattr(target, name)
+
+    def tampered(*args):
+        with monkeypatch.context() as mp:
+            mp.setattr(target, name, replace(original))
+            return run(*args)
+
+    monkeypatch.setattr(owner, step, tampered)
+
+
+# The Greene-Plesser hypersurfaces of ROADMAP's input list: one block, the
+# degrees d, one congruence <q, m> = 0 mod lcm(d) with q_i = lcm(d) / d_i,
+# and uniform weights.  They are not `mirrorcone examples`.
+GREENE_PLESSER_DEGREES = {
+    "quintic": (5, 5, 5, 5, 5),
+    "sextic": (6, 6, 6, 6, 3),
+    "octic": (8, 8, 4, 4, 4),
+    "dectic": (10, 10, 10, 5, 2),
+    "sextic-fourfold": (6, 6, 6, 6, 6, 6),
+}
+
+
+def greene_plesser_config(name):
+    """The config JSON object of the Greene-Plesser hypersurface ``name``."""
+    from math import lcm
+
+    degrees = GREENE_PLESSER_DEGREES[name]
+    mod = lcm(*degrees)
+    return {
+        "blocks": [list(range(1, len(degrees) + 1))],
+        "d": list(degrees),
+        "lattice": {"congruences": [{"c": [mod // d for d in degrees], "mod": mod}]},
+        "lambda": "uniform:1",
+    }
