@@ -29,8 +29,8 @@ from . import CertificateFailure
 from .intlat import (
     barycentric,
     hnf_canonicalize,
+    kernel,
     matrix_rank,
-    nullspace,
     smith_normal_form,
     solve_int,
 )
@@ -44,6 +44,10 @@ class FanError(ValueError):
 
 
 class DegenerateConfig(FanError):
+    pass
+
+
+class PivotCheckFailed(CertificateFailure):
     pass
 
 
@@ -187,7 +191,7 @@ def _simplex_facets(pts, dim):
         return None
     verts = list(verts)
     while len(verts) <= dim:
-        g = nullspace([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]], dim)[0]
+        g = kernel([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]], dim)[0]
         vals = [sum(map(mul, g, p)) for p in pts]
         t = max(vals) if max(vals) != sum(map(mul, g, verts[0])) else min(vals)
         verts.append(max(p for p, v in zip(pts, vals) if v == t))
@@ -243,12 +247,12 @@ def _lower_hull_cells(points, heights, table):
     # the lowest points, then rotations until the contact set spans (no kernel)
     func, slack = (0,) * dim + (min(scaled), 1), [h - min(scaled) for h in scaled]
     first = frozenset(i for i, s in enumerate(slack) if s == 0)
-    while kernel := nullspace([points[i] + (-1,) for i in sorted(first)], dim + 1):
-        *g, g0 = kernel[0]
+    while normals := kernel([points[i] + (-1,) for i in sorted(first)], dim + 1):
+        *g, g0 = normals[0]
         func, slack, first = (rotate(func, slack, g, g0)
                               or rotate(func, slack, tuple(-x for x in g), -g0))
         if first is None:
-            raise CertificateFailure("rotated functional is not supporting")
+            raise PivotCheckFailed("rotated functional is not supporting")
 
     # pivot across each ridge, around its outward normal
     cells = {first: (func, slack)}
@@ -263,7 +267,7 @@ def _lower_hull_cells(points, heights, table):
                 continue
             func2, slack2, contact = res
             if contact is None or not contact >= {idx[i] for i in facet}:
-                raise CertificateFailure("neighbor functional lost the ridge")
+                raise PivotCheckFailed("neighbor functional lost the ridge")
             if contact not in cells:
                 cells[contact] = (func2, slack2)
                 queue.append(contact)

@@ -3,17 +3,17 @@
 Everything here works on plain Python ints (arbitrary precision); no
 floating point enters any computation.  Matrices are lists of row tuples.
 One elimination, the integer echelon ``_echelon`` (gcd row steps), gives
-Hermite forms, lattice kernels, the Smith form, rank, the rational nullspace
-as primitive integer vectors, and barycentric coordinates on a simplex.  The
-matrices are small (at most a few dozen rows of ~10 columns with small
-entries), so it uses no size-reduction tricks.
+Hermite forms, the Smith form and rank; run on the columns with the identity
+carried along, it gives the integer kernel, which serves the lattices of
+congruences and intersections, the normals of the subdivision's pivot, and
+barycentric coordinates on a simplex.  The matrices are small (at most a few
+dozen rows of ~10 columns with small entries), so it uses no size-reduction
+tricks.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from math import gcd, prod
-from operator import mul
 from typing import NamedTuple
 
 from . import CertificateFailure
@@ -25,17 +25,20 @@ class LatticeError(ValueError):
     pass
 
 
-def _echelon(a, ncols, trans=None):
+class EchelonCheckFailed(CertificateFailure):
+    pass
+
+
+def _echelon(a, ncols):
     """Row echelon form of the integer rows ``a`` by unimodular row steps, in place.
 
     Column by column among the first ``ncols``, the rows below the current
     rank are reduced by the one with the smallest entry there (Euclid) until
     one row carries the column; it moves up to the rank with a positive
-    pivot.  ``trans`` gets the same steps: from the identity it ends as T
-    with T * a_in = a_out.  Changed rows become new lists.  Returns the
-    pivot columns; rows past their count are zero in the first ``ncols``.
+    pivot.  Entries past ``ncols`` take the same steps.  Changed rows become
+    new lists.  Returns the pivot columns; rows past their count are zero in
+    the first ``ncols``.
     """
-    mats = (a,) if trans is None else (a, trans)
     pivots = []
     for col in range(ncols):
         r = len(pivots)
@@ -47,56 +50,37 @@ def _echelon(a, ncols, trans=None):
             for i in live:
                 if i != p:
                     q = a[i][col] // a[p][col]
-                    for mat in mats:
-                        mat[i] = [x - q * y for x, y in zip(mat[i], mat[p])]
+                    a[i] = [x - q * y for x, y in zip(a[i], a[p])]
             live = [i for i in live if a[i][col]]
         p = live[0]
         if a[p][col] < 0:
-            for mat in mats:
-                mat[p] = [-x for x in mat[p]]
-        for mat in mats:
-            mat[r], mat[p] = mat[p], mat[r]
+            a[p] = [-x for x in a[p]]
+        a[r], a[p] = a[p], a[r]
         pivots.append(col)
     return pivots
 
 
-def hnf(rows, ambient_rank):
-    """Hermite normal form of the lattice spanned by ``rows`` in Z^ambient_rank.
+def _transform_echelon(rows, ncols):
+    """(rank, a): the echelon of the columns of ``rows``, the identity carried along.
 
-    Convention: lower triangular, pivots positive, the entries below each
-    pivot reduced into [0, pivot).  Rows are ordered by increasing pivot
-    column, zero rows dropped.  This form is unique per lattice, so it can be
-    compared for equality directly.
+    Row j of ``a`` starts as (column j of rows, e_j), j < ncols, and is
+    reduced on its first len(rows) entries: the carried part ends as a
+    unimodular T with T rows^T = [E; 0], E in echelon form with ``rank``
+    positive pivots.  The rows of T below the rank are thus an integer basis
+    of the kernel of ``rows``.
     """
-    work = [r[::-1] for r in map(tuple, rows) if any(r)]
-    if any(len(r) != ambient_rank for r in work):
-        raise LatticeError("row length does not match ambient rank")
-    # echelon of the reversed rows: the pivot is each row's last nonzero entry
-    pivots = _echelon(work, ambient_rank)
-    basis = [list(r[::-1]) for r in reversed(work[:len(pivots)])]
-    cols = [ambient_rank - 1 - c for c in reversed(pivots)]
-    # reduce entries below each pivot into [0, pivot); rows must be reduced
-    # against pivot rows in decreasing pivot-column order, otherwise a later
-    # subtraction (whose row has nonzero earlier entries) undoes the reduction
-    for k in range(len(basis)):
-        for i in range(k - 1, -1, -1):
-            c = cols[i]
-            q = basis[k][c] // basis[i][c]
-            if q:
-                for t in range(ambient_rank):
-                    basis[k][t] -= q * basis[i][t]
-    return [tuple(r) for r in basis]
+    m = len(rows)
+    a = list(zip(*rows, *_identity(ncols)))
+    rank = len(_echelon(a, m))
+    if any(any(row[:m]) for row in a[rank:]):
+        raise EchelonCheckFailed("transform echelon has a nonzero row below its rank")
+    return rank, a
 
 
-def right_kernel_basis(mat):
-    """Rows spanning {x in Z^n : mat @ x = 0} for an integer matrix."""
-    echelon = list(zip(*mat))
-    n = len(echelon)
-    trans = _identity(n)
-    rank = len(_echelon(echelon, len(mat), trans))
-    if any(any(echelon[i]) for i in range(rank, n)):
-        raise CertificateFailure("Hermite form has a nonzero row below its rank")
-    return [tuple(row) for row in trans[rank:]]
+def kernel(rows, ncols):
+    """An integer basis of {x in Z^ncols : rows @ x = 0}; the identity for no rows."""
+    rank, a = _transform_echelon(rows, ncols)
+    return [row[len(rows):] for row in a[rank:]]
 
 
 def smith_normal_form(rows):
@@ -134,10 +118,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self):
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return prod(self.invariant_factors)
 
 
 def group_from_diagonal(diag):
@@ -157,10 +138,7 @@ class Sublattice(NamedTuple):
     def index_in_ambient(self):
         if self.rank != self.ambient_rank:
             raise LatticeError("index undefined for non-full-rank sublattice")
-        det = 1
-        for i, row in enumerate(self.basis):
-            det *= row[_pivot_col(row)]
-        return abs(det)
+        return abs(prod(row[_pivot_col(row)] for row in self.basis))
 
 
 def _pivot_col(row):
@@ -171,8 +149,31 @@ def _pivot_col(row):
 
 
 def hnf_canonicalize(generators, ambient_rank):
-    """Canonical Sublattice spanned by the given generator rows."""
-    return Sublattice(ambient_rank, tuple(hnf(generators, ambient_rank)))
+    """Canonical Sublattice spanned by the given generator rows: their Hermite form.
+
+    Convention: lower triangular, pivots positive, the entries below each
+    pivot reduced into [0, pivot).  Rows are ordered by increasing pivot
+    column, zero rows dropped.  This form is unique per lattice, so it can be
+    compared for equality directly.
+    """
+    work = [r[::-1] for r in map(tuple, generators) if any(r)]
+    if any(len(r) != ambient_rank for r in work):
+        raise LatticeError("row length does not match ambient rank")
+    # echelon of the reversed rows: the pivot is each row's last nonzero entry
+    pivots = _echelon(work, ambient_rank)
+    basis = [list(r[::-1]) for r in reversed(work[:len(pivots)])]
+    cols = [ambient_rank - 1 - c for c in reversed(pivots)]
+    # reduce entries below each pivot into [0, pivot); rows must be reduced
+    # against pivot rows in decreasing pivot-column order, otherwise a later
+    # subtraction (whose row has nonzero earlier entries) undoes the reduction
+    for k in range(len(basis)):
+        for i in range(k - 1, -1, -1):
+            c = cols[i]
+            q = basis[k][c] // basis[i][c]
+            if q:
+                for t in range(ambient_rank):
+                    basis[k][t] -= q * basis[i][t]
+    return Sublattice(ambient_rank, tuple(map(tuple, basis)))
 
 
 def sublattice_from_congruences(ambient_rank, congruences):
@@ -186,16 +187,13 @@ def sublattice_from_congruences(ambient_rank, congruences):
             raise LatticeError("moduli must be >= 1")
         if len(c) != ambient_rank:
             raise LatticeError("congruence vector has wrong length")
-    if not congruences:
-        return hnf_canonicalize(_identity(ambient_rank), ambient_rank)
     k = len(congruences)
     mat = []
     for idx, (c, n) in enumerate(congruences):
         row = list(c) + [0] * k
         row[ambient_rank + idx] = -n
         mat.append(tuple(row))
-    kernel = right_kernel_basis(mat)
-    projected = [row[:ambient_rank] for row in kernel]
+    projected = [row[:ambient_rank] for row in kernel(mat, ambient_rank + k)]
     return hnf_canonicalize(projected, ambient_rank)
 
 
@@ -256,49 +254,17 @@ def matrix_rank(rows):
     return len(_echelon(a, len(a[0]) if a else 0))
 
 
-def nullspace(rows, ncols):
-    """Basis of {x in Q^ncols : <row, x> = 0 for all integer rows}.
-
-    One primitive integer vector per free column (a column that adds no
-    rank), positive at that column and 0 at the other free columns.  Each is
-    back-substituted through the echelon rows from the bottom, scaled up
-    whenever a pivot does not divide its partial sum.
-    """
-    a = list(rows)
-    pivots = _echelon(a, ncols)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        # rows with a pivot right of free give 0: start at the last pivot left of it
-        for r in range(bisect(pivots, free) - 1, -1, -1):
-            row, col = a[r], pivots[r]
-            # the row is zero left of col and vec is zero at col: s sums j > col
-            s = sum(map(mul, row, vec))
-            m = row[col] // gcd(s, row[col])
-            if m != 1:
-                vec = [x * m for x in vec]
-                s *= m
-            vec[col] = -s // row[col]
-        g = gcd(*vec)
-        basis.append(tuple(x // g for x in vec))
-    return basis
-
-
 def barycentric(vertices):
     """Integer (W, N): x is in the affine hull of ``vertices`` iff N(x, 1) = 0,
     and then W(x, 1) = D * (barycentric coordinates of x), D > 0; None when
-    the vertices are affinely dependent.  One echelon of the columns (v_i, 1),
-    the identity carried along, gives T [v_i; 1] = [E; 0], E upper triangular
-    with positive pivots: N is T below the rank and W = adj(E) T above it, by
-    integer back substitution, D = det E.
+    the vertices are affinely dependent.  The transform echelon of the rows
+    (v_i, 1) gives T [v_i; 1] = [E; 0], E upper triangular with positive
+    pivots: N is T below the rank, the kernel of those rows, and W = adj(E) T
+    above it, by integer back substitution, D = det E.
     """
     k = len(vertices)
-    rows = [*zip(*vertices), (1,) * k]
-    a = [[*row, *e] for row, e in zip(rows, _identity(len(rows)))]
-    if len(_echelon(a, k)) < k:
+    rank, a = _transform_echelon([(*v, 1) for v in vertices], len(vertices[0]) + 1)
+    if rank < k:
         return None
     d = prod(a[i][i] for i in range(k))
     w = [None] * k
@@ -320,9 +286,8 @@ def lattice_intersection(a: Sublattice, b: Sublattice):
     mat = []
     for k in range(n):
         mat.append(tuple([row[k] for row in a.basis] + [-row[k] for row in b.basis]))
-    kernel = right_kernel_basis(mat)
     rows = []
-    for vec in kernel:
+    for vec in kernel(mat, a.rank + b.rank):
         u = vec[: a.rank]
         rows.append(tuple(sum(u[i] * a.basis[i][k] for i in range(a.rank))
                           for k in range(n)))

@@ -325,7 +325,7 @@ def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     return GradedDims(blocks, (sorted(table.items()),))
 
 
-def element_in_ideal(blocks, n, a, elem):
+def element_in_ideal(blocks, a, elem):
     """Exact membership of z^a * elem (u-expansion of one wedge degree) in the ideal.
 
     z^a elem lies in its class piece iff a >= 0 and each monomial's wedge
@@ -431,7 +431,7 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
         sign = deformation_sign(vt, b, 0)
         if sign != 1:
             raise ClassificationViolation(f"|h|=0 class at {b} is not invariant")
-        in_ideal = element_in_ideal(blocks, n, tuple(b), {0: 1})
+        in_ideal = element_in_ideal(blocks, tuple(b), {0: 1})
         if b in xi0:
             if in_ideal:
                 raise ClassificationViolation(
@@ -452,7 +452,7 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
     sign_killed = []
     for (label1, vec1), (label2, vec2) in combinations(labelled, 2):
         pair = wedge(vec1, vec2)
-        nonzero = bool(pair) and not element_in_ideal(blocks, n, zero_a, pair)
+        nonzero = bool(pair) and not element_in_ideal(blocks, zero_a, pair)
         sign_killed.append(((label1, label2), nonzero))
     return DeformationClassification(tuple(sorted(surviving)), tuple(sorted(killed)),
                                      tuple(sign_killed))

@@ -410,11 +410,11 @@ def test_lift_factors_each_cell_once_and_solves_no_point(monkeypatch):
         calls.append(vertices)
         return factor(vertices)
 
-    def no_nullspace(*args):
-        raise AssertionError("nullspace called by the lift")
+    def no_kernel(*args):
+        raise AssertionError("kernel called by the lift")
 
     monkeypatch.setattr(fans, "barycentric", counting)
-    monkeypatch.setattr(fans, "nullspace", no_nullspace)
+    monkeypatch.setattr(fans, "kernel", no_kernel)
     assert len(lift_subdivision(sub, cfg)) == len(sub.cells) == len(calls) == 104
 
 
@@ -506,7 +506,7 @@ def test_ridge_pivot_certificate_catches_a_shifted_facet(monkeypatch, name):
     weights = quartic_mpcp_weights(vt) if name == "quartic" else Fraction(1)
     cfg = project_config(vt)
     shift_facets_off_their_ridges(monkeypatch)
-    with pytest.raises(CertificateFailure, match="neighbor functional lost the ridge"):
+    with pytest.raises(fans.PivotCheckFailed, match="neighbor functional lost the ridge"):
         regular_subdivision(cfg, weights)
 
 
@@ -522,7 +522,8 @@ def test_shifted_facet_makes_analyze_exit_3(tmp_path, monkeypatch, capsys):
     cfg = uniform_elliptic_config(tmp_path)
     shift_facets_off_their_ridges(monkeypatch)
     assert main(["analyze", cfg, "--sections", "fans"]) == 3
-    assert "neighbor functional lost the ridge" in capsys.readouterr().err
+    assert ("certificate failure [PivotCheckFailed]: neighbor functional lost the "
+            "ridge") in capsys.readouterr().err
 
 
 def test_unsupporting_rotation_makes_analyze_exit_3(tmp_path, monkeypatch, capsys):
@@ -531,7 +532,7 @@ def test_unsupporting_rotation_makes_analyze_exit_3(tmp_path, monkeypatch, capsy
     cfg = uniform_elliptic_config(tmp_path)
     monkeypatch.setattr(fans, "gcd", lambda *xs: -math.gcd(*xs))
     assert main(["analyze", cfg, "--sections", "fans"]) == 3
-    assert ("certificate failure [CertificateFailure]: rotated functional is not "
+    assert ("certificate failure [PivotCheckFailed]: rotated functional is not "
             "supporting") in capsys.readouterr().err
 
 
@@ -541,7 +542,7 @@ def test_shifted_facet_is_caught_after_a_clean_run(monkeypatch):
     cfg, weights = project_config(vt), quartic_mpcp_weights(vt)
     regular_subdivision(cfg, weights)
     shift_facets_off_their_ridges(monkeypatch)
-    with pytest.raises(CertificateFailure, match="neighbor functional lost the ridge"):
+    with pytest.raises(fans.PivotCheckFailed, match="neighbor functional lost the ridge"):
         regular_subdivision(cfg, weights)
 
 
@@ -735,12 +736,12 @@ def test_facets_match_the_subset_scan(config):
 @pytest.mark.parametrize("pts, dim, solves, simplex", [
     (STAR_CELL, 4, [], True),
     (CUBE, 3, None, False),
-    (COMPLETED, 2, ["nullspace"], True),
-    (KITE, 2, ["nullspace"], False),
+    (COMPLETED, 2, ["kernel"], True),
+    (KITE, 2, ["kernel"], False),
 ], ids=["star-cell", "cube-misses-early", "completed", "kite-rejected-by-w"])
 def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim,
                                                         solves, simplex):
-    # solves: the nullspaces before the one barycentric factorization; None
+    # solves: the kernels before the one barycentric factorization; None
     # when the branch misses before factoring
     calls = []
 
@@ -752,7 +753,7 @@ def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim,
             return solve(*args)
         return counting
 
-    for name in ("nullspace", "barycentric"):
+    for name in ("kernel", "barycentric"):
         monkeypatch.setattr(fans, name, counted(name))
     facets = fans._simplex_facets(pts, dim)
     assert (facets is not None) == simplex

@@ -1,6 +1,5 @@
 import ast
-from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -14,10 +13,10 @@ from mirrorcone.intlat import (
     barycentric,
     contains,
     hnf_canonicalize,
+    kernel,
     lattice_intersection,
     lattice_quotient,
     matrix_rank,
-    nullspace,
     quotient_group,
     smith_normal_form,
     sublattice_from_congruences,
@@ -256,22 +255,35 @@ def test_kernel_rank_matches_oracle(kind, data):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_kernel_nullspace_matches_oracle(kind, data):
-    # each vector is primitive, positive at its free column (a column that
-    # adds no rank), and a positive multiple of the oracle's vector, 1 there
+    # ncols - rank integer vectors in the kernel that span the oracle's
+    # rational nullspace, and saturated: every integer kernel vector is an
+    # integer combination of them (the gcd of their maximal minors is 1)
     rows, ncols = draw_matrix(data, kind)
     before = [list(r) for r in rows]
-    basis = nullspace(rows, ncols)
+    basis = kernel(rows, ncols)
     assert rows == before
     expected = nullspace_int(rows, ncols)
-    ranks = [_rank([r[:c] for r in rows]) for c in range(ncols + 1)]
-    free_cols = [c for c in range(ncols) if ranks[c + 1] == ranks[c]]
-    assert len(basis) == len(expected) == len(free_cols) == ncols - _rank(rows)
-    for vec, ref, free in zip(basis, expected, free_cols):
-        assert all(type(x) is int for x in vec)
-        assert gcd(*vec) == 1
-        assert vec[free] > 0 and ref[free] == 1
-        assert [Fraction(x, vec[free]) for x in vec] == ref
+    assert len(basis) == len(expected) == ncols - _rank(rows)
+    for vec in basis:
+        assert len(vec) == ncols and all(type(x) is int for x in vec)
         assert times(rows, vec) == [0] * len(rows)
+    # independent vectors of the nullspace, as many as its dimension
+    assert _rank(basis) == len(basis)
+    assert _rank([*basis, *expected]) == len(basis)
+    if basis:
+        minors = (_det([[vec[c] for c in cols] for vec in basis])
+                  for cols in combinations(range(ncols), len(basis)))
+        assert gcd(*(int(m) for m in minors)) == 1
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_kernel_of_no_rows_is_the_identity_and_of_a_full_rank_square_is_empty(n):
+    assert [tuple(v) for v in kernel([], n)] == [
+        tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # upper triangular with diagonal 2, 3, ...: full rank, not unimodular
+    square = [[(i + 2) * (i == j) + (j > i) for j in range(n)] for i in range(n)]
+    assert _rank(square) == n
+    assert kernel(square, n) == []
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -306,16 +318,17 @@ def test_intlat_imports_nothing_from_fractions():
 
 
 def test_a_dropped_kernel_pivot_makes_analyze_exit_3(tmp_path, capsys, monkeypatch):
-    # the echelon of right_kernel_basis (the one caller with a transform)
-    # reports one pivot too few, so its last pivot row lies below the rank
+    # the transform echelon (the one whose rows are wider than the columns
+    # it reduces) reports one pivot too few, so its last pivot row lies
+    # below the rank
     def short(echelon):
-        def dropping(a, ncols, trans=None):
-            pivots = echelon(a, ncols, trans)
-            return pivots if trans is None else pivots[:-1]
+        def dropping(a, ncols):
+            pivots = echelon(a, ncols)
+            return pivots[:-1] if a and len(a[0]) > ncols else pivots
         return dropping
 
     patch_during(monkeypatch, report, "symmetry_groups", intlat, "_echelon", short)
     code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "groups")
     assert code == 3
-    assert ("certificate failure [CertificateFailure]: Hermite form has a nonzero "
-            "row below its rank") in err, err
+    assert ("certificate failure [EchelonCheckFailed]: transform echelon has a "
+            "nonzero row below its rank") in err, err

@@ -206,16 +206,17 @@ def test_deformation_membership_queries_match_the_whole_class_oracle(monkeypatch
     queries = []
     member = koszulalg.element_in_ideal
 
-    def recording(blocks, n, a, elem):
-        answer = member(blocks, n, a, elem)
-        queries.append((blocks, n, a, elem, answer))
+    def recording(blocks, a, elem):
+        answer = member(blocks, a, elem)
+        queries.append((blocks, a, elem, answer))
         return answer
 
     monkeypatch.setattr(koszulalg, "element_in_ideal", recording)
-    enumerate_deformation_classes(fixture(name))
+    vt = fixture(name)
+    enumerate_deformation_classes(vt)
     assert queries
-    for blocks, n, a, elem, answer in queries:
-        assert answer == in_ideal_by_class(blocks, n, a, elem), (a, elem)
+    for blocks, a, elem, answer in queries:
+        assert answer == in_ideal_by_class(blocks, vt.n, a, elem), (a, elem)
 
 
 def test_membership_across_two_wedge_distributions():
@@ -227,7 +228,7 @@ def test_membership_across_two_wedge_distributions():
     mixed = wedge(h0[0], h1[0])
     for elem, expected in ((top0, True), (mixed, False),
                            ({**top0, **top1}, True), ({**top0, **mixed}, False)):
-        assert element_in_ideal(vt.blocks, vt.n, zero, elem) is expected
+        assert element_in_ideal(vt.blocks, zero, elem) is expected
         assert in_ideal_by_class(vt.blocks, vt.n, zero, elem) is expected
 
 
@@ -238,7 +239,7 @@ def test_membership_across_two_wedge_distributions():
 ))
 def test_an_element_outside_its_class_piece_is_a_classification_violation(a, elem):
     with pytest.raises(ClassificationViolation, match="does not lie in its class piece"):
-        element_in_ideal(BLOCKS3, 3, a, elem)
+        element_in_ideal(BLOCKS3, a, elem)
 
 
 def test_a_surviving_slice_with_under_two_zeros_makes_analyze_exit_3(tmp_path, capsys,
@@ -392,17 +393,17 @@ def test_kernel_inside_image_of_f():
 
 def test_ideal_generator_instances():
     # K = empty: z_1 z_2 z_3 lies in the ideal; K = I: the top wedge does
-    assert element_in_ideal(BLOCKS3, 3, (1, 1, 1), {0: 1})
+    assert element_in_ideal(BLOCKS3, (1, 1, 1), {0: 1})
     top = h_basis((0, 1, 2))
     elem = wedge(top[0], top[1])
-    assert element_in_ideal(BLOCKS3, 3, (0, 0, 0), elem)
+    assert element_in_ideal(BLOCKS3, (0, 0, 0), elem)
 
 
 def test_block_monomials_in_ideal_two_blocks():
     # z^{e_I_j} comes from z_i times a |K| = 1 generator, block by block
     vt = fixture("cubic-fourfold")
     for j in range(vt.r):
-        assert element_in_ideal(vt.blocks, vt.n, vt.block_vector(j), {0: 1})
+        assert element_in_ideal(vt.blocks, vt.block_vector(j), {0: 1})
 
 
 def _mask(indices):
