@@ -51,6 +51,14 @@ class PivotCheckFailed(CertificateFailure):
     pass
 
 
+class BlockZeroCheckFailed(CertificateFailure):
+    pass
+
+
+class MLatticeCheckFailed(CertificateFailure):
+    pass
+
+
 class CellLiftFailure(FanError, CertificateFailure):
     def __init__(self, cell, reason):
         super().__init__(f"cell {tuple(sorted(cell))}: {reason}")
@@ -92,7 +100,7 @@ def project_config(vt: ValidatedToricData) -> ProjectedConfig:
     for p in vt.xi0:
         mask = sum(1 << i for i, x in enumerate(p) if x)
         if any(mask & bm == bm for bm in block_masks):
-            raise CertificateFailure(f"Xi_0 point {p} without block zero")
+            raise BlockZeroCheckFailed(f"Xi_0 point {p} without block zero")
         pid = point_id(p)
         ids.append(pid)
         coords[pid] = cfg.project(p)
@@ -376,7 +384,7 @@ def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
     for pid in cfg.ids[1:]:
         sol = solve_int(m_basis, cfg.coords[pid])
         if sol is None:
-            raise CertificateFailure(f"Xi_0 projection {pid} escaped M")
+            raise MLatticeCheckFailed(f"Xi_0 projection {pid} escaped M")
         m_coords[pid] = tuple(sol)
     room = [(bm, len(blk) - 2) for bm, blk in zip(_block_masks(cfg.vt), cfg.vt.blocks)]
     checked = set()

@@ -23,6 +23,10 @@ class GradingError(ValueError):
     pass
 
 
+class IntegralityCheckFailed(CertificateFailure):
+    pass
+
+
 class GradingDatum:
     def __init__(self, name: str, rank: int, relations: tuple[tuple[int, ...], ...]):
         for rel in relations:
@@ -171,7 +175,7 @@ def build_grading_data(vt: ValidatedToricData) -> GradingData:
     for row in vt.m_bar.basis:
         pairing = sum(a * b for a, b in zip(vt.n_sigma, row))
         if pairing.denominator != 1:
-            raise CertificateFailure(f"<n_sigma, {row}> is not integral")
+            raise IntegralityCheckFailed(f"<n_sigma, {row}> is not integral")
         delta_rels.append((2 * int(pairing),) + tuple(-x for x in row))
     delta = GradingDatum("G_Delta", n, tuple(delta_rels))
     mf = GradingDatum("G_MF", 1, ((2, -vt.d),))

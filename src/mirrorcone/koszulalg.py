@@ -267,7 +267,7 @@ def _j_slice(blocks, dist, zeros):
         for h in _expand_slice_monomials(blocks, dist[:j] + (w,) + dist[j + 1:]):
             prod = wedge(h, g)
             if not prod.keys() <= index.keys():
-                raise CertificateFailure("ideal vector escapes the class piece")
+                raise ClassificationViolation("ideal vector escapes the class piece")
             rows.append([prod.get(s, 0) for s in index])
     return len(basis), index, rows, matrix_rank(rows)
 

@@ -3,10 +3,13 @@
 Every collection is sorted and every rational exact, so re-running on
 identical input yields byte-identical JSON (no timestamps, no floats, fixed
 version string).  ``write_json`` streams a report as exactly the text of
-``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, in joined
-batches, so the report's text is never all in memory at once.  The algebra
-section holds its ``GradedDims``, whose factor tables the writer expands
-into row text one run of rows per (j, prefix).
+``json.dumps(report, sort_keys=True, indent=2)`` plus a newline, one
+``write`` per batch of at most _BATCH_BYTES (64 KiB) characters, so the
+report's text is never all in memory at once.  The budget sits below glibc's
+128 KiB mmap threshold: each batch string and the text layer's encode of it
+reuse heap memory rather than being mapped, faulted in and unmapped.  The
+algebra section holds its ``GradedDims``, whose factor tables the writer
+expands into row text one run of rows per (j, prefix).
 """
 
 from __future__ import annotations
@@ -233,8 +236,10 @@ def build_report(vt: ValidatedToricData, sections, algebra_cutoff=None,
     }
 
 
-# Chunks collected before the writer hands the stream one joined batch.
-_BATCH_CHUNKS = 1 << 16
+# Characters per fh.write.  Below glibc's 128 KiB mmap threshold, so a batch,
+# its join and the text layer's encode of it reuse heap memory and are not
+# mapped, faulted in and unmapped again one by one.
+_BATCH_BYTES = 1 << 16
 
 
 def write_json(obj, fh):
@@ -242,43 +247,57 @@ def write_json(obj, fh):
 
     Takes the value types a report holds: dict with str keys, list, tuple,
     str, int, bool, None and GradedDims, whose rows are written as the dicts
-    ``{"deg": {"j": j, "m": m}, "dim": dim}``: each run of ``runs_by_j`` is
-    one join of its shared row texts behind head(j) + prefix text; any other
-    type, a record (a NamedTuple) included, raises TypeError.  The tree is
-    walked once, a list of plain ints is joined in one step, and the text goes
-    to ``fh.write`` in batches of about _BATCH_CHUNKS chunks (or lines of rows).
+    ``{"deg": {"j": j, "m": m}, "dim": dim}``; any other type, a record (a
+    NamedTuple) included, raises TypeError.  The tree is walked once and a
+    list of plain ints is joined in one step.  The text goes to ``fh`` in
+    batches of at most _BATCH_BYTES characters, each one ``fh.write`` of one
+    join; a single value or row longer than that is written alone.  A run of
+    ``runs_by_j`` is its lead and one join of its shared row texts, sliced only
+    when it alone exceeds the budget.
     """
     chunks = []
     append = chunks.append
+    size = 0  # characters in chunks
+
+    def flush():
+        nonlocal size
+        fh.write("".join(chunks))
+        chunks.clear()
+        size = 0
+
+    def put(text):
+        nonlocal size
+        if size + len(text) > _BATCH_BYTES and chunks:
+            flush()
+        append(text)
+        size += len(text)
 
     def emit(o, nl):
         # nl is the newline and indent of the line that holds o
-        if len(chunks) >= _BATCH_CHUNKS:
-            fh.write("".join(chunks))
-            chunks.clear()
+        nonlocal size
         if isinstance(o, str):
-            append(encode_basestring_ascii(o))
+            put(encode_basestring_ascii(o))
         elif o is None:
-            append("null")
+            put("null")
         elif o is True:
-            append("true")
+            put("true")
         elif o is False:
-            append("false")
+            put("false")
         elif isinstance(o, int):
-            append(int.__repr__(o))
+            put(int.__repr__(o))
         elif type(o) is list or type(o) is tuple:
             inner = nl + "  "
             if not o:
-                append("[]")
+                put("[]")
             elif all(type(x) is int for x in o):
-                append("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
+                put("[" + inner + ("," + inner).join(map(str, o)) + nl + "]")
             else:
                 sep = "[" + inner
                 for x in o:
-                    append(sep)
+                    put(sep)
                     sep = "," + inner
                     emit(x, inner)
-                append(nl + "]")
+                put(nl + "]")
         elif isinstance(o, dict):
             inner = nl + "  "
             sep = "{" + inner
@@ -289,36 +308,56 @@ def write_json(obj, fh):
                 sep = "," + inner
                 value = o[key]
                 if type(value) is int:
-                    append(head + str(value))
+                    put(head + str(value))
                 else:
-                    append(head)
+                    put(head)
                     emit(value, inner)
-            append(nl + "}" if o else "{}")
+            put(nl + "}" if o else "{}")
         elif isinstance(o, GradedDims):
-            # a row (n + 8 lines) is head(j) + prefix text + last entry's text + dim
+            # a row (n + 8 lines) is head(j) + prefix text + the last table's
+            # text, which ends in the row tail, + dim
             inner, i1, i2, i3 = (nl + "  " * k for k in range(1, 5))
             sep, tail = "," + i3, i2 + "]" + i1 + "}," + i1 + '"dim": '
-            runs = runs_by_j([[((sep if k else i3) + sep.join(map(str, m)), poly)
-                               for m, poly in table] for k, table in enumerate(o.tables())],
-                             lambda text, d: text + tail + str(d), "")
-            step = _BATCH_CHUNKS // (sum(map(len, o.blocks)) + 8)
-            room, lead = 0, "["
+            tables = o.tables()
+            last = len(tables) - 1
+            runs = runs_by_j([[((sep if k else i3) + sep.join(map(str, m))
+                                + (tail if k == last else ""), poly) for m, poly in table]
+                              for k, table in enumerate(tables)],
+                             lambda text, d: text + str(d), "")
+            # widths: by id, each shared row list's; runs holds every list alive
+            opening, widths = "[", {}
             for j in sorted(runs):
                 head = inner + "{" + i1 + '"deg": {' + i2 + f'"j": {j},' + i2 + '"m": ['
+                close_head = inner + "}," + head
                 for prefix, rows in runs[j]:
-                    for k in range(0, len(rows), step):
-                        part = rows[k:k + step]
-                        if len(part) > room:  # at most step rows per write
-                            fh.write("".join(chunks))
-                            chunks.clear()
-                            room = step
-                        room -= len(part)
-                        append(lead + head + prefix + (inner + "}," + head + prefix).join(part))
-                        lead = inner + "},"
-            append(inner + "}" + nl + "]" if runs else "[]")
+                    first = between = close_head + prefix
+                    if opening:
+                        first, opening = opening + head + prefix, ""
+                    w = widths.get(id(rows))
+                    if w is None:
+                        w = widths[id(rows)] = sum(map(len, rows))
+                    width = len(first) + w + len(between) * (len(rows) - 1)
+                    if size + width > _BATCH_BYTES and chunks:
+                        flush()
+                    if width > _BATCH_BYTES:
+                        # slices that fill a batch each; a row over the budget goes alone
+                        start, width = 0, len(first) + len(rows[0])
+                        for k in range(1, len(rows)):
+                            grow = len(between) + len(rows[k])
+                            if width + grow > _BATCH_BYTES:
+                                append(first)
+                                append(between.join(rows[start:k]))
+                                flush()
+                                first, start, width = between, k, 0
+                            width += grow
+                        rows = rows[start:]
+                    append(first)
+                    append(between.join(rows))
+                    size += width
+            put(inner + "}" + nl + "]" if runs else "[]")
         else:
             raise TypeError(f"cannot write {type(o).__name__} into a report")
 
     emit(obj, "\n")
-    append("\n")
-    fh.write("".join(chunks))
+    put("\n")
+    flush()

@@ -304,6 +304,10 @@ def check_no_bc(vt: ValidatedToricData) -> ConditionVerdict:
     return ConditionVerdict(not witnesses, witnesses)
 
 
+class GroupOrderCheckFailed(CertificateFailure):
+    pass
+
+
 class SymmetryGroups(NamedTuple):
     g: FiniteAbelianGroup
     gamma: FiniteAbelianGroup
@@ -323,7 +327,7 @@ def symmetry_groups(vt: ValidatedToricData) -> SymmetryGroups:
     gamma = lattice_quotient(kernel, vt.m_bar)
     # the diagonal character has exact order d, so |Gamma| * d = |G*|
     if kernel.index_in_ambient() != vt.d:
-        raise CertificateFailure(f"[Z^I : K] = {kernel.index_in_ambient()}, not d = {vt.d}")
+        raise GroupOrderCheckFailed(f"[Z^I : K] = {kernel.index_in_ambient()}, not d = {vt.d}")
     if gamma.order * vt.d != g.order:
-        raise CertificateFailure(f"|Gamma| * d = {gamma.order * vt.d}, not |G| = {g.order}")
+        raise GroupOrderCheckFailed(f"|Gamma| * d = {gamma.order * vt.d}, not |G| = {g.order}")
     return SymmetryGroups(g=g, gamma=gamma)

@@ -14,11 +14,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mirrorcone import CertificateFailure, fans
+from mirrorcone import fans
 from mirrorcone.cli import main
 from mirrorcone.fans import (
+    BlockZeroCheckFailed,
     CellLiftFailure,
     DegenerateConfig,
+    MLatticeCheckFailed,
     ORIGIN,
     _lower_hull_cells,
     certify_isolated_singularity,
@@ -280,7 +282,7 @@ def test_project_config_rejects_an_xi0_point_with_full_block_support():
     vt = fixture("quartic")
     tampered = copy.copy(vt)
     tampered.xi0 = vt.xi0 + ((1, 1, 1, 1),)
-    with pytest.raises(CertificateFailure,
+    with pytest.raises(BlockZeroCheckFailed,
                        match=r"^Xi_0 point \(1, 1, 1, 1\) without block zero$"):
         project_config(tampered)
 
@@ -291,7 +293,7 @@ def test_check_mpcs_rejects_a_projection_that_escapes_m():
     vt = copy.copy(cfg.vt)
     vt.m_bar = hnf_canonicalize([[2 * x for x in row] for row in vt.m_bar.basis], vt.n)
     tampered = cfg._replace(vt=vt)
-    with pytest.raises(CertificateFailure, match=r"^Xi_0 projection 0,0,0,4 escaped M$"):
+    with pytest.raises(MLatticeCheckFailed, match=r"^Xi_0 projection 0,0,0,4 escaped M$"):
         check_mpcs(sub, tampered, check_mpcp(sub, tampered))
 
 

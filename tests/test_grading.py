@@ -65,7 +65,7 @@ def test_a_non_integral_n_sigma_pairing_makes_analyze_exit_3(tmp_path, capsys, m
     monkeypatch.setattr(report, "build_grading_data", shifted)
     code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "grading")
     assert code == 3
-    assert ("certificate failure [CertificateFailure]: <n_sigma, (4, 0, 0, 0)> "
+    assert ("certificate failure [IntegralityCheckFailed]: <n_sigma, (4, 0, 0, 0)> "
             "is not integral") in err, err
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirrorcone import CertificateFailure, koszulalg
+from mirrorcone import koszulalg
 from mirrorcone import report
 from mirrorcone.cli import main
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
@@ -273,7 +273,7 @@ def escaping_generators(monkeypatch, fresh_caches):
 
 
 def test_an_ideal_vector_escaping_its_slice_is_a_certificate_failure(escaping_generators):
-    with pytest.raises(CertificateFailure, match="ideal vector escapes the class piece"):
+    with pytest.raises(ClassificationViolation, match="ideal vector escapes the class piece"):
         koszul_cohomology_dims(3, 3)
 
 
@@ -284,7 +284,7 @@ def test_an_escaping_ideal_vector_makes_analyze_exit_3(tmp_path, capsys,
     cfg.write_text(capsys.readouterr().out)
     assert main(["analyze", str(cfg), "--sections", "algebra", "--cutoff", "4"]) == 3
     err = capsys.readouterr().err
-    assert "certificate failure [CertificateFailure]: ideal vector escapes" in err
+    assert "certificate failure [ClassificationViolation]: ideal vector escapes" in err
 
 
 def classify_tampered(monkeypatch, **tamper):

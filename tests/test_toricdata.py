@@ -218,7 +218,7 @@ def test_a_kernel_of_the_wrong_index_makes_analyze_exit_3(tmp_path, capsys, monk
                  lambda build: lambda n, congs: build(n, [(c, m // 2) for c, m in congs]))
     code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "groups")
     assert code == 3
-    assert "certificate failure [CertificateFailure]: [Z^I : K] = 2, not d = 4" in err, err
+    assert "certificate failure [GroupOrderCheckFailed]: [Z^I : K] = 2, not d = 4" in err, err
 
 
 def test_symmetry_groups_fixture_values():

@@ -6,6 +6,7 @@ dicts: ``oracles.convolve_block_tables`` on the factor tables, then
 
 import io
 import json
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from mirrorcone import koszulalg
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.koszulalg import GradedDims, tensor_j_dims
-from mirrorcone.report import write_json
+from mirrorcone.report import _BATCH_BYTES, write_json
 from oracles import convolve_block_tables, graded_rows_as_dicts
 from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle
 
@@ -178,14 +179,44 @@ class RecordingFile:
         self.parts.append(text)
 
 
+def assert_batched(parts, text, boundary):
+    """Every write holds at most _BATCH_BYTES characters plus one row or value,
+    the longest piece of ``text`` split at ``boundary``, and the writes are
+    about as few as the budget allows: not one per run of rows."""
+    longest = max(map(len, text.split(boundary)))
+    assert max(map(len, parts)) <= _BATCH_BYTES + longest
+    assert len(parts) <= 2 * math.ceil(len(text) / _BATCH_BYTES) + 4
+
+
+def test_the_batch_budget_sits_below_the_mmap_threshold():
+    # glibc serves a request of 128 KiB or more by its own mmap; a batch, its
+    # join and the text layer's encode of it stay below that
+    assert 4096 <= _BATCH_BYTES < 128 * 1024 - 4096
+
+
 def test_large_values_are_written_in_bounded_batches():
     obj = [{"i": k, "s": "x" * (k % 7), "v": [k, -k]} for k in range(300_000)]
     fh = RecordingFile()
     write_json(obj, fh)
     assert len(fh.parts) > 1
     assert max(len(p) for p in fh.parts) < 4 * 2**20
-    same = "".join(fh.parts) == expected(obj)
+    text = expected(obj)
+    same = "".join(fh.parts) == text
     assert same
+    assert_batched(fh.parts, text, "\n  {")
+
+
+def test_a_string_longer_than_the_budget_is_written_alone():
+    # "é" is written as \u00e9: six characters of the budget each
+    long, wide = "x" * (3 * _BATCH_BYTES), "é" * _BATCH_BYTES
+    obj = {"a": ["y" * 100] * 1000, "b": long, "c": [wide, 1], "d": "z"}
+    fh = RecordingFile()
+    write_json(obj, fh)
+    assert "".join(fh.parts) == expected(obj)
+    assert json.dumps(long) in fh.parts
+    assert json.dumps(wide) in fh.parts
+    assert all(len(p) <= _BATCH_BYTES for p in fh.parts
+               if p not in (json.dumps(long), json.dumps(wide)))
 
 
 def test_large_graded_dims_are_written_in_bounded_batches():
@@ -199,8 +230,27 @@ def test_large_graded_dims_are_written_in_bounded_batches():
     write_json(obj, fh)
     assert len(fh.parts) > 1
     assert max(len(p) for p in fh.parts) < 4 * 2**20
-    same = "".join(fh.parts) == expected(plain(obj))
+    text = expected(plain(obj))
+    same = "".join(fh.parts) == text
     assert same
+    assert_batched(fh.parts, text, '"deg": ')
+
+
+def test_one_run_of_18000_rows_is_sliced_and_a_row_over_the_budget_written_alone():
+    # r = 1 and one j: every row is in one run; row 9,000 has 17 entries of
+    # 4,001 digits, more than the budget
+    big = 10 ** 4000
+    dims = GradedDims((tuple(range(18)),), (
+        [((k,) + (big if k == 9_000 else -k,) * 17, {2: k + 1}) for k in range(18_000)],))
+    obj = {"sections": {"algebra": {"graded_dims": dims}}}
+    fh = RecordingFile()
+    write_json(obj, fh)
+    text = expected(plain(obj))
+    same = "".join(fh.parts) == text
+    assert same
+    over = [p for p in fh.parts if len(p) > _BATCH_BYTES]
+    assert len(over) == 1 and over[0].count('"dim": ') == 1 and str(big) in over[0]
+    assert_batched(fh.parts, text, '"deg": ')
 
 
 # The tests below compare their texts outside the assert, as above.
@@ -241,3 +291,4 @@ def test_z_manifold_graded_dims_at_cutoff_6_are_written_in_bounded_batches(monke
     assert len(fh.parts) > 1
     assert max(len(p) for p in fh.parts) < 4 * 2**20
     assert sum(p.count('"dim": ') for p in fh.parts) == 146_812
+    assert_batched(fh.parts, "".join(fh.parts), '"deg": ')
