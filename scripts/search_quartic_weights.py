@@ -4,7 +4,8 @@
 Paraboloid heights put every point on the lower hull; the tie-break term must
 be generic enough to break the cospherical quadruples of the symmetric
 configuration (a linear index term is affinely consistent on some of them and
-fails).  The frozen choice in mirrorcone.fixtures came out of this search.
+fails).  The frozen choice, quartic_mpcp_weights in tests/tests_support.py,
+came out of this search.
 """
 
 import pathlib

@@ -172,10 +172,10 @@ def load_config(path) -> ToricInput:
 
 
 def fixture_config_json(name):
-    from .fixtures import fixture_input
+    from .fixtures import fixture
     from .report import input_echo
 
-    return input_echo(validate(fixture_input(name)))
+    return input_echo(fixture(name))
 
 
 def _load_validated(path):

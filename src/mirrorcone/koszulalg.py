@@ -130,8 +130,8 @@ class GradedDims(NamedTuple):
     """Graded dimensions of a tensor product of per-block algebras, zeros omitted:
     ``factors[b]`` lists (m_b, {j_b: dim}) by m_b, m_b at the indices ``blocks[b]``,
     one entry per class of the block, read at the class's one exponent with two
-    zeros (the slice lemma).  ``dims`` and ``report.write_json`` expand the
-    product by ``runs_by_j``.  From ``tensor_j_dims`` (r > 1), a class outside
+    zeros (the slice lemma).  ``report.write_json`` expands the product by
+    ``runs_by_j``.  From ``tensor_j_dims`` (r > 1), a class outside
     ``degree_classes`` is a partial sum."""
 
     blocks: tuple
@@ -147,13 +147,6 @@ class GradedDims(NamedTuple):
             return tables
         order = sorted(range(len(where)), key=where.__getitem__)
         return [sorted((tuple(m[k] for k in order), p) for m, p in reduce(_times_table, tables))]
-
-    @property
-    def dims(self):
-        """Sorted tuple of ((jhat, mhat), dim)."""
-        runs = runs_by_j(self.tables(), lambda m, d: (m, d), ())
-        return tuple(((j, prefix + m), d) for j in sorted(runs)
-                     for prefix, rows in runs[j] for m, d in rows)
 
 
 # --- exterior algebra on the odd generators u_i ---------------------------
@@ -270,21 +263,6 @@ def _j_slice(blocks, dist, zeros):
                 raise ClassificationViolation("ideal vector escapes the class piece")
             rows.append([prod.get(s, 0) for s in index])
     return len(basis), index, rows, matrix_rank(rows)
-
-
-def j_algebra_dim_for_class(blocks, n, cls):
-    """dim J at the class (j, m).  By the slice lemma it sits at the class's
-    one exponent that can have two zeros in every block, a_i = max_b m - m_i
-    for i in block b: the sum of size - rank over that exponent's slices,
-    the wedge distributions of total w = j + 2|m| - 2 sum_b max_b m."""
-    j, m = cls
-    w, zeros = j + 2 * sum(m), 0
-    for blk in blocks:
-        top = max(m[i] for i in blk)
-        w -= 2 * top
-        zeros |= sum(1 << i for i in blk if m[i] == top)
-    dists = _compositions([0] * len(blocks), [len(blk) - 1 for blk in blocks], w)
-    return sum(size - rank for size, _, _, rank in (_j_slice(blocks, d, zeros) for d in dists))
 
 
 def least_z_degree(n, size, zeros, w):

@@ -252,8 +252,8 @@ def write_json(obj, fh):
     list of plain ints is joined in one step.  The text goes to ``fh`` in
     batches of at most _BATCH_BYTES characters, each one ``fh.write`` of one
     join; a single value or row longer than that is written alone.  A run of
-    ``runs_by_j`` is its lead and one join of its shared row texts, sliced only
-    when it alone exceeds the budget.
+    ``runs_by_j`` is its lead and one join of its shared row texts; a run that
+    alone exceeds the budget goes row by row.
     """
     chunks = []
     append = chunks.append
@@ -324,8 +324,7 @@ def write_json(obj, fh):
                                 + (tail if k == last else ""), poly) for m, poly in table]
                               for k, table in enumerate(tables)],
                              lambda text, d: text + str(d), "")
-            # widths: by id, each shared row list's; runs holds every list alive
-            opening, widths = "[", {}
+            opening = "["
             for j in sorted(runs):
                 head = inner + "{" + i1 + '"deg": {' + i2 + f'"j": {j},' + i2 + '"m": ['
                 close_head = inner + "}," + head
@@ -333,26 +332,18 @@ def write_json(obj, fh):
                     first = between = close_head + prefix
                     if opening:
                         first, opening = opening + head + prefix, ""
-                    w = widths.get(id(rows))
-                    if w is None:
-                        w = widths[id(rows)] = sum(map(len, rows))
-                    width = len(first) + w + len(between) * (len(rows) - 1)
-                    if size + width > _BATCH_BYTES and chunks:
-                        flush()
+                    joined = between.join(rows)
+                    width = len(first) + len(joined)
                     if width > _BATCH_BYTES:
-                        # slices that fill a batch each; a row over the budget goes alone
-                        start, width = 0, len(first) + len(rows[0])
-                        for k in range(1, len(rows)):
-                            grow = len(between) + len(rows[k])
-                            if width + grow > _BATCH_BYTES:
-                                append(first)
-                                append(between.join(rows[start:k]))
-                                flush()
-                                first, start, width = between, k, 0
-                            width += grow
-                        rows = rows[start:]
+                        # row by row: put writes a row over the budget alone
+                        put(first + rows[0])
+                        for row in rows[1:]:
+                            put(between + row)
+                        continue
+                    if size + width > _BATCH_BYTES:
+                        flush()
                     append(first)
-                    append(between.join(rows))
+                    append(joined)
                     size += width
             put(inner + "}" + nl + "]" if runs else "[]")
         else:

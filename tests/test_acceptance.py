@@ -30,7 +30,7 @@ from mirrorcone.fans import (
     regular_subdivision,
     resolve_weights,
 )
-from mirrorcone.fixtures import fixture, generic_weights, quartic_mpcp_weights
+from mirrorcone.fixtures import fixture
 from mirrorcone.grading import build_grading_data, check_commutative_square, coker_H
 from mirrorcone.koszulalg import (
     degree_classes,
@@ -53,7 +53,14 @@ from oracles import (
     subdivision_by_hyperplane_scan,
     subdivision_volume,
 )
-from tests_support import GREENE_PLESSER_DEGREES, greene_plesser_config, random_admissible_v
+from tests_support import (
+    GREENE_PLESSER_DEGREES,
+    generic_weights,
+    graded_pairs,
+    greene_plesser_config,
+    quartic_mpcp_weights,
+    random_admissible_v,
+)
 
 
 def _elapsed_guard(t0, budget, label):
@@ -240,7 +247,7 @@ def test_criterion_3_algebra_oracle_suite():
     # the oracle's independent Koszul complex
     for n in (3, 4, 5):
         blocks = (tuple(range(n)),)
-        dims = dict(koszul_cohomology_dims(n, n + 2).dims)
+        dims = dict(graded_pairs(koszul_cohomology_dims(n, n + 2)))
         for cls in degree_classes(blocks, n, n + 2):
             assert dims.get(cls, 0) == koszul_class_dimension(blocks, n, cls), \
                 f"graded dims differ for n={n} at {cls}"

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from mirrorcone import toricdata
 from mirrorcone.cli import load_config, main, parse_config, ConfigError
-from mirrorcone.fixtures import FIXTURE_NAMES, fixture, generic_weights
+from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.intlat import FiniteAbelianGroup
 from mirrorcone.report import ALL_SECTIONS, build_report, input_echo, write_json
 from oracles import graded_rows_as_dicts
-from tests_support import random_admissible_v
+from tests_support import generic_weights, graded_pairs, random_admissible_v
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mirrorcone"
 
@@ -417,7 +417,7 @@ def test_analyze_writes_the_same_bytes_to_stdout_and_out_file(tmp_path):
     report = build_report(toricdata.validate(load_config(cfg)), ALL_SECTIONS,
                           algebra_cutoff=4)
     algebra = report["sections"]["algebra"]
-    algebra["graded_dims"] = graded_rows_as_dicts(algebra["graded_dims"].dims)
+    algebra["graded_dims"] = graded_rows_as_dicts(graded_pairs(algebra["graded_dims"]))
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert stdout.stdout == text
     assert out.read_text() == text

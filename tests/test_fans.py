@@ -30,7 +30,7 @@ from mirrorcone.fans import (
     project_config,
     regular_subdivision,
 )
-from mirrorcone.fixtures import fixture, generic_weights, quartic_mpcp_weights
+from mirrorcone.fixtures import fixture
 from mirrorcone.intlat import hnf_canonicalize, solve_int
 from mirrorcone.toricdata import validate
 from oracles import (
@@ -43,7 +43,7 @@ from oracles import (
     subdivision_by_hyperplane_scan,
     subdivision_volume,
 )
-from tests_support import cubic_block_input
+from tests_support import cubic_block_input, generic_weights, quartic_mpcp_weights
 
 TESTS = pathlib.Path(__file__).resolve().parent
 

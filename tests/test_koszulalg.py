@@ -24,7 +24,6 @@ from mirrorcone.koszulalg import (
     enumerate_deformation_classes,
     front_sign,
     h_basis,
-    j_algebra_dim_for_class,
     koszul_cohomology_dims,
     sign_action,
     tensor_j_dims,
@@ -40,7 +39,13 @@ from oracles import (
     nullspace_int,
     permutation_sign,
 )
-from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle, multiblock_j_dims
+from tests_support import (
+    INTERLEAVED_BLOCKS,
+    convolution_by_oracle,
+    graded_pairs,
+    j_algebra_dim_for_class,
+    multiblock_j_dims,
+)
 
 BLOCKS3 = (tuple(range(3)),)
 
@@ -74,7 +79,7 @@ def test_hand_dims_three_variables_z_degree_zero():
 
 def test_unit_class_survives():
     assert koszul_class_dimension(BLOCKS3, 3, (0, (0, 0, 0))) == 1
-    assert dict(koszul_cohomology_dims(3, 3).dims)[(0, (0, 0, 0))] == 1
+    assert dict(graded_pairs(koszul_cohomology_dims(3, 3)))[(0, (0, 0, 0))] == 1
 
 
 def test_z2z3_is_a_boundary():
@@ -104,7 +109,7 @@ def test_differential_squares_to_zero_multiblock():
 @pytest.mark.parametrize("n", (3,))
 def test_dnsh_equivalence_small(n):
     k = koszul_cohomology_dims(n, n + 2)
-    assert dict(k.dims) == _oracle_koszul_dims((tuple(range(n)),), n, n + 2)
+    assert dict(graded_pairs(k)) == _oracle_koszul_dims((tuple(range(n)),), n, n + 2)
 
 
 @pytest.fixture
@@ -170,12 +175,12 @@ def test_single_block_tables_equal_the_whole_class_oracle_up_to_cutoff_10(n):
     oracle = {cls: j_class_dimension(blocks, n, cls) for cls in degree_classes(blocks, n, 10)}
     for cutoff in range(n, 11):
         expected = {cls: oracle[cls] for cls in degree_classes(blocks, n, cutoff) if oracle[cls]}
-        assert dict(koszul_cohomology_dims(n, cutoff).dims) == expected, cutoff
+        assert dict(graded_pairs(koszul_cohomology_dims(n, cutoff))) == expected, cutoff
 
 
 def test_quintic_block_table_at_cutoff_6_keeps_its_digest():
     # recorded from the degree-class scan the table replaced
-    dims = koszul_cohomology_dims(5, 6).dims
+    dims = graded_pairs(koszul_cohomology_dims(5, 6))
     assert len(dims) == 2869
     assert hashlib.sha256(repr(dims).encode()).hexdigest() == (
         "a918bca8b3030e11d2be840390d48cd86eb1e36d0a52f6d3bf4f7bd9549e7328")
@@ -186,7 +191,7 @@ def test_single_block_tables_scan_no_degree_class(monkeypatch):
     for name in ("degree_classes", "canonical_class"):
         monkeypatch.setattr(koszulalg, name, lambda *args, name=name: calls.append(name))
     for n, cutoff in ((3, 10), (4, 6), (5, 6)):
-        assert koszul_cohomology_dims(n, cutoff).dims
+        assert graded_pairs(koszul_cohomology_dims(n, cutoff))
     assert calls == []
 
 
@@ -438,7 +443,7 @@ def test_contraction_kills_h_basis():
 
 def test_tensor_matches_direct_cubic_fourfold():
     vt = fixture("cubic-fourfold")
-    conv = dict(tensor_j_dims(vt, 3).dims)
+    conv = dict(graded_pairs(tensor_j_dims(vt, 3)))
     direct = dict(multiblock_j_dims(vt.blocks, vt.n, 3))
     for cls, dim in direct.items():
         assert conv.get(cls) == dim
@@ -446,7 +451,7 @@ def test_tensor_matches_direct_cubic_fourfold():
 
 def test_tensor_matches_direct_zmanifold_sampled():
     vt = fixture("z-manifold")
-    conv = dict(tensor_j_dims(vt, 3).dims)
+    conv = dict(graded_pairs(tensor_j_dims(vt, 3)))
     sample = degree_classes(vt.blocks, vt.n, 1)
     for cls in sample:
         assert j_algebra_dim_for_class(vt.blocks, vt.n, cls) == conv.get(cls, 0)
@@ -454,8 +459,8 @@ def test_tensor_matches_direct_zmanifold_sampled():
 
 def test_tensor_single_block_equals_plain():
     vt = fixture("quartic")
-    conv = dict(tensor_j_dims(vt, 5).dims)
-    plain = dict(koszul_cohomology_dims(4, 5).dims)
+    conv = dict(graded_pairs(tensor_j_dims(vt, 5)))
+    plain = dict(graded_pairs(koszul_cohomology_dims(4, 5)))
     for cls, dim in plain.items():
         assert conv.get(cls) == dim
 
@@ -464,13 +469,13 @@ def test_tensor_single_block_equals_plain():
 def test_tensor_convolution_matches_the_oracle_row_for_row(name):
     # every row, the ones beyond the cutoff included
     vt = fixture(name)
-    assert tensor_j_dims(vt, 4).dims == convolution_by_oracle(vt, 4)
+    assert graded_pairs(tensor_j_dims(vt, 4)) == convolution_by_oracle(vt, 4)
 
 
 @pytest.mark.parametrize("blocks", INTERLEAVED_BLOCKS)
 def test_tensor_convolution_matches_the_oracle_on_interleaved_blocks(blocks):
     vt = SimpleNamespace(blocks=blocks, n=sum(map(len, blocks)))
-    assert tensor_j_dims(vt, 4).dims == convolution_by_oracle(vt, 4)
+    assert graded_pairs(tensor_j_dims(vt, 4)) == convolution_by_oracle(vt, 4)
 
 
 PARTIAL_SUM_CLASS = (-15, (0, 0, 0, 0, 8, 8))
@@ -488,7 +493,7 @@ def test_partial_sum_class_lies_outside_the_cutoff_classes():
 def test_printed_graded_dims_row_is_never_a_partial_sum():
     vt = fixture("cubic-fourfold")
     body = report.build_report(vt, ("algebra",), algebra_cutoff=3)
-    printed = dict(body["sections"]["algebra"]["graded_dims"].dims)
+    printed = dict(graded_pairs(body["sections"]["algebra"]["graded_dims"]))
     truth = j_algebra_dim_for_class(vt.blocks, vt.n, PARTIAL_SUM_CLASS)
     assert printed.get(PARTIAL_SUM_CLASS, truth) == truth
 

@@ -7,10 +7,11 @@ import pytest
 
 from mirrorcone import bside, fans, grading, intlat, koszulalg, report, toricdata
 from mirrorcone.fans import Subdivision, project_config, regular_subdivision
-from mirrorcone.fixtures import fixture, generic_weights
+from mirrorcone.fixtures import fixture
 from mirrorcone.grading import GradingDatum, GradingError, build_grading_data
 from mirrorcone.intlat import FiniteAbelianGroup, LatticeError, hnf_canonicalize
 from mirrorcone.report import write_json
+from tests_support import generic_weights
 
 VALUE_RECORDS = {
     "Term", "Superpotential", "DualizationReport", "ProjectedConfig", "Subdivision",

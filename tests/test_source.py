@@ -1,6 +1,7 @@
 """Checks on the program's source text."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import mirrorcone
@@ -38,3 +39,48 @@ def test_src_does_not_import_dataclasses():
                or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
     assert len(sources) >= 10
     assert imports == []
+
+
+# Defined in src/ but referenced by no src/ code: each entry says who calls it.
+UNREFERENCED_ALLOWED = {
+    # perfbench/tracing.py hooks it by name as the koszulalg.degree_classes
+    # counter, and tests/test_report.py requires every hook to resolve
+    "degree_classes",
+}
+
+
+def _references(node):
+    """Counter of the names and of the attribute names used in node."""
+    uses = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            uses["name", sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            uses["attr", sub.attr] += 1
+    return uses
+
+
+def test_src_defines_only_what_src_references():
+    # src/ holds what the CLI runs: each top-level function and class is used
+    # by name, and each method through an attribute, somewhere in src/ outside
+    # its own body (dunders exempt); test-only helpers live in tests/
+    sources = sorted(Path(mirrorcone.__file__).parent.glob("*.py"))
+    trees = [ast.parse(path.read_text(), str(path)) for path in sources]
+    total = Counter()
+    for tree in trees:
+        total.update(_references(tree))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, defs):
+                continue
+            if total["name", node.name] == _references(node)["name", node.name]:
+                unused.append(node.name)
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if not isinstance(method, defs[:2]) or method.name[:2] == method.name[-2:] == "__":
+                    continue
+                if total["attr", method.name] == _references(method)["attr", method.name]:
+                    unused.append(f"{node.name}.{method.name}")
+    assert len(sources) >= 10
+    assert sorted(unused) == sorted(UNREFERENCED_ALLOWED)

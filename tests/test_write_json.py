@@ -19,7 +19,7 @@ from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.koszulalg import GradedDims, tensor_j_dims
 from mirrorcone.report import _BATCH_BYTES, write_json
 from oracles import convolve_block_tables, graded_rows_as_dicts
-from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle
+from tests_support import INTERLEAVED_BLOCKS, convolution_by_oracle, graded_pairs
 
 
 def expected(obj):
@@ -126,7 +126,7 @@ def test_graded_dims_at_any_depth_match_json_dumps_of_their_rows(obj):
 @given(graded_dims_sharing_polynomials())
 def test_graded_dims_sharing_polynomials_match_the_oracle(dims):
     assert written(dims) == expected(plain(dims))
-    assert dims.dims == oracle_dims(dims)
+    assert graded_pairs(dims) == oracle_dims(dims)
 
 
 SHARED = {0: 1, 1: 2}
@@ -137,6 +137,11 @@ EDGE_GRADED_DIMS = {
     "r3-interleaved": GradedDims(((0, 3), (1, 4), (2, 5)), tuple(
         [((a, b), SHARED if (a + b) % 2 else {-1: 1}) for a in (-1, 0, 1) for b in (0, 1)]
         for _ in range(3))),
+    # r = 2, 400 entries of 600-digit m: each run at j = 0 and 5 exceeds the
+    # budget and goes row by row, the small runs at j = 3 and 8 between them
+    "r2-runs-over-the-budget": GradedDims(((0,), (1, 2)), (
+        [((0,), {0: 1}), ((1,), {5: 1}), ((2,), {0: 2})],
+        [((k, k * 10 ** 599), {0: k, 3: 1} if k % 100 == 0 else {0: k}) for k in range(1, 401)])),
 }
 
 
@@ -144,7 +149,7 @@ EDGE_GRADED_DIMS = {
 def test_graded_dims_edge_cases_match_the_oracle(name):
     dims = EDGE_GRADED_DIMS[name]
     assert written({"graded_dims": dims}) == expected({"graded_dims": plain(dims)})
-    assert dims.dims == oracle_dims(dims)
+    assert graded_pairs(dims) == oracle_dims(dims)
 
 
 def test_empty_graded_dims_is_an_empty_list():

@@ -1,4 +1,6 @@
-"""Shared helpers for the test modules."""
+"""Shared helpers for the test modules, among them the ones built on src that
+the CLI never runs, kept out of the package: the quartic MPCP weights, the
+seeded generic weights, ``j_algebra_dim_for_class`` and ``graded_pairs``."""
 
 
 def random_admissible_v(vt, rng):
@@ -47,15 +49,42 @@ def convolution_by_oracle(vt, cutoff):
     from mirrorcone.koszulalg import koszul_cohomology_dims
     from oracles import convolve_block_tables
 
-    tables = {nb: dict(koszul_cohomology_dims(nb, cutoff + nb + 1).dims)
+    tables = {nb: dict(graded_pairs(koszul_cohomology_dims(nb, cutoff + nb + 1)))
               for nb in {len(blk) for blk in vt.blocks}}
     return convolve_block_tables(vt.blocks, vt.n, [tables[len(blk)] for blk in vt.blocks])
+
+
+def graded_pairs(dims):
+    """The sorted ((j, m), dim) pairs of a GradedDims, expanded by ``runs_by_j``
+    as ``report.write_json`` expands it."""
+    from mirrorcone.koszulalg import runs_by_j
+
+    runs = runs_by_j(dims.tables(), lambda m, d: (m, d), ())
+    return tuple(((j, prefix + m), d) for j in sorted(runs)
+                 for prefix, rows in runs[j] for m, d in rows)
+
+
+def j_algebra_dim_for_class(blocks, n, cls):
+    """dim J at the class (j, m).  By the slice lemma it sits at the class's
+    one exponent that can have two zeros in every block, a_i = max_b m - m_i
+    for i in block b: the sum of size - rank over that exponent's slices,
+    the wedge distributions of total w = j + 2|m| - 2 sum_b max_b m."""
+    from mirrorcone.koszulalg import _compositions, _j_slice
+
+    j, m = cls
+    w, zeros = j + 2 * sum(m), 0
+    for blk in blocks:
+        top = max(m[i] for i in blk)
+        w -= 2 * top
+        zeros |= sum(1 << i for i in blk if m[i] == top)
+    dists = _compositions([0] * len(blocks), [len(blk) - 1 for blk in blocks], w)
+    return sum(size - rank for size, _, _, rank in (_j_slice(blocks, d, zeros) for d in dists))
 
 
 def multiblock_j_dims(blocks, n, cutoff):
     """The direct multi-block computation: ((j, m), dim) over the nonzero
     classes of ``degree_classes``, one ``j_algebra_dim_for_class`` each."""
-    from mirrorcone.koszulalg import degree_classes, j_algebra_dim_for_class
+    from mirrorcone.koszulalg import degree_classes
 
     dims = ((cls, j_algebra_dim_for_class(blocks, n, cls))
             for cls in degree_classes(blocks, n, cutoff))
@@ -112,3 +141,36 @@ def greene_plesser_config(name):
         "lattice": {"congruences": [{"c": [mod // d for d in degrees], "mod": mod}]},
         "lambda": "uniform:1",
     }
+
+
+def quartic_mpcp_weights(vt):
+    """Weights for the quartic making the subdivision a fine triangulation.
+
+    1 + eps * sum(p_i^2) pushes every point onto the lower hull (paraboloid
+    heights make each lifted point a vertex) while keeping the subdivision a
+    refinement of the coarse facet star; the squared-index term breaks the
+    cospherical ties of the symmetric configuration (a linear index term is
+    itself affinely consistent on some tied quadruples and does not).
+    Verified exactly by the test suite: 40 simplicial cells, MPCP and MPCS
+    hold, every lifted cell passes its certificates.  It came out of
+    ``scripts/search_quartic_weights.py``.
+    """
+    from fractions import Fraction
+
+    weights = {}
+    for idx, p in enumerate(vt.xi0):
+        para = sum(x * x for x in p)
+        weights[p] = 1 + Fraction(para, 64) + Fraction((idx + 1) ** 2, 4096 * 64)
+    return weights
+
+
+def generic_weights(vt, seed):
+    """1 + |p|^2/64 + randrange(1, 10**6)/(4096*64*10**6) per Xi_0 point p, lex
+    order: the seeded generic weights the benchmark's fans-generic workload draws."""
+    import random
+    from fractions import Fraction
+
+    rng = random.Random(seed)
+    return {p: 1 + Fraction(sum(x * x for x in p), 64)
+            + Fraction(rng.randrange(1, 10 ** 6), 4096 * 64 * 10 ** 6)
+            for p in vt.xi0}
