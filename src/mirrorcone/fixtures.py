@@ -12,42 +12,25 @@ from fractions import Fraction
 
 from .toricdata import LatticeSpec, ToricInput, validate
 
-FIXTURE_NAMES = ("elliptic", "quartic", "cubic-fourfold", "z-manifold")
+# 0-based blocks, degrees and congruences (c, mod) of each fixture.
+FIXTURES = {
+    "elliptic": (((0, 1, 2),), (3, 3, 3), (((1, 1, 1), 3),)),
+    "quartic": (((0, 1, 2, 3),), (4, 4, 4, 4), (((1, 1, 1, 1), 4),)),
+    "cubic-fourfold": (((0, 1, 2), (3, 4, 5)), (3,) * 6,
+                       (((1, 1, 1, 1, 1, 1), 3),)),
+    "z-manifold": (((0, 1, 2), (3, 4, 5), (6, 7, 8)), (3,) * 9,
+                   (((1, 1, 1, -1, -1, -1, 0, 0, 0), 3),
+                    ((0, 0, 0, 1, 1, 1, -1, -1, -1), 3))),
+}
+FIXTURE_NAMES = tuple(FIXTURES)
 
 
 def fixture_input(name, weights=Fraction(1)):
-    if name == "elliptic":
-        return ToricInput(
-            blocks=((0, 1, 2),),
-            degrees=(3, 3, 3),
-            lattice=LatticeSpec(congruences=(((1, 1, 1), 3),)),
-            weights=weights,
-        )
-    if name == "quartic":
-        return ToricInput(
-            blocks=((0, 1, 2, 3),),
-            degrees=(4, 4, 4, 4),
-            lattice=LatticeSpec(congruences=(((1, 1, 1, 1), 4),)),
-            weights=weights,
-        )
-    if name == "cubic-fourfold":
-        return ToricInput(
-            blocks=((0, 1, 2), (3, 4, 5)),
-            degrees=(3, 3, 3, 3, 3, 3),
-            lattice=LatticeSpec(congruences=(((1, 1, 1, 1, 1, 1), 3),)),
-            weights=weights,
-        )
-    if name == "z-manifold":
-        return ToricInput(
-            blocks=((0, 1, 2), (3, 4, 5), (6, 7, 8)),
-            degrees=(3,) * 9,
-            lattice=LatticeSpec(congruences=(
-                ((1, 1, 1, -1, -1, -1, 0, 0, 0), 3),
-                ((0, 0, 0, 1, 1, 1, -1, -1, -1), 3),
-            )),
-            weights=weights,
-        )
-    raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    if name not in FIXTURES:
+        raise KeyError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
+    blocks, degrees, congruences = FIXTURES[name]
+    return ToricInput(blocks=blocks, degrees=degrees,
+                      lattice=LatticeSpec(congruences=congruences), weights=weights)
 
 
 def fixture(name, weights=Fraction(1)):

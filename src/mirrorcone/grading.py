@@ -103,7 +103,7 @@ class GradingMorphism(NamedTuple):
     name: str
     source: GradingDatum
     target: GradingDatum
-    w: tuple[Fraction, ...]
+    w: tuple[int | Fraction, ...]  # integral except p's
     t_rows: tuple[tuple[int, ...], ...]  # target.rank rows of length source.rank
 
     def apply(self, deg: GDeg) -> GDeg:
@@ -165,6 +165,11 @@ class GradingData(NamedTuple):
 
 
 def build_grading_data(vt: ValidatedToricData) -> GradingData:
+    """The five data and seven morphisms of vt, each morphism checked well
+    defined.  The delta relators pair q with M_bar's basis on the integers:
+    d must divide <q, m> (IntegralityCheckFailed), and 2<q, m>/d = 2<n_sigma, m>
+    leads the relator.  Every w is integral except p's, 2(n_sigma - 1) from
+    (q, d)."""
     n = vt.n
 
     amb = GradingDatum("G_amb", n, tuple(
@@ -173,28 +178,26 @@ def build_grading_data(vt: ValidatedToricData) -> GradingData:
         (2 * (1 - len(vt.blocks[j])),) + vt.block_vector(j) for j in range(vt.r)))
     delta_rels = []
     for row in vt.m_bar.basis:
-        pairing = sum(a * b for a, b in zip(vt.n_sigma, row))
-        if pairing.denominator != 1:
+        pairing = sum(qi * x for qi, x in zip(vt.q, row))  # d <n_sigma, row>
+        if pairing % vt.d:
             raise IntegralityCheckFailed(f"<n_sigma, {row}> is not integral")
-        delta_rels.append((2 * int(pairing),) + tuple(-x for x in row))
+        delta_rels.append((2 * (pairing // vt.d),) + tuple(-x for x in row))
     delta = GradingDatum("G_Delta", n, tuple(delta_rels))
     mf = GradingDatum("G_MF", 1, ((2, -vt.d),))
     z = GradingDatum("Z", 0, ())
 
     ident = tuple(tuple(1 if i == k else 0 for k in range(n)) for i in range(n))
     neg_ident = tuple(tuple(-1 if i == k else 0 for k in range(n)) for i in range(n))
-    zero_w = (Fraction(0),) * n
+    zero_w = (0,) * n
 
     p = GradingMorphism("p", amb, cover,
-                        tuple(2 * (ns - 1) for ns in vt.n_sigma), ident)
+                        tuple(Fraction(2 * (qi - vt.d), vt.d) for qi in vt.q), ident)
     q = GradingMorphism("q", amb, z, zero_w, ())
-    r = GradingMorphism("r", cover, delta,
-                        (Fraction(2),) * n, neg_ident)
+    r = GradingMorphism("r", cover, delta, (2,) * n, neg_ident)
     s = GradingMorphism("s", z, delta, (), ((),) * n)
     t = GradingMorphism("t", delta, mf, zero_w, (tuple(vt.q),))
     u = GradingMorphism("u", z, mf, (), ((),))
-    v = GradingMorphism("v", cover, z,
-                        tuple(Fraction(2 * x) for x in vt.volume_orders), ())
+    v = GradingMorphism("v", cover, z, tuple(2 * x for x in vt.volume_orders), ())
 
     data = GradingData(amb=amb, cover=cover, delta=delta, mf=mf, z=z,
                        p=p, q=q, r=r, s=s, t=t, u=u, v=v)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import CertificateFailure
 from .intlat import matrix_rank
-from .toricdata import ValidatedToricData
+from .toricdata import ValidatedToricData, check_no_bc
 
 
 class CutoffTooSmall(ValueError):
@@ -364,13 +364,15 @@ def involution_sign(vt: ValidatedToricData, b, h_size):
     """Sign of the involution on r^a z^b h with minimal a, so that k(a) = b.
 
     (-1)^(<n_sigma + v - e_I, b> + 1 + <v + e_I, b> + |h|) for the resolved
-    volume orders v: the coefficient's sign times the sign action.
+    volume orders v: the coefficient's sign times the sign action.  The
+    pairing is read on the integers as sum_i (q_i + d (v_i - 1)) b_i, which
+    d must divide; its quotient's parity is the coefficient's sign.
     """
-    v = vt.volume_orders
-    pairing = sum((ns + vi - 1) * x for ns, vi, x in zip(vt.n_sigma, v, b) if x)
-    if pairing.denominator != 1:
+    v, d = vt.volume_orders, vt.d
+    pairing = sum((qi + d * (vi - 1)) * x for qi, vi, x in zip(vt.q, v, b) if x)
+    if pairing % d:
         raise ClassificationViolation(f"<n_sigma + v - e_I, {b}> is not integral")
-    return sign_action(b, h_size, v) * (-1) ** (int(pairing) % 2)
+    return sign_action(b, h_size, v) * (-1) ** (pairing // d % 2)
 
 
 def deformation_sign(vt: ValidatedToricData, b, h_size):
@@ -403,9 +405,10 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
     blocks, n, xi0 = vt.blocks, vt.n, set(vt.xi0)
     surviving, killed = [], []
     for b in vt.xi:
-        pairing = sum(ns * x for ns, x in zip(vt.n_sigma, b))
-        if pairing != 1:
-            raise ClassificationViolation(f"<n_sigma, {b}> = {pairing}, not 1")
+        pairing = sum(qi * x for qi, x in zip(vt.q, b))  # d <n_sigma, b>
+        if pairing != vt.d:
+            raise ClassificationViolation(
+                f"<n_sigma, {b}> = {Fraction(pairing, vt.d)}, not 1")
         sign = deformation_sign(vt, b, 0)
         if sign != 1:
             raise ClassificationViolation(f"|h|=0 class at {b} is not invariant")
@@ -437,10 +440,7 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
 
 
 def enumerate_curvature_candidates(vt: ValidatedToricData):
-    """All K with e_K in M_bar and sum_{i in K} (1 - 2/d_i) = 1.
-
-    The defining arithmetic is the same as the no-bc condition, so the output
-    must coincide with its witness list.
-    """
-    return tuple(K for K in vt.subsets_in_lattice
-                 if sum(1 - Fraction(2, vt.degrees[i]) for i in K) == 1)
+    """All K with e_K in M_bar and sum_{i in K} (1 - 2/d_i) = 1: the no-bc
+    equation |K| - 1 = 2 sum_{i in K} 1/d_i rearranged, so the candidates are
+    the no-bc witnesses."""
+    return check_no_bc(vt).witnesses

@@ -168,12 +168,14 @@ def validate(inp: ToricInput) -> ValidatedToricData:
         raise ToricDataError("blocks do not partition the index set")
     if any(d <= 0 for d in inp.degrees):
         raise ToricDataError("degrees must be positive")
+    d = lcm(*inp.degrees)
+    q = tuple(d // di for di in inp.degrees)
     for j, blk in enumerate(inp.blocks):
         if len(blk) < 3:
             raise BlockTooSmall(f"block {j} has size {len(blk)} < 3")
-        s = sum(Fraction(1, inp.degrees[i]) for i in blk)
-        if s != 1:
-            raise DegreeSumNotOne(f"block {j}: sum of 1/d_i is {s}, not 1")
+        s = sum(q[i] for i in blk)  # d times the block's sum of 1/d_i
+        if s != d:
+            raise DegreeSumNotOne(f"block {j}: sum of 1/d_i is {Fraction(s, d)}, not 1")
 
     m_bar = inp.lattice.build(n)
     if m_bar.rank != n:
@@ -187,8 +189,6 @@ def validate(inp: ToricInput) -> ValidatedToricData:
         if not contains(m_bar, v):
             raise MissingGenerator(f"e_I_j missing for block {j}: {v}")
 
-    d = lcm(*inp.degrees)
-    q = tuple(d // di for di in inp.degrees)
     for row in m_bar.basis:
         pairing = sum(qi * mi for qi, mi in zip(q, row))
         if pairing % d != 0:
@@ -267,21 +267,15 @@ def _two_zeros_per_block(p, blocks):
     return all(sum(1 for i in blk if p[i] == 0) >= 2 for blk in blocks)
 
 
-def iota_of_block(vt: ValidatedToricData, j):
-    """The vector with entries 1/d_i on block j and 0 elsewhere."""
-    blk = vt.blocks[j]
-    return tuple(Fraction(1, vt.degrees[i]) if i in blk else Fraction(0)
-                 for i in range(vt.n))
-
-
 def check_nef_partition(vt: ValidatedToricData) -> ConditionVerdict:
-    """Holds iff every iota(e_I_j) pairs integrally with all of M_bar."""
-    for j in range(vt.r):
-        iota = iota_of_block(vt, j)
+    """Holds iff every iota(e_I_j), 1/d_i on block j, pairs integrally with all
+    of M_bar: d divides sum_{i in I_j} q_i m_i.  The witness (j, m, pairing)
+    carries the pairing as a Fraction."""
+    for j, blk in enumerate(vt.blocks):
         for row in vt.m_bar.basis:
-            pairing = sum(a * b for a, b in zip(iota, row))
-            if pairing.denominator != 1:
-                return ConditionVerdict(False, ((j, row, pairing),))
+            pairing = sum(vt.q[i] * row[i] for i in blk)
+            if pairing % vt.d:
+                return ConditionVerdict(False, ((j, row, Fraction(pairing, vt.d)),))
     return ConditionVerdict(True)
 
 
@@ -298,9 +292,10 @@ def check_embeddedness(vt: ValidatedToricData) -> ConditionVerdict:
 
 
 def check_no_bc(vt: ValidatedToricData) -> ConditionVerdict:
-    """Holds iff no K has e_K in M_bar with |K| - 1 = 2 * sum_{i in K} 1/d_i."""
+    """Holds iff no K has e_K in M_bar with |K| - 1 = 2 * sum_{i in K} 1/d_i,
+    tested on the integers as 2 * sum_{i in K} q_i = (|K| - 1) d."""
     witnesses = tuple(K for K in vt.subsets_in_lattice
-                      if sum(Fraction(2, vt.degrees[i]) for i in K) == len(K) - 1)
+                      if 2 * sum(vt.q[i] for i in K) == (len(K) - 1) * vt.d)
     return ConditionVerdict(not witnesses, witnesses)
 
 

@@ -6,8 +6,9 @@ congruences applied directly, subdivisions by scanning all candidate
 supporting hyperplanes, volumes by a pulling triangulation over a facet
 scan of their own, simplex membership by a rational kernel, MPCS over
 every subset of every cell, the Koszul factorization on readable tuple keys,
-the convolution of graded-dims tables on (j, m) tuple keys, and the quotient
-algebra and Koszul cohomology ranked over whole degree classes at once.
+the convolution of graded-dims tables on (j, m) tuple keys, the quotient
+algebra and Koszul cohomology ranked over whole degree classes at once, and
+the degree conditions on Fractions straight from n_sigma = (1/d_i)_i.
 Nothing here imports mirrorcone.
 """
 
@@ -669,3 +670,40 @@ def koszul_class_dimension(blocks, n, cls):
     size = len(_koszul_class_monomials(blocks, n, cls))
     return (size - _sparse_rank(koszul_class_matrix(blocks, n, j, m))
             - _sparse_rank(koszul_class_matrix(blocks, n, j - 1, m)))
+
+
+# --- the degree conditions on Fractions: n_sigma_i = 1/d_i ------------------
+
+
+def nef_verdict_by_fractions(blocks, degrees, m_basis):
+    """(holds, first witness) of the nef partition condition: iota(e_I_j) has
+    entries 1/d_i on block j, and the first pairing <iota(e_I_j), m> over the
+    blocks, then the basis rows m, that is not an integer is the witness
+    (j, m, pairing); None if every pairing is integral."""
+    for j, blk in enumerate(blocks):
+        for row in m_basis:
+            pairing = sum(Fraction(row[i], degrees[i]) for i in blk)
+            if pairing.denominator != 1:
+                return False, (j, row, pairing)
+    return True, None
+
+
+def no_bc_witnesses_by_fractions(degrees, subsets):
+    """The subsets K with |K| - 1 = 2 sum_{i in K} 1/d_i, in the given order."""
+    return tuple(K for K in subsets
+                 if 2 * sum(Fraction(1, degrees[i]) for i in K) == len(K) - 1)
+
+
+def delta_relator_j_parts(degrees, m_basis):
+    """2 <n_sigma, m> = 2 sum_i m_i / d_i for each basis row m."""
+    return [2 * sum(Fraction(x, d) for x, d in zip(row, degrees)) for row in m_basis]
+
+
+def involution_sign_by_fractions(degrees, v, b, h_size):
+    """(-1)^(<n_sigma + v - e_I, b> + 1 + <v + e_I, b> + |h|), or None when
+    the exponent is not an integer."""
+    exponent = (sum((Fraction(1, d) + vi - 1) * x for d, vi, x in zip(degrees, v, b))
+                + 1 + sum((vi + 1) * x for vi, x in zip(v, b)) + h_size)
+    if exponent.denominator != 1:
+        return None
+    return -1 if exponent.numerator % 2 else 1

@@ -55,6 +55,8 @@ from oracles import (
 )
 from tests_support import (
     GREENE_PLESSER_DEGREES,
+    MIXED_BLOCK_CONFIGS,
+    generic_config,
     generic_weights,
     graded_pairs,
     greene_plesser_config,
@@ -348,3 +350,31 @@ def test_greene_plesser_hypersurfaces_through_the_algebra_section(tmp_path, caps
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GREENE_PLESSER_DIGESTS[name]
     print(f"\nACCEPTANCE 6 PASS {name} through the algebra section ({elapsed:.2f}s < 30s)")
+
+
+# sha256 of the default `analyze` report (every section but algebra, fans on
+# a fine triangulation) of the Greene-Plesser threefolds and the mixed-block
+# inputs with generic seed 1, recorded before the degree certificates moved
+# from Fractions to (q, d).  The sextic fourfold waits on ROADMAP item 4.
+GENERIC_SEED_1_DIGESTS = {
+    "quintic": "666717c560690edd2c0fe1f7ae967289293a9e4b8845dbbce56a5935cacb4bc2",
+    "sextic": "6dbba8a26beec9c0a303b9b5d9b0046ab7d8d87ce7455b4e25ea630f1d921c8c",
+    "octic": "a8a61db499345678b547c3b5bd8aa1f00451f5c5c89ee4de955e622d5d4387b0",
+    "dectic": "1493315d39e4d1afbf84e5235069119c70348bae45d0cf73c205e782568bc7d0",
+    "e33+k4": "b5801c7464fa95f09ce454dc6ec0ad4d16784292bf9ba05dbf6aa01039f3df82",
+    "e244+e33": "122fe2533854c9e0acc5b493f5b006f466af915b8d09ce696138c78522c3c388",
+}
+
+
+@pytest.mark.parametrize("name", GENERIC_SEED_1_DIGESTS)
+def test_paper_examples_with_generic_weights_through_default_analyze(tmp_path, capsys, name):
+    config = MIXED_BLOCK_CONFIGS.get(name) or greene_plesser_config(name)
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(generic_config(config, 1)))
+    t0 = time.monotonic()
+    code = main(["analyze", str(cfg)])
+    elapsed = _elapsed_guard(t0, 30.0, f"{name} with generic seed 1")
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERIC_SEED_1_DIGESTS[name]
+    print(f"\nACCEPTANCE 7 PASS {name} with generic seed 1 ({elapsed:.2f}s < 30s)")

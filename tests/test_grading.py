@@ -1,6 +1,5 @@
 
 import copy
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -56,10 +55,10 @@ def test_a_morphism_that_is_not_well_defined_stops_the_report(monkeypatch):
 
 
 def test_a_non_integral_n_sigma_pairing_makes_analyze_exit_3(tmp_path, capsys, monkeypatch):
-    # n_sigma + 1/5 at every index: the M_bar basis row (4, 0, 0, 0) pairs to 1 + 4/5
+    # d = 5 with q = (1, 1, 1, 1): the M_bar basis row (4, 0, 0, 0) pairs to 4/5
     def shifted(vt):
         vt = copy.copy(vt)
-        vt.n_sigma = tuple(x + Fraction(1, 5) for x in vt.n_sigma)
+        vt.d = 5
         return build_grading_data(vt)
 
     monkeypatch.setattr(report, "build_grading_data", shifted)

@@ -296,7 +296,7 @@ def classify_tampered(monkeypatch, **tamper):
     """The report classifies deformations on a view of vt whose named fields are
     replaced by tamper[field](vt)."""
     classify = koszulalg.enumerate_deformation_classes
-    fields = ("blocks", "n", "xi", "xi0", "n_sigma", "volume_orders")
+    fields = ("blocks", "n", "xi", "xi0", "q", "d", "volume_orders")
     monkeypatch.setattr(report, "enumerate_deformation_classes", lambda vt: classify(
         SimpleNamespace(**{f: tamper.get(f, lambda vt: getattr(vt, f))(vt) for f in fields})))
 
@@ -314,7 +314,7 @@ CLASSIFICATION_SITES = {
         r"<n_sigma \+ v - e_I, \(0, 0, 0, 4\)> is not integral"),
     "sign-against-the-half-h-rule": (flip_involution_sign, r"sign disagrees with \|h\|/2 rule"),
     "n-sigma-pairing-not-1": (
-        lambda mp: classify_tampered(mp, n_sigma=lambda vt: tuple(2 * x for x in vt.n_sigma)),
+        lambda mp: classify_tampered(mp, q=lambda vt: tuple(2 * x for x in vt.q)),
         r"<n_sigma, \(0, 0, 0, 4\)> = 2, not 1"),
     "h0-class-not-invariant": (
         lambda mp: mp.setattr(koszulalg, "deformation_sign", lambda vt, b, h: -1),

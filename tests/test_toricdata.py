@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,24 +8,32 @@ from hypothesis import strategies as st
 
 from mirrorcone import report, toricdata
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture, fixture_input
+from mirrorcone.grading import build_grading_data
+from mirrorcone.koszulalg import involution_sign
 from mirrorcone.toricdata import (
     BlockTooSmall,
     DegreeSumNotOne,
     DivisibilityFail,
     LatticeSpec,
     MissingGenerator,
+    ToricDataError,
     ToricInput,
     UnknownMonomial,
     check_embeddedness,
     check_nef_partition,
     check_no_bc,
     count_xi_candidates,
-    iota_of_block,
     symmetry_groups,
     validate,
 )
-from oracles import box_scan_xi
-from tests_support import analyze_fixture, patch_during
+from oracles import (
+    box_scan_xi,
+    delta_relator_j_parts,
+    involution_sign_by_fractions,
+    nef_verdict_by_fractions,
+    no_bc_witnesses_by_fractions,
+)
+from tests_support import analyze_fixture, iota_of_block, patch_during, random_admissible_v
 
 QUARTIC_CONG = (((1, 1, 1, 1), 4),)
 CUBIC_CONG = (((1, 1, 1, 1, 1, 1), 3),)
@@ -192,6 +201,55 @@ def test_no_bc_zmanifold_fails_with_147():
     verdict = check_no_bc(fixture("z-manifold"))
     assert not verdict.holds
     assert (0, 3, 6) in verdict.witnesses
+
+
+# Blocks whose 1/d_i sum to 1, of sizes 3 and 4 with mixed degrees.
+DEGREE_BLOCKS = ((3, 3, 3), (2, 4, 4), (2, 3, 6), (4, 4, 4, 4), (3, 3, 6, 6))
+
+
+@st.composite
+def degree_inputs(draw):
+    """One or two blocks from DEGREE_BLOCKS with <q, m> = 0 mod d, and maybe a
+    random congruence c = 0 mod k with k | c_i d_i at every index."""
+    shapes = draw(st.lists(st.sampled_from(DEGREE_BLOCKS), min_size=1, max_size=2))
+    degrees = sum(shapes, ())
+    starts = [sum(map(len, shapes[:b])) for b in range(len(shapes))]
+    d = lcm(*degrees)
+    congruences = [(tuple(d // di for di in degrees), d)]
+    if draw(st.booleans()):
+        k = draw(st.sampled_from((2, 3, 4, 6)))
+        congruences.append((tuple(k // gcd(k, di) * draw(st.integers(0, k - 1)) % k
+                                  for di in degrees), k))
+    return ToricInput(
+        blocks=tuple(tuple(range(start, start + len(shape)))
+                     for start, shape in zip(starts, shapes)),
+        degrees=degrees, lattice=LatticeSpec(congruences=tuple(congruences)))
+
+
+@given(degree_inputs(), st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_degree_certificates_agree_with_the_fraction_oracles(inp, seed):
+    # src reads the conditions, the delta relators and the involution sign
+    # on (q, d); the oracles read them on Fractions 1/d_i
+    try:
+        vt = validate(inp)
+    except ToricDataError:
+        return
+    nef = check_nef_partition(vt)
+    holds, witness = nef_verdict_by_fractions(vt.blocks, vt.degrees, vt.m_bar.basis)
+    assert nef.holds == holds
+    assert nef.witnesses == (() if holds else (witness,))
+    assert check_no_bc(vt).witnesses == no_bc_witnesses_by_fractions(
+        vt.degrees, vt.subsets_in_lattice)
+    delta = build_grading_data(vt).delta
+    assert [rel[0] for rel in delta.relations] == delta_relator_j_parts(
+        vt.degrees, vt.m_bar.basis)
+    v = random_admissible_v(vt, random.Random(seed))
+    vt_v = validate(inp._replace(volume_orders=v))
+    for b in vt.xi:
+        for h_size in (0, 1):
+            assert involution_sign(vt_v, b, h_size) == involution_sign_by_fractions(
+                vt.degrees, v, b, h_size)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -1,6 +1,7 @@
 """Shared helpers for the test modules, among them the ones built on src that
 the CLI never runs, kept out of the package: the quartic MPCP weights, the
-seeded generic weights, ``j_algebra_dim_for_class`` and ``graded_pairs``."""
+seeded generic weights, ``iota_of_block``, ``j_algebra_dim_for_class`` and
+``graded_pairs``."""
 
 
 def random_admissible_v(vt, rng):
@@ -13,6 +14,17 @@ def random_admissible_v(vt, rng):
         for i, val in zip(idx, entries):
             out[i] = val
     return tuple(out)
+
+
+def iota_of_block(vt, j):
+    """iota(e_I_j), the vector with entries 1/d_i on block j and 0 elsewhere,
+    as Fractions: the nef-partition condition pairs it with M_bar, and over
+    the blocks it sums to n_sigma."""
+    from fractions import Fraction
+
+    blk = vt.blocks[j]
+    return tuple(Fraction(1, vt.degrees[i]) if i in blk else Fraction(0)
+                 for i in range(vt.n))
 
 
 def cubic_block_input(k):
@@ -141,6 +153,36 @@ def greene_plesser_config(name):
         "lattice": {"congruences": [{"c": [mod // d for d in degrees], "mod": mod}]},
         "lambda": "uniform:1",
     }
+
+
+# The mixed-block inputs of ROADMAP's input list (Borisov-type complete
+# intersections, blocks of sizes 3 and 4 or mixed degrees) with uniform
+# weights.  They are not `mirrorcone examples`.
+MIXED_BLOCK_CONFIGS = {
+    "e33+k4": {
+        "blocks": [[1, 2, 3], [4, 5, 6, 7]],
+        "d": [3, 3, 3, 4, 4, 4, 4],
+        "lattice": {"congruences": [{"c": [4, 4, 4, 3, 3, 3, 3], "mod": 12}]},
+        "lambda": "uniform:1",
+    },
+    "e244+e33": {
+        "blocks": [[1, 2, 3], [4, 5, 6]],
+        "d": [2, 4, 4, 3, 3, 3],
+        "lattice": {"congruences": [{"c": [6, 3, 3, 4, 4, 4], "mod": 12}]},
+        "lambda": "uniform:1",
+    },
+}
+
+
+def generic_config(config, seed):
+    """The config JSON object ``config`` with ``generic_weights(vt, seed)``
+    written as its ``lambda`` map."""
+    from mirrorcone.cli import parse_config
+    from mirrorcone.report import input_echo
+    from mirrorcone.toricdata import validate
+
+    vt = validate(parse_config(config))
+    return input_echo(validate(vt.input._replace(weights=generic_weights(vt, seed))))
 
 
 def quartic_mpcp_weights(vt):
