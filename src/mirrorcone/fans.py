@@ -7,13 +7,13 @@ projections of the lower faces of the lifted point set, found by an integer
 pivot from an initial lowest face across ridges.  A cell whose hull is a
 simplex, extra points and all, gets its facets from one barycentric
 factorization of its vertices; any other cell's come from the same pivot one
-dimension down, each point set's facets enumerated once per subdivision.  The
-lift factors each cell once and tests a point only against the cells of the
-lower envelope (the maximum of the cells' support functionals) at its
-projection.  All arithmetic is exact; each cell carries the affine functional
-certifying it (equality on the cell, strictly below the heights elsewhere).
-MPCP and MPCS read each lift's support as a bitmask; MPCS solves each point
-in M once.
+dimension down.  --perturb pushes each point q into the cells C holding it by
+the facets of conv(C - q), with no pivot.  The lift factors each cell once and
+tests a point only against the cells of the lower envelope (the maximum of the
+cells' support functionals) at its projection.  All arithmetic is exact; each
+cell carries the affine functional certifying it (equality on the cell,
+strictly below the heights elsewhere).  MPCP and MPCS read each lift's support
+as a bitmask; MPCS solves each point in M once.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def _facets(pts, dim, table):
     (pts lie where <normal, x> <= offset); pts may repeat.  A simplex hull
     reads them from one barycentric factorization, any other hull from the
     pivot one dimension down.  ``table``, one per subdivision, keeps them by
-    ``(tuple(pts), dim)``: the recursion, the ridge pivot and the --perturb
-    refinements meet the same point sets again and again.
+    ``(tuple(pts), dim)`` for the recursion and --perturb: no benchmark input
+    hits it, but the z-manifold's --perturb 1 takes four times as long without.
     """
     key = (tuple(pts), dim)
     if key not in table:
@@ -286,8 +286,8 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
     """The regular subdivision of the configuration induced by the weights.
 
     With ``perturb_seed`` given, non-simplicial cells are refined by the
-    infinitesimal lexicographic perturbation (indicator heights applied point
-    by point, in seed-shuffled id order); the result is flagged ``perturbed``,
+    lexicographic perturbation (``_perturb`` pushes the points one at a time,
+    in seed-shuffled id order); the result is flagged ``perturbed``,
     and a refined cell carries the support of its unperturbed cell, named in
     ``parents``.  One facet table serves the whole call, refinements included.
     """
@@ -310,20 +310,24 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
 
 def _perturb(cfg, parents, seed, table):
     """Refine the non-simplicial cells of ``parents`` (cell -> unperturbed
-    cell) point by point in seed-shuffled id order, keeping the map."""
+    cell) point by point in seed-shuffled id order, keeping the map.  Pushing
+    q into C (De Loera-Rambau-Santos, Triangulations, 4.3) leaves a pyramid
+    with apex q whole; else it gives C - q and q joined to each facet of
+    conv(C - q) that q lies strictly beyond (none if q is in conv(C - q))."""
     order = list(cfg.ids)
     random.Random(seed).shuffle(order)
     for q in order:
         refined = {}
         for key, parent in parents.items():
-            if len(key) == cfg.dim + 1 or q not in key:
+            rest = [pid for pid in key if pid != q]
+            pts = [cfg.coords[pid] for pid in rest]
+            if q not in key or len(key) == cfg.dim + 1 or _affine_rank(pts) != cfg.dim:
                 refined[key] = parent
                 continue
-            sub_ids = list(key)
-            sub_pts = [cfg.coords[pid] for pid in sub_ids]
-            sub_h = [1 if pid == q else 0 for pid in sub_ids]
-            for sub_cell, _ in _lower_hull_cells(sub_pts, sub_h, table):
-                refined[tuple(sorted(sub_ids[i] for i in sub_cell))] = parent
+            refined[tuple(rest)] = parent
+            for contact, (g, g0) in _facets(pts, cfg.dim, table).items():
+                if sum(map(mul, g, cfg.coords[q])) > g0:
+                    refined[tuple(sorted([q, *(rest[i] for i in contact)]))] = parent
         parents = refined
     if any(len(k) != cfg.dim + 1 for k in parents):
         raise FanError("lexicographic perturbation did not reach a triangulation")

@@ -106,21 +106,21 @@ def _times_table(entries, table):
         yield m + m_t, poly
 
 
-def runs_by_j(tables, row, empty):
-    """The tables' product as {j: [(prefix, rows)]}, in nested order with the
-    last table fastest.  A prefix joins the m parts of all tables but the last
-    (``empty`` if none) and its j-polynomial is the product of theirs; its rows
-    at j are ``row(m_last, dim)`` over the last table, built once per polynomial."""
+def runs_by_j(tables):
+    """The product of (m text, j-polynomial) tables as {j: [(prefix, rows)]}, in
+    nested order, the last table fastest.  A prefix joins the m texts of all but
+    the last table ("" if none), its polynomial the product of theirs; its rows
+    at j, m + str(dim) over the last table, are built once per polynomial."""
     *front, last = tables
     suffixes, runs = {}, defaultdict(list)
-    for prefix, poly in reduce(_times_table, front) if front else [(empty, {0: 1})]:
+    for prefix, poly in reduce(_times_table, front) if front else [("", {0: 1})]:
         key = frozenset(poly.items())
         if key not in suffixes:
             suffixes[key] = suffix = defaultdict(list)
             # with no front table the prefix polynomial is 1: the last table as it is
-            for m, prod in _times_table([(empty, poly)], last) if front else last:
+            for m, prod in _times_table([("", poly)], last) if front else last:
                 for j, d in prod.items():
-                    suffix[j].append(row(m, d))
+                    suffix[j].append(m + str(d))
         for j, rows in suffixes[key].items():
             runs[j].append((prefix, rows))
     return runs
@@ -130,8 +130,8 @@ class GradedDims(NamedTuple):
     """Graded dimensions of a tensor product of per-block algebras, zeros omitted:
     ``factors[b]`` lists (m_b, {j_b: dim}) by m_b, m_b at the indices ``blocks[b]``,
     one entry per class of the block, read at the class's one exponent with two
-    zeros (the slice lemma).  ``report.write_json`` expands the product by
-    ``runs_by_j``.  From ``tensor_j_dims`` (r > 1), a class outside
+    zeros (the slice lemma).  ``report.write_json`` writes the product's rows by
+    ``runs_by_j`` on the m texts.  From ``tensor_j_dims`` (r > 1), a class outside
     ``degree_classes`` is a partial sum."""
 
     blocks: tuple

@@ -251,9 +251,9 @@ def write_json(obj, fh):
     NamedTuple) included, raises TypeError.  The tree is walked once and a
     list of plain ints is joined in one step.  The text goes to ``fh`` in
     batches of at most _BATCH_BYTES characters, each one ``fh.write`` of one
-    join; a single value or row longer than that is written alone.  A run of
-    ``runs_by_j`` is its lead and one join of its shared row texts; a run that
-    alone exceeds the budget goes row by row.
+    join; a single value or row longer than that is written alone.  Each
+    table's m parts go to ``runs_by_j`` as text, so a run is its lead and one
+    join of its shared row texts; a run over the budget goes row by row.
     """
     chunks = []
     append = chunks.append
@@ -322,8 +322,7 @@ def write_json(obj, fh):
             last = len(tables) - 1
             runs = runs_by_j([[((sep if k else i3) + sep.join(map(str, m))
                                 + (tail if k == last else ""), poly) for m, poly in table]
-                              for k, table in enumerate(tables)],
-                             lambda text, d: text + str(d), "")
+                              for k, table in enumerate(tables)])
             opening = "["
             for j in sorted(runs):
                 head = inner + "{" + i1 + '"deg": {' + i2 + f'"j": {j},' + i2 + '"m": ['

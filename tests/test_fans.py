@@ -40,6 +40,7 @@ from oracles import (
     _solve,
     mpcs_by_subsets,
     normalized_volume,
+    perturbation_by_hyperplane_scan,
     subdivision_by_hyperplane_scan,
     subdivision_volume,
 )
@@ -595,24 +596,143 @@ def test_each_point_set_is_enumerated_once_per_subdivision(monkeypatch):
         assert hulls == [len(cfg.ids)]
 
 
-# sha256 of `analyze --sections fans --perturb 1` on the uniform fixtures,
-# recorded before simplex hulls took their facets from one factorization
-PERTURB_1_FANS_SHA256 = {
-    "quartic": "c5d2ebd755b1f16d98a73d67d9d7ab69df77b5163a9882fa92a0eb0debbeb743",
-    "cubic-fourfold": "5e1d6a7b1eb599ab503810872f1095c2e650427da94f5fc1538beb0e7021d3b6",
+# sha256 of `analyze --sections fans --perturb SEED` on the uniform fixtures,
+# seed 1 recorded before simplex hulls took their facets from one
+# factorization, seeds 3, 5 and 11 before --perturb pushed points on the facet
+# table
+PERTURBED_FANS_SHA256 = {
+    "elliptic": dict.fromkeys(
+        (1, 3, 5, 11), "ea33a718e6826ad114a93ff2d704f732554b5439e0a0b8b33ede8238dbb215da"),
+    "quartic": {
+        1: "c5d2ebd755b1f16d98a73d67d9d7ab69df77b5163a9882fa92a0eb0debbeb743",
+        3: "3021955b631288f70b88de0f88efecf1f014324c41819e4e39d51fed21efb907",
+        5: "af9574e8747d747ef3115a6e2bc87aea0a2655a9a6a0aa30d7fe12ea99a5b5fa",
+        11: "354331b18987fd9d4202a6ca39a6356c1870e877268ed93a22e7e00ab58afbb1",
+    },
+    "cubic-fourfold": {
+        1: "5e1d6a7b1eb599ab503810872f1095c2e650427da94f5fc1538beb0e7021d3b6",
+        3: "2eb6583ec248b791eea98251b38becd33ca03aafefbcee6ec959c4e490aff87c",
+        5: "546c7c5545e2a418527fe4267616a52dc73315af052f5da58e53ef6b877fde9c",
+        11: "9fdd361f193493f5cd163dd9656452abd154f0c5ed4f07dde57727c7d61ca022",
+    },
 }
 
 
-@pytest.mark.parametrize("name", sorted(PERTURB_1_FANS_SHA256))
+@pytest.mark.parametrize("name", sorted(PERTURBED_FANS_SHA256))
 def test_perturbed_fans_report_keeps_its_digest(tmp_path, capsys, name):
-    # the refinement loop runs through the same facet enumeration
+    # the pushes read their facets from the subdivision's own table
     assert main(["examples", "show", name]) == 0
     cfg = tmp_path / "config.json"
     cfg.write_text(capsys.readouterr().out)
     out = tmp_path / "report.json"
-    assert main(["analyze", str(cfg), "--sections", "fans", "--perturb", "1",
-                 "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == PERTURB_1_FANS_SHA256[name]
+    for seed, digest in PERTURBED_FANS_SHA256[name].items():
+        assert main(["analyze", str(cfg), "--sections", "fans", "--perturb", str(seed),
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, seed
+
+
+@pytest.mark.parametrize("name", ["quartic", "cubic-fourfold"])
+def test_perturb_pivots_only_on_the_weights_and_on_facet_heights(monkeypatch, name):
+    # the first pivot is the weights' own; every later one belongs to a facet
+    # enumeration: its points are the enumerated ones without their last
+    # coordinate and its heights that coordinate or its negative, never the
+    # indicator of a pushed point
+    enumerating, calls = [], []
+    enumerate_facets, lower_hull_cells = fans._enumerate_facets, fans._lower_hull_cells
+
+    def enumerating_facets(pts, dim, table):
+        enumerating.append(pts)
+        try:
+            return enumerate_facets(pts, dim, table)
+        finally:
+            enumerating.pop()
+
+    def recording(points, heights, table):
+        calls.append((enumerating[-1] if enumerating else None, points, heights))
+        return lower_hull_cells(points, heights, table)
+
+    monkeypatch.setattr(fans, "_enumerate_facets", enumerating_facets)
+    monkeypatch.setattr(fans, "_lower_hull_cells", recording)
+    cfg = project_config(fixture(name))
+    regular_subdivision(cfg, Fraction(1), perturb_seed=1)
+    (outer, points, _), *later = calls
+    assert outer is None and points == [cfg.coords[pid] for pid in cfg.ids]
+    assert later
+    for pts, points, heights in later:
+        assert pts is not None and points == [p[:-1] for p in pts]
+        assert heights in ([p[-1] for p in pts], [-p[-1] for p in pts])
+
+
+def _point_set_config(coords):
+    # what _perturb reads of a ProjectedConfig: the ids, their points, the dim
+    ids = tuple(sorted(coords))
+    return fans.ProjectedConfig(dim=len(coords[ids[0]]), ids=ids, coords=coords,
+                                lifts={}, nonzero={}, pairs=(), vt=None)
+
+
+def _seed_pushing_first(ids, prefix):
+    """The least seed whose shuffled id order starts with ``prefix``."""
+    for seed in range(10_000):
+        order = list(ids)
+        random.Random(seed).shuffle(order)
+        if order[:len(prefix)] == list(prefix):
+            return seed
+    raise AssertionError(f"no seed pushes {prefix} first")
+
+
+# (the points of one cell, the ids pushed first in that order, the cells after
+# every point is pushed), all with that one cell as parent
+PUSHING_BRANCHES = {
+    # q beyond the facet bc of the triangle abc: abc and bcq
+    "beyond-a-facet": ({"a": (0, 0), "b": (2, 0), "c": (0, 2), "q": (2, 2)}, "q",
+                       {("a", "b", "c"), ("b", "c", "q")}),
+    # q inside abce and then e on its edge ab: each push drops its point,
+    # and a point on a facet is not beyond it
+    "inside-the-rest": ({"a": (0, 0), "b": (4, 0), "c": (0, 4), "e": (2, 0), "q": (1, 1)},
+                        "qe", {("a", "b", "c")}),
+    # q over the segment ab that carries e: the cell stays whole, then pushing
+    # a cones it over the facet eq of beq
+    "pyramid-with-apex-q": ({"a": (0, 0), "b": (2, 0), "e": (1, 0), "q": (1, 1)}, "qa",
+                            {("b", "e", "q"), ("a", "e", "q")}),
+}
+
+
+@pytest.mark.parametrize("branch", PUSHING_BRANCHES)
+def test_pushing_takes_each_branch_by_hand(branch):
+    coords, pushed, expected = PUSHING_BRANCHES[branch]
+    cfg = _point_set_config(coords)
+    seed = _seed_pushing_first(cfg.ids, pushed)
+    whole = {cfg.ids: cfg.ids}
+    parents = fans._perturb(cfg, whole, seed, {})
+    assert parents == dict.fromkeys(expected, cfg.ids)
+    assert parents == perturbation_by_hyperplane_scan(cfg.ids, coords, whole, seed)
+
+
+@st.composite
+def perturbed_point_sets(draw):
+    # the last coordinate sometimes on two levels only: a level holding a
+    # single point makes the cells pyramids with apex there
+    dim = draw(st.integers(2, 3))
+    last = draw(st.sampled_from([st.integers(-2, 2), st.integers(0, 1)]))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (dim - 1), last),
+                        min_size=4, max_size=8, unique=True))
+    heights = draw(st.lists(st.integers(0, 1), min_size=len(pts), max_size=len(pts))
+                   | st.just([0] * len(pts)))
+    return pts, heights, draw(st.integers(0, 2 ** 32))
+
+
+@given(perturbed_point_sets())
+@settings(max_examples=120, deadline=None)
+def test_pushing_matches_the_hyperplane_scan_perturbation(config):
+    pts, heights, seed = config
+    assume(_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == len(pts[0]))
+    cfg = _point_set_config({f"p{k}": p for k, p in enumerate(pts)})
+    # the coarse subdivision both refine: the scan's cells for the heights
+    cells = [tuple(sorted(f"p{k}" for k in contact))
+             for contact in subdivision_by_hyperplane_scan(pts, heights)]
+    parents = dict(zip(cells, cells))
+    assert fans._perturb(cfg, parents, seed, {}) == perturbation_by_hyperplane_scan(
+        cfg.ids, cfg.coords, parents, seed)
 
 
 def test_uniform_cubic_fourfold_star_cells_match_the_subset_scan():

@@ -67,13 +67,17 @@ def convolution_by_oracle(vt, cutoff):
 
 
 def graded_pairs(dims):
-    """The sorted ((j, m), dim) pairs of a GradedDims, expanded by ``runs_by_j``
-    as ``report.write_json`` expands it."""
-    from mirrorcone.koszulalg import runs_by_j
+    """The sorted ((j, m), dim) pairs of a GradedDims, read back from the rows
+    ``report.write_json`` writes (through ``runs_by_j``, as the CLI does)."""
+    import io
+    import json
 
-    runs = runs_by_j(dims.tables(), lambda m, d: (m, d), ())
-    return tuple(((j, prefix + m), d) for j in sorted(runs)
-                 for prefix, rows in runs[j] for m, d in rows)
+    from mirrorcone.report import write_json
+
+    out = io.StringIO()
+    write_json({"g": dims}, out)
+    return tuple(((row["deg"]["j"], tuple(row["deg"]["m"])), row["dim"])
+                 for row in json.loads(out.getvalue())["g"])
 
 
 def j_algebra_dim_for_class(blocks, n, cls):
