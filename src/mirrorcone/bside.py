@@ -8,7 +8,9 @@ delta^2 = W nor the dual is checked by applying an operator to basis
 elements: delta^2 = W reduces to sum_i z_i W_i = W on the split of W plus
 the Clifford sign identities of the generator flips (O(n^2) masks), and the
 intertwining of the dual to one sign identity per generator (O(n) masks).
-The scan over all 2^n basis elements is the tests' oracle.
+The scan over all 2^n basis elements is the tests' oracle.  The mask helpers
+and the sign action live here, so a run without the algebra section never
+loads ``koszulalg``, which imports them for the deformation classes.
 """
 
 from __future__ import annotations
@@ -20,7 +22,10 @@ from . import CertificateFailure
 from .grading import GradingData, deg_equal
 from .toricdata import ValidatedToricData, resolve_weight
 from .intlat import contains
-from .koszulalg import bits, front_sign, involution_sign
+
+
+class ClassificationViolation(CertificateFailure):
+    pass
 
 
 class FactorizationCheckFailed(CertificateFailure):
@@ -90,6 +95,37 @@ def _check_homogeneous(w: Superpotential):
             raise HomogeneityCheckFailed(f"term {t.exponent} is not weighted homogeneous")
         if not contains(vt.m_bar, t.exponent):
             raise HomogeneityCheckFailed(f"term exponent {t.exponent} is not in M_bar")
+
+
+def bits(mask):
+    """Indices of the set bits of mask, in increasing order."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def front_sign(mask, i):
+    """Sign of moving generator i to the front of the ordered product over mask."""
+    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+
+
+def sign_action(a_vec, h_size, v):
+    """(-1)^(1 + <v + e_I, a> + |h|) for the element z^a h."""
+    dagger = 1 + sum((vi + 1) * ai for vi, ai in zip(v, a_vec)) + h_size
+    return -1 if dagger % 2 else 1
+
+
+def involution_sign(vt: ValidatedToricData, b, h_size):
+    """Sign of the involution on r^a z^b h with minimal a, so that k(a) = b.
+
+    (-1)^(<n_sigma + v - e_I, b> + 1 + <v + e_I, b> + |h|) for the resolved
+    volume orders v: the coefficient's sign times the sign action.  The
+    pairing is read on the integers as sum_i (q_i + d (v_i - 1)) b_i, which
+    d must divide; its quotient's parity is the coefficient's sign.
+    """
+    v, d = vt.volume_orders, vt.d
+    pairing = sum((qi + d * (vi - 1)) * x for qi, vi, x in zip(vt.q, v, b) if x)
+    if pairing % d:
+        raise ClassificationViolation(f"<n_sigma + v - e_I, {b}> is not integral")
+    return sign_action(b, h_size, v) * (-1) ** (pairing // d % 2)
 
 
 def term_flip_sign(vt: ValidatedToricData, term: Term):

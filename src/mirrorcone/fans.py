@@ -262,19 +262,23 @@ def _lower_hull_cells(points, heights, table):
         if first is None:
             raise PivotCheckFailed("rotated functional is not supporting")
 
-    # pivot across each ridge, around its outward normal
+    # pivot across each ridge, around its outward normal, once: an interior
+    # ridge holds the same points seen from either of its two cells
     cells = {first: (func, slack)}
-    queue = [first]
+    queue, crossed = [first], set()
     while queue:
         cell = queue.pop()
         func, slack = cells[cell]
         idx = sorted(cell)
         for facet, (g, g0) in _facets([points[i] for i in idx], dim, table).items():
+            if (ridge := frozenset(idx[i] for i in facet)) in crossed:
+                continue
+            crossed.add(ridge)
             res = rotate(func, slack, g, g0)
             if res is None:
                 continue
             func2, slack2, contact = res
-            if contact is None or not contact >= {idx[i] for i in facet}:
+            if contact is None or not contact >= ridge:
                 raise PivotCheckFailed("neighbor functional lost the ridge")
             if contact not in cells:
                 cells[contact] = (func2, slack2)

@@ -1,7 +1,8 @@
 """Graded exterior-polynomial computations: the quotient algebra presented by
 the block-top-wedge ideal, which gives the graded dimensions of the Koszul
-cohomology of W_0 (the two are isomorphic class by class), the sign action,
-and the enumeration of deformation and curvature classes.
+cohomology of W_0 (the two are isomorphic class by class), and the
+enumeration of deformation and curvature classes, signed by bside's sign
+action.  Only the algebra section loads this module.
 
 Degrees live in the cover grading datum Z (+) Z^I / <(2(1-|I_j|), e_I_j)>;
 a degree class is canonicalized by shifting each block's m-part to have
@@ -25,15 +26,12 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from . import CertificateFailure
+from .bside import ClassificationViolation, bits, front_sign, involution_sign, sign_action
 from .intlat import matrix_rank
 from .toricdata import ValidatedToricData, check_no_bc
 
 
 class CutoffTooSmall(ValueError):
-    pass
-
-
-class ClassificationViolation(CertificateFailure):
     pass
 
 
@@ -152,17 +150,7 @@ class GradedDims(NamedTuple):
 # --- exterior algebra on the odd generators u_i ---------------------------
 # An element is a map {mask: int}: bit i of the int mask is the generator
 # u_i, and each monomial is the product of its generators in increasing
-# index order.
-
-
-def bits(mask):
-    """Indices of the set bits of mask, in increasing order."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def front_sign(mask, i):
-    """Sign of moving generator i to the front of the ordered product over mask."""
-    return -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+# index order (the mask helpers ``bits`` and ``front_sign`` live in bside).
 
 
 def wedge(e1, e2):
@@ -351,28 +339,7 @@ def tensor_j_dims(vt: ValidatedToricData, z_cutoff) -> GradedDims:
                       tuple(tables[len(blk)] for blk in vt.blocks))
 
 
-# --- sign action and deformation classes ----------------------------------
-
-
-def sign_action(a_vec, h_size, v):
-    """(-1)^(1 + <v + e_I, a> + |h|) for the element z^a h."""
-    dagger = 1 + sum((vi + 1) * ai for vi, ai in zip(v, a_vec)) + h_size
-    return -1 if dagger % 2 else 1
-
-
-def involution_sign(vt: ValidatedToricData, b, h_size):
-    """Sign of the involution on r^a z^b h with minimal a, so that k(a) = b.
-
-    (-1)^(<n_sigma + v - e_I, b> + 1 + <v + e_I, b> + |h|) for the resolved
-    volume orders v: the coefficient's sign times the sign action.  The
-    pairing is read on the integers as sum_i (q_i + d (v_i - 1)) b_i, which
-    d must divide; its quotient's parity is the coefficient's sign.
-    """
-    v, d = vt.volume_orders, vt.d
-    pairing = sum((qi + d * (vi - 1)) * x for qi, vi, x in zip(vt.q, v, b) if x)
-    if pairing % d:
-        raise ClassificationViolation(f"<n_sigma + v - e_I, {b}> is not integral")
-    return sign_action(b, h_size, v) * (-1) ** (pairing // d % 2)
+# --- deformation classes --------------------------------------------------
 
 
 def deformation_sign(vt: ValidatedToricData, b, h_size):

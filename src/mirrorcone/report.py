@@ -9,7 +9,9 @@ report's text is never all in memory at once.  The budget sits below glibc's
 128 KiB mmap threshold: each batch string and the text layer's encode of it
 reuse heap memory rather than being mapped, faulted in and unmapped.  The
 algebra section holds its ``GradedDims``, whose factor tables the writer
-expands into row text one run of rows per (j, prefix).
+expands into row text one run of rows per (j, prefix).  ``fans`` and
+``koszulalg`` serve one section each, so a run imports them only on that
+section's first call or on a lookup of one of their names (``_LAZY``) here.
 """
 
 from __future__ import annotations
@@ -20,27 +22,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import ALL_SECTIONS, __version__
 from .bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
-from .fans import (
-    certify_isolated_singularity,
-    check_mpcp,
-    check_mpcs,
-    project_config,
-    regular_subdivision,
-)
-from .grading import (
-    build_grading_data,
-    check_commutative_square,
-    coker_H,
-    p_injective_mod_z,
-)
-from .koszulalg import (
-    GradedDims,
-    enumerate_curvature_candidates,
-    enumerate_deformation_classes,
-    koszul_cohomology_dims,
-    runs_by_j,
-    tensor_j_dims,
-)
+from .grading import build_grading_data, check_commutative_square, coker_H, p_injective_mod_z
 from .toricdata import (
     ValidatedToricData,
     check_embeddedness,
@@ -48,6 +30,31 @@ from .toricdata import (
     check_no_bc,
     symmetry_groups,
 )
+
+_LAZY = {"fans": ("certify_isolated_singularity", "check_mpcp", "check_mpcs",
+                  "project_config", "regular_subdivision"),
+         "koszulalg": ("enumerate_curvature_candidates", "enumerate_deformation_classes",
+                       "koszul_cohomology_dims", "tensor_j_dims")}
+
+
+def _bind(module):
+    """Import a section module and bind its names here, keeping any name already
+    bound: a wrapper installed on this module sees every call.  ``__import__``
+    is an import statement's path, which ``-X importtime`` reports."""
+    loaded = getattr(__import__(f"{__package__}.{module}"), module)
+    for name in _LAZY[module]:
+        globals().setdefault(name, getattr(loaded, name))
+
+
+def _lazy_name(name):
+    """The module ``__getattr__`` (PEP 562): binds a section module on first lookup."""
+    for module in (m for m, names in _LAZY.items() if name in names):
+        _bind(module)
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__getattr__ = _lazy_name
 
 
 def frac_str(x) -> str:
@@ -161,6 +168,7 @@ def section_bside(vt, gd):
 
 
 def section_fans(vt, perturb_seed=None):
+    _bind("fans")
     cfg = project_config(vt)
     sub = regular_subdivision(cfg, vt.input.weights, perturb_seed=perturb_seed)
     mpcp = check_mpcp(sub, cfg)
@@ -183,6 +191,7 @@ def section_fans(vt, perturb_seed=None):
 
 
 def section_algebra(vt, cutoff):
+    _bind("koszulalg")
     classes = enumerate_deformation_classes(vt)
     curvature = enumerate_curvature_candidates(vt)
     dims = koszul_cohomology_dims(vt.n, cutoff) if vt.r == 1 else tensor_j_dims(vt, cutoff)
@@ -313,7 +322,10 @@ def write_json(obj, fh):
                     put(head)
                     emit(value, inner)
             put(nl + "}" if o else "{}")
-        elif isinstance(o, GradedDims):
+        else:
+            from .koszulalg import GradedDims, runs_by_j  # loaded by section_algebra already
+            if not isinstance(o, GradedDims):
+                raise TypeError(f"cannot write {type(o).__name__} into a report")
             # a row (n + 8 lines) is head(j) + prefix text + the last table's
             # text, which ends in the row tail, + dim
             inner, i1, i2, i3 = (nl + "  " * k for k in range(1, 5))
@@ -345,8 +357,6 @@ def write_json(obj, fh):
                     append(joined)
                     size += width
             put(inner + "}" + nl + "]" if runs else "[]")
-        else:
-            raise TypeError(f"cannot write {type(o).__name__} into a report")
 
     emit(obj, "\n")
     put("\n")

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 import pytest
 
 from mirrorcone.bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
-from mirrorcone.cli import main
+from mirrorcone.cli import main, parse_config
 from mirrorcone.fans import (
     certify_isolated_singularity,
     check_mpcp,
@@ -44,10 +44,11 @@ from mirrorcone.toricdata import (
     symmetry_groups,
     validate,
 )
-from mirrorcone.report import section_fans
+from mirrorcone.report import input_echo, section_fans
 from oracles import (
     _facets_by_scan,
     _koszul_image,
+    box_scan_xi,
     koszul_class_dimension,
     normalized_volume,
     subdivision_by_hyperplane_scan,
@@ -173,26 +174,39 @@ def _generic_chain(name, seed):
     return cfg, sub, check_mpcs(sub, cfg, mpcp), cert
 
 
-def test_criterion_2_cubic_fourfold_generic_chain():
-    # the paper's K3-category case: the full chain on the benchmark's weights
+@pytest.fixture(scope="module")
+def cubic_fourfold_generic():
+    """The cubic-fourfold generic chain and the oracle's volume of its hull,
+    built once for the two tests that read them.  The hull volume (a pulling
+    triangulation of all 25 points) is most of the work; ``seconds`` is added
+    to each test's elapsed time, so each budget still covers it."""
     t0 = time.monotonic()
     cfg, sub, full, cert = _generic_chain("cubic-fourfold", 1)
+    hull_volume = normalized_volume([cfg.coords[pid] for pid in cfg.ids])
+    return SimpleNamespace(cfg=cfg, sub=sub, full=full, cert=cert, hull_volume=hull_volume,
+                           seconds=time.monotonic() - t0)
+
+
+def test_criterion_2_cubic_fourfold_generic_chain(cubic_fourfold_generic):
+    # the paper's K3-category case: the full chain on the benchmark's weights
+    chain = cubic_fourfold_generic
+    t0 = time.monotonic() - chain.seconds
+    cfg, sub, full, cert = chain.cfg, chain.sub, chain.full, chain.cert
     assert len(sub.cells) == 104
     assert full.mpcp and full.mpcs and full.is_triangulation
     assert cert.certified and cert.failing_link is None
     # the cells tile the hull: volumes by the oracle's own pulling triangulation
-    points = [cfg.coords[pid] for pid in cfg.ids]
-    assert subdivision_volume(sub, cfg) == normalized_volume(points) == 729
+    assert subdivision_volume(sub, cfg) == chain.hull_volume == 729
     elapsed = _elapsed_guard(t0, 30.0, "criterion 2, cubic fourfold")
     print(f"\nACCEPTANCE 2 PASS cubic-fourfold generic chain ({elapsed:.2f}s < 30s)")
 
 
-def test_criterion_2_cubic_fourfold_generic_cells_pass_the_oracle_checks():
+def test_criterion_2_cubic_fourfold_generic_cells_pass_the_oracle_checks(cubic_fourfold_generic):
     # the printed cells and support functionals, checked by oracle code alone:
     # each functional supports its cell exactly, the cells fill the hull, and
     # every cell facet is shared by exactly two cells on opposite sides or
     # lies on the hull boundary
-    t0 = time.monotonic()
+    t0 = time.monotonic() - cubic_fourfold_generic.seconds
     vt = fixture("cubic-fourfold")
     weights = generic_weights(vt, 1)
     fans = section_fans(validate(vt.input._replace(weights=weights)))
@@ -206,8 +220,8 @@ def test_criterion_2_cubic_fourfold_generic_cells_pass_the_oracle_checks():
         for pid in cfg.ids:
             value = sum(x * y for x, y in zip(a, cfg.coords[pid])) + c
             assert value == heights[pid] if pid in cell else value < heights[pid]
-    points = [cfg.coords[pid] for pid in cfg.ids]
-    assert subdivision_volume(SimpleNamespace(cells=cells), cfg) == normalized_volume(points) == 729
+    hull_volume = cubic_fourfold_generic.hull_volume
+    assert subdivision_volume(SimpleNamespace(cells=cells), cfg) == hull_volume == 729
 
     def side(normal, base, pid):
         return sum(g * (x - y) for g, x, y in zip(normal, cfg.coords[pid], base))
@@ -324,6 +338,40 @@ def test_criterion_5_determinism(tmp_path):
     outputs = [run(), run(), run("-O"), run("-O")]
     assert len(set(outputs)) == 1, "reports differ across runs or under python -O"
     print("\nACCEPTANCE 5 PASS determinism (byte-identical across runs and under python -O)")
+
+
+# Counts known independently of this code.  |Xi_0| - dim counts the toric
+# divisors of the mirror's MPCP resolution less its dimension: the polynomial
+# deformations of the hypersurface.
+POLYNOMIAL_DEFORMATIONS = {
+    # h^{2,1} = 101 of the quintic threefold (Candelas-de la Ossa-Green-Parkes,
+    # "A pair of Calabi-Yau manifolds as an exactly soluble superconformal
+    # theory", 1991)
+    "quintic": 101,
+    # h^{2,1} = 103 of X_6(1,1,1,1,2) and 145 of X_10(1,1,1,2,5) (Klemm-Theisen,
+    # "Considerations of one-modulus Calabi-Yau compactifications", 1993)
+    "sextic": 103,
+    "dectic": 145,
+    # 83 of the h^{2,1} = 86 of X_8(1,1,2,2,2): the other 3 deformations are not
+    # polynomial (Candelas-de la Ossa-Font-Katz-Morrison, "Mirror symmetry for
+    # two-parameter models I", 1994)
+    "octic": 83,
+    # the rank 19 of the lattice polarizing the mirror family of the quartic K3
+    # (Dolgachev, "Mirror symmetry for lattice polarized K3 surfaces", 1996)
+    "quartic": 19,
+}
+
+
+@pytest.mark.parametrize("name", POLYNOMIAL_DEFORMATIONS)
+def test_paper_counts_of_polynomial_deformations(name):
+    config = (input_echo(fixture(name)) if name == "quartic"
+              else greene_plesser_config(name))
+    vt = validate(parse_config(config))
+    congruences = [(c["c"], c["mod"]) for c in config["lattice"]["congruences"]]
+    # Xi: the degree-d monomials in M_bar, counted by a box scan
+    assert len(vt.xi) == len(box_scan_xi(config["d"], congruences))
+    assert len(vt.xi0) - project_config(vt).dim == POLYNOMIAL_DEFORMATIONS[name]
+    assert len(enumerate_deformation_classes(vt).surviving) == len(vt.xi0)
 
 
 # sha256 of each Greene-Plesser hypersurface's report with every section but

@@ -63,6 +63,21 @@ def test_validate_loads_only_cli_toricdata_and_intlat(tmp_path):
         "mirrorcone", "mirrorcone.cli", "mirrorcone.toricdata", "mirrorcone.intlat"}
 
 
+def test_sections_load_only_the_modules_they_call(tmp_path):
+    # fans serves only the fans section and koszulalg only the algebra section
+    cfg, out = write_cfg(tmp_path, QUARTIC_CFG), str(tmp_path / "report.json")
+    bside_algebra = loaded_modules(["analyze", cfg, "--out", out, "--sections",
+                                    "validation,conditions,groups,grading,bside,algebra",
+                                    "--cutoff", "6"])
+    assert "mirrorcone.koszulalg" in bside_algebra
+    assert "mirrorcone.fans" not in bside_algebra
+    default = loaded_modules(["analyze", cfg, "--out", out])
+    assert "mirrorcone.fans" in default
+    assert "mirrorcone.koszulalg" not in default
+    everything = loaded_modules(["analyze", cfg, "--out", out, "--algebra", "--cutoff", "4"])
+    assert {"mirrorcone.fans", "mirrorcone.koszulalg"} <= everything
+
+
 def test_analyze_loads_neither_dataclasses_nor_inspect(tmp_path):
     vt = fixture("quartic")
     cfg = input_echo(toricdata.validate(vt.input._replace(weights=generic_weights(vt, 1))))

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -537,6 +538,26 @@ def test_unsupporting_rotation_makes_analyze_exit_3(tmp_path, monkeypatch, capsy
     assert main(["analyze", cfg, "--sections", "fans"]) == 3
     assert ("certificate failure [PivotCheckFailed]: rotated functional is not "
             "supporting") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["quartic", "cubic-fourfold"])
+def test_each_interior_ridge_is_rotated_across_once(monkeypatch, name):
+    # rotate calls gcd once per supporting rotation.  The first cell takes at
+    # most dim of them (each raises the contact set's affine rank), each
+    # interior ridge one more; from a boundary ridge no point lies beyond
+    vt = fixture(name)
+    cfg = project_config(vt)
+    rotations = []
+    monkeypatch.setattr(fans, "gcd", lambda *xs: rotations.append(xs) or math.gcd(*xs))
+    sub = regular_subdivision(cfg, generic_weights(vt, 1))
+    monkeypatch.undo()
+    owners = Counter()
+    for cell in sub.cells:
+        contacts = _facets_by_scan([cfg.coords[pid] for pid in cell], cfg.dim)
+        owners.update(frozenset(cell[k] for k in contact) for contact in contacts)
+    interior = sum(1 for count in owners.values() if count == 2)
+    assert set(owners.values()) == {1, 2}
+    assert interior <= len(rotations) <= cfg.dim + interior
 
 
 def test_shifted_facet_is_caught_after_a_clean_run(monkeypatch):

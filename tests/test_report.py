@@ -8,7 +8,7 @@ import pathlib
 import sys
 from collections import Counter
 
-from mirrorcone import cli, fans, grading, koszulalg, report
+from mirrorcone import bside, cli, fans, grading, report
 from mirrorcone.bside import build_superpotential
 from mirrorcone.fixtures import fixture
 from mirrorcone.toricdata import validate
@@ -51,7 +51,7 @@ def test_config_volume_orders_reach_both_sign_checks(monkeypatch):
     vt = validate(fixture("quartic").input._replace(volume_orders=v))
     calls = {"bside": [], "algebra": []}
     running = []
-    sign_action = koszulalg.sign_action
+    sign_action = bside.sign_action
 
     def recording_sign_action(a_vec, h_size, orders):
         calls[running[-1]].append((tuple(a_vec), h_size, tuple(orders)))
@@ -63,7 +63,7 @@ def test_config_volume_orders_reach_both_sign_checks(monkeypatch):
             return section(*args)
         return run
 
-    monkeypatch.setattr(koszulalg, "sign_action", recording_sign_action)
+    monkeypatch.setattr(bside, "sign_action", recording_sign_action)
     for name in calls:
         section = getattr(report, f"section_{name}")
         monkeypatch.setattr(report, f"section_{name}", marking(name, section))
