@@ -14,7 +14,7 @@ from contextlib import nullcontext
 from fractions import Fraction
 
 from . import ALL_SECTIONS, CertificateFailure
-from .toricdata import LatticeSpec, ToricDataError, ToricInput, validate
+from .toricdata import LatticeSpec, ToricDataError, ToricInput, input_echo, validate
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -173,7 +173,6 @@ def load_config(path) -> ToricInput:
 
 def fixture_config_json(name):
     from .fixtures import fixture
-    from .report import input_echo
 
     return input_echo(fixture(name))
 
@@ -252,16 +251,13 @@ def cmd_examples(args):
     from .fixtures import FIXTURE_NAMES
 
     if args.action == "list":
-        for name in FIXTURE_NAMES:
-            print(name)
+        print(*FIXTURE_NAMES, sep="\n")
         return EXIT_OK
     if args.name not in FIXTURE_NAMES:
         print(f"unknown example {args.name!r}; choose from {', '.join(FIXTURE_NAMES)}",
               file=sys.stderr)
         return EXIT_INPUT
-    from .report import write_json
-
-    write_json(fixture_config_json(args.name), sys.stdout)
+    print(json.dumps(fixture_config_json(args.name), sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -284,7 +280,7 @@ def main(argv=None):
     p_an.add_argument("--cutoff", type=int, default=None,
                       help="z-degree cutoff for the algebra section")
     p_an.add_argument("--perturb", type=int, default=None, metavar="SEED",
-                      help="refine non-simplicial cells by lexicographic perturbation")
+                      help="refine into a triangulation on every point by seeded heights")
     p_an.add_argument("--out", default=None, help="write the report to a file")
     p_an.set_defaults(func=cmd_analyze)
 

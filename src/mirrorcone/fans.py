@@ -7,13 +7,14 @@ projections of the lower faces of the lifted point set, found by an integer
 pivot from an initial lowest face across ridges.  A cell whose hull is a
 simplex, extra points and all, gets its facets from one barycentric
 factorization of its vertices; any other cell's come from the same pivot one
-dimension down.  --perturb pushes each point q into the cells C holding it by
-the facets of conv(C - q), with no pivot.  The lift factors each cell once and
-tests a point only against the cells of the lower envelope (the maximum of the
-cells' support functionals) at its projection.  All arithmetic is exact; each
-cell carries the affine functional certifying it (equality on the cell,
-strictly below the heights elsewhere).  MPCP and MPCS read each lift's support
-as a bitmask; MPCS solves each point in M once.
+dimension down.  --perturb pivots once more, on the weights plus small
+multiples of |p|^2 and of seeded noise: each cell splits into simplices on
+all its points.  The lift factors each cell once and tests a point only
+against the cells of the lower envelope (the maximum of the cells' support
+functionals) at its projection.  All arithmetic is exact; each cell carries
+the affine functional certifying it (equality on the cell, strictly below the
+heights elsewhere).  MPCP and MPCS read each lift's support as a bitmask;
+MPCS solves each point in M once.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class BlockZeroCheckFailed(CertificateFailure):
 
 
 class MLatticeCheckFailed(CertificateFailure):
+    pass
+
+
+class RefinementCheckFailed(CertificateFailure):
     pass
 
 
@@ -126,35 +131,19 @@ class Subdivision(NamedTuple):
 
 
 def _affine_rank(points):
-    if not points:
-        return -1
-    base = points[0]
-    dirs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
-    return matrix_rank(dirs)
+    return matrix_rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
 
-def _facets(pts, dim, table):
+def _facets(pts, dim):
     """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
 
     The normal is integral, not necessarily primitive, and points outward
     (pts lie where <normal, x> <= offset); pts may repeat.  A simplex hull
-    reads them from one barycentric factorization, any other hull from the
-    pivot one dimension down.  ``table``, one per subdivision, keeps them by
-    ``(tuple(pts), dim)`` for the recursion and --perturb: no benchmark input
-    hits it, but the z-manifold's --perturb 1 takes four times as long without.
-    """
-    key = (tuple(pts), dim)
-    if key not in table:
-        table[key] = _enumerate_facets(pts, dim, table)
-    return table[key]
-
-
-def _enumerate_facets(pts, dim, table):
-    """The facets ``_facets`` keeps: a simplex hull's from one barycentric
-    factorization; otherwise the pivot of ``_lower_hull_cells`` finds them,
-    on pts without their last coordinate and with it, or its negative, as
-    height (lower and upper facets); the facets of that projection whose
-    contact set still spans a hyperplane are the vertical ones.
+    reads them from one barycentric factorization; otherwise the pivot of
+    ``_lower_hull_cells`` finds them, on pts without their last coordinate
+    and with it, or its negative, as height (lower and upper facets); the
+    facets of that projection whose contact set still spans a hyperplane are
+    the vertical ones.
     """
     if (facets := _simplex_facets(pts, dim)) is not None:
         return facets
@@ -162,9 +151,9 @@ def _enumerate_facets(pts, dim, table):
     base = [p[:-1] for p in pts]
     for s in (1, -1):
         # height s*x: the functional (a.x' + c)/e lies below, so a.x' - s*e*x <= -c
-        for cell, (a, c, e) in _lower_hull_cells(base, [s * p[-1] for p in pts], table):
+        for cell, (a, c, e) in _lower_hull_cells(base, [s * p[-1] for p in pts]):
             facets[cell] = (a + (-s * e,), -c)
-    for contact, (g, g0) in _facets(base, dim - 1, table).items():
+    for contact, (g, g0) in _facets(base, dim - 1).items():
         if _affine_rank([pts[i] for i in contact]) == dim - 1:
             facets[contact] = (g + (0,), g0)
     return facets
@@ -215,7 +204,7 @@ def _simplex_facets(pts, dim):
     return facets
 
 
-def _lower_hull_cells(points, heights, table):
+def _lower_hull_cells(points, heights):
     """Maximal cells of the regular subdivision of a full-dimensional config.
 
     ``points``: list of integer tuples; ``heights``: parallel rationals, scaled
@@ -223,8 +212,7 @@ def _lower_hull_cells(points, heights, table):
     integers: a functional (*A, C, e), e > 0, stands for (A.x + C)/e and keeps
     its slacks e*H_i - (A.p_i + C).  Returns a list of (frozenset of indices,
     (A, C, e)), e including the height scale, where (A.x + C)/e equals the
-    height exactly on the cell and is strictly below it elsewhere; ``table``
-    is the facet table ``_facets`` reads and fills.
+    height exactly on the cell and is strictly below it elsewhere.
     """
     dim = len(points[0])
     if _affine_rank(points) != dim:
@@ -270,7 +258,7 @@ def _lower_hull_cells(points, heights, table):
         cell = queue.pop()
         func, slack = cells[cell]
         idx = sorted(cell)
-        for facet, (g, g0) in _facets([points[i] for i in idx], dim, table).items():
+        for facet, (g, g0) in _facets([points[i] for i in idx], dim).items():
             if (ridge := frozenset(idx[i] for i in facet)) in crossed:
                 continue
             crossed.add(ridge)
@@ -287,55 +275,68 @@ def _lower_hull_cells(points, heights, table):
 
 
 def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Subdivision:
-    """The regular subdivision of the configuration induced by the weights.
+    """The regular subdivision of the configuration induced by the weights h.
 
-    With ``perturb_seed`` given, non-simplicial cells are refined by the
-    lexicographic perturbation (``_perturb`` pushes the points one at a time,
-    in seed-shuffled id order); the result is flagged ``perturbed``,
-    and a refined cell carries the support of its unperturbed cell, named in
-    ``parents``.  One facet table serves the whole call, refinements included.
+    With ``perturb_seed`` the pivot runs again, on h' = h + eps*f + eps2*g
+    (``_refined_heights``): the ``perturbed`` result has weights h', each cell
+    its own functional, and ``parents`` names the cell of h holding each new
+    cell (RefinementCheckFailed if none does; FanError if it is no simplex).
+
+    h' refines h, and each point of a cell of h is a vertex of h'.  Let sigma
+    be a cell of h', l' its functional (l' <= h', equal exactly on sigma), x
+    the barycenter of its points and C a cell of h whose hull holds x, with
+    functional l_C (h - l_C is 0 on C, at least s_min off it).  Averaging h'
+    over sigma, Jensen on the convex f and g >= 0 give l'(x) >= l_C(x) +
+    eps*f(x) + s_min*beta, beta the weight of sigma's points off C (0 or at
+    least 1/N); x as a convex combination of C's points and l' <= h' give
+    l'(x) <= l_C(x) + eps*max f + eps2.  So beta*s_min <= eps*max f + eps2
+    <= 3*s_min/(4N) < s_min/N (max f >= 1): beta = 0, sigma lies in C.  A
+    point p of C in no cell of h' is sum mu_u u over the points u of some
+    sigma, in a cell C' of h with h(p) = l_C'(p); then l'(p) - h'(p) =
+    eps*sum mu_u |u - p|^2 + eps2*(sum mu_u g(u) - g(p)) >= eps - eps2 > 0
+    (distinct lattice points lie at least 1 apart, 0 <= g <= 1), against l' <= h'.
     """
     heights_by_id = resolve_weights(cfg, weights)
     ids = list(cfg.ids)
     points = [cfg.coords[pid] for pid in ids]
     heights = [heights_by_id[pid] for pid in ids]
-    table = {}
-    cells = {tuple(sorted(ids[i] for i in cell)):
-             (tuple(Fraction(x, e) for x in a), Fraction(c, e))
-             for cell, (a, c, e) in _lower_hull_cells(points, heights, table)}
-    parents = {key: key for key in cells}
+
+    def named(cell):
+        return tuple(sorted(ids[i] for i in cell))
+
+    cells = _lower_hull_cells(points, heights)
+    parents = {}
     if perturb_seed is not None:
-        parents = _perturb(cfg, parents, perturb_seed, table)
-    ordered = tuple(sorted(parents))
-    return Subdivision(cells=ordered, supports={k: cells[parents[k]] for k in ordered},
-                       weights=heights_by_id, perturbed=perturb_seed is not None,
-                       parents={k: parents[k] for k in ordered if parents[k] != k})
+        heights = _refined_heights(points, heights, cells, perturb_seed)
+        heights_by_id = dict(zip(ids, heights))
+        coarse, cells = [cell for cell, _ in cells], _lower_hull_cells(points, heights)
+        for cell, _ in cells:
+            if (parent := next((c for c in coarse if cell <= c), None)) is None:
+                raise RefinementCheckFailed(
+                    f"refined cell {named(cell)} lies in no unperturbed cell")
+            if parent != cell:
+                parents[named(cell)] = named(parent)
+        if any(len(cell) != cfg.dim + 1 for cell, _ in cells):
+            raise FanError("the refined heights did not reach a triangulation")
+    supports = dict(sorted((named(cell), (tuple(Fraction(x, e) for x in a), Fraction(c, e)))
+                           for cell, (a, c, e) in cells))
+    return Subdivision(cells=tuple(supports), supports=supports, weights=heights_by_id,
+                       perturbed=perturb_seed is not None, parents=parents)
 
 
-def _perturb(cfg, parents, seed, table):
-    """Refine the non-simplicial cells of ``parents`` (cell -> unperturbed
-    cell) point by point in seed-shuffled id order, keeping the map.  Pushing
-    q into C (De Loera-Rambau-Santos, Triangulations, 4.3) leaves a pyramid
-    with apex q whole; else it gives C - q and q joined to each facet of
-    conv(C - q) that q lies strictly beyond (none if q is in conv(C - q))."""
-    order = list(cfg.ids)
-    random.Random(seed).shuffle(order)
-    for q in order:
-        refined = {}
-        for key, parent in parents.items():
-            rest = [pid for pid in key if pid != q]
-            pts = [cfg.coords[pid] for pid in rest]
-            if q not in key or len(key) == cfg.dim + 1 or _affine_rank(pts) != cfg.dim:
-                refined[key] = parent
-                continue
-            refined[tuple(rest)] = parent
-            for contact, (g, g0) in _facets(pts, cfg.dim, table).items():
-                if sum(map(mul, g, cfg.coords[q])) > g0:
-                    refined[tuple(sorted([q, *(rest[i] for i in contact)]))] = parent
-        parents = refined
-    if any(len(k) != cfg.dim + 1 for k in parents):
-        raise FanError("lexicographic perturbation did not reach a triangulation")
-    return parents
+def _refined_heights(points, heights, cells, seed):
+    """h' = h + eps*f + eps2*g, ``cells`` those of h from ``_lower_hull_cells``:
+    f(p) = |p|^2, g(p) from ``random.Random(seed)`` in (0, 1] but 0 at the
+    origin, eps = s_min/(2 N max f), eps2 = eps/2, N = len(points), s_min the
+    least positive slack of the cells' functionals (1 if none is positive)."""
+    slacks = (h - Fraction(sum(map(mul, a, p)) + c, e)
+              for _, (a, c, e) in cells for p, h in zip(points, heights))
+    s_min = min((s for s in slacks if s > 0), default=Fraction(1))
+    f = [sum(x * x for x in p) for p in points]
+    eps = s_min / (2 * len(points) * max(f))
+    rng = random.Random(seed)
+    g = [Fraction(rng.getrandbits(32) + 1, 1 << 32) if any(p) else 0 for p in points]
+    return [h + eps * (2 * fp + gp) / 2 for h, fp, gp in zip(heights, f, g)]
 
 
 class ConditionReport(NamedTuple):

@@ -16,7 +16,6 @@ section's first call or on a lookup of one of their names (``_LAZY``) here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
@@ -25,9 +24,12 @@ from .bside import build_koszul_mf, build_superpotential, check_wflips, dualize_
 from .grading import build_grading_data, check_commutative_square, coker_H, p_injective_mod_z
 from .toricdata import (
     ValidatedToricData,
+    _one_based,
     check_embeddedness,
     check_nef_partition,
     check_no_bc,
+    frac_str,
+    input_echo,
     symmetry_groups,
 )
 
@@ -55,43 +57,6 @@ def _lazy_name(name):
 
 
 __getattr__ = _lazy_name
-
-
-def frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def _one_based(subset):
-    return [i + 1 for i in subset]
-
-
-def input_echo(vt: ValidatedToricData):
-    inp = vt.input
-    lattice = {}
-    if inp.lattice.congruences is not None:
-        lattice["congruences"] = [
-            {"c": list(c), "mod": m} for c, m in inp.lattice.congruences]
-    else:
-        lattice["generators"] = [list(g) for g in inp.lattice.generators]
-    weights = None
-    if isinstance(inp.weights, dict):
-        weights = {",".join(str(x) for x in k): frac_str(v)
-                   for k, v in sorted(inp.weights.items())}
-    elif inp.weights is not None:
-        weights = "uniform:" + frac_str(inp.weights)
-    echo = {
-        "blocks": [sorted(_one_based(b)) for b in inp.blocks],
-        "d": list(inp.degrees),
-        "lattice": lattice,
-        "lambda": weights,
-    }
-    if inp.volume_orders is not None:
-        echo["v"] = list(inp.volume_orders)
-    if inp.b_valuations is not None:
-        echo["b_valuations"] = {",".join(str(x) for x in k): frac_str(v)
-                                for k, v in sorted(inp.b_valuations.items())}
-    return echo
 
 
 def section_validation(vt):

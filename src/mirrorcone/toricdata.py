@@ -326,3 +326,40 @@ def symmetry_groups(vt: ValidatedToricData) -> SymmetryGroups:
     if gamma.order * vt.d != g.order:
         raise GroupOrderCheckFailed(f"|Gamma| * d = {gamma.order * vt.d}, not |G| = {g.order}")
     return SymmetryGroups(g=g, gamma=gamma)
+
+
+def frac_str(x) -> str:
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def _one_based(subset):
+    return [i + 1 for i in subset]
+
+
+def input_echo(vt: ValidatedToricData):
+    inp = vt.input
+    lattice = {}
+    if inp.lattice.congruences is not None:
+        lattice["congruences"] = [
+            {"c": list(c), "mod": m} for c, m in inp.lattice.congruences]
+    else:
+        lattice["generators"] = [list(g) for g in inp.lattice.generators]
+    weights = None
+    if isinstance(inp.weights, dict):
+        weights = {",".join(str(x) for x in k): frac_str(v)
+                   for k, v in sorted(inp.weights.items())}
+    elif inp.weights is not None:
+        weights = "uniform:" + frac_str(inp.weights)
+    echo = {
+        "blocks": [sorted(_one_based(b)) for b in inp.blocks],
+        "d": list(inp.degrees),
+        "lattice": lattice,
+        "lambda": weights,
+    }
+    if inp.volume_orders is not None:
+        echo["v"] = list(inp.volume_orders)
+    if inp.b_valuations is not None:
+        echo["b_valuations"] = {",".join(str(x) for x in k): frac_str(v)
+                                for k, v in sorted(inp.b_valuations.items())}
+    return echo

@@ -3,21 +3,18 @@
 These deliberately avoid the code paths they check: lattice membership via
 subgroup closure in a finite quotient, point enumeration by box scan with the
 congruences applied directly, subdivisions by scanning all candidate
-supporting hyperplanes (the lexicographic perturbation too, one scan with
-indicator heights per pushed point and cell), volumes by a pulling
-triangulation over a facet scan of their own, simplex membership by a
-rational kernel, MPCS over every subset of every cell, the Koszul
-factorization on readable tuple keys, the convolution of graded-dims tables
-on (j, m) tuple keys, the quotient algebra and Koszul cohomology ranked over
-whole degree classes at once, and the degree conditions on Fractions
-straight from n_sigma = (1/d_i)_i.
+supporting hyperplanes, volumes by a pulling triangulation over a facet scan
+of their own, simplex membership by a rational kernel, MPCS over every
+subset of every cell, the Koszul factorization on readable tuple keys, the
+convolution of graded-dims tables on (j, m) tuple keys, the quotient algebra
+and Koszul cohomology ranked over whole degree classes at once, and the
+degree conditions on Fractions straight from n_sigma = (1/d_i)_i.
 Nothing here imports mirrorcone.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-import random
 
 
 def subgroup_closure_mod(generators, modulus, n):
@@ -154,31 +151,6 @@ def subdivision_by_hyperplane_scan(points, heights):
         if _rank(dirs) == dim:
             cells.add(contact)
     return cells
-
-
-def perturbation_by_hyperplane_scan(ids, coords, parents, seed):
-    """The lexicographic perturbation of a subdivision, one point at a time.
-
-    ``parents`` maps each cell (a sorted id tuple) to its unperturbed cell.
-    The ids are shuffled by ``random.Random(seed)``; in that order each
-    non-simplex cell holding q gives way to the cells of the hyperplane scan
-    of its points with q at height 1 and the others at 0.
-    """
-    order = list(ids)
-    random.Random(seed).shuffle(order)
-    dim = len(coords[ids[0]])
-    for q in order:
-        refined = {}
-        for cell, parent in parents.items():
-            if len(cell) == dim + 1 or q not in cell:
-                refined[cell] = parent
-                continue
-            sub = subdivision_by_hyperplane_scan(
-                [coords[pid] for pid in cell], [int(pid == q) for pid in cell])
-            for contact in sub:
-                refined[tuple(sorted(cell[i] for i in contact))] = parent
-        parents = refined
-    return parents
 
 
 def nullspace_int(rows, ncols):

@@ -30,7 +30,7 @@ from mirrorcone.fans import (
     regular_subdivision,
     resolve_weights,
 )
-from mirrorcone.fixtures import fixture
+from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.grading import build_grading_data, check_commutative_square, coker_H
 from mirrorcone.koszulalg import (
     degree_classes,
@@ -426,3 +426,45 @@ def test_paper_examples_with_generic_weights_through_default_analyze(tmp_path, c
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GENERIC_SEED_1_DIGESTS[name]
     print(f"\nACCEPTANCE 7 PASS {name} with generic seed 1 ({elapsed:.2f}s < 30s)")
+
+
+# sha256 of the default `analyze --perturb 1` report of the four fixtures, the
+# Greene-Plesser threefolds and the mixed-block inputs, all with uniform
+# weights, recorded when --perturb became one more pivot on h + eps*f + eps2*g
+PERTURB_SEED_1_DIGESTS = {
+    "elliptic": "4c07744a9f2646d34ae142b14b1e7657af7bb06215492bdfbce5653a8a89b220",
+    "quartic": "958466bb1c57ba76c1ae662ff1ddee152fd8b1cfebf1a95d42dd790ec70ca378",
+    "cubic-fourfold": "a1a12e7bae092263944fb805c2d8d552ff06835b394282527472cf74f4f3796a",
+    "z-manifold": "234a1620e5e25ff87c62bed75321dd3200323f1ab8cb962ce16e8aebf8f608e5",
+    "quintic": "fc2579951fb54b235f826efdd045a187360a3c6cf8185bbb695538fa59d735fd",
+    "sextic": "e3765d28835371d292831efa14dbf9060bc0403929ce4c00a94bf79cc979dd9f",
+    "octic": "6043a86b7b9d78964be9e18da6a94b5efb57eed2536e51559a314e3937596169",
+    "dectic": "89eeae71df840f214b97e34bc633dea46cc93b36f115925ba49e5889e7b69022",
+    "e33+k4": "4282d899c191d491bcd15d019f11ac4b0be572ee2d9a2d32450e6abc1d9743b7",
+    "e244+e33": "2e37f306915aa96652d2f9991f3bcf21c6f755b75d3bbe0e461960bdf40dee71",
+}
+
+
+@pytest.mark.parametrize("name", PERTURB_SEED_1_DIGESTS)
+def test_paper_examples_refine_to_certified_triangulations(tmp_path, capsys, name):
+    config = (input_echo(fixture(name)) if name in FIXTURE_NAMES
+              else MIXED_BLOCK_CONFIGS.get(name) or greene_plesser_config(name))
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    t0 = time.monotonic()
+    code = main(["analyze", str(cfg), "--perturb", "1"])
+    elapsed = _elapsed_guard(t0, 30.0, f"{name} with --perturb 1")
+    out = capsys.readouterr().out
+    assert code == 0
+    fans = json.loads(out)["sections"]["fans"]
+    assert fans["perturbed"] and fans["conditions"]["mpcp"] and fans["conditions"]["mpcs"]
+    assert fans["isolated_singularity"]["certified"]
+    # each refined cell lies in its parent, a cell of the unperturbed star
+    vt = validate(parse_config(config))
+    star = {"|".join(cell) for cell in
+            regular_subdivision(project_config(vt), vt.input.weights).cells}
+    for cell, entry in fans["supports"].items():
+        parent = entry.get("parent", cell)
+        assert parent in star and set(cell.split("|")) <= set(parent.split("|"))
+    assert hashlib.sha256(out.encode()).hexdigest() == PERTURB_SEED_1_DIGESTS[name]
+    print(f"\nACCEPTANCE 8 PASS {name} with --perturb 1 ({elapsed:.2f}s < 30s)")

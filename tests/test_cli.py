@@ -76,6 +76,10 @@ def test_sections_load_only_the_modules_they_call(tmp_path):
     assert "mirrorcone.koszulalg" not in default
     everything = loaded_modules(["analyze", cfg, "--out", out, "--algebra", "--cutoff", "4"])
     assert {"mirrorcone.fans", "mirrorcone.koszulalg"} <= everything
+    shown = loaded_modules(["examples", "show", "quartic"])
+    assert {m for m in shown if m.startswith("mirrorcone")} == {
+        "mirrorcone", "mirrorcone.cli", "mirrorcone.fixtures", "mirrorcone.toricdata",
+        "mirrorcone.intlat"}
 
 
 def test_analyze_loads_neither_dataclasses_nor_inspect(tmp_path):
@@ -203,8 +207,10 @@ def test_analyze_perturb_certifies_the_printed_cells(tmp_path):
     fans = json.loads(proc.stdout)["sections"]["fans"]
     name, _, detail = fans["isolated_singularity"]["links"][0]
     assert name == "mpcp"
-    assert fans["cell_count"] == 26
+    assert fans["cell_count"] == 40
     assert detail.startswith(f"{fans['cell_count']} cells")
+    assert fans["conditions"]["mpcp"] and fans["conditions"]["mpcs"]
+    assert fans["isolated_singularity"]["certified"]
 
 
 def test_analyze_perturb_names_the_parent_of_each_refined_cell(tmp_path):
@@ -212,13 +218,15 @@ def test_analyze_perturb_names_the_parent_of_each_refined_cell(tmp_path):
     runs = [run_cli(["analyze", cfg, "--sections", "fans", *extra])
             for extra in ((), ("--perturb", "5"))]
     assert [proc.returncode for proc in runs] == [0, 0]
-    star, perturbed = (json.loads(proc.stdout)["sections"]["fans"]["supports"]
-                       for proc in runs)
+    star, perturbed = (json.loads(proc.stdout)["sections"]["fans"] for proc in runs)
+    # the lift checks each printed support against the printed cells
+    assert perturbed["isolated_singularity"]["certified"]
+    star, perturbed = star["supports"], perturbed["supports"]
     assert not any("parent" in entry for entry in star.values())
     for cell, entry in perturbed.items():
         parent = entry.pop("parent", cell)
+        assert parent in star
         assert set(cell.split("|")) <= set(parent.split("|"))
-        assert entry == star[parent]
     assert len(star) < len(perturbed)
 
 

@@ -41,11 +41,15 @@ from oracles import (
     _solve,
     mpcs_by_subsets,
     normalized_volume,
-    perturbation_by_hyperplane_scan,
     subdivision_by_hyperplane_scan,
     subdivision_volume,
 )
-from tests_support import cubic_block_input, generic_weights, quartic_mpcp_weights
+from tests_support import (
+    analyze_fixture,
+    cubic_block_input,
+    generic_weights,
+    quartic_mpcp_weights,
+)
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -497,8 +501,8 @@ def test_barycentric_membership_matches_oracle_solve(kind, data):
 def shift_facets_off_their_ridges(monkeypatch):
     facets = fans._facets
 
-    def shifted(pts, dim, table):
-        return {f: (g, g0 + 1) for f, (g, g0) in facets(pts, dim, table).items()}
+    def shifted(pts, dim):
+        return {f: (g, g0 + 1) for f, (g, g0) in facets(pts, dim).items()}
 
     monkeypatch.setattr(fans, "_facets", shifted)
 
@@ -561,7 +565,7 @@ def test_each_interior_ridge_is_rotated_across_once(monkeypatch, name):
 
 
 def test_shifted_facet_is_caught_after_a_clean_run(monkeypatch):
-    # the clean run's facet table must not outlive it and hide the shift
+    # nothing the clean run leaves behind may hide the shift
     vt = fixture("quartic")
     cfg, weights = project_config(vt), quartic_mpcp_weights(vt)
     regular_subdivision(cfg, weights)
@@ -593,18 +597,18 @@ def test_each_point_set_is_enumerated_once_per_subdivision(monkeypatch):
     # 6-simplex, so each cell's facets come from one barycentric factorization
     # and the pivot never recurses into a projected lower hull
     cfg = project_config(fixture("z-manifold"))
-    enumerate_facets, lower_hull_cells = fans._enumerate_facets, fans._lower_hull_cells
+    facets, lower_hull_cells = fans._facets, fans._lower_hull_cells
     seen, hulls = [], []
 
-    def counting(pts, dim, table):
+    def counting(pts, dim):
         seen.append((tuple(pts), dim))
-        return enumerate_facets(pts, dim, table)
+        return facets(pts, dim)
 
-    def counting_hulls(points, heights, table):
+    def counting_hulls(points, heights):
         hulls.append(len(points))
-        return lower_hull_cells(points, heights, table)
+        return lower_hull_cells(points, heights)
 
-    monkeypatch.setattr(fans, "_enumerate_facets", counting)
+    monkeypatch.setattr(fans, "_facets", counting)
     monkeypatch.setattr(fans, "_lower_hull_cells", counting_hulls)
     for _ in range(2):
         seen.clear()
@@ -618,30 +622,31 @@ def test_each_point_set_is_enumerated_once_per_subdivision(monkeypatch):
 
 
 # sha256 of `analyze --sections fans --perturb SEED` on the uniform fixtures,
-# seed 1 recorded before simplex hulls took their facets from one
-# factorization, seeds 3, 5 and 11 before --perturb pushed points on the facet
-# table
+# recorded when --perturb became one more pivot on h + eps*f + eps2*g
 PERTURBED_FANS_SHA256 = {
-    "elliptic": dict.fromkeys(
-        (1, 3, 5, 11), "ea33a718e6826ad114a93ff2d704f732554b5439e0a0b8b33ede8238dbb215da"),
+    "elliptic": {
+        1: "35c6ab51320fe10e04d9704190110a0c5a42e170527926896dfb4bd92f2640eb",
+        3: "07a2fbaf40292fce4eb3907b08fea768e8f9d82372eb6c2ad6877fc7f021cacb",
+        5: "b4cdd78f6f780c84cdb546568f097f27e1757fe52350ba622ad8454518e12762",
+        11: "9c75eb7f459d286d33b69313400d0130a8f09ef0ff77e0d77289ee2e3252ad79",
+    },
     "quartic": {
-        1: "c5d2ebd755b1f16d98a73d67d9d7ab69df77b5163a9882fa92a0eb0debbeb743",
-        3: "3021955b631288f70b88de0f88efecf1f014324c41819e4e39d51fed21efb907",
-        5: "af9574e8747d747ef3115a6e2bc87aea0a2655a9a6a0aa30d7fe12ea99a5b5fa",
-        11: "354331b18987fd9d4202a6ca39a6356c1870e877268ed93a22e7e00ab58afbb1",
+        1: "45009432a0a5ddcba252efafab2c948779df11076583d3606b659e24c750acea",
+        3: "a54584fc7cac1ced9dcf086805f4ed91b85ed6a8029d5a66eadc6564c01f3222",
+        5: "88e593a8c8b424555b8dd56beb34e5710e1d514a0578b87bbc138a1c0f21a95f",
+        11: "52470de861b3585cb106da306791a17140f104be12d38c4fd311919ec1c0aaa5",
     },
     "cubic-fourfold": {
-        1: "5e1d6a7b1eb599ab503810872f1095c2e650427da94f5fc1538beb0e7021d3b6",
-        3: "2eb6583ec248b791eea98251b38becd33ca03aafefbcee6ec959c4e490aff87c",
-        5: "546c7c5545e2a418527fe4267616a52dc73315af052f5da58e53ef6b877fde9c",
-        11: "9fdd361f193493f5cd163dd9656452abd154f0c5ed4f07dde57727c7d61ca022",
+        1: "b79c6a2b14284a605c2f70dbf9dacca221b284c961b7e05a1be407d99930d731",
+        3: "ea100a6e425af5f5f3ad8e75fd8de681312d5e43bb3aea6383018dca041a6381",
+        5: "7c1331413c3817d07edbc2e8bb0af038e7b15a7a501760650a75a6829c0e2acf",
+        11: "4a0a92ed88f2b7cb524be575352ad268fc67e563026e9376233a06709451f3b2",
     },
 }
 
 
 @pytest.mark.parametrize("name", sorted(PERTURBED_FANS_SHA256))
 def test_perturbed_fans_report_keeps_its_digest(tmp_path, capsys, name):
-    # the pushes read their facets from the subdivision's own table
     assert main(["examples", "show", name]) == 0
     cfg = tmp_path / "config.json"
     cfg.write_text(capsys.readouterr().out)
@@ -653,107 +658,139 @@ def test_perturbed_fans_report_keeps_its_digest(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("name", ["quartic", "cubic-fourfold"])
-def test_perturb_pivots_only_on_the_weights_and_on_facet_heights(monkeypatch, name):
-    # the first pivot is the weights' own; every later one belongs to a facet
-    # enumeration: its points are the enumerated ones without their last
-    # coordinate and its heights that coordinate or its negative, never the
-    # indicator of a pushed point
+def test_perturb_pivots_on_the_weights_then_on_the_refined_heights(monkeypatch, name):
+    # exactly two outermost pivots, the weights' and then h''s; every other
+    # pivot belongs to a facet enumeration
     enumerating, calls = [], []
-    enumerate_facets, lower_hull_cells = fans._enumerate_facets, fans._lower_hull_cells
+    facets, lower_hull_cells = fans._facets, fans._lower_hull_cells
 
-    def enumerating_facets(pts, dim, table):
+    def enumerating_facets(pts, dim):
         enumerating.append(pts)
         try:
-            return enumerate_facets(pts, dim, table)
+            return facets(pts, dim)
         finally:
             enumerating.pop()
 
-    def recording(points, heights, table):
-        calls.append((enumerating[-1] if enumerating else None, points, heights))
-        return lower_hull_cells(points, heights, table)
+    def recording(points, heights):
+        if not enumerating:
+            calls.append((points, heights))
+        return lower_hull_cells(points, heights)
 
-    monkeypatch.setattr(fans, "_enumerate_facets", enumerating_facets)
+    monkeypatch.setattr(fans, "_facets", enumerating_facets)
     monkeypatch.setattr(fans, "_lower_hull_cells", recording)
     cfg = project_config(fixture(name))
-    regular_subdivision(cfg, Fraction(1), perturb_seed=1)
-    (outer, points, _), *later = calls
-    assert outer is None and points == [cfg.coords[pid] for pid in cfg.ids]
-    assert later
-    for pts, points, heights in later:
-        assert pts is not None and points == [p[:-1] for p in pts]
-        assert heights in ([p[-1] for p in pts], [-p[-1] for p in pts])
+    sub = regular_subdivision(cfg, Fraction(1), perturb_seed=1)
+    points = [cfg.coords[pid] for pid in cfg.ids]
+    weights = fans.resolve_weights(cfg, Fraction(1))
+    assert calls == [(points, [weights[pid] for pid in cfg.ids]),
+                     (points, [sub.weights[pid] for pid in cfg.ids])]
 
 
-def _point_set_config(coords):
-    # what _perturb reads of a ProjectedConfig: the ids, their points, the dim
-    ids = tuple(sorted(coords))
-    return fans.ProjectedConfig(dim=len(coords[ids[0]]), ids=ids, coords=coords,
-                                lifts={}, nonzero={}, pairs=(), vt=None)
+def _point_set_subdivision(heights, seed):
+    """``regular_subdivision`` of the points keyed in ``heights`` and the
+    origin, pinned at 0; each point is its own lift."""
+    dim = len(next(iter(heights)))
+    lifts = {fans.point_id(p): p for p in heights}
+    cfg = fans.ProjectedConfig(dim=dim, ids=(ORIGIN, *sorted(lifts)),
+                               coords={ORIGIN: (0,) * dim, **lifts}, lifts=lifts,
+                               nonzero={}, pairs=(), vt=None)
+    return regular_subdivision(cfg, heights, perturb_seed=seed)
 
 
-def _seed_pushing_first(ids, prefix):
-    """The least seed whose shuffled id order starts with ``prefix``."""
-    for seed in range(10_000):
-        order = list(ids)
-        random.Random(seed).shuffle(order)
-        if order[:len(prefix)] == list(prefix):
-            return seed
-    raise AssertionError(f"no seed pushes {prefix} first")
-
-
-# (the points of one cell, the ids pushed first in that order, the cells after
-# every point is pushed), all with that one cell as parent
-PUSHING_BRANCHES = {
-    # q beyond the facet bc of the triangle abc: abc and bcq
-    "beyond-a-facet": ({"a": (0, 0), "b": (2, 0), "c": (0, 2), "q": (2, 2)}, "q",
-                       {("a", "b", "c"), ("b", "c", "q")}),
-    # q inside abce and then e on its edge ab: each push drops its point,
-    # and a point on a facet is not beyond it
-    "inside-the-rest": ({"a": (0, 0), "b": (4, 0), "c": (0, 4), "e": (2, 0), "q": (1, 1)},
-                        "qe", {("a", "b", "c")}),
-    # q over the segment ab that carries e: the cell stays whole, then pushing
-    # a cones it over the facet eq of beq
-    "pyramid-with-apex-q": ({"a": (0, 0), "b": (2, 0), "e": (1, 0), "q": (1, 1)}, "qa",
-                            {("b", "e", "q"), ("a", "e", "q")}),
+# (heights off the origin, {refined cell: parent}, the parent omitted where
+# the refined cell is a cell of the heights): q lies inside the hull of the
+# cell on the plane x + y (+ z) and becomes a vertex; the last point lies
+# above that plane, beyond one facet of the cell, and forms the second cell
+INTERIOR_POINT_CASES = {
+    "2d": ({(3, 0): 3, (0, 3): 3, (1, 1): 2, (3, 3): 7}, {
+        ("0,3", "1,1", "origin"): ("0,3", "1,1", "3,0", "origin"),
+        ("1,1", "3,0", "origin"): ("0,3", "1,1", "3,0", "origin"),
+        ("0,3", "1,1", "3,0"): ("0,3", "1,1", "3,0", "origin"),
+        ("0,3", "3,0", "3,3"): None}),
+    "3d": ({(4, 0, 0): 4, (0, 4, 0): 4, (0, 0, 4): 4, (1, 1, 1): 3, (2, 2, 2): 7}, {
+        **dict.fromkeys(
+            [("0,0,4", "0,4,0", "1,1,1", "origin"), ("0,0,4", "1,1,1", "4,0,0", "origin"),
+             ("0,4,0", "1,1,1", "4,0,0", "origin"), ("0,0,4", "0,4,0", "1,1,1", "4,0,0")],
+            ("0,0,4", "0,4,0", "1,1,1", "4,0,0", "origin")),
+        ("0,0,4", "0,4,0", "2,2,2", "4,0,0"): None}),
 }
 
 
-@pytest.mark.parametrize("branch", PUSHING_BRANCHES)
-def test_pushing_takes_each_branch_by_hand(branch):
-    coords, pushed, expected = PUSHING_BRANCHES[branch]
-    cfg = _point_set_config(coords)
-    seed = _seed_pushing_first(cfg.ids, pushed)
-    whole = {cfg.ids: cfg.ids}
-    parents = fans._perturb(cfg, whole, seed, {})
-    assert parents == dict.fromkeys(expected, cfg.ids)
-    assert parents == perturbation_by_hyperplane_scan(cfg.ids, coords, whole, seed)
+@pytest.mark.parametrize("case", INTERIOR_POINT_CASES)
+def test_a_point_inside_a_cell_becomes_a_vertex(case):
+    heights, expected = INTERIOR_POINT_CASES[case]
+    sub = _point_set_subdivision(heights, 1)
+    assert sub.perturbed and set(sub.cells) == set(expected)
+    assert sub.parents == {cell: p for cell, p in expected.items() if p is not None}
+
+
+def test_a_single_cell_refines_with_unit_slack():
+    # every point lies on the plane x + y, so no slack is positive and
+    # s_min = 1: eps = 1 / (2 N max f) with N = 4 points and max f = 4
+    heights = {(2, 0): 2, (0, 2): 2, (1, 0): 1}
+    sub = _point_set_subdivision(heights, 7)
+    cell = ("0,2", "1,0", "2,0", "origin")
+    assert sub.cells == (("0,2", "1,0", "2,0"), ("0,2", "1,0", "origin"))
+    assert sub.parents == dict.fromkeys(sub.cells, cell)
+    eps = Fraction(1, 2 * 4 * 4)
+    assert sub.weights[ORIGIN] == 0
+    for p, h in heights.items():
+        noise = sub.weights[fans.point_id(p)] - h - eps * sum(x * x for x in p)
+        assert 0 < noise <= eps / 2
 
 
 @st.composite
-def perturbed_point_sets(draw):
-    # the last coordinate sometimes on two levels only: a level holding a
-    # single point makes the cells pyramids with apex there
+def refinable_point_sets(draw):
     dim = draw(st.integers(2, 3))
-    last = draw(st.sampled_from([st.integers(-2, 2), st.integers(0, 1)]))
-    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (dim - 1), last),
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
                         min_size=4, max_size=8, unique=True))
-    heights = draw(st.lists(st.integers(0, 1), min_size=len(pts), max_size=len(pts))
+    heights = draw(st.lists(st.integers(0, 2), min_size=len(pts), max_size=len(pts))
                    | st.just([0] * len(pts)))
     return pts, heights, draw(st.integers(0, 2 ** 32))
 
 
-@given(perturbed_point_sets())
+@given(refinable_point_sets())
 @settings(max_examples=120, deadline=None)
-def test_pushing_matches_the_hyperplane_scan_perturbation(config):
+def test_refined_heights_give_the_hyperplane_scan_refinement(config):
+    # the pivot on h' equals the scan at h', refines the cells of h and keeps
+    # every point of them
     pts, heights, seed = config
     assume(_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == len(pts[0]))
-    cfg = _point_set_config({f"p{k}": p for k, p in enumerate(pts)})
-    # the coarse subdivision both refine: the scan's cells for the heights
-    cells = [tuple(sorted(f"p{k}" for k in contact))
-             for contact in subdivision_by_hyperplane_scan(pts, heights)]
-    parents = dict(zip(cells, cells))
-    assert fans._perturb(cfg, parents, seed, {}) == perturbation_by_hyperplane_scan(
-        cfg.ids, cfg.coords, parents, seed)
+    coarse = _lower_hull_cells(pts, heights)
+    refined = fans._refined_heights(pts, heights, coarse, seed)
+    cells = {cell for cell, _ in _lower_hull_cells(pts, refined)}
+    assert cells == subdivision_by_hyperplane_scan(pts, refined)
+    assert all(any(cell <= parent for parent, _ in coarse) for cell in cells)
+    assert set().union(*cells) == set().union(*(parent for parent, _ in coarse))
+
+
+def test_a_refined_cell_across_a_coarse_wall_makes_analyze_exit_3(tmp_path, capsys,
+                                                                  monkeypatch):
+    # eps and eps2 a million times larger: h' no longer refines h
+    refined_heights = fans._refined_heights
+
+    def scaled(points, heights, cells, seed):
+        return [h + 10 ** 6 * (r - h)
+                for h, r in zip(heights, refined_heights(points, heights, cells, seed))]
+
+    monkeypatch.setattr(fans, "_refined_heights", scaled)
+    code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "fans",
+                                "--perturb", "1")
+    assert code == 3
+    assert err.startswith("certificate failure [RefinementCheckFailed]: refined cell (")
+    assert err.rstrip().endswith("lies in no unperturbed cell")
+
+
+def test_constant_noise_on_cospherical_points_makes_analyze_exit_1(tmp_path, capsys,
+                                                                  monkeypatch):
+    # g = 2**-32 off the origin: the quartic's cells keep cospherical points,
+    # which |p|^2 lifts onto one hyperplane; a FanError is a domain error
+    rng = types.SimpleNamespace(getrandbits=lambda bits: 0)
+    monkeypatch.setattr(fans, "random", types.SimpleNamespace(Random=lambda seed: rng))
+    code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "fans",
+                                "--perturb", "1")
+    assert code == 1
+    assert err == "FanError: the refined heights did not reach a triangulation\n"
 
 
 def test_uniform_cubic_fourfold_star_cells_match_the_subset_scan():
@@ -762,14 +799,17 @@ def test_uniform_cubic_fourfold_star_cells_match_the_subset_scan():
     assert [len(cell) for cell in sub.cells] == [13] * 9
     for cell in sub.cells:
         pts = [cfg.coords[pid] for pid in cell]
-        assert set(fans._facets(pts, cfg.dim, {})) == set(_facets_by_scan(pts, cfg.dim))
+        assert set(fans._facets(pts, cfg.dim)) == set(_facets_by_scan(pts, cfg.dim))
 
 
 def test_perturbed_cubic_fourfold_keeps_the_star_volume():
     cfg = project_config(fixture("cubic-fourfold"))
     star = regular_subdivision(cfg, Fraction(1))
     sub = regular_subdivision(cfg, Fraction(1), perturb_seed=5)
-    assert len(sub.cells) == 90 and check_mpcp(sub, cfg).is_triangulation
+    mpcp = check_mpcp(sub, cfg)
+    assert len(sub.cells) == 108 and mpcp.is_triangulation
+    assert check_mpcs(sub, cfg, mpcp).mpcs
+    assert certify_isolated_singularity(sub, cfg, mpcp).certified
     assert subdivision_volume(sub, cfg) == subdivision_volume(star, cfg) == 729
 
 
@@ -795,21 +835,21 @@ def test_lift_cell_without_origin():
     # a 1-d config where one cell avoids the lifted origin counterpart
     pts = [(0,), (1,), (2,)]
     heights = [Fraction(0), Fraction(1, 10), Fraction(1)]
-    cells = {frozenset(c) for c, _ in _lower_hull_cells(pts, heights, {})}
+    cells = {frozenset(c) for c, _ in _lower_hull_cells(pts, heights)}
     assert cells == {frozenset({0, 1}), frozenset({1, 2})}
 
 
 def test_single_segment_cell():
     pts = [(0,), (3,)]
     heights = [Fraction(0), Fraction(1)]
-    cells = [c for c, _ in _lower_hull_cells(pts, heights, {})]
+    cells = [c for c, _ in _lower_hull_cells(pts, heights)]
     assert cells == [frozenset({0, 1})]
 
 
 def test_degenerate_config_rejected():
     pts = [(0, 0), (1, 1), (2, 2)]
     with pytest.raises(DegenerateConfig):
-        _lower_hull_cells(pts, [Fraction(0)] * 3, {})
+        _lower_hull_cells(pts, [Fraction(0)] * 3)
 
 
 @st.composite
@@ -867,7 +907,7 @@ KITE = [(0, 0), (1, 2), (2, 1), (3, 3)]
 def test_facets_match_the_subset_scan(config):
     pts, dim = config
     assume(_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == dim)
-    facets = fans._facets(pts, dim, {})
+    facets = fans._facets(pts, dim)
     assert set(facets) == set(_facets_by_scan(pts, dim))
     for contact, (g, g0) in facets.items():
         assert len(g) == dim and all(type(x) is int for x in (*g, g0))
@@ -945,5 +985,5 @@ def test_lower_hull_matches_oracle_on_random_configs(config):
     dirs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
     if _rank(dirs) != len(pts[0]):
         return
-    cells = {c for c, _ in _lower_hull_cells(pts, heights, {})}
+    cells = {c for c, _ in _lower_hull_cells(pts, heights)}
     assert cells == subdivision_by_hyperplane_scan(pts, heights)
