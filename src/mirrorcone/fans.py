@@ -4,17 +4,18 @@ The projected configuration consists of the images of the distinguished
 lattice points under the per-block coordinate projection, plus the origin.
 A weight vector lifts the configuration; the cells of the subdivision are the
 projections of the lower faces of the lifted point set, found by an integer
-pivot from an initial lowest face across ridges.  A cell whose hull is a
-simplex, extra points and all, gets its facets from one barycentric
-factorization of its vertices; any other cell's come from the same pivot one
-dimension down.  --perturb pivots once more, on the weights plus small
-multiples of |p|^2 and of seeded noise: each cell splits into simplices on
-all its points.  The lift factors each cell once and tests a point only
-against the cells of the lower envelope (the maximum of the cells' support
-functionals) at its projection.  All arithmetic is exact; each cell carries
-the affine functional certifying it (equality on the cell, strictly below the
-heights elsewhere).  MPCP and MPCS read each lift's support as a bitmask;
-MPCS solves each point in M once.
+pivot from an initial lowest face across ridges.  One facet enumerator reads
+each cell: dim + 1 of its vertices come by kernel completion from its
+lex-max point, and if their one barycentric factorization holds every point
+(the hull is a simplex, extra points and all) it gives the facets; any other
+cell's come from the same pivot one dimension down.  --perturb pivots once
+more, on the weights plus small multiples of |p|^2 and of seeded noise: each
+cell splits into simplices on all its points.  The lift factors each cell
+once and tests a point only against the cells of the lower envelope (the
+maximum of the cells' support functionals) at its projection.  All
+arithmetic is exact; each cell carries the affine functional certifying it
+(equality on the cell, strictly below the heights elsewhere).  MPCP and MPCS
+read each lift's support as a bitmask; MPCS solves each point in M once.
 """
 
 from __future__ import annotations
@@ -35,9 +36,13 @@ from .intlat import (
     smith_normal_form,
     solve_int,
 )
-from .toricdata import ValidatedToricData, resolve_weight
+from .toricdata import IndexSetTooLarge, ValidatedToricData, resolve_weight
 
 ORIGIN = "origin"
+# Most boundary-relevant cones check_mpcs walks; the largest counts measured
+# are 16,383 for seven cubic blocks, 13,106 for the generic sextic fourfold
+# and 279 for the uniform z-manifold.
+MPCS_CONE_LIMIT = 1 << 16
 
 
 class FanError(ValueError):
@@ -138,15 +143,36 @@ def _facets(pts, dim):
     """Facets of conv(pts), full-dimensional: contact index set -> (normal, offset).
 
     The normal is integral, not necessarily primitive, and points outward
-    (pts lie where <normal, x> <= offset); pts may repeat.  A simplex hull
-    reads them from one barycentric factorization; otherwise the pivot of
-    ``_lower_hull_cells`` finds them, on pts without their last coordinate
-    and with it, or its negative, as height (lower and upper facets); the
-    facets of that projection whose contact set still spans a hyperplane are
-    the vertical ones.
+    (pts lie where <normal, x> <= offset); pts may repeat.  dim + 1 points
+    are the vertices of a simplex; otherwise dim + 1 vertices come by
+    completion.  The lex-max point is a vertex.  While there are at most dim
+    vertices, g (the first ``kernel`` row of their differences) is constant
+    on their affine hull but not on pts, which span; so the lex-max point at
+    max g, or at min g when the vertices attain max g, is a vertex of a
+    supporting face off that hull.  The dim + 1 vertices found are affinely
+    independent, and all of conv(pts)'s iff it is a simplex (always for
+    dim = 1): W of ``barycentric`` certifies that by W(p, 1) >= 0 at every
+    point p, and row k, as (-g, g0), is zero exactly on the facet without
+    vertex k, repeated points and points on faces included.  Any other hull
+    comes from the pivot of ``_lower_hull_cells``, on pts without their last
+    coordinate and with it, or its negative, as height (lower and upper
+    facets); the facets of that projection whose contact set still spans a
+    hyperplane are the vertical ones.
     """
-    if (facets := _simplex_facets(pts, dim)) is not None:
-        return facets
+    if len(pts) == dim + 1:  # the vertices: W(v_j, 1) = D [j == k], nothing to check
+        return {frozenset(range(dim + 1)) - {k}: (tuple(-x for x in w[:dim]), w[dim])
+                for k, w in enumerate(barycentric(pts)[0])}
+    verts = [max(pts)]
+    while len(verts) <= dim:
+        g = kernel([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]], dim)[0]
+        vals = [sum(map(mul, g, p)) for p in pts]
+        t = max(vals) if max(vals) != sum(map(mul, g, verts[0])) else min(vals)
+        verts.append(max(p for p, v in zip(pts, vals) if v == t))
+    if (factored := barycentric(verts)) is not None:
+        rows = [(w, [sum(map(mul, w, p)) + w[dim] for p in pts]) for w in factored[0]]
+        if all(min(vals) >= 0 for _, vals in rows):
+            return {frozenset(i for i, v in enumerate(vals) if v == 0):
+                    (tuple(-x for x in w[:dim]), w[dim]) for w, vals in rows}
     facets = {}
     base = [p[:-1] for p in pts]
     for s in (1, -1):
@@ -156,51 +182,6 @@ def _facets(pts, dim):
     for contact, (g, g0) in _facets(base, dim - 1).items():
         if _affine_rank([pts[i] for i in contact]) == dim - 1:
             facets[contact] = (g + (0,), g0)
-    return facets
-
-
-def _simplex_facets(pts, dim):
-    """The facets of conv(pts) if it is a dim-simplex (always so for dim + 1
-    points or for dim = 1), else None.
-
-    The lexicographic extremes under every sign pattern of the coordinates,
-    read forward and backward, are vertices: split the points by the max and
-    the min of each coordinate in turn, and miss early once the groups or
-    the extremes outnumber dim + 1.  Each missing vertex is the lex-max point
-    at the max (or min) of a normal to the vertices' affine hull.  W of
-    ``barycentric`` then certifies the simplex by W(p, 1) >= 0 at every
-    point p; row k, as (-g, g0), is zero exactly on the facet without vertex
-    k, repeated points and points on faces included.
-    """
-    if len(pts) == dim + 1:  # the vertices: W(v_j, 1) = D [j == k], nothing to check
-        return {frozenset(range(dim + 1)) - {k}: (tuple(-x for x in w[:dim]), w[dim])
-                for k, w in enumerate(barycentric(pts)[0])}
-    verts = {}
-    for order in (range(dim), range(dim - 1, -1, -1)):
-        groups = [pts]
-        for k in order:
-            groups = [[p for p in grp if p[k] == x] for grp in groups
-                      for x in {max(p[k] for p in grp), min(p[k] for p in grp)}]
-            if len(groups) > dim + 1:
-                return None
-        verts |= dict.fromkeys(grp[0] for grp in groups)
-    if len(verts) > dim + 1:
-        return None
-    verts = list(verts)
-    while len(verts) <= dim:
-        g = kernel([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]], dim)[0]
-        vals = [sum(map(mul, g, p)) for p in pts]
-        t = max(vals) if max(vals) != sum(map(mul, g, verts[0])) else min(vals)
-        verts.append(max(p for p, v in zip(pts, vals) if v == t))
-    if (factored := barycentric(verts)) is None:
-        return None
-    facets = {}
-    for w in factored[0]:
-        vals = [sum(map(mul, w, p)) + w[dim] for p in pts]
-        if min(vals) < 0:
-            return None
-        facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = (
-            tuple(-x for x in w[:dim]), w[dim])
     return facets
 
 
@@ -387,7 +368,8 @@ def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
                mpcp_report: ConditionReport) -> ConditionReport:
     """Boundary-relevant cones (block supports omitting two indices per block)
     must be unimodular with respect to M; ``mpcp_report`` is check_mpcp's.
-    A cone grows as a sorted generator tuple with the OR of their supports."""
+    A cone grows as a sorted generator tuple with the OR of their supports,
+    on an explicit stack; a walk past MPCS_CONE_LIMIT cones is refused."""
     m_basis = lattice_m_basis(cfg)
     m_coords = {}
     for pid in cfg.ids[1:]:
@@ -398,24 +380,27 @@ def check_mpcs(sub: Subdivision, cfg: ProjectedConfig,
     room = [(bm, len(blk) - 2) for bm, blk in zip(_block_masks(cfg.vt), cfg.vt.blocks)]
     checked = set()
     bad = []
-
-    def grow(gens, union, pool):
-        # boundary relevance (two omitted indices per block) is monotone
-        # decreasing as generators are added, so failing branches are pruned
-        for k, pid in enumerate(pool):
-            hit = union | cfg.nonzero[pid]
-            if any((hit & bm).bit_count() > cap for bm, cap in room):
-                continue
-            cone = gens + (pid,)
-            if cone not in checked:
-                checked.add(cone)
-                diag = smith_normal_form([m_coords[g] for g in cone])
-                if any(d != 1 for d in diag) or len(diag) != len(cone):
-                    bad.append(cone)
-            grow(cone, hit, pool[k + 1:])
-
     for cell in sub.cells:
-        grow((), 0, sorted(pid for pid in cell if pid != ORIGIN))
+        pool = sorted(pid for pid in cell if pid != ORIGIN)
+        stack = [((), 0, 0)]  # (generators, OR of their supports, first pool index to add)
+        while stack:
+            gens, union, start = stack.pop()
+            for k in range(start, len(pool)):
+                # boundary relevance (two omitted indices per block) is monotone
+                # decreasing as generators are added, so failing branches are pruned
+                hit = union | cfg.nonzero[pool[k]]
+                if any((hit & bm).bit_count() > cap for bm, cap in room):
+                    continue
+                cone = gens + (pool[k],)
+                if cone not in checked:
+                    if len(checked) == MPCS_CONE_LIMIT:
+                        raise IndexSetTooLarge(f"more than {MPCS_CONE_LIMIT} "
+                                               "boundary-relevant cones to check")
+                    checked.add(cone)
+                    diag = smith_normal_form([m_coords[g] for g in cone])
+                    if any(d != 1 for d in diag) or len(diag) != len(cone):
+                        bad.append(cone)
+                stack.append((cone, hit, k + 1))
     failures = mpcp_report.failures + tuple(
         (cone, "boundary-relevant cone not unimodular") for cone in sorted(bad))
     return mpcp_report._replace(mpcs=mpcp_report.mpcp and not bad, failures=failures)

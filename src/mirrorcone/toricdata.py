@@ -220,6 +220,9 @@ def validate(inp: ToricInput) -> ValidatedToricData:
         for key in keyed:
             if tuple(key) not in xi0set:
                 raise UnknownMonomial(f"{name} key {key} is not in Xi_0")
+    if inp.weights is not None:
+        for p in xi0:
+            resolve_weight(inp.weights, p)
 
     return ValidatedToricData(
         input=inp, m_bar=m_bar, d=d, q=q, n_sigma=n_sigma,

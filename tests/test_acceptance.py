@@ -63,6 +63,7 @@ from tests_support import (
     greene_plesser_config,
     quartic_mpcp_weights,
     random_admissible_v,
+    single_block_config,
 )
 
 
@@ -387,7 +388,7 @@ GREENE_PLESSER_DIGESTS = {
 
 @pytest.mark.parametrize("name", GREENE_PLESSER_DEGREES)
 def test_greene_plesser_hypersurfaces_through_the_algebra_section(tmp_path, capsys, name):
-    # the paper's own examples; the default sections (fans) still stall on them
+    # the paper's own examples; with uniform weights their MPCS walk is refused
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(greene_plesser_config(name)))
     t0 = time.monotonic()
@@ -398,6 +399,23 @@ def test_greene_plesser_hypersurfaces_through_the_algebra_section(tmp_path, caps
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GREENE_PLESSER_DIGESTS[name]
     print(f"\nACCEPTANCE 6 PASS {name} through the algebra section ({elapsed:.2f}s < 30s)")
+
+
+@pytest.mark.parametrize("n, args", [(8, ["--sections", "fans"]), (5, [])],
+                         ids=["octic-in-p7-fans", "uniform-quintic-default"])
+def test_uniform_single_blocks_refuse_the_mpcs_walk(tmp_path, capsys, n, args):
+    # millions of boundary-relevant subsets in a few coarse cells (ROADMAP
+    # item 3): the walk stops at the cone limit, with no recursion to overflow
+    cfg = tmp_path / f"single-block-{n}.json"
+    cfg.write_text(json.dumps(single_block_config(n)))
+    t0 = time.monotonic()
+    code = main(["analyze", str(cfg), *args])
+    _elapsed_guard(t0, 30.0, f"the degree-{n} single block")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("IndexSetTooLarge:")
 
 
 # sha256 of the default `analyze` report (every section but algebra, fans on

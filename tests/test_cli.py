@@ -333,6 +333,22 @@ def test_too_many_xi_candidates_exit_1(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("IndexSetTooLarge: 1352078 candidates")
 
 
+@pytest.mark.parametrize("command", [["validate"], ["analyze", "--sections", "validation"]],
+                         ids=["validate", "analyze-validation"])
+@pytest.mark.parametrize("lam, message", [
+    ("uniform:0", "ToricDataError: weights must be positive"),
+    ({"0,0,0,4": "1"}, "UnknownMonomial: no weight for (0, 0, 1, 3)"),
+], ids=["zero", "missing-points"])
+def test_validate_resolves_lambda_on_every_xi0_point(tmp_path, capsys, command, lam, message):
+    # a lambda that no fans section reads is refused as soon as it is loaded
+    code = main([command[0], write_cfg(tmp_path, _quartic_with(**{"lambda": lam})),
+                 *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0] == message
+
+
 def test_empty_index_set_exits_1(tmp_path):
     cfg = write_cfg(tmp_path, {"blocks": [], "d": [], "lattice": {"congruences": []},
                                "lambda": "uniform:1"})

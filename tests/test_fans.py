@@ -33,7 +33,7 @@ from mirrorcone.fans import (
 )
 from mirrorcone.fixtures import fixture
 from mirrorcone.intlat import hnf_canonicalize, solve_int
-from mirrorcone.toricdata import validate
+from mirrorcone.toricdata import IndexSetTooLarge, validate
 from oracles import (
     _barycentric_membership,
     _facets_by_scan,
@@ -889,10 +889,11 @@ STAR_CELL = [(0, 0, -3, -3), (0, 0, 0, 3), (-1, -1, -2, -2), (-1, -1, 0, 2),
              (-2, -2, -1, -1), (-2, -2, 0, 1), (-3, -3, 0, 0), (0, 1, -2, -2),
              (0, 1, 0, 2), (0, 2, -1, -1), (0, 2, 0, 1), (0, 3, 0, 0), (0, 0, 0, 0)]
 CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-# (0,0) and (3,3) are the only lexicographic extremes of either hull, so a
-# normal to their line finds a third vertex; with (1,2) in place of (1,1), the
-# hull is a quadrilateral and (2,1) gets a negative barycentric coordinate
-COMPLETED = [(0, 0), (1, 1), (2, 1), (3, 3)]
+# completion from the lex-max point (3,3): (0,0) at min e_1, then (2,1) off
+# their line; (1,1) comes first and lies on an edge, so a completion started
+# from the first point misses (0,0).  With (1,2) in place of (1,1), the hull
+# is a quadrilateral and (2,1) gets a negative barycentric coordinate
+COMPLETED = [(1, 1), (0, 0), (2, 1), (3, 3)]
 KITE = [(0, 0), (1, 2), (2, 1), (3, 3)]
 
 
@@ -903,6 +904,10 @@ KITE = [(0, 0), (1, 2), (2, 1), (3, 3)]
 @example((CUBE, 3))
 @example((COMPLETED, 2))
 @example((KITE, 2))
+# a simplex hull with its lex-max vertex repeated and a point on an edge
+@example(([(2, 0), (0, 2), (1, 0), (2, 0), (0, 0)], 2))
+# after (3,3) and (0,0), the completion takes the vertex (1,2) at max g
+@example(([(0, 0), (1, 1), (1, 2), (3, 3)], 2))
 @settings(max_examples=120, deadline=None)
 def test_facets_match_the_subset_scan(config):
     pts, dim = config
@@ -916,16 +921,16 @@ def test_facets_match_the_subset_scan(config):
         assert {i for i, v in enumerate(vals) if v == g0} == contact
 
 
-@pytest.mark.parametrize("pts, dim, solves, simplex", [
-    (STAR_CELL, 4, [], True),
-    (CUBE, 3, None, False),
-    (COMPLETED, 2, ["kernel"], True),
-    (KITE, 2, ["kernel"], False),
+@pytest.mark.parametrize("pts, dim, simplex", [
+    (STAR_CELL, 4, True),
+    (CUBE, 3, False),
+    (COMPLETED, 2, True),
+    (KITE, 2, False),
 ], ids=["star-cell", "cube-misses-early", "completed", "kite-rejected-by-w"])
-def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim,
-                                                        solves, simplex):
-    # solves: the kernels before the one barycentric factorization; None
-    # when the branch misses before factoring
+def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim, simplex):
+    # more than dim + 1 points: dim kernels complete the vertices, one
+    # barycentric factorization reads a simplex, and only any other hull
+    # goes on to the pivot ("cube-misses-early" names a split since removed)
     calls = []
 
     def counted(name):
@@ -936,14 +941,30 @@ def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim,
             return solve(*args)
         return counting
 
-    for name in ("kernel", "barycentric"):
+    for name in ("kernel", "barycentric", "_lower_hull_cells"):
         monkeypatch.setattr(fans, name, counted(name))
-    facets = fans._simplex_facets(pts, dim)
-    assert (facets is not None) == simplex
-    assert calls == ([] if solves is None else solves + ["barycentric"])
+    facets = fans._facets(pts, dim)
+    assert calls[:dim + 1] == ["kernel"] * dim + ["barycentric"]
+    assert calls[dim + 1:dim + 2] == ([] if simplex else ["_lower_hull_cells"])
+    assert set(facets) == set(_facets_by_scan(pts, dim))
     if simplex:
         assert len(facets) == dim + 1
-        assert set(facets) == set(_facets_by_scan(pts, dim))
+
+
+@pytest.mark.parametrize("limit, refused", [(278, True), (279, False)])
+def test_mpcs_walk_stops_past_the_cone_limit(monkeypatch, limit, refused):
+    # the uniform z-manifold's walk checks exactly 279 boundary-relevant cones
+    vt = fixture("z-manifold")
+    cfg = project_config(vt)
+    sub = regular_subdivision(cfg, vt.input.weights)
+    mpcp = check_mpcp(sub, cfg)
+    full = check_mpcs(sub, cfg, mpcp)
+    monkeypatch.setattr(fans, "MPCS_CONE_LIMIT", limit)
+    if refused:
+        with pytest.raises(IndexSetTooLarge, match="more than 278 boundary-relevant cones"):
+            check_mpcs(sub, cfg, mpcp)
+    else:
+        assert check_mpcs(sub, cfg, mpcp) == full
 
 
 def _perfbench_workloads():

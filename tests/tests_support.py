@@ -159,6 +159,18 @@ def greene_plesser_config(name):
     }
 
 
+def single_block_config(n):
+    """The config JSON object of the degree-n hypersurface in P^(n-1): one
+    block of n indices, d = n at each, one congruence (1, ..., 1) mod n and
+    uniform weights.  n = 5 is the quintic, n = 8 the octic in P^7."""
+    return {
+        "blocks": [list(range(1, n + 1))],
+        "d": [n] * n,
+        "lattice": {"congruences": [{"c": [1] * n, "mod": n}]},
+        "lambda": "uniform:1",
+    }
+
+
 # The mixed-block inputs of ROADMAP's input list (Borisov-type complete
 # intersections, blocks of sizes 3 and 4 or mixed degrees) with uniform
 # weights.  They are not `mirrorcone examples`.
