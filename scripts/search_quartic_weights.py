@@ -23,6 +23,7 @@ from mirrorcone.fans import (
     regular_subdivision,
 )
 from mirrorcone.fixtures import fixture
+from mirrorcone.toricdata import validate
 
 UNIT = Fraction(1, 4096 * 64)
 
@@ -37,12 +38,12 @@ def candidates(vt):
 
 def main():
     vt = fixture("quartic")
-    cfg = project_config(vt)
     for label, tiebreak in candidates(vt):
         weights = {}
         for idx, p in enumerate(vt.xi0):
             weights[p] = 1 + Fraction(sum(x * x for x in p), 64) + tiebreak(idx)
-        sub = regular_subdivision(cfg, weights)
+        cfg = project_config(validate(vt.input._replace(weights=weights)))
+        sub = regular_subdivision(cfg)
         report = check_mpcp(sub, cfg)
         line = f"{label}: cells={len(sub.cells)} mpcp={report.mpcp}"
         if report.mpcp:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import CertificateFailure
 from .grading import GradingData, deg_equal
-from .toricdata import ValidatedToricData, resolve_weight
+from .toricdata import ValidatedToricData
 from .intlat import contains
 
 
@@ -66,19 +66,10 @@ class Superpotential(NamedTuple):
 
 def build_superpotential(vt: ValidatedToricData) -> Superpotential:
     """-sum_j z^{e_I_j} + sum_p b_p z^p with val(b_p) defaulting to lambda_p."""
-    b_valuations = vt.input.b_valuations
-    terms = []
-    for j in range(vt.r):
-        terms.append(Term(sign=-1, exponent=vt.block_vector(j),
-                          valuation=None, is_block=True))
-    for p in vt.xi0:
-        if b_valuations is not None and tuple(p) in b_valuations:
-            val = Fraction(b_valuations[tuple(p)])
-        elif vt.input.weights is not None:
-            val = resolve_weight(vt.input.weights, p)
-        else:
-            val = None
-        terms.append(Term(sign=1, exponent=p, valuation=val, is_block=False))
+    terms = [Term(sign=-1, exponent=vt.block_vector(j), valuation=None, is_block=True)
+             for j in range(vt.r)]
+    terms += [Term(sign=1, exponent=p, valuation=val, is_block=False)
+              for p, val in zip(vt.xi0, vt.valuations)]
     terms.sort(key=lambda t: (not t.is_block, t.exponent))
     w = Superpotential(terms=tuple(terms), vt=vt)
     _check_homogeneous(w)

@@ -211,7 +211,7 @@ def cmd_analyze(args):
             return EXIT_INPUT
     else:
         sections = ["validation", "conditions", "groups", "grading", "bside"]
-        if vt.input.weights is not None:
+        if vt.heights is not None:
             sections.append("fans")
         if args.algebra:
             sections.append("algebra")
@@ -221,7 +221,7 @@ def cmd_analyze(args):
         print(f"input error: --algebra requires --cutoff N >= {largest}, "
               "the largest block size", file=sys.stderr)
         return EXIT_INPUT
-    if "fans" in sections and vt.input.weights is None:
+    if "fans" in sections and vt.heights is None:
         print("input error: fans section needs a lambda in the config",
               file=sys.stderr)
         return EXIT_INPUT

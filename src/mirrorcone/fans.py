@@ -36,7 +36,7 @@ from .intlat import (
     smith_normal_form,
     solve_int,
 )
-from .toricdata import IndexSetTooLarge, ValidatedToricData, resolve_weight
+from .toricdata import IndexSetTooLarge, ToricDataError, ValidatedToricData
 
 ORIGIN = "origin"
 # Most boundary-relevant cones check_mpcs walks; the largest counts measured
@@ -117,14 +117,6 @@ def project_config(vt: ValidatedToricData) -> ProjectedConfig:
         lifts[pid] = p
         nonzero[pid] = mask
     return cfg._replace(ids=tuple(ids))
-
-
-def resolve_weights(cfg: ProjectedConfig, weights) -> dict:
-    """Heights keyed by point id; the origin is pinned at 0."""
-    out = {ORIGIN: Fraction(0)}
-    for pid in cfg.ids[1:]:
-        out[pid] = resolve_weight(weights, cfg.lifts[pid])
-    return out
 
 
 class Subdivision(NamedTuple):
@@ -255,8 +247,8 @@ def _lower_hull_cells(points, heights):
     return [(cell, (f[:-2], f[-2], f[-1] * den)) for cell, (f, _) in cells.items()]
 
 
-def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Subdivision:
-    """The regular subdivision of the configuration induced by the weights h.
+def regular_subdivision(cfg: ProjectedConfig, perturb_seed=None) -> Subdivision:
+    """The regular subdivision induced by the weights h, ``cfg.vt.heights`` and 0 at the origin.
 
     With ``perturb_seed`` the pivot runs again, on h' = h + eps*f + eps2*g
     (``_refined_heights``): the ``perturbed`` result has weights h', each cell
@@ -277,10 +269,11 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
     eps*sum mu_u |u - p|^2 + eps2*(sum mu_u g(u) - g(p)) >= eps - eps2 > 0
     (distinct lattice points lie at least 1 apart, 0 <= g <= 1), against l' <= h'.
     """
-    heights_by_id = resolve_weights(cfg, weights)
+    if cfg.vt.heights is None:
+        raise ToricDataError("no weight vector supplied")
     ids = list(cfg.ids)
     points = [cfg.coords[pid] for pid in ids]
-    heights = [heights_by_id[pid] for pid in ids]
+    heights = [Fraction(0), *cfg.vt.heights]
 
     def named(cell):
         return tuple(sorted(ids[i] for i in cell))
@@ -289,7 +282,6 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
     parents = {}
     if perturb_seed is not None:
         heights = _refined_heights(points, heights, cells, perturb_seed)
-        heights_by_id = dict(zip(ids, heights))
         coarse, cells = [cell for cell, _ in cells], _lower_hull_cells(points, heights)
         for cell, _ in cells:
             if (parent := next((c for c in coarse if cell <= c), None)) is None:
@@ -301,7 +293,7 @@ def regular_subdivision(cfg: ProjectedConfig, weights, perturb_seed=None) -> Sub
             raise FanError("the refined heights did not reach a triangulation")
     supports = dict(sorted((named(cell), (tuple(Fraction(x, e) for x in a), Fraction(c, e)))
                            for cell, (a, c, e) in cells))
-    return Subdivision(cells=tuple(supports), supports=supports, weights=heights_by_id,
+    return Subdivision(cells=tuple(supports), supports=supports, weights=dict(zip(ids, heights)),
                        perturbed=perturb_seed is not None, parents=parents)
 
 

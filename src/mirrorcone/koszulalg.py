@@ -23,12 +23,18 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, product
+from math import comb
 from typing import NamedTuple
 
 from . import CertificateFailure
 from .bside import ClassificationViolation, bits, front_sign, involution_sign, sign_action
 from .intlat import matrix_rank
-from .toricdata import ValidatedToricData, check_no_bc
+from .toricdata import IndexSetTooLarge, ValidatedToricData, check_no_bc
+
+
+# Most exponents a single block's table may read; the octic in P^7 at cutoff
+# 8 has 289,311, nine indices at cutoff 9 1,915,705.
+ALGEBRA_EXPONENT_LIMIT = 1_000_000
 
 
 class CutoffTooSmall(ValueError):
@@ -262,6 +268,13 @@ def least_z_degree(n, size, zeros, w):
     return size + w + 2 - n if zeros <= w + 2 < n else size
 
 
+def count_exponents(n, z_cutoff):
+    """Most exponents koszul_cohomology_dims enumerates: over the C(n, c) zero
+    sets of each size c >= 2, the compositions of |a| = n - c .. z_cutoff + n - 2
+    into n - c positive parts, sum_|a| C(|a| - 1, n - c - 1) = C(z_cutoff + n - 2, n - c)."""
+    return sum(comb(n, c) * comb(z_cutoff + n - 2, n - c) for c in range(2, n + 1))
+
+
 def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     """Graded dimensions of the Koszul cohomology of W_0 for a single block of
     size n, read off the quotient algebra it is isomorphic to class by class:
@@ -272,6 +285,9 @@ def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     class (2|a| + w + 2(1 - n) max a, max a - a), and |a| <= cutoff + n - 2."""
     if z_cutoff < n:
         raise CutoffTooSmall(f"cutoff {z_cutoff} < block size {n}")
+    if (count := count_exponents(n, z_cutoff)) > ALGEBRA_EXPONENT_LIMIT:
+        raise IndexSetTooLarge(f"{count} exponents of a block of size {n} at cutoff "
+                               f"{z_cutoff} exceed the limit {ALGEBRA_EXPONENT_LIMIT}")
     blocks, table = (tuple(range(n)),), {}
     for zeros in range(1 << n):
         dims = [size - rank for size, _, _, rank in

@@ -135,7 +135,7 @@ def section_bside(vt, gd):
 def section_fans(vt, perturb_seed=None):
     _bind("fans")
     cfg = project_config(vt)
-    sub = regular_subdivision(cfg, vt.input.weights, perturb_seed=perturb_seed)
+    sub = regular_subdivision(cfg, perturb_seed=perturb_seed)
     mpcp = check_mpcp(sub, cfg)
     mpcs = check_mpcs(sub, cfg, mpcp)
     cert = certify_isolated_singularity(sub, cfg, mpcp)

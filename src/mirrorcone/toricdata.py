@@ -95,13 +95,18 @@ class ToricInput(NamedTuple):
 class ValidatedToricData:
     """The input and what ``validate`` derives from it.  ``volume_orders`` is
     the resolved v: the input's, else 1 except 0 at each block's largest index.
+    ``heights`` (parallel to ``xi0``, None without lambda) are the weights
+    lambda_p; ``valuations`` (parallel to ``xi0``) are val(b_p): the input's
+    ``b_valuations[p]``, else the height, else None.
     """
 
     def __init__(self, input: ToricInput, m_bar: Sublattice, d: int, q: IntVec,
                  n_sigma: tuple[Fraction, ...], xi: tuple[IntVec, ...],
-                 xi0: tuple[IntVec, ...], volume_orders: IntVec):
+                 xi0: tuple[IntVec, ...], volume_orders: IntVec,
+                 heights: tuple[Fraction, ...] | None, valuations: tuple):
         self.input, self.m_bar, self.d, self.q = input, m_bar, d, q
         self.n_sigma, self.xi, self.xi0, self.volume_orders = n_sigma, xi, xi0, volume_orders
+        self.heights, self.valuations = heights, valuations
 
     @property
     def blocks(self):
@@ -131,22 +136,6 @@ class ValidatedToricData:
 
     def block_vector(self, j):
         return tuple(1 if i in self.blocks[j] else 0 for i in range(self.n))
-
-
-def resolve_weight(weights, p):
-    """The positive height of the point p under a uniform or per-point weight."""
-    if weights is None:
-        raise ToricDataError("no weight vector supplied")
-    if isinstance(weights, dict):
-        key = tuple(p)
-        if key not in weights:
-            raise UnknownMonomial(f"no weight for {key}")
-        lam = Fraction(weights[key])
-    else:
-        lam = Fraction(weights)
-    if lam <= 0:
-        raise ToricDataError("weights must be positive")
-    return lam
 
 
 class ConditionVerdict(NamedTuple):
@@ -220,13 +209,22 @@ def validate(inp: ToricInput) -> ValidatedToricData:
         for key in keyed:
             if tuple(key) not in xi0set:
                 raise UnknownMonomial(f"{name} key {key} is not in Xi_0")
+    heights = None
     if inp.weights is not None:
-        for p in xi0:
-            resolve_weight(inp.weights, p)
+        lam = inp.weights if isinstance(inp.weights, dict) else dict.fromkeys(xi0, inp.weights)
+        if missing := [p for p in xi0 if p not in lam]:
+            raise UnknownMonomial(f"no weight for {missing[0]}")
+        heights = tuple(Fraction(lam[p]) for p in xi0)
+        if min(heights, default=1) <= 0:
+            raise ToricDataError("weights must be positive")
+    b_valuations = inp.b_valuations or {}
+    valuations = tuple(Fraction(b_valuations[p]) if p in b_valuations else h
+                       for p, h in zip(xi0, heights or [None] * len(xi0)))
 
     return ValidatedToricData(
         input=inp, m_bar=m_bar, d=d, q=q, n_sigma=n_sigma,
         xi=tuple(xi), xi0=tuple(xi0), volume_orders=tuple(volume_orders),
+        heights=heights, valuations=valuations,
     )
 
 

@@ -28,7 +28,6 @@ from mirrorcone.fans import (
     lift_subdivision,
     project_config,
     regular_subdivision,
-    resolve_weights,
 )
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.grading import build_grading_data, check_commutative_square, coker_H
@@ -63,6 +62,7 @@ from tests_support import (
     greene_plesser_config,
     quartic_mpcp_weights,
     random_admissible_v,
+    reweighted,
     single_block_config,
 )
 
@@ -105,12 +105,10 @@ def test_criterion_1_fixture_values():
     print(f"\nACCEPTANCE 1 PASS fixture values exact ({elapsed:.2f}s < 5s)")
 
 
-def _oracle_cells(cfg, weights):
-    heights_by_id = resolve_weights(cfg, weights)
+def _oracle_cells(cfg):
     points = [cfg.coords[pid] for pid in cfg.ids]
-    heights = [heights_by_id[pid] for pid in cfg.ids]
     pos = {pid: i for i, pid in enumerate(cfg.ids)}
-    return subdivision_by_hyperplane_scan(points, heights), pos
+    return subdivision_by_hyperplane_scan(points, [0, *cfg.vt.heights]), pos
 
 
 def test_criterion_2_subdivision_suite():
@@ -119,8 +117,8 @@ def test_criterion_2_subdivision_suite():
     # quartic with uniform weights: output equals the brute-force oracle
     vt = fixture("quartic")
     cfg = project_config(vt)
-    sub = regular_subdivision(cfg, Fraction(1))
-    oracle, pos = _oracle_cells(cfg, Fraction(1))
+    sub = regular_subdivision(cfg)
+    oracle, pos = _oracle_cells(cfg)
     assert {frozenset(pos[p] for p in cell) for cell in sub.cells} == oracle
 
     # the uniform quartic weights are the constructed degenerate case:
@@ -133,13 +131,13 @@ def test_criterion_2_subdivision_suite():
 
     # elliptic fixture, 20 random positive rational weight vectors
     vt_e = fixture("elliptic")
-    cfg_e = project_config(vt_e)
     rng = random.Random(42)
     for _ in range(20):
         weights = {p: Fraction(rng.randrange(1, 60), rng.randrange(1, 16))
                    for p in vt_e.xi0}
-        sub_e = regular_subdivision(cfg_e, weights)
-        oracle_e, pos_e = _oracle_cells(cfg_e, weights)
+        cfg_e = project_config(reweighted(vt_e, weights))
+        sub_e = regular_subdivision(cfg_e)
+        oracle_e, pos_e = _oracle_cells(cfg_e)
         assert {frozenset(pos_e[p] for p in c) for c in sub_e.cells} == oracle_e
         rep = check_mpcp(sub_e, cfg_e)
         assert rep.mpcp
@@ -149,8 +147,8 @@ def test_criterion_2_subdivision_suite():
         assert certify_isolated_singularity(sub_e, cfg_e, rep).certified
 
     # quartic with generic (verified MPCP) weights: the full positive chain
-    weights_q = quartic_mpcp_weights(vt)
-    sub_q = regular_subdivision(cfg, weights_q)
+    cfg = project_config(reweighted(vt, quartic_mpcp_weights(vt)))
+    sub_q = regular_subdivision(cfg)
     rep_q = check_mpcp(sub_q, cfg)
     assert rep_q.mpcp
     full_q = check_mpcs(sub_q, cfg, rep_q)
@@ -165,8 +163,8 @@ def test_criterion_2_subdivision_suite():
 def _generic_chain(name, seed):
     """Subdivision, MPCP/MPCS report and singularity certificate of a generic chain."""
     vt = fixture(name)
-    cfg = project_config(vt)
-    sub = regular_subdivision(cfg, generic_weights(vt, seed))
+    cfg = project_config(reweighted(vt, generic_weights(vt, seed)))
+    sub = regular_subdivision(cfg)
     mpcp = check_mpcp(sub, cfg)
     cert = certify_isolated_singularity(sub, cfg, mpcp)
     # the certificate runs the lift: every lifted cell passed its three checks
@@ -210,9 +208,9 @@ def test_criterion_2_cubic_fourfold_generic_cells_pass_the_oracle_checks(cubic_f
     t0 = time.monotonic() - cubic_fourfold_generic.seconds
     vt = fixture("cubic-fourfold")
     weights = generic_weights(vt, 1)
-    fans = section_fans(validate(vt.input._replace(weights=weights)))
+    fans = section_fans(reweighted(vt, weights))
     cfg = project_config(vt)
-    heights = resolve_weights(cfg, weights)
+    heights = {pid: weights.get(cfg.lifts[pid], 0) for pid in cfg.ids}
     cells = [tuple(cell) for cell in fans["cells"]]
     assert len(cells) == 104
     for cell in cells:
@@ -418,6 +416,19 @@ def test_uniform_single_blocks_refuse_the_mpcs_walk(tmp_path, capsys, n, args):
     assert len(lines) == 1 and lines[0].startswith("IndexSetTooLarge:")
 
 
+def test_nine_index_block_refuses_the_algebra_table(tmp_path, capsys):
+    # 1,915,705 exponents at cutoff 9: refused before any slice is ranked
+    cfg = tmp_path / "single-block-9.json"
+    cfg.write_text(json.dumps(single_block_config(9)))
+    t0 = time.monotonic()
+    code = main(["analyze", str(cfg), "--sections", "validation,algebra", "--cutoff", "9"])
+    _elapsed_guard(t0, 10.0, "the degree-9 single block through the algebra section")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("IndexSetTooLarge: 1915705 exponents of a block of size 9 "
+                            "at cutoff 9 exceed the limit 1000000\n")
+
+
 # sha256 of the default `analyze` report (every section but algebra, fans on
 # a fine triangulation) of the Greene-Plesser threefolds and the mixed-block
 # inputs with generic seed 1, recorded before the degree certificates moved
@@ -479,8 +490,7 @@ def test_paper_examples_refine_to_certified_triangulations(tmp_path, capsys, nam
     assert fans["isolated_singularity"]["certified"]
     # each refined cell lies in its parent, a cell of the unperturbed star
     vt = validate(parse_config(config))
-    star = {"|".join(cell) for cell in
-            regular_subdivision(project_config(vt), vt.input.weights).cells}
+    star = {"|".join(cell) for cell in regular_subdivision(project_config(vt)).cells}
     for cell, entry in fans["supports"].items():
         parent = entry.get("parent", cell)
         assert parent in star and set(cell.split("|")) <= set(parent.split("|"))

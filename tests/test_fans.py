@@ -49,6 +49,7 @@ from tests_support import (
     cubic_block_input,
     generic_weights,
     quartic_mpcp_weights,
+    reweighted,
 )
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -60,12 +61,9 @@ def cells_as_index_sets(cfg, sub):
     return {frozenset(pos[p] for p in cell) for cell in sub.cells}
 
 
-def oracle_cells(cfg, weights):
-    from mirrorcone.fans import resolve_weights
-    heights_by_id = resolve_weights(cfg, weights)
+def oracle_cells(cfg):
     points = [cfg.coords[pid] for pid in cfg.ids]
-    heights = [heights_by_id[pid] for pid in cfg.ids]
-    return subdivision_by_hyperplane_scan(points, heights)
+    return subdivision_by_hyperplane_scan(points, [0, *cfg.vt.heights])
 
 
 def random_rational(rng):
@@ -111,33 +109,31 @@ def test_project_config_product_of_triangles():
 
 def test_elliptic_any_weights_three_triangles():
     vt = fixture("elliptic")
-    cfg = project_config(vt)
     rng = random.Random(2024)
     for _ in range(5):
         weights = {p: random_rational(rng) for p in vt.xi0}
-        sub = regular_subdivision(cfg, weights)
+        sub = regular_subdivision(project_config(reweighted(vt, weights)))
         assert len(sub.cells) == 3
         assert all(ORIGIN in cell and len(cell) == 3 for cell in sub.cells)
 
 
 def test_elliptic_matches_oracle_random_weights():
     vt = fixture("elliptic")
-    cfg = project_config(vt)
     rng = random.Random(7)
     for _ in range(10):
-        weights = {p: random_rational(rng) for p in vt.xi0}
-        sub = regular_subdivision(cfg, weights)
-        assert cells_as_index_sets(cfg, sub) == oracle_cells(cfg, weights)
+        cfg = project_config(reweighted(vt, {p: random_rational(rng) for p in vt.xi0}))
+        sub = regular_subdivision(cfg)
+        assert cells_as_index_sets(cfg, sub) == oracle_cells(cfg)
 
 
 def test_quartic_uniform_matches_oracle():
     vt = fixture("quartic")
     cfg = project_config(vt)
-    sub = regular_subdivision(cfg, Fraction(1))
+    sub = regular_subdivision(cfg)
     # uniform weights give the coarse star over the four facets
     assert len(sub.cells) == 4
     assert all(ORIGIN in cell and len(cell) == 13 for cell in sub.cells)
-    assert cells_as_index_sets(cfg, sub) == oracle_cells(cfg, Fraction(1))
+    assert cells_as_index_sets(cfg, sub) == oracle_cells(cfg)
     report = check_mpcp(sub, cfg)
     assert not report.is_triangulation
     assert not report.mpcp
@@ -146,9 +142,8 @@ def test_quartic_uniform_matches_oracle():
 
 def test_quartic_mpcp_weights_full_chain():
     vt = fixture("quartic")
-    cfg = project_config(vt)
-    weights = quartic_mpcp_weights(vt)
-    sub = regular_subdivision(cfg, weights)
+    cfg = project_config(reweighted(vt, quartic_mpcp_weights(vt)))
+    sub = regular_subdivision(cfg)
     assert len(sub.cells) == 40
     report = check_mpcp(sub, cfg)
     assert report.mpcp and report.is_triangulation
@@ -161,10 +156,9 @@ def test_quartic_mpcp_weights_full_chain():
 
 def test_quartic_mpcp_weights_match_oracle():
     vt = fixture("quartic")
-    cfg = project_config(vt)
-    weights = quartic_mpcp_weights(vt)
-    sub = regular_subdivision(cfg, weights)
-    assert cells_as_index_sets(cfg, sub) == oracle_cells(cfg, weights)
+    cfg = project_config(reweighted(vt, quartic_mpcp_weights(vt)))
+    sub = regular_subdivision(cfg)
+    assert cells_as_index_sets(cfg, sub) == oracle_cells(cfg)
 
 
 def test_volume_conservation():
@@ -173,29 +167,28 @@ def test_volume_conservation():
     points = [cfg.coords[pid] for pid in cfg.ids]
     hull_volume = normalized_volume(points)
     for weights in (Fraction(1), quartic_mpcp_weights(vt)):
-        sub = regular_subdivision(cfg, weights)
+        sub = regular_subdivision(project_config(reweighted(vt, weights)))
         assert subdivision_volume(sub, cfg) == hull_volume
 
 
 def test_scale_invariance():
     vt = fixture("quartic")
-    cfg = project_config(vt)
     weights = quartic_mpcp_weights(vt)
     scaled = {p: Fraction(7, 3) * w for p, w in weights.items()}
-    sub1 = regular_subdivision(cfg, weights)
-    sub2 = regular_subdivision(cfg, scaled)
+    sub1 = regular_subdivision(project_config(reweighted(vt, weights)))
+    sub2 = regular_subdivision(project_config(reweighted(vt, scaled)))
     assert sub1.cells == sub2.cells
 
 
 def test_degenerate_edge_weights_reported():
     vt = fixture("quartic")
-    cfg = project_config(vt)
     weights = quartic_mpcp_weights(vt)
     # tie the five collinear points of the edge p_3 = p_4 = 0
     for p in vt.xi0:
         if p[2] == 0 and p[3] == 0:
             weights[p] = Fraction(1)
-    sub = regular_subdivision(cfg, weights)
+    cfg = project_config(reweighted(vt, weights))
+    sub = regular_subdivision(cfg)
     report = check_mpcp(sub, cfg)
     assert not report.is_triangulation
     assert any("not a simplex" in reason for _, reason in report.failures)
@@ -207,7 +200,7 @@ def test_degenerate_edge_weights_reported():
 def test_perturbation_refines_to_triangulation():
     vt = fixture("quartic")
     cfg = project_config(vt)
-    sub = regular_subdivision(cfg, Fraction(1), perturb_seed=11)
+    sub = regular_subdivision(cfg, perturb_seed=11)
     assert sub.perturbed
     assert check_mpcp(sub, cfg).is_triangulation
     # the refinement still covers the hull
@@ -223,7 +216,7 @@ def non_unimodular_cones(report):
 def test_zmanifold_mpcs_equals_mpcp_uniform():
     for name, count in (("quartic", 132), ("cubic-fourfold", 72), ("z-manifold", 54)):
         cfg = project_config(fixture(name))
-        sub = regular_subdivision(cfg, Fraction(1))
+        sub = regular_subdivision(cfg)
         report = check_mpcs(sub, cfg, check_mpcp(sub, cfg))
         assert report.mpcs == report.mpcp
         assert len(non_unimodular_cones(report)) == count
@@ -240,9 +233,10 @@ def test_zmanifold_mpcs_equals_mpcp_uniform():
 ])
 def test_mpcs_matches_the_subset_oracle(name, weights, perturb):
     vt = fixture(name)
+    if weights != "uniform":
+        vt = reweighted(vt, generic_weights(vt, weights))
     cfg = project_config(vt)
-    weights = Fraction(1) if weights == "uniform" else generic_weights(vt, weights)
-    sub = regular_subdivision(cfg, weights, perturb_seed=perturb)
+    sub = regular_subdivision(cfg, perturb_seed=perturb)
     report = check_mpcs(sub, cfg, check_mpcp(sub, cfg))
     expected = mpcs_by_subsets(sub.cells, ORIGIN, cfg.lifts, cfg.coords, vt.blocks,
                                fans.lattice_m_basis(cfg).basis)
@@ -252,7 +246,7 @@ def test_mpcs_matches_the_subset_oracle(name, weights, perturb):
 
 def test_mpcs_solves_each_point_once(monkeypatch):
     cfg = project_config(fixture("quartic"))
-    sub = regular_subdivision(cfg, Fraction(1))
+    sub = regular_subdivision(cfg)
     mpcp = check_mpcp(sub, cfg)
     calls = []
 
@@ -270,12 +264,12 @@ def test_mpcp_implies_lift_certificates_random_weights(name, draws):
     # conditional property: whenever a random weight vector is MPCP, every
     # lifted cell passes its three certificates; mpcs tracks mpcp (dim <= 4)
     vt = fixture(name)
-    cfg = project_config(vt)
     rng = random.Random(hash(name) % 10**6)
     for _ in range(draws):
         weights = {p: Fraction(rng.randrange(1, 50), rng.randrange(1, 16))
                    for p in vt.xi0}
-        sub = regular_subdivision(cfg, weights)
+        cfg = project_config(reweighted(vt, weights))
+        sub = regular_subdivision(cfg)
         report = check_mpcp(sub, cfg)
         full = check_mpcs(sub, cfg, report)
         assert full.mpcs == (report.mpcp and full.mpcs)
@@ -304,9 +298,8 @@ def test_check_mpcs_rejects_a_projection_that_escapes_m():
 
 
 def test_lift_vertices_elliptic():
-    vt = fixture("elliptic")
-    cfg = project_config(vt)
-    sub = regular_subdivision(cfg, Fraction(2))
+    cfg = project_config(reweighted(fixture("elliptic"), Fraction(2)))
+    sub = regular_subdivision(cfg)
     for cell in lift_subdivision(sub, cfg):
         assert (1, 1, 1) in cell.vertices
         assert len(cell.vertices) == 3
@@ -314,8 +307,8 @@ def test_lift_vertices_elliptic():
 
 def quartic_mpcp_chain():
     vt = fixture("quartic")
-    cfg = project_config(vt)
-    return cfg, regular_subdivision(cfg, quartic_mpcp_weights(vt))
+    cfg = project_config(reweighted(vt, quartic_mpcp_weights(vt)))
+    return cfg, regular_subdivision(cfg)
 
 
 def test_lift_rejects_a_functional_that_does_not_support():
@@ -335,7 +328,7 @@ def test_lift_rejects_a_functional_that_does_not_support():
 
 def test_lift_rejects_the_coarse_quartic_star():
     cfg = project_config(fixture("quartic"))
-    sub = regular_subdivision(cfg, Fraction(1))
+    sub = regular_subdivision(cfg)
     with pytest.raises(CellLiftFailure) as exc:
         lift_subdivision(sub, cfg)
     assert len(exc.value.cell) == 13
@@ -383,9 +376,9 @@ def test_lift_tests_each_point_against_the_cells_it_projects_into(monkeypatch, n
     # membership test runs on a projected point; a probe row in front of
     # each cell's N records every (x, 1) tested
     vt = fixture(name)
-    cfg = project_config(vt)
     weights = quartic_mpcp_weights(vt) if name == "quartic" else generic_weights(vt, 1)
-    sub = regular_subdivision(cfg, weights)
+    cfg = project_config(reweighted(vt, weights))
+    sub = regular_subdivision(cfg)
     factor = fans.barycentric
     calls = []
 
@@ -409,8 +402,8 @@ def test_lift_tests_each_point_against_the_cells_it_projects_into(monkeypatch, n
 
 def test_lift_factors_each_cell_once_and_solves_no_point(monkeypatch):
     vt = fixture("cubic-fourfold")
-    cfg = project_config(vt)
-    sub = regular_subdivision(cfg, generic_weights(vt, 1))
+    cfg = project_config(reweighted(vt, generic_weights(vt, 1)))
+    sub = regular_subdivision(cfg)
     factor = fans.barycentric
     calls = []
 
@@ -431,8 +424,8 @@ def test_lift_factors_each_cell_once_and_solves_no_point(monkeypatch):
 def test_factored_membership_matches_the_kernel_oracle(name, seed):
     # on every (cell, Xi point) pair, not only the envelope candidates
     vt = fixture(name)
-    cfg = project_config(vt)
-    sub = regular_subdivision(cfg, generic_weights(vt, seed))
+    cfg = project_config(reweighted(vt, generic_weights(vt, seed)))
+    sub = regular_subdivision(cfg)
     inside = 0
     for lc in lift_subdivision(sub, cfg):
         w, n = fans.barycentric(lc.vertices)
@@ -447,7 +440,7 @@ def test_factored_membership_matches_the_kernel_oracle(name, seed):
 
 def test_six_cubic_block_star_certifies_all_729_simplices():
     cfg = project_config(validate(cubic_block_input(6)))
-    sub = regular_subdivision(cfg, Fraction(1))
+    sub = regular_subdivision(cfg)
     cert = certify_isolated_singularity(sub, cfg, check_mpcp(sub, cfg))
     assert cert.certified
     assert ("lifted_triangulation", True, "729 simplices certified") in cert.links
@@ -511,11 +504,10 @@ def shift_facets_off_their_ridges(monkeypatch):
 def test_ridge_pivot_certificate_catches_a_shifted_facet(monkeypatch, name):
     # a pivot around a hyperplane one unit past the ridge cannot keep the ridge
     vt = fixture(name)
-    weights = quartic_mpcp_weights(vt) if name == "quartic" else Fraction(1)
-    cfg = project_config(vt)
+    cfg = project_config(reweighted(vt, quartic_mpcp_weights(vt)) if name == "quartic" else vt)
     shift_facets_off_their_ridges(monkeypatch)
     with pytest.raises(fans.PivotCheckFailed, match="neighbor functional lost the ridge"):
-        regular_subdivision(cfg, weights)
+        regular_subdivision(cfg)
 
 
 def uniform_elliptic_config(tmp_path):
@@ -550,10 +542,10 @@ def test_each_interior_ridge_is_rotated_across_once(monkeypatch, name):
     # most dim of them (each raises the contact set's affine rank), each
     # interior ridge one more; from a boundary ridge no point lies beyond
     vt = fixture(name)
-    cfg = project_config(vt)
+    cfg = project_config(reweighted(vt, generic_weights(vt, 1)))
     rotations = []
     monkeypatch.setattr(fans, "gcd", lambda *xs: rotations.append(xs) or math.gcd(*xs))
-    sub = regular_subdivision(cfg, generic_weights(vt, 1))
+    sub = regular_subdivision(cfg)
     monkeypatch.undo()
     owners = Counter()
     for cell in sub.cells:
@@ -567,18 +559,18 @@ def test_each_interior_ridge_is_rotated_across_once(monkeypatch, name):
 def test_shifted_facet_is_caught_after_a_clean_run(monkeypatch):
     # nothing the clean run leaves behind may hide the shift
     vt = fixture("quartic")
-    cfg, weights = project_config(vt), quartic_mpcp_weights(vt)
-    regular_subdivision(cfg, weights)
+    cfg = project_config(reweighted(vt, quartic_mpcp_weights(vt)))
+    regular_subdivision(cfg)
     shift_facets_off_their_ridges(monkeypatch)
     with pytest.raises(fans.PivotCheckFailed, match="neighbor functional lost the ridge"):
-        regular_subdivision(cfg, weights)
+        regular_subdivision(cfg)
 
 
 def _fresh_process_cells(name):
-    code = ("import sys; from fractions import Fraction; from mirrorcone import fans; "
+    code = ("import sys; from mirrorcone import fans; "
             "from mirrorcone.fixtures import fixture; "
             "cfg = fans.project_config(fixture(sys.argv[1])); "
-            "print([list(c) for c in fans.regular_subdivision(cfg, Fraction(1)).cells])")
+            "print([list(c) for c in fans.regular_subdivision(cfg).cells])")
     proc = subprocess.run([sys.executable, "-c", code, name], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -587,7 +579,7 @@ def _fresh_process_cells(name):
 
 def test_configs_run_one_after_another_give_the_cells_of_fresh_runs():
     names = ("quartic", "cubic-fourfold")
-    in_turn = [regular_subdivision(project_config(fixture(n)), Fraction(1)).cells
+    in_turn = [regular_subdivision(project_config(fixture(n))).cells
                for n in names]
     assert in_turn == [_fresh_process_cells(n) for n in names]
 
@@ -613,7 +605,7 @@ def test_each_point_set_is_enumerated_once_per_subdivision(monkeypatch):
     for _ in range(2):
         seen.clear()
         hulls.clear()
-        sub = regular_subdivision(cfg, Fraction(1))
+        sub = regular_subdivision(cfg)
         assert len(sub.cells) == 27
         assert len(seen) == len(set(seen)) == 27
         assert {frozenset(pts) for pts, _ in seen} == {
@@ -679,10 +671,9 @@ def test_perturb_pivots_on_the_weights_then_on_the_refined_heights(monkeypatch, 
     monkeypatch.setattr(fans, "_facets", enumerating_facets)
     monkeypatch.setattr(fans, "_lower_hull_cells", recording)
     cfg = project_config(fixture(name))
-    sub = regular_subdivision(cfg, Fraction(1), perturb_seed=1)
+    sub = regular_subdivision(cfg, perturb_seed=1)
     points = [cfg.coords[pid] for pid in cfg.ids]
-    weights = fans.resolve_weights(cfg, Fraction(1))
-    assert calls == [(points, [weights[pid] for pid in cfg.ids]),
+    assert calls == [(points, [0] + [1] * len(cfg.vt.xi0)),
                      (points, [sub.weights[pid] for pid in cfg.ids])]
 
 
@@ -691,10 +682,12 @@ def _point_set_subdivision(heights, seed):
     origin, pinned at 0; each point is its own lift."""
     dim = len(next(iter(heights)))
     lifts = {fans.point_id(p): p for p in heights}
-    cfg = fans.ProjectedConfig(dim=dim, ids=(ORIGIN, *sorted(lifts)),
+    ids = sorted(lifts)
+    vt = types.SimpleNamespace(heights=tuple(Fraction(heights[lifts[pid]]) for pid in ids))
+    cfg = fans.ProjectedConfig(dim=dim, ids=(ORIGIN, *ids),
                                coords={ORIGIN: (0,) * dim, **lifts}, lifts=lifts,
-                               nonzero={}, pairs=(), vt=None)
-    return regular_subdivision(cfg, heights, perturb_seed=seed)
+                               nonzero={}, pairs=(), vt=vt)
+    return regular_subdivision(cfg, perturb_seed=seed)
 
 
 # (heights off the origin, {refined cell: parent}, the parent omitted where
@@ -795,7 +788,7 @@ def test_constant_noise_on_cospherical_points_makes_analyze_exit_1(tmp_path, cap
 
 def test_uniform_cubic_fourfold_star_cells_match_the_subset_scan():
     cfg = project_config(fixture("cubic-fourfold"))
-    sub = regular_subdivision(cfg, Fraction(1))
+    sub = regular_subdivision(cfg)
     assert [len(cell) for cell in sub.cells] == [13] * 9
     for cell in sub.cells:
         pts = [cfg.coords[pid] for pid in cell]
@@ -804,8 +797,8 @@ def test_uniform_cubic_fourfold_star_cells_match_the_subset_scan():
 
 def test_perturbed_cubic_fourfold_keeps_the_star_volume():
     cfg = project_config(fixture("cubic-fourfold"))
-    star = regular_subdivision(cfg, Fraction(1))
-    sub = regular_subdivision(cfg, Fraction(1), perturb_seed=5)
+    star = regular_subdivision(cfg)
+    sub = regular_subdivision(cfg, perturb_seed=5)
     mpcp = check_mpcp(sub, cfg)
     assert len(sub.cells) == 108 and mpcp.is_triangulation
     assert check_mpcs(sub, cfg, mpcp).mpcs
@@ -956,7 +949,7 @@ def test_mpcs_walk_stops_past_the_cone_limit(monkeypatch, limit, refused):
     # the uniform z-manifold's walk checks exactly 279 boundary-relevant cones
     vt = fixture("z-manifold")
     cfg = project_config(vt)
-    sub = regular_subdivision(cfg, vt.input.weights)
+    sub = regular_subdivision(cfg)
     mpcp = check_mpcp(sub, cfg)
     full = check_mpcs(sub, cfg, mpcp)
     monkeypatch.setattr(fans, "MPCS_CONE_LIMIT", limit)

@@ -18,6 +18,7 @@ from mirrorcone.koszulalg import (
     CutoffTooSmall,
     canonical_class,
     contract_block,
+    count_exponents,
     degree_classes,
     element_in_ideal,
     enumerate_curvature_candidates,
@@ -29,7 +30,7 @@ from mirrorcone.koszulalg import (
     tensor_j_dims,
     wedge,
 )
-from mirrorcone.toricdata import check_no_bc, validate
+from mirrorcone.toricdata import IndexSetTooLarge, check_no_bc, validate
 from oracles import (
     _koszul_class_monomials,
     _koszul_image,
@@ -359,6 +360,42 @@ def test_tensor_builds_one_table_per_block_size(monkeypatch):
 def test_cutoff_guard():
     with pytest.raises(CutoffTooSmall):
         koszul_cohomology_dims(4, 3)
+
+
+def _vectors(n, most):
+    """Every a in Z_{>=0}^n with |a| <= most."""
+    if n == 0:
+        yield ()
+        return
+    for x in range(most + 1):
+        for rest in _vectors(n - 1, most - x):
+            yield (x, *rest)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_exponent_count_equals_the_enumerated_exponents(n):
+    # a table reads the exponents with two zeros or more and |a| <= cutoff + n - 2
+    for cutoff in range(n, n + 4):
+        enumerated = sum(1 for a in _vectors(n, cutoff + n - 2) if a.count(0) >= 2)
+        assert count_exponents(n, cutoff) == enumerated, cutoff
+
+
+def test_the_octic_fits_the_exponent_limit_and_nine_indices_do_not():
+    assert count_exponents(8, 8) == 289_311 <= koszulalg.ALGEBRA_EXPONENT_LIMIT
+    assert count_exponents(9, 9) == 1_915_705 > koszulalg.ALGEBRA_EXPONENT_LIMIT
+
+
+@pytest.mark.parametrize("slack, refused", [(-1, True), (0, False)])
+def test_single_block_table_stops_past_the_exponent_limit(monkeypatch, slack, refused):
+    count = count_exponents(4, 6)
+    table = koszul_cohomology_dims(4, 6)
+    monkeypatch.setattr(koszulalg, "ALGEBRA_EXPONENT_LIMIT", count + slack)
+    if refused:
+        with pytest.raises(IndexSetTooLarge, match=f"^{count} exponents of a block of size 4 "
+                                                   f"at cutoff 6 exceed the limit {count - 1}$"):
+            koszul_cohomology_dims(4, 6)
+    else:
+        assert koszul_cohomology_dims(4, 6) == table
 
 
 def test_kernel_inside_image_of_f():

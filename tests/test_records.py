@@ -11,7 +11,7 @@ from mirrorcone.fixtures import fixture
 from mirrorcone.grading import GradingDatum, GradingError, build_grading_data
 from mirrorcone.intlat import FiniteAbelianGroup, LatticeError, hnf_canonicalize
 from mirrorcone.report import write_json
-from tests_support import generic_weights
+from tests_support import generic_weights, reweighted
 
 VALUE_RECORDS = {
     "Term", "Superpotential", "DualizationReport", "ProjectedConfig", "Subdivision",
@@ -72,9 +72,8 @@ def test_subdivisions_do_not_share_one_parents_dict():
     with pytest.raises(TypeError, match="parents"):
         Subdivision(cells=(), supports={}, weights={}, perturbed=False)
     vt = fixture("quartic")
-    cfg = project_config(vt)
-    first = regular_subdivision(cfg, generic_weights(vt, 1))
-    second = regular_subdivision(cfg, generic_weights(vt, 2))
+    first = regular_subdivision(project_config(reweighted(vt, generic_weights(vt, 1))))
+    second = regular_subdivision(project_config(reweighted(vt, generic_weights(vt, 2))))
     assert first.parents == {} == second.parents
     assert first.parents is not second.parents
 

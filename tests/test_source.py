@@ -41,6 +41,17 @@ def test_src_does_not_import_dataclasses():
     assert imports == []
 
 
+def test_only_toricdata_reads_the_raw_input():
+    # validate resolves lambda and the valuations once; every other module
+    # reads what the validated record keeps, never vt.input
+    sources = sorted(Path(mirrorcone.__file__).parent.glob("*.py"))
+    reads = [f"{path.name}:{node.lineno}" for path in sources if path.name != "toricdata.py"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "input"]
+    assert len(sources) >= 10
+    assert reads == []
+
+
 # Defined in src/ but referenced by no src/ code: each entry says who calls it.
 UNREFERENCED_ALLOWED = {
     # perfbench/tracing.py hooks it by name as the koszulalg.degree_classes

@@ -136,6 +136,38 @@ def test_weight_key_must_be_in_xi0():
         validate(inp)
 
 
+def test_validate_keeps_uniform_heights_as_the_default_valuations():
+    vt = fixture("quartic", weights=Fraction(5, 2))
+    assert vt.heights == (Fraction(5, 2),) * len(vt.xi0) == vt.valuations
+
+
+def test_validate_keeps_mapped_heights_and_overrides_a_valuation():
+    inp = fixture_input("quartic")
+    weights = {p: Fraction(i + 1, 3) for i, p in enumerate(validate(inp).xi0)}
+    first, second = sorted(weights)[:2]
+    vt = validate(inp._replace(weights=weights, b_valuations={second: Fraction(9, 4)}))
+    assert vt.heights == tuple(weights[p] for p in vt.xi0)
+    valuations = dict(zip(vt.xi0, vt.valuations))
+    assert valuations[first] == weights[first] and valuations[second] == Fraction(9, 4)
+    assert all(valuations[p] == weights[p] for p in vt.xi0 if p != second)
+
+
+def test_without_lambda_there_are_no_heights_and_only_input_valuations():
+    inp = fixture_input("quartic", weights=None)
+    vt = validate(inp)
+    assert vt.heights is None and vt.valuations == (None,) * len(vt.xi0)
+    key = vt.xi0[3]
+    vt = validate(inp._replace(b_valuations={key: Fraction(7)}))
+    assert vt.heights is None
+    assert vt.valuations == tuple(Fraction(7) if p == key else None for p in vt.xi0)
+
+
+def test_fans_without_lambda_needs_a_weight_vector():
+    vt = fixture("quartic", weights=None)
+    with pytest.raises(ToricDataError, match="^no weight vector supplied$"):
+        report.build_report(vt, ["fans"])
+
+
 def test_nef_partition_quartic_true():
     assert check_nef_partition(fixture("quartic")).holds
 

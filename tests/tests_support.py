@@ -198,7 +198,15 @@ def generic_config(config, seed):
     from mirrorcone.toricdata import validate
 
     vt = validate(parse_config(config))
-    return input_echo(validate(vt.input._replace(weights=generic_weights(vt, seed))))
+    return input_echo(reweighted(vt, generic_weights(vt, seed)))
+
+
+def reweighted(vt, weights):
+    """``vt``'s input validated again with lambda = ``weights``: its heights
+    are what ``regular_subdivision`` of its projected configuration reads."""
+    from mirrorcone.toricdata import validate
+
+    return validate(vt.input._replace(weights=weights))
 
 
 def quartic_mpcp_weights(vt):
