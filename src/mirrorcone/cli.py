@@ -6,12 +6,12 @@ Exit codes: 0 success, 1 domain-condition failure, 2 input error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import ALL_SECTIONS, CertificateFailure
 from .toricdata import LatticeSpec, ToricDataError, ToricInput, input_echo, validate
@@ -48,6 +48,8 @@ def _parse_fraction(value, where):
 
 def _exponent_map(obj, where):
     """{exponent: Fraction} from "i,j,..." keys; two keys of one exponent are refused."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config: {where} must be an object")
     out = {}
     for key, value in obj.items():
         if not _EXPONENT_KEY.fullmatch(str(key)):
@@ -133,15 +135,9 @@ def parse_config(data) -> ToricInput:
         else:
             raise ConfigError("config: lambda must be a string or object")
 
-    volume_orders = None
-    if data.get("v") is not None:
-        volume_orders = _parse_vector(data["v"], n, "v")
-
-    b_valuations = None
-    if data.get("b_valuations") is not None:
-        if not isinstance(data["b_valuations"], dict):
-            raise ConfigError("config: b_valuations must be an object")
-        b_valuations = _exponent_map(data["b_valuations"], "b_valuations")
+    volume_orders = None if data.get("v") is None else _parse_vector(data["v"], n, "v")
+    b_valuations = (None if data.get("b_valuations") is None
+                    else _exponent_map(data["b_valuations"], "b_valuations"))
 
     return ToricInput(blocks=blocks, degrees=degrees, lattice=spec,
                       weights=weights, volume_orders=volume_orders,
@@ -169,12 +165,6 @@ def load_config(path) -> ToricInput:
     except (ValueError, RecursionError) as exc:  # bad or too deep JSON; not UTF-8
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return parse_config(data)
-
-
-def fixture_config_json(name):
-    from .fixtures import fixture
-
-    return input_echo(fixture(name))
 
 
 def _load_validated(path):
@@ -209,13 +199,9 @@ def cmd_analyze(args):
         if unknown:
             print(f"input error: unknown sections {unknown}", file=sys.stderr)
             return EXIT_INPUT
-    else:
-        sections = ["validation", "conditions", "groups", "grading", "bside"]
-        if vt.heights is not None:
-            sections.append("fans")
-        if args.algebra:
-            sections.append("algebra")
-        sections = tuple(sections)
+    else:  # fans only with a lambda, algebra only with --algebra
+        optional = {"fans": vt.heights is not None, "algebra": args.algebra}
+        sections = tuple(s for s in ALL_SECTIONS if optional.get(s, True))
     largest = max(map(len, vt.blocks))
     if "algebra" in sections and (args.cutoff is None or args.cutoff < largest):
         print(f"input error: --algebra requires --cutoff N >= {largest}, "
@@ -248,7 +234,7 @@ def cmd_analyze(args):
 
 
 def cmd_examples(args):
-    from .fixtures import FIXTURE_NAMES
+    from .fixtures import FIXTURE_NAMES, fixture
 
     if args.action == "list":
         print(*FIXTURE_NAMES, sep="\n")
@@ -257,42 +243,65 @@ def cmd_examples(args):
         print(f"unknown example {args.name!r}; choose from {', '.join(FIXTURE_NAMES)}",
               file=sys.stderr)
         return EXIT_INPUT
-    print(json.dumps(fixture_config_json(args.name), sort_keys=True, indent=2))
+    print(json.dumps(input_echo(fixture(args.name)), sort_keys=True, indent=2))
     return EXIT_OK
 
 
+# The commands, from which main parses argv and prints the usage (argparse,
+# with the gettext and locale its first message loads, costs each process
+# 4-5 ms).  An option is (type, metavar, help): bool for a flag, else int or str.
+_COMMANDS = {
+    "validate": (cmd_validate, "check the input axioms", ("config",), {}),
+    "analyze": (cmd_analyze, "run the analysis pipeline", ("config",), {
+        "sections": (str, "SECTIONS", "comma-separated, any of " + ",".join(ALL_SECTIONS)),
+        "algebra": (bool, "", "include the graded-algebra section"),
+        "cutoff": (int, "N", "z-degree cutoff for the algebra section"),
+        "perturb": (int, "SEED", "refine into a triangulation on every point by seeded heights"),
+        "out": (str, "FILE", "write the report to a file")}),
+    "examples list": (cmd_examples, "list the builtin fixtures", (), {}),
+    "examples show": (cmd_examples, "print a builtin fixture's config", ("name",), {}),
+}
+_OPTION = re.compile(r"-[^0-9]")  # an option word; "-" and negative numbers are values
+
+
+def _usage(error=None):
+    """Print the usage (exit 0), or to stderr with the error line (exit 2)."""
+    lines = ["mirrorcone [COMMAND] -h|--help".ljust(38) + "this usage; options also as --opt=VALUE"]
+    for command, (_, about, positionals, options) in _COMMANDS.items():
+        words = [command, *map(str.upper, positionals)] + ["[options]"] * bool(options)
+        lines.append(f"mirrorcone {' '.join(words)}".ljust(38) + about)
+        lines += [f"  --{name} {meta}".ljust(24) + text for name, (_, meta, text) in options.items()]
+    print("usage: " + "\n       ".join(lines), *[f"mirrorcone: error: {error}"] * bool(error),
+          sep="\n", file=sys.stderr if error else sys.stdout)
+    return EXIT_INPUT if error else EXIT_OK
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="mirrorcone",
-        description="Combinatorial analysis of generalized Greene-Plesser toric data")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_val = sub.add_parser("validate", help="check the input axioms")
-    p_val.add_argument("config")
-    p_val.set_defaults(func=cmd_validate)
-
-    p_an = sub.add_parser("analyze", help="run the analysis pipeline")
-    p_an.add_argument("config")
-    p_an.add_argument("--sections", default=None,
-                      help="comma-separated subset of: " + ",".join(ALL_SECTIONS))
-    p_an.add_argument("--algebra", action="store_true",
-                      help="include the graded-algebra section")
-    p_an.add_argument("--cutoff", type=int, default=None,
-                      help="z-degree cutoff for the algebra section")
-    p_an.add_argument("--perturb", type=int, default=None, metavar="SEED",
-                      help="refine into a triangulation on every point by seeded heights")
-    p_an.add_argument("--out", default=None, help="write the report to a file")
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_ex = sub.add_parser("examples", help="list or show the builtin fixtures")
-    p_ex.add_argument("action", choices=("list", "show"))
-    p_ex.add_argument("name", nargs="?")
-    p_ex.set_defaults(func=cmd_examples)
-
-    args = parser.parse_args(argv)
-    if args.command == "examples" and args.action == "show" and not args.name:
-        parser.error("examples show requires a name")
-    return args.func(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        return _usage()
+    command = next((c for c in _COMMANDS if argv[:c.count(" ") + 1] == c.split()), None)
+    if command is None:
+        return _usage(f"expected a command, one of: {', '.join(_COMMANDS)}")
+    func, _, positionals, options = _COMMANDS[command]
+    args, words, rest = dict.fromkeys(options), [], iter(argv[command.count(" ") + 1:])
+    for word in rest:
+        name, eq, value = word[2:].partition("=")
+        kind = options[name][0] if word[:2] == "--" and name in options else None
+        if not _OPTION.match(word):
+            words.append(word)
+        elif kind is None or eq and kind is bool:
+            return _usage(f"unrecognized argument {word}")
+        elif kind is not bool and not eq and _OPTION.match(value := next(rest, "--")):
+            return _usage(f"argument --{name}: expected one argument")
+        elif kind is int and not re.fullmatch(r"-?[0-9]+", value):
+            return _usage(f"argument --{name}: invalid int value: {value!r}")
+        else:
+            args[name] = kind is bool or kind(value)
+    if len(words) != len(positionals):
+        return _usage(f"{command} takes {' '.join(positionals).upper() or 'nothing'}, got {words}")
+    # examples reads its action, list or show, from the command's last word
+    return func(SimpleNamespace(action=command.split()[-1], **dict(zip(positionals, words)), **args))
 
 
 if __name__ == "__main__":

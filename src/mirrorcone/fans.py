@@ -29,6 +29,7 @@ from typing import NamedTuple
 
 from . import CertificateFailure
 from .intlat import (
+    _echelon,
     barycentric,
     hnf_canonicalize,
     kernel,
@@ -138,7 +139,8 @@ def _facets(pts, dim):
     (pts lie where <normal, x> <= offset); pts may repeat.  dim + 1 points
     are the vertices of a simplex; otherwise dim + 1 vertices come by
     completion.  The lex-max point is a vertex.  While there are at most dim
-    vertices, g (the first ``kernel`` row of their differences) is constant
+    vertices, g (the first row of the kernel of their differences: one
+    echelon, ``kernel`` of none, takes a gcd column per new vertex) is constant
     on their affine hull but not on pts, which span; so the lex-max point at
     max g, or at min g when the vertices attain max g, is a vertex of a
     supporting face off that hull.  The dim + 1 vertices found are affinely
@@ -154,12 +156,15 @@ def _facets(pts, dim):
     if len(pts) == dim + 1:  # the vertices: W(v_j, 1) = D [j == k], nothing to check
         return {frozenset(range(dim + 1)) - {k}: (tuple(-x for x in w[:dim]), w[dim])
                 for k, w in enumerate(barycentric(pts)[0])}
-    verts = [max(pts)]
+    verts, normals = [max(pts)], kernel([], dim)
     while len(verts) <= dim:
-        g = kernel([[x - y for x, y in zip(v, verts[0])] for v in verts[1:]], dim)[0]
+        g = normals[0]
         vals = [sum(map(mul, g, p)) for p in pts]
         t = max(vals) if max(vals) != sum(map(mul, g, verts[0])) else min(vals)
         verts.append(max(p for p, v in zip(pts, vals) if v == t))
+        normals = [(sum(map(mul, n, verts[-1])) - sum(map(mul, n, verts[0])), *n) for n in normals]
+        _echelon(normals, 1)
+        normals = [n[1:] for n in normals[1:]]
     if (factored := barycentric(verts)) is not None:
         rows = [(w, [sum(map(mul, w, p)) + w[dim] for p in pts]) for w in factored[0]]
         if all(min(vals) >= 0 for _, vals in rows):

@@ -8,13 +8,16 @@ of their own, simplex membership by a rational kernel, MPCS over every
 subset of every cell, the Koszul factorization on readable tuple keys, the
 convolution of graded-dims tables on (j, m) tuple keys, the quotient algebra
 and Koszul cohomology ranked over whole degree classes at once, and the
-degree conditions on Fractions straight from n_sigma = (1/d_i)_i.
-Nothing here imports mirrorcone.
+degree conditions on Fractions straight from n_sigma = (1/d_i)_i, and
+h^{k-2,1} of a Greene-Plesser hypersurface by Batyrev's formula on the
+simplex conv(d_i e_i).  Nothing here imports mirrorcone.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd, lcm
 
 
 def subgroup_closure_mod(generators, modulus, n):
@@ -707,3 +710,47 @@ def involution_sign_by_fractions(degrees, v, b, h_size):
     if exponent.denominator != 1:
         return None
     return -1 if exponent.numerator % 2 else 1
+
+
+def _weighted_monomials(weights, total):
+    """Every a >= 0 with sum w_i a_i = total."""
+    if not weights:
+        return [()] if total == 0 else []
+    return [(a, *rest) for a in range(total // weights[0] + 1)
+            for rest in _weighted_monomials(weights[1:], total - a * weights[0])]
+
+
+def batyrev_h21(degrees):
+    """(h^{k-2,1}, its codimension-2 term) of the Calabi-Yau hypersurface
+    sum_i x_i^{d_i} = 0, sum_i 1/d_i = 1, by Batyrev's formula (Batyrev, "Dual
+    polyhedra and mirror symmetry for Calabi-Yau hypersurfaces in toric
+    varieties", J. Alg. Geom. 3, 1994) for its Newton polytope Delta =
+    conv(d_i e_i), of dimension k = n - 1:
+
+        h^{k-2,1} = l(Delta) - k - 1 - sum over facets theta of l*(theta)
+                    + sum over codimension-2 faces theta of l*(theta) l*(theta*).
+
+    Delta's lattice points are the monomials of weighted degree lcm(d) under
+    the weights w_i = lcm(d) / d_i, and the interior points of the face on
+    the indices S are those whose support is exactly S.  The face missing
+    i and j is dual to the edge between the images of e_i and e_j in
+    Hom(M_lin, Z) = Z^n / Z w', M_lin = {a : sum w_i a_i = 0} and w' the
+    primitive weights; its lattice length is the largest content of
+    e_i - e_j - c w' over c (it divides sum w', so c < sum w' suffices).
+    """
+    n, total = len(degrees), lcm(*degrees)
+    weights = [total // d for d in degrees]
+    interior = Counter(frozenset(i for i, a in enumerate(m) if a)
+                       for m in _weighted_monomials(weights, total))
+    primitive = [w // gcd(*weights) for w in weights]
+
+    def edge_interior(i, j):
+        edge = [(k == i) - (k == j) for k in range(n)]
+        return max(gcd(*(x - c * w for x, w in zip(edge, primitive)))
+                   for c in range(sum(primitive))) - 1
+
+    every = frozenset(range(n))
+    facets = sum(interior[every - {i}] for i in range(n))
+    codim2 = sum(interior[every - {i, j}] * edge_interior(i, j)
+                 for i, j in combinations(range(n), 2))
+    return sum(interior.values()) - (n - 1) - 1 - facets + codim2, codim2

@@ -57,10 +57,16 @@ def loaded_modules(args):
     return set(modules)
 
 
+# What argparse loads: gettext on import, locale on its first message lookup.
+# main parses argv from its own table, so no command loads any of them.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
+
+
 def test_validate_loads_only_cli_toricdata_and_intlat(tmp_path):
     modules = loaded_modules(["validate", write_cfg(tmp_path, QUARTIC_CFG)])
     assert {m for m in modules if m.startswith("mirrorcone")} == {
         "mirrorcone", "mirrorcone.cli", "mirrorcone.toricdata", "mirrorcone.intlat"}
+    assert not ARGPARSE_MODULES & modules
 
 
 def test_sections_load_only_the_modules_they_call(tmp_path):
@@ -80,6 +86,8 @@ def test_sections_load_only_the_modules_they_call(tmp_path):
     assert {m for m in shown if m.startswith("mirrorcone")} == {
         "mirrorcone", "mirrorcone.cli", "mirrorcone.fixtures", "mirrorcone.toricdata",
         "mirrorcone.intlat"}
+    for modules in (bside_algebra, default, everything, shown):
+        assert not ARGPARSE_MODULES & modules
 
 
 def test_analyze_loads_neither_dataclasses_nor_inspect(tmp_path):
@@ -89,6 +97,97 @@ def test_analyze_loads_neither_dataclasses_nor_inspect(tmp_path):
                               "--out", str(tmp_path / "report.json")])
     assert "mirrorcone.fans" in modules
     assert not {"dataclasses", "inspect"} & modules
+
+
+# The command line contract (README, CLI section), argv through main with CFG
+# standing for the quartic config.  Each accepted argv: its exit code and the
+# report sections it prints (None when it prints no report).
+ACCEPTED_ARGV = {
+    "validate": (["validate", "CFG"], 0, None),
+    "option-after-config": (["analyze", "CFG", "--sections", "groups"], 0, ["groups"]),
+    "option-before-config": (["analyze", "--sections", "groups", "CFG"], 0, ["groups"]),
+    "option-equals-value": (["analyze", "--sections=groups,validation", "CFG"], 0,
+                            ["groups", "validation"]),
+    "last-repeat-wins": (["analyze", "CFG", "--sections", "validation", "--sections", "groups"],
+                         0, ["groups"]),
+    "last-int-repeat-wins": (["analyze", "CFG", "--sections", "algebra", "--cutoff", "3",
+                              "--cutoff", "4"], 0, ["algebra"]),
+    "flag-and-ints-anywhere": (["analyze", "--algebra", "CFG", "--cutoff", "4", "--perturb", "2",
+                                "--sections", "validation"], 0, ["validation"]),
+    # a negative integer is a value, which cmd_analyze then refuses
+    "negative-cutoff": (["analyze", "CFG", "--sections", "algebra", "--cutoff", "-1"], 2, None),
+    "negative-cutoff-equals": (["analyze", "CFG", "--sections", "algebra", "--cutoff=-1"], 2,
+                               None),
+    "examples-list": (["examples", "list"], 0, None),
+    "examples-show": (["examples", "show", "quartic"], 0, None),
+}
+REFUSED_ARGV = {
+    "no-command": [],
+    "unknown-command": ["bogus", "CFG"],
+    "examples-without-action": ["examples"],
+    "unknown-examples-action": ["examples", "bogus"],
+    "unknown-option": ["analyze", "CFG", "--bogus"],
+    "single-dash-option": ["analyze", "CFG", "-s", "groups"],
+    "abbreviated-option": ["analyze", "CFG", "--sect", "groups"],
+    "option-of-another-command": ["validate", "CFG", "--cutoff", "4"],
+    "missing-value": ["analyze", "CFG", "--cutoff"],
+    "option-as-value": ["analyze", "CFG", "--out", "--algebra"],
+    "non-integer-value": ["analyze", "CFG", "--cutoff", "four"],
+    "fractional-value": ["analyze", "CFG", "--perturb=1.5"],
+    "flag-with-value": ["analyze", "CFG", "--algebra=yes"],
+    "missing-config": ["analyze", "--sections", "groups"],
+    "extra-positional": ["validate", "CFG", "CFG"],
+    "examples-show-without-name": ["examples", "show"],
+    "examples-list-with-name": ["examples", "list", "quartic"],
+}
+
+
+def _with_config(tmp_path, argv):
+    cfg = write_cfg(tmp_path, QUARTIC_CFG)
+    return [cfg if word == "CFG" else word for word in argv]
+
+
+@pytest.mark.parametrize("argv, code, sections", ACCEPTED_ARGV.values(), ids=ACCEPTED_ARGV)
+def test_accepted_command_lines(tmp_path, capsys, argv, code, sections):
+    assert main(_with_config(tmp_path, argv)) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: --algebra requires --cutoff")
+    else:
+        assert captured.err == ""
+    if sections is not None:
+        assert sorted(json.loads(captured.out)["sections"]) == sections
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGV.values(), ids=REFUSED_ARGV)
+def test_malformed_command_lines_print_the_usage_and_exit_2(tmp_path, capsys, argv):
+    assert main(_with_config(tmp_path, argv)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert lines[0].startswith("usage: mirrorcone")
+    assert lines[-1].startswith("mirrorcone: error: ")
+    assert sum(line.startswith("mirrorcone: error:") for line in lines) == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["analyze", "CFG", "--help"],
+                                  ["examples", "show", "-h"], ["analyze", "--cutoff", "x", "-h"]],
+                         ids=["short", "long", "analyze", "examples-show", "before-an-error"])
+def test_help_anywhere_prints_the_usage_and_exits_0(tmp_path, capsys, argv):
+    assert main(_with_config(tmp_path, argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: mirrorcone") and captured.err == ""
+
+
+@pytest.mark.parametrize("args", [["--help"], ["analyze", "-h"]], ids=["top", "analyze"])
+def test_help_names_every_command_and_option(args):
+    proc = run_cli(args)
+    assert proc.returncode == 0 and proc.stderr == ""
+    for word in ("validate CONFIG", "analyze CONFIG", "examples list", "examples show NAME",
+                 "--sections SECTIONS", "--algebra", "--cutoff N", "--perturb SEED",
+                 "--out FILE", "--opt=VALUE"):
+        assert word in proc.stdout, word
 
 
 def test_examples_list():

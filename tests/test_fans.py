@@ -921,9 +921,10 @@ def test_facets_match_the_subset_scan(config):
     (KITE, 2, False),
 ], ids=["star-cell", "cube-misses-early", "completed", "kite-rejected-by-w"])
 def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim, simplex):
-    # more than dim + 1 points: dim kernels complete the vertices, one
-    # barycentric factorization reads a simplex, and only any other hull
-    # goes on to the pivot ("cube-misses-early" names a split since removed)
+    # more than dim + 1 points: one kernel, of no rows, starts the echelon
+    # that completes the vertices, one barycentric factorization reads a
+    # simplex, and only any other hull goes on to the pivot
+    # ("cube-misses-early" names a split since removed)
     calls = []
 
     def counted(name):
@@ -937,11 +938,36 @@ def test_simplex_branch_takes_exactly_the_simplex_hulls(monkeypatch, pts, dim, s
     for name in ("kernel", "barycentric", "_lower_hull_cells"):
         monkeypatch.setattr(fans, name, counted(name))
     facets = fans._facets(pts, dim)
-    assert calls[:dim + 1] == ["kernel"] * dim + ["barycentric"]
-    assert calls[dim + 1:dim + 2] == ([] if simplex else ["_lower_hull_cells"])
+    assert calls[:2] == ["kernel", "barycentric"]
+    assert calls[2:3] == ([] if simplex else ["_lower_hull_cells"])
     assert set(facets) == set(_facets_by_scan(pts, dim))
     if simplex:
         assert len(facets) == dim + 1
+
+
+def test_vertex_completion_runs_one_echelon_per_cell(monkeypatch):
+    # the uniform z-manifold's 27 cells are 6-simplex hulls of 15 points; each
+    # completion extends the one echelon that a kernel of no rows starts,
+    # where a fresh kernel per vertex took 6 (162 in all)
+    kernels, per_cell = [], []
+    kernel, facets = fans.kernel, fans._facets
+
+    def counted_kernel(*args):
+        kernels.append(args)
+        return kernel(*args)
+
+    def counted_facets(pts, dim):
+        before = len(kernels)
+        out = facets(pts, dim)
+        if len(pts) > dim + 1:
+            per_cell.append(len(kernels) - before)
+        return out
+
+    monkeypatch.setattr(fans, "kernel", counted_kernel)
+    monkeypatch.setattr(fans, "_facets", counted_facets)
+    sub = regular_subdivision(project_config(fixture("z-manifold")))
+    assert len(sub.cells) == len(per_cell) == 27
+    assert per_cell == [1] * 27
 
 
 @pytest.mark.parametrize("limit, refused", [(278, True), (279, False)])

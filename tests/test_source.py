@@ -28,17 +28,27 @@ def test_src_raises_no_bare_certificate_failure():
     assert bare == []
 
 
+def _imports_of(module):
+    """Each src/ line that imports ``module`` or a name from it, as file:line."""
+    sources = sorted(Path(mirrorcone.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    return [f"{path.name}:{node.lineno}" for path in sources
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == module for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module]
+
+
 def test_src_does_not_import_dataclasses():
     # importing dataclasses loads inspect, and each class it makes execs code:
     # start-up cost paid by every process
-    sources = sorted(Path(mirrorcone.__file__).parent.glob("*.py"))
-    imports = [f"{path.name}:{node.lineno}" for path in sources
-               for node in ast.walk(ast.parse(path.read_text(), str(path)))
-               if isinstance(node, ast.Import)
-               and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
-               or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
-    assert len(sources) >= 10
-    assert imports == []
+    assert _imports_of("dataclasses") == []
+
+
+def test_src_does_not_import_argparse():
+    # argparse loads gettext, and its first message lookup loads locale: 4-5 ms
+    # of every process; cli.main parses argv from its own command table
+    assert _imports_of("argparse") == []
 
 
 def test_only_toricdata_reads_the_raw_input():

@@ -112,10 +112,12 @@ def analyze_fixture(tmp_path, capsys, name, *args):
     with the extra arguments: (exit code, standard error)."""
     import json
 
-    from mirrorcone.cli import fixture_config_json, main
+    from mirrorcone.cli import main
+    from mirrorcone.fixtures import fixture
+    from mirrorcone.toricdata import input_echo
 
     cfg = tmp_path / f"{name}.json"
-    cfg.write_text(json.dumps(fixture_config_json(name)))
+    cfg.write_text(json.dumps(input_echo(fixture(name))))
     code = main(["analyze", str(cfg), *args])
     return code, capsys.readouterr().err
 
