@@ -4,15 +4,13 @@ The projected configuration consists of the images of the distinguished
 lattice points under the per-block coordinate projection, plus the origin.
 A weight vector lifts the configuration; the cells of the subdivision are the
 projections of the lower faces of the lifted point set, found by an integer
-pivot from an initial lowest face across ridges.  One facet enumerator reads
-each cell: dim + 1 of its vertices come by kernel completion from its
-lex-max point, and if their one barycentric factorization holds every point
-(the hull is a simplex, extra points and all) it gives the facets; any other
-cell's come from the same pivot one dimension down.  --perturb pivots once
-more, on the weights plus small multiples of |p|^2 and of seeded noise: each
-cell splits into simplices on all its points.  The lift factors each cell
-once and tests a point only against the cells of the lower envelope (the
-maximum of the cells' support functionals) at its projection.  All
+pivot from an initial lowest face across ridges.  One facet enumerator,
+``_facets``, reads each cell: a simplex hull by one barycentric factorization,
+any other by the same pivot one dimension down.  --perturb pivots once more,
+on the weights plus small multiples of |p|^2 and of seeded noise: each cell
+splits into simplices on all its points.  The lift reads each simplex's one
+factorization and tests a point only against the cells of the lower envelope
+(the maximum of the cells' support functionals) at its projection.  All
 arithmetic is exact; each cell carries the affine functional certifying it
 (equality on the cell, strictly below the heights elsewhere).  MPCP and MPCS
 read each lift's support as a bitmask; MPCS solves each point in M once.
@@ -126,6 +124,7 @@ class Subdivision(NamedTuple):
     weights: dict                        # id -> Fraction
     perturbed: bool
     parents: dict                        # refined cell -> unperturbed cell
+    simplices: dict                      # simplicial cell -> {vertex id: its row of W}
 
 
 def _affine_rank(points):
@@ -155,7 +154,7 @@ def _facets(pts, dim):
     """
     if len(pts) == dim + 1:  # the vertices: W(v_j, 1) = D [j == k], nothing to check
         return {frozenset(range(dim + 1)) - {k}: (tuple(-x for x in w[:dim]), w[dim])
-                for k, w in enumerate(barycentric(pts)[0])}
+                for k, w in enumerate(barycentric(pts))}
     verts, normals = [max(pts)], kernel([], dim)
     while len(verts) <= dim:
         g = normals[0]
@@ -165,8 +164,8 @@ def _facets(pts, dim):
         normals = [(sum(map(mul, n, verts[-1])) - sum(map(mul, n, verts[0])), *n) for n in normals]
         _echelon(normals, 1)
         normals = [n[1:] for n in normals[1:]]
-    if (factored := barycentric(verts)) is not None:
-        rows = [(w, [sum(map(mul, w, p)) + w[dim] for p in pts]) for w in factored[0]]
+    if (w_rows := barycentric(verts)) is not None:
+        rows = [(w, [sum(map(mul, w, p)) + w[dim] for p in pts]) for w in w_rows]
         if all(min(vals) >= 0 for _, vals in rows):
             return {frozenset(i for i, v in enumerate(vals) if v == 0):
                     (tuple(-x for x in w[:dim]), w[dim]) for w, vals in rows}
@@ -174,7 +173,7 @@ def _facets(pts, dim):
     base = [p[:-1] for p in pts]
     for s in (1, -1):
         # height s*x: the functional (a.x' + c)/e lies below, so a.x' - s*e*x <= -c
-        for cell, (a, c, e) in _lower_hull_cells(base, [s * p[-1] for p in pts]):
+        for cell, (a, c, e), _ in _lower_hull_cells(base, [s * p[-1] for p in pts]):
             facets[cell] = (a + (-s * e,), -c)
     for contact, (g, g0) in _facets(base, dim - 1).items():
         if _affine_rank([pts[i] for i in contact]) == dim - 1:
@@ -189,8 +188,9 @@ def _lower_hull_cells(points, heights):
     once to integers H by their common denominator.  The pivot runs on
     integers: a functional (*A, C, e), e > 0, stands for (A.x + C)/e and keeps
     its slacks e*H_i - (A.p_i + C).  Returns a list of (frozenset of indices,
-    (A, C, e)), e including the height scale, where (A.x + C)/e equals the
-    height exactly on the cell and is strictly below it elsewhere.
+    (A, C, e), ``_facets`` of the cell's points in index order), e including
+    the height scale, where (A.x + C)/e equals the height exactly on the cell
+    and is strictly below it elsewhere.
     """
     dim = len(points[0])
     if _affine_rank(points) != dim:
@@ -230,13 +230,14 @@ def _lower_hull_cells(points, heights):
 
     # pivot across each ridge, around its outward normal, once: an interior
     # ridge holds the same points seen from either of its two cells
-    cells = {first: (func, slack)}
+    cells, facets = {first: (func, slack)}, {}
     queue, crossed = [first], set()
     while queue:
         cell = queue.pop()
         func, slack = cells[cell]
         idx = sorted(cell)
-        for facet, (g, g0) in _facets([points[i] for i in idx], dim).items():
+        facets[cell] = _facets([points[i] for i in idx], dim)
+        for facet, (g, g0) in facets[cell].items():
             if (ridge := frozenset(idx[i] for i in facet)) in crossed:
                 continue
             crossed.add(ridge)
@@ -249,7 +250,7 @@ def _lower_hull_cells(points, heights):
             if contact not in cells:
                 cells[contact] = (func2, slack2)
                 queue.append(contact)
-    return [(cell, (f[:-2], f[-2], f[-1] * den)) for cell, (f, _) in cells.items()]
+    return [(cell, (f[:-2], f[-2], f[-1] * den), facets[cell]) for cell, (f, _) in cells.items()]
 
 
 def regular_subdivision(cfg: ProjectedConfig, perturb_seed=None) -> Subdivision:
@@ -287,19 +288,23 @@ def regular_subdivision(cfg: ProjectedConfig, perturb_seed=None) -> Subdivision:
     parents = {}
     if perturb_seed is not None:
         heights = _refined_heights(points, heights, cells, perturb_seed)
-        coarse, cells = [cell for cell, _ in cells], _lower_hull_cells(points, heights)
-        for cell, _ in cells:
+        coarse, cells = [cell for cell, *_ in cells], _lower_hull_cells(points, heights)
+        for cell, *_ in cells:
             if (parent := next((c for c in coarse if cell <= c), None)) is None:
                 raise RefinementCheckFailed(
                     f"refined cell {named(cell)} lies in no unperturbed cell")
             if parent != cell:
                 parents[named(cell)] = named(parent)
-        if any(len(cell) != cfg.dim + 1 for cell, _ in cells):
+        if any(len(cell) != cfg.dim + 1 for cell, *_ in cells):
             raise FanError("the refined heights did not reach a triangulation")
     supports = dict(sorted((named(cell), (tuple(Fraction(x, e) for x in a), Fraction(c, e)))
-                           for cell, (a, c, e) in cells))
+                           for cell, (a, c, e), _ in cells))
+    simplices = {named(cell): {ids[idx[k]]: (*(-x for x in g), g0)
+                               for facet, (g, g0) in facets.items()
+                               for k in set(range(len(idx))) - facet}
+                 for cell, _, facets in cells if len(idx := sorted(cell)) == cfg.dim + 1}
     return Subdivision(cells=tuple(supports), supports=supports, weights=dict(zip(ids, heights)),
-                       perturbed=perturb_seed is not None, parents=parents)
+                       perturbed=perturb_seed is not None, parents=parents, simplices=simplices)
 
 
 def _refined_heights(points, heights, cells, seed):
@@ -308,7 +313,7 @@ def _refined_heights(points, heights, cells, seed):
     origin, eps = s_min/(2 N max f), eps2 = eps/2, N = len(points), s_min the
     least positive slack of the cells' functionals (1 if none is positive)."""
     slacks = (h - Fraction(sum(map(mul, a, p)) + c, e)
-              for _, (a, c, e) in cells for p, h in zip(points, heights))
+              for _, (a, c, e), _ in cells for p, h in zip(points, heights))
     s_min = min((s for s in slacks if s > 0), default=Fraction(1))
     f = [sum(x * x for x in p) for p in points]
     eps = s_min / (2 * len(points) * max(f))
@@ -326,14 +331,8 @@ class ConditionReport(NamedTuple):
     failures: tuple
 
     def to_json(self):
-        return {
-            "mpcp": self.mpcp,
-            "mpcs": self.mpcs,
-            "is_triangulation": self.is_triangulation,
-            "refines_product_fan": self.refines_product_fan,
-            "rays_are_xi0": self.rays_are_xi0,
-            "failures": [[list(cell), reason] for cell, reason in self.failures],
-        }
+        return {**self._asdict(),
+                "failures": [[list(cell), reason] for cell, reason in self.failures]}
 
 
 def check_mpcp(sub: Subdivision, cfg: ProjectedConfig) -> ConditionReport:
@@ -408,26 +407,40 @@ class LiftedCell(NamedTuple):
     vertices: tuple[tuple[int, ...], ...]
 
 
+def _in_lifted_hull(cfg, rows, y):
+    """lambda >= 0 and rho >= 0 of ``lift_subdivision``, W by vertex id in ``rows``."""
+    x = (*cfg.project(y), 1)
+    lam = {pid: sum(map(mul, w, x)) for pid, w in rows.items()}
+    d = sum(lam.values())
+    return min(lam.values()) >= 0 and all(
+        d * y[i] >= sum(t * cfg.lifts[pid][i] for pid, t in lam.items())
+        for i in map(max, cfg.vt.blocks))
+
+
 def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell, ...]:
     """Lift each cell to the degree-one slice and certify the lift.
 
     Certificates per cell, in this order: the pulled-back functional supports
-    the lifted configuration exactly on the lifted vertex set; the vertex set
-    is affinely independent; every degree-one lattice point projecting into
-    the cell lies in the convex hull of the lifted vertices.  The first failed
-    certificate raises CellLiftFailure (it falsifies the lifting lemma for
-    this input, which for an MPCP subdivision means a bug).
+    the lifted configuration exactly on the lifted vertex set; the cell is a
+    simplex (its lifted vertices, the block vectors e_{I_j} for the origin,
+    are then independent); every degree-one lattice point projecting into it
+    lies in the lifted hull.  The first failure raises CellLiftFailure: for
+    an MPCP subdivision, the only kind the CLI lifts, that is a bug.
 
-    The checks run on integers over one denominator.  Each cell's lifted
-    vertex set is factored once, by ``barycentric``: it is independent iff
-    that returns (W, N), and then a point x lies in its hull iff N(x, 1) = 0
-    and W(x, 1) >= 0.  A point is tested against the cells whose functional
+    The hull test reads the pivot's W (``sub.simplices``).  For degree-one y,
+    let lambda = W(pi(y), 1), D = sum lambda = W_v(v, 1) and R = D*y - sum
+    lambda_v lift(v), the origin's lift 0.  R projects to 0, so it is
+    constant on each block, R = sum rho_j e_{I_j}, and <q, R> = d*lambda_origin
+    as lifts and block vectors have degree d.  y = sum mu_v lift(v) + sum nu_j
+    e_{I_j} (mu, nu >= 0 summing to 1, no nu off the origin) forces mu =
+    lambda/D, as pi(y) fixes mu and the origin's weight, and then nu = rho/D.
+    So y is in the hull iff lambda >= 0 and rho >= 0, rho_j read at max I_j.
+    A point is tested, in integers, against the cells whose functional
     attains the maximum of all (the lower envelope) at its projection: given
     the support certificates, these are the cells it projects into, as each
     d_i e_i lies in Xi_0.
     """
     vt = cfg.vt
-    block_vectors = [vt.block_vector(j) for j in range(vt.r)]
     supports = [sub.supports[cell] for cell in sub.cells]
     den = lcm(*(h.denominator for h in sub.weights.values()),
               *(x.denominator for a, c in supports for x in (*a, c)))
@@ -443,7 +456,6 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
                      for pid in cfg.ids if pid != ORIGIN]
     lifted_config.append((ORIGIN, [c for _, c in funcs], 0))
     tops = [max(vals) for vals in values]  # the lower envelope at each point
-    ys = [(*x, 1) for x in vt.xi]
     out = []
     for k, cell in enumerate(sub.cells):
         in_cell = set(cell)
@@ -451,17 +463,15 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
             if vals[k] > h or (vals[k] == h) != (pid in in_cell):
                 raise CellLiftFailure(cell, "pulled-back functional does not "
                                             "support the lifted configuration")
-        vertices = [cfg.lifts[pid] for pid in cell if pid != ORIGIN]
-        if ORIGIN in in_cell:
-            vertices.extend(block_vectors)
-        if (factored := barycentric(vertices)) is None:
-            raise CellLiftFailure(cell, "lifted vertex set is affinely dependent")
-        w, n = factored
-        for y, vals, top in zip(ys, values, tops):
-            if vals[k] == top and (any(sum(map(mul, r, y)) for r in n)
-                                   or min(sum(map(mul, r, y)) for r in w) < 0):
+        if (rows := sub.simplices.get(cell)) is None:
+            raise CellLiftFailure(cell, "cell is not a simplex")
+        for y, vals, top in zip(vt.xi, values, tops):
+            if vals[k] == top and not _in_lifted_hull(cfg, rows, y):
                 raise CellLiftFailure(
                     cell, "a degree-one lattice point escapes the lifted hull")
+        vertices = [cfg.lifts[pid] for pid in cell if pid != ORIGIN]
+        if ORIGIN in in_cell:
+            vertices.extend(map(vt.block_vector, range(vt.r)))
         out.append(LiftedCell(cell=cell, vertices=tuple(vertices)))
     return tuple(out)
 

@@ -255,12 +255,11 @@ def matrix_rank(rows):
 
 
 def barycentric(vertices):
-    """Integer (W, N): x is in the affine hull of ``vertices`` iff N(x, 1) = 0,
-    and then W(x, 1) = D * (barycentric coordinates of x), D > 0; None when
-    the vertices are affinely dependent.  The transform echelon of the rows
-    (v_i, 1) gives T [v_i; 1] = [E; 0], E upper triangular with positive
-    pivots: N is T below the rank, the kernel of those rows, and W = adj(E) T
-    above it, by integer back substitution, D = det E.
+    """Integer W: W(x, 1) = D * (barycentric coordinates of x), D > 0, for x
+    in the affine hull of ``vertices``; None when they are affinely dependent.
+    The transform echelon of the rows (v_i, 1) gives T [v_i; 1] = [E; 0], E
+    upper triangular with positive pivots: W = adj(E) T above the rank, by
+    integer back substitution, D = det E.
     """
     k = len(vertices)
     rank, a = _transform_echelon([(*v, 1) for v in vertices], len(vertices[0]) + 1)
@@ -274,7 +273,7 @@ def barycentric(vertices):
             if a[i][j]:
                 acc = [x - a[i][j] * y for x, y in zip(acc, w[j])]
         w[i] = [x // a[i][i] for x in acc]
-    return w, [row[k:] for row in a[k:]]
+    return w
 
 
 def lattice_intersection(a: Sublattice, b: Sublattice):

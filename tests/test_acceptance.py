@@ -57,6 +57,7 @@ from oracles import (
 from tests_support import (
     GREENE_PLESSER_DEGREES,
     MIXED_BLOCK_CONFIGS,
+    cubic_block_input,
     generic_config,
     generic_weights,
     graded_pairs,
@@ -473,6 +474,31 @@ def test_paper_examples_with_generic_weights_through_default_analyze(tmp_path, c
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GENERIC_SEED_1_DIGESTS[name]
     print(f"\nACCEPTANCE 7 PASS {name} with generic seed 1 ({elapsed:.2f}s < 30s)")
+
+
+# sha256 of the default `analyze` report of the largest certified
+# triangulations: the sextic fourfold at generic seed 1 (7,228 simplices in
+# dim 5) and five and six cubic blocks (243 and 729 simplices, r = 5 and 6).
+# Each runs in its own process; the timeout only stops a stall.
+LARGE_TRIANGULATION_DIGESTS = {
+    "sextic-fourfold": "bd5c844c68faf59ee806c7872498813c057a44bb076a7c325af7dd227ee46af0",
+    "cubic-blocks-5": "9edce2ce258b874e0a1461d30f62074924fa9280ec2d4a359bc71aebcfd0096e",
+    "cubic-blocks-6": "f7ab3d160c8ee65eeec4aa79a1c0a6cf915cf2fc48f1218a143a63661dde42e6",
+}
+
+
+@pytest.mark.parametrize("name", LARGE_TRIANGULATION_DIGESTS)
+def test_largest_triangulations_through_default_analyze(tmp_path, name):
+    config = (generic_config(greene_plesser_config(name), 1) if name == "sextic-fourfold"
+              else input_echo(validate(cubic_block_input(int(name.rsplit("-", 1)[1])))))
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config))
+    proc = subprocess.run([sys.executable, "-m", "mirrorcone.cli", "analyze", str(cfg)],
+                          capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    fans = json.loads(proc.stdout)["sections"]["fans"]
+    assert fans["conditions"]["mpcs"] and fans["isolated_singularity"]["certified"]
+    assert hashlib.sha256(proc.stdout).hexdigest() == LARGE_TRIANGULATION_DIGESTS[name]
 
 
 # sha256 of the default `analyze --perturb 1` report of the four fixtures, the

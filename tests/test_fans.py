@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcone import fans
-from mirrorcone.cli import main
+from mirrorcone.cli import main, parse_config
 from mirrorcone.fans import (
     BlockZeroCheckFailed,
     CellLiftFailure,
@@ -45,6 +45,7 @@ from oracles import (
     subdivision_volume,
 )
 from tests_support import (
+    MIXED_BLOCK_CONFIGS,
     analyze_fixture,
     cubic_block_input,
     generic_weights,
@@ -332,22 +333,48 @@ def test_lift_rejects_the_coarse_quartic_star():
     with pytest.raises(CellLiftFailure) as exc:
         lift_subdivision(sub, cfg)
     assert len(exc.value.cell) == 13
-    assert exc.value.reason == "lifted vertex set is affinely dependent"
+    assert not sub.simplices
+    assert exc.value.reason == "cell is not a simplex"
 
 
-def test_lift_rejects_a_point_outside_the_lifted_hull(monkeypatch):
+def cubic_fourfold_generic_chain():
+    vt = fixture("cubic-fourfold")
+    cfg = project_config(reweighted(vt, generic_weights(vt, 1)))
+    return cfg, regular_subdivision(cfg)
+
+
+def test_lift_rejects_a_point_outside_the_lifted_hull():
+    # lambda >= 0: the first cell's W rows negated, so each of its vertices
+    # reads lambda = -D e_v
     cfg, sub = quartic_mpcp_chain()
-    factor = fans.barycentric
-    # every point off the affine hull (an extra row of N that reads the 1 of
-    # (x, 1)), then every point with a negative coordinate (W negated)
-    tampers = [lambda w, n: (w, n + [[0] * cfg.vt.n + [1]]),
-               lambda w, n: ([[-t for t in r] for r in w], n)]
-    for tamper in tampers:
-        monkeypatch.setattr(fans, "barycentric", lambda v: tamper(*factor(v)))
-        with pytest.raises(CellLiftFailure) as exc:
-            lift_subdivision(sub, cfg)
-        assert exc.value.cell == sub.cells[0]
-        assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
+    cell = sub.cells[0]
+    negated = {pid: tuple(-t for t in w) for pid, w in sub.simplices[cell].items()}
+    tampered = sub._replace(simplices={**sub.simplices, cell: negated})
+    with pytest.raises(CellLiftFailure) as exc:
+        lift_subdivision(tampered, cfg)
+    assert exc.value.cell == cell
+    assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
+
+
+def test_lift_rejects_a_point_off_the_lifted_hull_in_a_block_direction():
+    # rho >= 0: a degree-one point with the projection of a vertex v, shifted
+    # by e_{I_0} - e_{I_1}, reads lambda = D e_v >= 0 but rho_1 = -D; the
+    # first cell holding v is the first whose envelope it meets
+    cfg, sub = cubic_fourfold_generic_chain()
+    v = cfg.ids[1]
+    shift = [a - b for a, b in zip(cfg.vt.block_vector(0), cfg.vt.block_vector(1))]
+    y = tuple(a + b for a, b in zip(cfg.lifts[v], shift))
+    vt = copy.copy(cfg.vt)
+    vt.xi = cfg.vt.xi + (y,)
+    first = next(cell for cell in sub.cells if v in cell)
+    x = (*cfg.project(y), 1)
+    lam = {pid: sum(map(math.prod, zip(w, x))) for pid, w in sub.simplices[first].items()}
+    assert lam[v] == sum(lam.values()) > 0 and min(lam.values()) == 0
+    assert not fans._in_lifted_hull(cfg, sub.simplices[first], y)
+    with pytest.raises(CellLiftFailure) as exc:
+        lift_subdivision(sub, cfg._replace(vt=vt))
+    assert exc.value.cell == first
+    assert exc.value.reason == "a degree-one lattice point escapes the lifted hull"
 
 
 def _projects_into(cfg, cell, xi_pt):
@@ -358,52 +385,35 @@ def _projects_into(cfg, cell, xi_pt):
     return sol is not None and all(t >= 0 for t in sol)
 
 
-class _Probe:
-    """A zero entry of N that records the coordinates it is multiplied by."""
-
-    def __init__(self, seen):
-        self.seen = seen
-
-    def __mul__(self, other):
-        self.seen.append(other)
-        return 0
-
-
 @pytest.mark.parametrize("name", ["quartic", "cubic-fourfold"])
 def test_lift_tests_each_point_against_the_cells_it_projects_into(monkeypatch, name):
     # the envelope candidates lose no pair: the lifted-hull tests are exactly
-    # the (cell, Xi point) pairs whose projection lies in the cell, and no
-    # membership test runs on a projected point; a probe row in front of
-    # each cell's N records every (x, 1) tested
+    # the (cell, Xi point) pairs whose projection lies in the cell, each on
+    # the degree-one point itself; a cell's W rows are keyed by its vertices
     vt = fixture(name)
     weights = quartic_mpcp_weights(vt) if name == "quartic" else generic_weights(vt, 1)
     cfg = project_config(reweighted(vt, weights))
     sub = regular_subdivision(cfg)
-    factor = fans.barycentric
-    calls = []
+    in_hull = fans._in_lifted_hull
+    tested = []
 
-    def recording(vertices):
-        w, n = factor(vertices)
-        seen = []
-        calls.append((tuple(vertices), seen))
-        return w, [[_Probe(seen)] * (vt.n + 1)] + n
+    def recording(config, rows, y):
+        tested.append((tuple(sorted(rows)), y))
+        return in_hull(config, rows, y)
 
-    monkeypatch.setattr(fans, "barycentric", recording)
-    cell_of = {lc.vertices: lc.cell for lc in lift_subdivision(sub, cfg)}
-    tested = [(v, tuple(seen[i:i + vt.n + 1]))
-              for v, seen in calls for i in range(0, len(seen), vt.n + 1)]
-    assert all(len(y) == vt.n + 1 and y[-1] == 1 for _, y in tested)
-    recorded = sorted((cell_of[v], y[:-1]) for v, y in tested)
+    monkeypatch.setattr(fans, "_in_lifted_hull", recording)
+    lift_subdivision(sub, cfg)
     expected = sorted((cell, x) for cell in sub.cells for x in vt.xi
                       if _projects_into(cfg, cell, x))
-    assert len(recorded) == len(set(recorded))
-    assert recorded == expected
+    assert len(tested) == len(set(tested))
+    assert sorted(tested) == expected
 
 
 def test_lift_factors_each_cell_once_and_solves_no_point(monkeypatch):
+    # one barycentric factorization per simplex, by the pivot's facet
+    # enumeration; the lift reads the table and factors and solves nothing
     vt = fixture("cubic-fourfold")
     cfg = project_config(reweighted(vt, generic_weights(vt, 1)))
-    sub = regular_subdivision(cfg)
     factor = fans.barycentric
     calls = []
 
@@ -411,31 +421,42 @@ def test_lift_factors_each_cell_once_and_solves_no_point(monkeypatch):
         calls.append(vertices)
         return factor(vertices)
 
-    def no_kernel(*args):
-        raise AssertionError("kernel called by the lift")
+    def refused(*args):
+        raise AssertionError("called by the lift")
 
     monkeypatch.setattr(fans, "barycentric", counting)
-    monkeypatch.setattr(fans, "kernel", no_kernel)
-    assert len(lift_subdivision(sub, cfg)) == len(sub.cells) == len(calls) == 104
+    sub = regular_subdivision(cfg)
+    assert len(sub.cells) == len(sub.simplices) == len(calls) == 104
+    monkeypatch.setattr(fans, "barycentric", refused)
+    monkeypatch.setattr(fans, "kernel", refused)
+    assert len(lift_subdivision(sub, cfg)) == 104
+
+
+def _generic_input(name, seed):
+    if name in MIXED_BLOCK_CONFIGS:
+        vt = validate(parse_config(MIXED_BLOCK_CONFIGS[name]))
+    elif name.startswith("cubic-blocks-"):
+        vt = validate(cubic_block_input(int(name.rsplit("-", 1)[1])))
+    else:
+        vt = fixture(name)
+    return reweighted(vt, generic_weights(vt, seed))
 
 
 @pytest.mark.parametrize("name, seed", [("quartic", 1), ("quartic", 2),
-                                        ("cubic-fourfold", 1)])
+                                        ("cubic-fourfold", 1), ("e33+k4", 1),
+                                        ("cubic-blocks-3", 1)])
 def test_factored_membership_matches_the_kernel_oracle(name, seed):
-    # on every (cell, Xi point) pair, not only the envelope candidates
-    vt = fixture(name)
-    cfg = project_config(reweighted(vt, generic_weights(vt, seed)))
+    # the lift's hull test on every (simplex, Xi point) pair, not only the
+    # envelope candidates, against the oracle's kernel of the lifted vertices
+    cfg = project_config(_generic_input(name, seed))
     sub = regular_subdivision(cfg)
     inside = 0
     for lc in lift_subdivision(sub, cfg):
-        w, n = fans.barycentric(lc.vertices)
-        for x in vt.xi:
-            y = (*x, 1)
-            member = (not any(sum(a * b for a, b in zip(r, y)) for r in n)
-                      and min(sum(a * b for a, b in zip(r, y)) for r in w) >= 0)
+        for x in cfg.vt.xi:
+            member = fans._in_lifted_hull(cfg, sub.simplices[lc.cell], x)
             assert member == _barycentric_membership(lc.vertices, x)
             inside += member
-    assert inside >= len(vt.xi)
+    assert inside >= len(cfg.vt.xi)
 
 
 def test_six_cubic_block_star_certifies_all_729_simplices():
@@ -480,14 +501,12 @@ def test_barycentric_membership_matches_oracle_solve(kind, data):
     sol = _solve(rows, list(x) + [1])
     expected = sol is not None and all(t >= 0 for t in sol)
     assert expected == (kind in ("inside", "face"))
-    w, n = fans.barycentric(vertices)
-    y = (*x, 1)
-    off = [sum(a * b for a, b in zip(r, y)) for r in n]
-    coords = [sum(a * b for a, b in zip(r, y)) for r in w]
-    assert (not any(off) and min(coords) >= 0) == expected
-    # in the affine hull, W(x, 1) is D times the solve, D = sum W(x, 1) > 0
-    assert (sol is None) == any(off)
+    # W(x, 1) reads D times the solve on the affine hull; a point is off that
+    # hull exactly when it extends the vertices to an independent set
+    assert (fans.barycentric([*vertices, x]) is None) == (sol is not None)
     if sol is not None:
+        coords = [sum(a * b for a, b in zip(r, (*x, 1))) for r in fans.barycentric(vertices)]
+        assert (min(coords) >= 0) == expected
         assert [Fraction(t, sum(coords)) for t in coords] == sol
 
 
@@ -751,10 +770,10 @@ def test_refined_heights_give_the_hyperplane_scan_refinement(config):
     assume(_rank([[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]) == len(pts[0]))
     coarse = _lower_hull_cells(pts, heights)
     refined = fans._refined_heights(pts, heights, coarse, seed)
-    cells = {cell for cell, _ in _lower_hull_cells(pts, refined)}
+    cells = {cell for cell, *_ in _lower_hull_cells(pts, refined)}
     assert cells == subdivision_by_hyperplane_scan(pts, refined)
-    assert all(any(cell <= parent for parent, _ in coarse) for cell in cells)
-    assert set().union(*cells) == set().union(*(parent for parent, _ in coarse))
+    assert all(any(cell <= parent for parent, *_ in coarse) for cell in cells)
+    assert set().union(*cells) == set().union(*(parent for parent, *_ in coarse))
 
 
 def test_a_refined_cell_across_a_coarse_wall_makes_analyze_exit_3(tmp_path, capsys,
@@ -828,14 +847,14 @@ def test_lift_cell_without_origin():
     # a 1-d config where one cell avoids the lifted origin counterpart
     pts = [(0,), (1,), (2,)]
     heights = [Fraction(0), Fraction(1, 10), Fraction(1)]
-    cells = {frozenset(c) for c, _ in _lower_hull_cells(pts, heights)}
+    cells = {frozenset(c) for c, *_ in _lower_hull_cells(pts, heights)}
     assert cells == {frozenset({0, 1}), frozenset({1, 2})}
 
 
 def test_single_segment_cell():
     pts = [(0,), (3,)]
     heights = [Fraction(0), Fraction(1)]
-    cells = [c for c, _ in _lower_hull_cells(pts, heights)]
+    cells = [c for c, *_ in _lower_hull_cells(pts, heights)]
     assert cells == [frozenset({0, 1})]
 
 
@@ -1025,5 +1044,5 @@ def test_lower_hull_matches_oracle_on_random_configs(config):
     dirs = [[x - y for x, y in zip(p, base)] for p in pts[1:]]
     if _rank(dirs) != len(pts[0]):
         return
-    cells = {c for c, _ in _lower_hull_cells(pts, heights)}
+    cells = {c for c, *_ in _lower_hull_cells(pts, heights)}
     assert cells == subdivision_by_hyperplane_scan(pts, heights)
