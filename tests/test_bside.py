@@ -149,9 +149,9 @@ def test_tuple_oracle_basis_scan_agrees_with_the_sign_identity_certificate(name)
         assert lhs == rhs
 
 
-# The name this check had before its rename, on its last two cases until the
+# The name this check had before its rename, on four of its cases until the
 # next change deletes it.
-@pytest.mark.parametrize("name", ["cubic-blocks-2", "cubic-blocks-3"])
+@pytest.mark.parametrize("name", ["cubic-blocks-2", "cubic-blocks-3", "elliptic", "quartic"])
 def test_packed_certificate_matches_the_tuple_oracle(name):
     test_tuple_oracle_basis_scan_agrees_with_the_sign_identity_certificate(name)
 
