@@ -219,7 +219,7 @@ class KoszulMF:
         """
         n = self.n
         one = gd.cover.deg(1, (0,) * n)
-        z_deg = [gd.deg_z(gd.cover, k) for k in range(n)]
+        z_deg = [gd.deg_z(k) for k in range(n)]
         for i in range(n):
             phi_deg = gd.cover.deg(1, tuple(-1 if k == i else 0 for k in range(n)))
             for _, syms, wexp in self.splits[i]:

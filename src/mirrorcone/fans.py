@@ -119,8 +119,10 @@ def project_config(vt: ValidatedToricData) -> ProjectedConfig:
 
 
 class Subdivision(NamedTuple):
+    """The cells of ``regular_subdivision``, each with the pivot's integer functional."""
+
     cells: tuple[tuple[str, ...], ...]   # sorted id tuples, sorted overall
-    supports: dict                       # cell tuple -> (a: tuple[Fraction], c: Fraction)
+    supports: dict                       # cell tuple -> (A, C, e): (A.x + C)/e, e > 0
     weights: dict                        # id -> Fraction
     perturbed: bool
     parents: dict                        # refined cell -> unperturbed cell
@@ -297,8 +299,7 @@ def regular_subdivision(cfg: ProjectedConfig, perturb_seed=None) -> Subdivision:
                 parents[named(cell)] = named(parent)
         if any(len(cell) != cfg.dim + 1 for cell, *_ in cells):
             raise FanError("the refined heights did not reach a triangulation")
-    supports = dict(sorted((named(cell), (tuple(Fraction(x, e) for x in a), Fraction(c, e)))
-                           for cell, (a, c, e), _ in cells))
+    supports = dict(sorted((named(cell), func) for cell, func, _ in cells))
     simplices = {named(cell): {ids[idx[k]]: (*(-x for x in g), g0)
                                for facet, (g, g0) in facets.items()
                                for k in set(range(len(idx))) - facet}
@@ -435,16 +436,17 @@ def lift_subdivision(sub: Subdivision, cfg: ProjectedConfig) -> tuple[LiftedCell
     e_{I_j} (mu, nu >= 0 summing to 1, no nu off the origin) forces mu =
     lambda/D, as pi(y) fixes mu and the origin's weight, and then nu = rho/D.
     So y is in the hull iff lambda >= 0 and rho >= 0, rho_j read at max I_j.
-    A point is tested, in integers, against the cells whose functional
-    attains the maximum of all (the lower envelope) at its projection: given
-    the support certificates, these are the cells it projects into, as each
-    d_i e_i lies in Xi_0.
+    A point is tested against the cells whose functional attains the maximum
+    of all (the lower envelope) at its projection: given the support
+    certificates, these are the cells it projects into, as each d_i e_i lies
+    in Xi_0.  Everything is compared in integers: each support (A, C, e) and
+    the heights are scaled to the lcm of the e's, which each carry the
+    heights' denominator.
     """
     vt = cfg.vt
     supports = [sub.supports[cell] for cell in sub.cells]
-    den = lcm(*(h.denominator for h in sub.weights.values()),
-              *(x.denominator for a, c in supports for x in (*a, c)))
-    funcs = [(tuple(int(x * den) for x in a), int(c * den)) for a, c in supports]
+    den = lcm(*(e for _, _, e in supports))  # each e holds the heights' denominator
+    funcs = [(tuple(x * (den // e) for x in a), c * (den // e)) for a, c, e in supports]
     # every functional at every Xi point: its value at the projection is the
     # pulled-back functional's value at the lifted point
     values = [[sum(map(mul, a, px)) + c for a, c in funcs]

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import CertificateFailure
-from .intlat import contains, hnf_canonicalize, lattice_intersection, lattice_quotient
+from .intlat import contains, hnf_canonicalize, lattice_quotient
 from .toricdata import ValidatedToricData
 
 
@@ -48,8 +48,6 @@ class GradingDatum:
 
     @cached_property
     def relation_lattice(self):
-        if not self.relations:
-            return None
         return hnf_canonicalize(self.relations, 1 + self.rank)
 
     def deg(self, j, m=()):
@@ -89,12 +87,8 @@ def _same_datum(a, b):
 def deg_equal(a: GDeg, b: GDeg) -> bool:
     """True iff a - b lies in the relation lattice of the common datum."""
     _same_datum(a, b)
-    diff = (a - b)
-    vec = (diff.j,) + diff.m
-    lat = a.datum.relation_lattice
-    if lat is None:
-        return not any(vec)
-    return contains(lat, vec)
+    diff = a - b
+    return contains(a.datum.relation_lattice, (diff.j,) + diff.m)
 
 
 class GradingMorphism(NamedTuple):
@@ -145,14 +139,9 @@ class GradingData(NamedTuple):
     def morphisms(self):
         return {m.name: m for m in (self.p, self.q, self.r, self.s, self.t, self.u, self.v)}
 
-    def deg_z(self, datum, i):
-        n = datum.rank
-        e_i = tuple(1 if k == i else 0 for k in range(n))
-        if datum.name == "G_Delta":
-            return datum.deg(0, e_i)
-        if datum.name == "G_cover":
-            return datum.deg(2, tuple(-x for x in e_i))
-        raise GradingError("z-degree defined in G_cover and G_Delta only")
+    def deg_z(self, i):
+        """The cover degree (2, -e_i) of z_i; r sends it to its Delta degree (0, e_i)."""
+        return self.cover.deg(2, tuple(-1 if k == i else 0 for k in range(self.cover.rank)))
 
     def deg_r_monomial(self, k_a, size_a):
         """Degree in the cover datum of a coefficient monomial with exponent data.
@@ -228,11 +217,10 @@ def p_injective_mod_z(vt: ValidatedToricData, gd: GradingData) -> bool:
 
     The quotients by Z are M_bar/E and Z^I/E with E the block span, and the
     m-part of p is the identity, so the kernel is (M_bar intersect E)/E;
-    triviality amounts to the lattice equality M_bar intersect E = E.
+    triviality amounts to M_bar intersect E = E, i.e. E in M_bar: every
+    e_{I_j} lies in M_bar.
     """
-    block_span = hnf_canonicalize([vt.block_vector(j) for j in range(vt.r)], vt.n)
-    meet = lattice_intersection(vt.m_bar, block_span)
-    return meet.basis == block_span.basis
+    return all(contains(vt.m_bar, vt.block_vector(j)) for j in range(vt.r))
 
 
 def coker_H(vt: ValidatedToricData, gd: GradingData):

@@ -5,10 +5,9 @@ floating point enters any computation.  Matrices are lists of row tuples.
 One elimination, the integer echelon ``_echelon`` (gcd row steps), gives
 Hermite forms, the Smith form and rank; run on the columns with the identity
 carried along, it gives the integer kernel, which serves the lattices of
-congruences and intersections, the normals of the subdivision's pivot, and
-barycentric coordinates on a simplex.  The matrices are small (at most a few
-dozen rows of ~10 columns with small entries), so it uses no size-reduction
-tricks.
+congruences, the normals of the subdivision's pivot, and barycentric
+coordinates on a simplex.  The matrices are small (at most a few dozen rows
+of ~10 columns with small entries), so it uses no size-reduction tricks.
 """
 
 from __future__ import annotations
@@ -275,19 +274,3 @@ def barycentric(vertices):
         w[i] = [x // a[i][i] for x in acc]
     return w
 
-
-def lattice_intersection(a: Sublattice, b: Sublattice):
-    """The intersection of two sublattices of the same ambient Z^n."""
-    if a.ambient_rank != b.ambient_rank:
-        raise LatticeError("ambient rank mismatch")
-    n = a.ambient_rank
-    # x in both lattices iff x = u @ a.basis = v @ b.basis; solve for (u, v)
-    mat = []
-    for k in range(n):
-        mat.append(tuple([row[k] for row in a.basis] + [-row[k] for row in b.basis]))
-    rows = []
-    for vec in kernel(mat, a.rank + b.rank):
-        u = vec[: a.rank]
-        rows.append(tuple(sum(u[i] * a.basis[i][k] for i in range(a.rank))
-                          for k in range(n)))
-    return hnf_canonicalize(rows, n)

@@ -368,9 +368,11 @@ def deformation_sign(vt: ValidatedToricData, b, h_size):
 
 
 class DeformationClassification(NamedTuple):
+    """The degree-2 candidates by fate; the report prints the sign-killed count."""
+
     surviving: tuple            # exponents in Xi_0, as tuples
     killed_in_ideal: tuple      # exponents in Xi minus Xi_0
-    sign_killed: tuple          # (pair of H-basis labels, nonzero_in_algebra)
+    sign_killed: tuple          # pairs of H-basis labels (block, position)
 
     def counts(self):
         return {name: len(getattr(self, name)) for name in self._fields}
@@ -406,20 +408,13 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
                 raise ClassificationViolation(
                     f"class z^{b} with b outside Xi_0 survives the quotient")
             killed.append(tuple(b))
-    # |h| = 2 candidates: wedge pairs of the fixed basis of H
-    labelled = [((j, pos), vec) for j, blk in enumerate(blocks)
-                for pos, vec in enumerate(h_basis(blk))]
-    zero_a = (0,) * n
-    # the sign of r^0 z^0 h depends only on |h| = 2, not on the pair
-    if deformation_sign(vt, zero_a, 2) != -1:
+    # |h| = 2 candidates: pairs of the fixed basis of H, labelled (block,
+    # position); the sign of r^0 z^0 h depends only on |h| = 2, not on the pair
+    if deformation_sign(vt, (0,) * n, 2) != -1:
         raise ClassificationViolation("|h|=2 class not killed by the sign rule")
-    sign_killed = []
-    for (label1, vec1), (label2, vec2) in combinations(labelled, 2):
-        pair = wedge(vec1, vec2)
-        nonzero = bool(pair) and not element_in_ideal(blocks, zero_a, pair)
-        sign_killed.append(((label1, label2), nonzero))
+    labels = [(j, pos) for j, blk in enumerate(blocks) for pos in range(len(blk) - 1)]
     return DeformationClassification(tuple(sorted(surviving)), tuple(sorted(killed)),
-                                     tuple(sign_killed))
+                                     tuple(combinations(labels, 2)))
 
 
 def enumerate_curvature_candidates(vt: ValidatedToricData):

@@ -144,11 +144,10 @@ def section_fans(vt, perturb_seed=None):
         "cell_count": len(sub.cells),
         "cells": [list(c) for c in sub.cells],
         "supports": {
-            "|".join(cell): {"a": [frac_str(x) for x in sub.supports[cell][0]],
-                             "c": frac_str(sub.supports[cell][1]),
+            "|".join(cell): {"a": [frac_str(x, e) for x in a], "c": frac_str(c, e),
                              **({"parent": "|".join(sub.parents[cell])}
                                 if cell in sub.parents else {})}
-            for cell in sub.cells},
+            for cell, (a, c, e) in sub.supports.items()},
         "perturbed": sub.perturbed,
         "conditions": mpcs.to_json(),
         "isolated_singularity": cert.to_json(),

@@ -329,8 +329,8 @@ def symmetry_groups(vt: ValidatedToricData) -> SymmetryGroups:
     return SymmetryGroups(g=g, gamma=gamma)
 
 
-def frac_str(x) -> str:
-    f = Fraction(x)
+def frac_str(x, den=1) -> str:
+    f = Fraction(x, den)
     return f"{f.numerator}/{f.denominator}"
 
 

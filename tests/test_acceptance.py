@@ -448,6 +448,28 @@ def test_nine_index_block_refuses_the_algebra_table(tmp_path, capsys):
                             "at cutoff 9 exceed the limit 1000000\n")
 
 
+# sha256 of the octic in P^7's report through the algebra section at cutoff 8
+# (289,311 exponents, a 130 MB report), recorded while the sign-killed pairs
+# were still ranked.  It runs in its own process and is hashed from its file
+# in chunks; the timeout only stops a stall.
+OCTIC_IN_P7_ALGEBRA_DIGEST = "8f066424a49d8ce817c4893cd19763c7a873b161afa325c9769783bc89c0c3a9"
+
+
+def test_octic_in_p7_through_the_algebra_section(tmp_path):
+    cfg, report = tmp_path / "single-block-8.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(single_block_config(8)))
+    proc = subprocess.run([sys.executable, "-m", "mirrorcone.cli", "analyze", str(cfg),
+                           "--sections", "validation,algebra", "--cutoff", "8",
+                           "--out", str(report)], capture_output=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == b""
+    digest = hashlib.sha256()
+    with report.open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    report.unlink()
+    assert digest.hexdigest() == OCTIC_IN_P7_ALGEBRA_DIGEST
+
+
 # sha256 of the default `analyze` report (every section but algebra, fans on
 # a fine triangulation) of the Greene-Plesser threefolds and the mixed-block
 # inputs with generic seed 1, recorded before the degree certificates moved

@@ -315,8 +315,8 @@ def quartic_mpcp_chain():
 def test_lift_rejects_a_functional_that_does_not_support():
     cfg, sub = quartic_mpcp_chain()
     cell = sub.cells[5]
-    a, c = sub.supports[cell]
-    tampered = sub._replace(supports={**sub.supports, cell: (a, c + 1)})
+    a, c, e = sub.supports[cell]
+    tampered = sub._replace(supports={**sub.supports, cell: (a, c + e, e)})
     with pytest.raises(CellLiftFailure) as exc:
         lift_subdivision(tampered, cfg)
     assert exc.value.cell == cell

@@ -1,8 +1,9 @@
 
 import copy
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mirrorcone import report
@@ -17,6 +18,7 @@ from mirrorcone.grading import (
     deg_equal,
     p_injective_mod_z,
 )
+from mirrorcone.intlat import sublattice_from_congruences
 from mirrorcone.report import build_report
 from mirrorcone.toricdata import ToricDataError, validate
 from tests_support import analyze_fixture
@@ -82,10 +84,8 @@ def test_delta_datum_relation_quartic():
 
 def test_z_degrees():
     gd = build_grading_data(fixture("quartic"))
-    assert gd.deg_z(gd.cover, 0).j == 2
-    assert gd.deg_z(gd.cover, 0).m == (-1, 0, 0, 0)
-    assert gd.deg_z(gd.delta, 0).j == 0
-    assert gd.deg_z(gd.delta, 0).m == (1, 0, 0, 0)
+    assert gd.deg_z(0) == gd.cover.deg(2, (-1, 0, 0, 0))
+    assert gd.r.apply(gd.deg_z(0)) == gd.delta.deg(0, (1, 0, 0, 0))
 
 
 def test_odd_relator_rejected():
@@ -121,6 +121,34 @@ def test_p_injective(name):
     assert p_injective_mod_z(vt, gd)
 
 
+@st.composite
+def blocked_congruences(draw):
+    """Blocks partitioning 0..n-1 and congruences (c, mod) on Z^n."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2)))
+    blocks = [tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, n])]
+    congruences = draw(st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * n),
+                                          st.integers(1, 6)), max_size=3))
+    return blocks, congruences
+
+
+@given(blocked_congruences())
+@example(([(0, 1, 2)], [((1, 1, 1), 3)]))
+@example(([(0, 1, 2)], [((1, 0, 0), 2)]))
+@settings(max_examples=80, deadline=None)
+def test_p_injective_mod_z_holds_iff_every_block_vector_meets_the_congruences(case):
+    # validate refuses a lattice without every e_{I_j}, so the record is a
+    # stand-in with the lattice, the blocks and the block vectors
+    blocks, congruences = case
+    n = sum(map(len, blocks))
+    vt = SimpleNamespace(m_bar=sublattice_from_congruences(n, congruences), n=n, r=len(blocks),
+                         block_vector=lambda j: tuple(int(i in blocks[j]) for i in range(n)))
+    expected = all(sum(c[i] for i in blk) % mod == 0
+                   for blk in blocks for c, mod in congruences)
+    assert p_injective_mod_z(vt, None) is expected
+
+
 def test_default_volume_vector_block_sums():
     vt = fixture("z-manifold")
     v = vt.volume_orders
@@ -148,7 +176,7 @@ def test_w_monomials_have_degree_two_in_cover():
         for t in w.terms:
             deg = gd.cover.zero()
             for i, e in enumerate(t.exponent):
-                deg = deg + gd.deg_z(gd.cover, i).scale(e)
+                deg = deg + gd.deg_z(i).scale(e)
             if not t.is_block:
                 deg = deg + gd.deg_r_monomial(t.exponent, 1)
             assert deg_equal(deg, two)

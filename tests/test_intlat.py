@@ -14,7 +14,6 @@ from mirrorcone.intlat import (
     contains,
     hnf_canonicalize,
     kernel,
-    lattice_intersection,
     lattice_quotient,
     matrix_rank,
     quotient_group,
@@ -101,13 +100,6 @@ def test_lattice_quotient_of_pair():
     sup = sublattice_from_congruences(4, [((1, 1, 1, 1), 2)])
     sub = sublattice_from_congruences(4, [((1, 1, 1, 1), 4)])
     assert lattice_quotient(sup, sub).invariant_factors == (2,)
-
-
-def test_lattice_intersection():
-    a = hnf_canonicalize([(2, 0), (0, 1)], 2)
-    b = hnf_canonicalize([(1, 0), (0, 3)], 2)
-    meet = lattice_intersection(a, b)
-    assert meet.basis == ((2, 0), (0, 3))
 
 
 def test_smith_normal_form_divisibility():

@@ -3,6 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from types import SimpleNamespace
 
 import pytest
@@ -560,8 +561,22 @@ def test_deformation_classes(name, count):
     assert len(cls.surviving) == count
     assert cls.surviving == vt.xi0
     assert len(cls.killed_in_ideal) == len(vt.xi) - len(vt.xi0)
-    # all |h| = 2 candidates carry the killing sign
-    assert all(isinstance(flag, bool) for _, flag in cls.sign_killed)
+    # every pair of the H basis, labelled (block, position), is a |h| = 2
+    # candidate that the sign rule kills: C(sum (|I_j| - 1), 2) of them
+    labels = [(j, pos) for j, blk in enumerate(vt.blocks) for pos in range(len(blk) - 1)]
+    assert len(cls.sign_killed) == comb(len(labels), 2)
+    assert set(cls.sign_killed) == {(x, y) for x in labels for y in labels if x < y}
+
+
+def test_classification_ranks_only_the_xi_exponents(monkeypatch):
+    # one membership test per b in Xi; the sign-killed pairs are not ranked
+    vt = fixture("z-manifold")
+    calls = []
+    check = koszulalg.element_in_ideal
+    monkeypatch.setattr(koszulalg, "element_in_ideal",
+                        lambda *args: calls.append(args) or check(*args))
+    enumerate_deformation_classes(vt)
+    assert len(calls) == len(vt.xi) == 57
 
 
 def test_deformation_classes_random_v():
@@ -577,10 +592,15 @@ def test_deformation_classes_random_v():
 
 def test_some_wedge_killed_candidates_are_nonzero():
     # for the quartic the pure wedge pairs survive in the algebra (they are
-    # killed only by the sign rule)
+    # killed only by the sign rule); each flag is computed here, by the oracle
     vt = fixture("quartic")
     cls = enumerate_deformation_classes(vt)
-    assert any(flag for _, flag in cls.sign_killed)
+    basis = {(j, pos): vec for j, blk in enumerate(vt.blocks)
+             for pos, vec in enumerate(h_basis(blk))}
+    pairs = [wedge(basis[x], basis[y]) for x, y in cls.sign_killed]
+    flags = [bool(pair) and not in_ideal_by_class(vt.blocks, vt.n, (0,) * vt.n, pair)
+             for pair in pairs]
+    assert len(flags) == 3 and any(flags)
 
 
 @pytest.mark.parametrize("name", ("quartic", "cubic-fourfold", "z-manifold"))

@@ -1,6 +1,7 @@
 """Checks on the program's source text."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -49,6 +50,22 @@ def test_src_does_not_import_argparse():
     # argparse loads gettext, and its first message lookup loads locale: 4-5 ms
     # of every process; cli.main parses argv from its own command table
     assert _imports_of("argparse") == []
+
+
+def test_src_imports_only_the_standard_library():
+    # the runtime has no dependencies: every absolute import names a module
+    # of the standard library (relative imports stay inside mirrorcone)
+    sources = sorted(Path(mirrorcone.__file__).parent.glob("*.py"))
+    imported = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module))
+    assert len(sources) >= 10 and imported
+    assert [f"{name}: {module}" for name, module in imported
+            if module.split(".")[0] not in sys.stdlib_module_names] == []
 
 
 def test_only_toricdata_reads_the_raw_input():
