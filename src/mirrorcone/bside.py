@@ -228,7 +228,7 @@ class KoszulMF:
                     if e:
                         deg = deg + z_deg[k].scale(e)
                 for _, exp in syms:
-                    deg = deg + gd.deg_r_monomial(exp, 1)
+                    deg = deg + gd.deg_r_monomial(exp)
                 if not deg_equal(deg, one):
                     return False
         return True

@@ -143,14 +143,13 @@ class GradingData(NamedTuple):
         """The cover degree (2, -e_i) of z_i; r sends it to its Delta degree (0, e_i)."""
         return self.cover.deg(2, tuple(-1 if k == i else 0 for k in range(self.cover.rank)))
 
-    def deg_r_monomial(self, k_a, size_a):
-        """Degree in the cover datum of a coefficient monomial with exponent data.
+    def deg_r_monomial(self, k_a):
+        """Degree in the cover datum of one coefficient symbol r^a, |a| = 1.
 
-        ``k_a`` is the image in M_bar of the exponent, ``size_a`` its total
-        size; the ambient degree (0, k(a)) pushes forward to
-        (2|a| - 2|k(a)|, k(a)).
+        ``k_a`` is the image in M_bar of the exponent; the ambient degree
+        (0, k(a)) pushes forward to (2|a| - 2|k(a)|, k(a)) = (2 - 2|k(a)|, k(a)).
         """
-        return self.cover.deg(2 * size_a - 2 * sum(k_a), tuple(k_a))
+        return self.cover.deg(2 - 2 * sum(k_a), tuple(k_a))
 
 
 def build_grading_data(vt: ValidatedToricData) -> GradingData:

@@ -8,13 +8,14 @@ Degrees live in the cover grading datum Z (+) Z^I / <(2(1-|I_j|), e_I_j)>;
 a degree class is canonicalized by shifting each block's m-part to have
 minimum zero.  A class piece splits into slices z^a h, one per exponent a
 and wedge distribution, and a slice's rank depends on a only through its
-zero set.  The slice lemma: z^a h lies in the ideal as soon as some block of
-a has at most one zero entry, since z^(e_I_b - e_i) is an ideal generator
-(g_{i} = +-1).  The exponents of a class (j, m) are a_i = s_b - m_i with
-s_b >= max_b m, and only s_b = max_b m leaves two zeros in block b, so each
-class has one exponent that can carry its dimension.  The Koszul complex
-itself is built only by the test oracles, which compare its cohomology with
-these dimensions.
+zero set; in one block, only through its zero count.  The slice lemma: z^a h
+lies in the ideal as soon as some block of a has at most one zero entry,
+since z^(e_I_b - e_i) is an ideal generator (g_{i} = +-1).  The exponents of
+a class (j, m) are a_i = s_b - m_i with s_b >= max_b m, and only s_b = max_b m
+leaves two zeros in block b, so each class has one exponent that can carry
+its dimension.  The classification asks J one question, whether a monomial
+z^b lies in the ideal.  The Koszul complex itself is built only by the test
+oracles, which compare its cohomology with these dimensions.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from . import CertificateFailure
@@ -60,36 +61,22 @@ def canonical_class(blocks, j, m):
     return (j, tuple(m))
 
 
-def _compositions(lo, hi, total):
-    """Integer vectors t with lo[j] <= t[j] <= hi[j] and sum(t) = total."""
-    r = len(lo)
-    if r == 1:
-        return iter(((total,),) if lo[0] <= total <= hi[0] else ())
-    # the least and the most that coordinates j.. can add up to
-    lo_rest, hi_rest = [0] * (r + 1), [0] * (r + 1)
-    for j in range(r - 1, -1, -1):
-        lo_rest[j] = lo_rest[j + 1] + lo[j]
-        hi_rest[j] = hi_rest[j + 1] + hi[j]
-    t = [0] * r
-
-    def rec(j, rem):
-        if j == r:
-            yield tuple(t)
-            return
-        for v in range(max(lo[j], rem - hi_rest[j + 1]),
-                       min(hi[j], rem - lo_rest[j + 1]) + 1):
-            t[j] = v
-            yield from rec(j + 1, rem - v)
-
-    return rec(0, total) if lo_rest[0] <= total <= hi_rest[0] else iter(())
+def _compositions(total, parts):
+    """Compositions of total into ``parts`` positive parts, by stars and bars:
+    each choice of parts - 1 cut points among 1 .. total - 1."""
+    if not (total and parts):
+        return iter([()] if total == parts == 0 else [])
+    return (tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+            for cuts in combinations(range(1, total), parts - 1))
 
 
 def degree_classes(blocks, n, cutoff):
     """Classes met by monomials z^a theta^K or z^a h with |a| <= cutoff."""
     classes = set()
     wedge_max = sum(len(blk) - 1 for blk in blocks)
-    exponents = (a for total in range(cutoff + 1)
-                 for a in _compositions((0,) * n, (total,) * n, total))
+    # a weak composition of total is a positive one of total + n, each part less one
+    exponents = (tuple(x - 1 for x in t) for total in range(cutoff + 1)
+                 for t in _compositions(total + n, n))
     for a in exponents:
         asum = sum(a)
         neg_a = tuple(-x for x in a)
@@ -122,8 +109,8 @@ def runs_by_j(tables):
         if key not in suffixes:
             suffixes[key] = suffix = defaultdict(list)
             # with no front table the prefix polynomial is 1: the last table as it is
-            for m, prod in _times_table([("", poly)], last) if front else last:
-                for j, d in prod.items():
+            for m, row_poly in _times_table([("", poly)], last) if front else last:
+                for j, d in row_poly.items():
                     suffix[j].append(m + str(d))
         for j, rows in suffixes[key].items():
             runs[j].append((prefix, rows))
@@ -174,17 +161,6 @@ def wedge(e1, e2):
     return {s: c for s, c in out.items() if c}
 
 
-def contract_block(elem, blk):
-    """Contraction with e_I_j (odd derivation sending each u_i, i in block, to 1)."""
-    out = {}
-    for s, c in elem.items():
-        for i in blk:
-            if s >> i & 1:
-                key = s ^ (1 << i)
-                out[key] = out.get(key, 0) + c * front_sign(s, i)
-    return {s: c for s, c in out.items() if c}
-
-
 def h_basis(blk):
     """Basis of the kernel of contraction: u_i - u_last for i in blk[:-1]."""
     last = max(blk)
@@ -220,16 +196,17 @@ def _expand_slice_monomials(blocks, dist):
 def _ideal_generators(blocks):
     """The generators z^{e_I_j - e_K} g_K of the ideal, K a nonzero submask of block j.
 
-    Each is (j, drop, degree, g_K): drop is the mask of I_j - K, and g_K is
-    the contraction of u_K, of wedge degree |K| - 1.  K = empty adds
-    nothing: z^{e_I_j} is z_i times the generator of K = {i}, whose g is 1.
+    Each is (j, drop, degree, g_K): drop is the mask of I_j - K, and g_K, of
+    wedge degree |K| - 1, is the contraction of u_K by e_I_j: the sum of
+    u_{K - i} over i in K, each signed by moving u_i to the front.  K = empty
+    adds nothing: z^{e_I_j} is z_i times the generator of K = {i}, whose g is 1.
     """
     gens = []
     for j, blk in enumerate(blocks):
         full = sum(1 << i for i in blk)
         for K in range(1, full + 1):
             if K & full == K:
-                g = contract_block({K: 1}, blk)
+                g = {K ^ (1 << i): front_sign(K, i) for i in bits(K)}
                 gens.append((j, full ^ K, K.bit_count() - 1, g))
     return gens
 
@@ -252,10 +229,10 @@ def _j_slice(blocks, dist, zeros):
         if not 0 <= w < len(blocks[j]) or zeros & drop:
             continue
         for h in _expand_slice_monomials(blocks, dist[:j] + (w,) + dist[j + 1:]):
-            prod = wedge(h, g)
-            if not prod.keys() <= index.keys():
+            vec = wedge(h, g)
+            if not vec.keys() <= index.keys():
                 raise ClassificationViolation("ideal vector escapes the class piece")
-            rows.append([prod.get(s, 0) for s in index])
+            rows.append([vec.get(s, 0) for s in index])
     return len(basis), index, rows, matrix_rank(rows)
 
 
@@ -279,61 +256,61 @@ def koszul_cohomology_dims(n, z_cutoff) -> GradedDims:
     """Graded dimensions of the Koszul cohomology of W_0 for a single block of
     size n, read off the quotient algebra it is isomorphic to class by class:
     the nonzero classes of ``degree_classes``, i.e. of least z-degree at most
-    the cutoff.  Each (wedge degree, zero set) slice is ranked once, and a
-    surviving one with under two zeros falsifies the slice lemma.  By it each
-    class lives at its one exponent a with two zeros: the pair (a, w) is the
-    class (2|a| + w + 2(1 - n) max a, max a - a), and |a| <= cutoff + n - 2."""
+    the cutoff.  Permuting the block's indices fixes the ideal and H =
+    ker(contraction), and maps a slice to a slice, so a slice's rank depends
+    only on its zero count c: each wedge degree is ranked once at the zero set
+    {0, .., c - 1}, (n + 1) n ranks, and a surviving slice with under two
+    zeros falsifies the slice lemma.  By it each class lives at its one
+    exponent a with two zeros: the pair (a, w) is the class
+    (2|a| + w + 2(1 - n) max a, max a - a), and |a| <= cutoff + n - 2; the
+    exponents of every zero set are enumerated."""
     if z_cutoff < n:
         raise CutoffTooSmall(f"cutoff {z_cutoff} < block size {n}")
     if (count := count_exponents(n, z_cutoff)) > ALGEBRA_EXPONENT_LIMIT:
         raise IndexSetTooLarge(f"{count} exponents of a block of size {n} at cutoff "
                                f"{z_cutoff} exceed the limit {ALGEBRA_EXPONENT_LIMIT}")
     blocks, table = (tuple(range(n)),), {}
-    for zeros in range(1 << n):
+    for c in range(n + 1):
+        zeros = (1 << c) - 1
         dims = [size - rank for size, _, _, rank in
                 (_j_slice(blocks, (w,), zeros) for w in range(n))]
-        count, free = zeros.bit_count(), [1 - (zeros >> i & 1) for i in range(n)]
-        if count < 2 and any(dims):
+        if c < 2 and any(dims):
             raise SliceLemmaViolation(f"slice with zero set {zeros:#b} survives the ideal")
-        if count < 2 or not any(dims):
+        if c < 2 or not any(dims):
             continue
-        for size in range(n - count, z_cutoff + n - 1):
-            for a in _compositions(free, [size * x for x in free], size):
-                top = max(a)
-                row = {2 * size + w + 2 * (1 - n) * top: d for w, d in enumerate(dims)
-                       if d and least_z_degree(n, size, count, w) <= z_cutoff}
-                if row:
-                    table[tuple(top - x for x in a)] = row
+        for zero_set in combinations(range(n), c):
+            free = [i for i in range(n) if i not in zero_set]
+            for size in range(n - c, z_cutoff + n - 1):
+                kept = [(2 * size + w, d) for w, d in enumerate(dims)
+                        if d and least_z_degree(n, size, c, w) <= z_cutoff]
+                for parts in _compositions(size, n - c) if kept else ():
+                    top = max(parts, default=0)
+                    m = [top] * n
+                    for i, x in zip(free, parts):
+                        m[i] = top - x
+                    table[tuple(m)] = {j + 2 * (1 - n) * top: d for j, d in kept}
     return GradedDims(blocks, (sorted(table.items()),))
 
 
-def element_in_ideal(blocks, a, elem):
-    """Exact membership of z^a * elem (u-expansion of one wedge degree) in the ideal.
-
-    z^a elem lies in its class piece iff a >= 0 and each monomial's wedge
-    distribution is within the block caps and sums to elem's degree.  The
-    ideal is block-diagonal by slice, so elem is a member iff each of its
-    wedge-distribution components is a member of its slice.
-    """
+def monomial_in_ideal(blocks, a):
+    """Exact membership of the monomial z^a in the ideal: the unit row ranked
+    against the ideal rows of a's wedge-degree-0 slice, whose one column is
+    the unit.  z^a lies in a class piece iff a >= 0."""
     if min(a) < 0:
         raise ClassificationViolation("element does not lie in its class piece")
-    degree = next(iter(elem), 0).bit_count()
-    block_masks = [sum(1 << i for i in blk) for blk in blocks]
-    parts = {}
-    for s, c in elem.items():
-        dist = tuple((s & bm).bit_count() for bm in block_masks)
-        if sum(dist) != degree or any(w >= len(blk) for w, blk in zip(dist, blocks)):
-            raise ClassificationViolation("element does not lie in its class piece")
-        parts.setdefault(dist, {})[s] = c
     zeros = sum(1 << i for i, x in enumerate(a) if x == 0)
-    for dist, part in parts.items():
-        _, index, rows, rank = _j_slice(blocks, dist, zeros)
-        if matrix_rank(rows + [[part.get(s, 0) for s in index]]) != rank:
-            return False
-    return True
+    _, _, rows, rank = _j_slice(blocks, (0,) * len(blocks), zeros)
+    return matrix_rank(rows + [[1]]) == rank
 
 
 # --- tensor products ------------------------------------------------------
+
+
+# Most rows the product of the factor tables may expand to, bounded by the
+# product over blocks of the sum of the terms of their entries' j-polynomials:
+# the z-manifold reads 274,625 at cutoff 6 (146,812 rows), 704,969 at 10 and
+# 3,307,949 at 20; e33+k4 918,287 at 20; four cubic blocks 4,879,681 at 3.
+GRADED_ROWS_LIMIT = 1_000_000
 
 
 def tensor_j_dims(vt: ValidatedToricData, z_cutoff) -> GradedDims:
@@ -346,13 +323,18 @@ def tensor_j_dims(vt: ValidatedToricData, z_cutoff) -> GradedDims:
     to c plus the block size); the margin is validated against the direct
     multi-block computation in the tests.  Every nonzero entry of the product
     is a row: for r > 1 a class outside the cutoff's classes is a partial sum.
+    A product whose row bound exceeds GRADED_ROWS_LIMIT is refused before the
+    writer expands it.
     """
     if z_cutoff < max(len(b) for b in vt.blocks):
         raise CutoffTooSmall("cutoff below the largest block size")
     tables = {nb: koszul_cohomology_dims(nb, z_cutoff + nb + 1).factors[0]
               for nb in {len(blk) for blk in vt.blocks}}
-    return GradedDims(tuple(tuple(sorted(blk)) for blk in vt.blocks),
-                      tuple(tables[len(blk)] for blk in vt.blocks))
+    factors = tuple(tables[len(blk)] for blk in vt.blocks)
+    if (bound := prod(sum(len(poly) for _, poly in t) for t in factors)) > GRADED_ROWS_LIMIT:
+        raise IndexSetTooLarge(f"up to {bound} graded rows of {len(factors)} blocks at cutoff "
+                               f"{z_cutoff} exceed the limit {GRADED_ROWS_LIMIT}")
+    return GradedDims(tuple(tuple(sorted(blk)) for blk in vt.blocks), factors)
 
 
 # --- deformation classes --------------------------------------------------
@@ -397,7 +379,7 @@ def enumerate_deformation_classes(vt: ValidatedToricData) -> DeformationClassifi
         sign = deformation_sign(vt, b, 0)
         if sign != 1:
             raise ClassificationViolation(f"|h|=0 class at {b} is not invariant")
-        in_ideal = element_in_ideal(blocks, tuple(b), {0: 1})
+        in_ideal = monomial_in_ideal(blocks, tuple(b))
         if b in xi0:
             if in_ideal:
                 raise ClassificationViolation(

@@ -7,7 +7,8 @@ supporting hyperplanes, volumes by a pulling triangulation over a facet scan
 of their own, simplex membership by a rational kernel, MPCS over every
 subset of every cell, the Koszul factorization on readable tuple keys, the
 convolution of graded-dims tables on (j, m) tuple keys, the quotient algebra
-and Koszul cohomology ranked over whole degree classes at once, and the
+and Koszul cohomology ranked over whole degree classes at once, one block's
+slice dimensions by their closed form, and the
 degree conditions on Fractions straight from n_sigma = (1/d_i)_i, and
 h^{k-2,1} of a Greene-Plesser hypersurface by Batyrev's formula on the
 simplex conv(d_i e_i).  Nothing here imports mirrorcone.
@@ -17,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 
 def subgroup_closure_mod(generators, modulus, n):
@@ -624,6 +625,15 @@ def in_ideal_by_class(blocks, n, a, elem):
     _, index, rows = quotient_class_piece(blocks, n, cls)
     target = {index[(tuple(a), s)]: c for s, c in elem.items()}
     return _sparse_rank(rows + [target]) == _sparse_rank(rows)
+
+
+def slice_dim_by_closed_form(n, c, w):
+    """dim J of one block's slice of size n with c zeros in a and wedge degree w:
+    C(n - 1, w) - C(n - c, w - c + 1) for c >= 2, and 0 for c < 2 (the slice
+    lemma), with C(a, b) = 0 for b < 0."""
+    if c < 2:
+        return 0
+    return comb(n - 1, w) - (comb(n - c, w - c + 1) if w >= c - 1 else 0)
 
 
 def _koszul_class_monomials(blocks, n, cls):

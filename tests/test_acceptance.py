@@ -448,6 +448,33 @@ def test_nine_index_block_refuses_the_algebra_table(tmp_path, capsys):
                             "at cutoff 9 exceed the limit 1000000\n")
 
 
+# Multi-block inputs whose graded dims would expand to more rows than the
+# writer is let print: the z-manifold wrote 482 MB at cutoff 20 before the
+# bound.  Six cubic blocks skip the fans section, which alone takes most of
+# the budget.
+GRADED_ROWS_REFUSALS = {
+    "z-manifold": (lambda: input_echo(fixture("z-manifold")), ["--sections", "algebra"], 20,
+                   "up to 3307949 graded rows of 3 blocks at cutoff 20"),
+    "cubic-blocks-6": (lambda: input_echo(validate(cubic_block_input(6))),
+                       ["--sections", "validation,algebra"], 3,
+                       "up to 10779215329 graded rows of 6 blocks at cutoff 3"),
+}
+
+
+@pytest.mark.parametrize("name", GRADED_ROWS_REFUSALS)
+def test_multi_block_graded_dims_refuse_the_row_bound(tmp_path, capsys, name):
+    config, sections, cutoff, message = GRADED_ROWS_REFUSALS[name]
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps(config()))
+    t0 = time.monotonic()
+    code = main(["analyze", str(cfg), *sections, "--cutoff", str(cutoff)])
+    _elapsed_guard(t0, 10.0, f"{name} through the algebra section")
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert lines == [f"IndexSetTooLarge: {message} exceed the limit 1000000"]
+
+
 # sha256 of the octic in P^7's report through the algebra section at cutoff 8
 # (289,311 exponents, a 130 MB report), recorded while the sign-killed pairs
 # were still ranked.  It runs in its own process and is hashed from its file

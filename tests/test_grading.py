@@ -178,7 +178,7 @@ def test_w_monomials_have_degree_two_in_cover():
             for i, e in enumerate(t.exponent):
                 deg = deg + gd.deg_z(i).scale(e)
             if not t.is_block:
-                deg = deg + gd.deg_r_monomial(t.exponent, 1)
+                deg = deg + gd.deg_r_monomial(t.exponent)
             assert deg_equal(deg, two)
 
 

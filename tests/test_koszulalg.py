@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from types import SimpleNamespace
 
@@ -12,21 +12,20 @@ from hypothesis import strategies as st
 
 from mirrorcone import koszulalg
 from mirrorcone import report
-from mirrorcone.cli import main
+from mirrorcone.cli import main, parse_config
 from mirrorcone.fixtures import FIXTURE_NAMES, fixture
 from mirrorcone.koszulalg import (
     ClassificationViolation,
     CutoffTooSmall,
     canonical_class,
-    contract_block,
     count_exponents,
     degree_classes,
-    element_in_ideal,
     enumerate_curvature_candidates,
     enumerate_deformation_classes,
     front_sign,
     h_basis,
     koszul_cohomology_dims,
+    monomial_in_ideal,
     sign_action,
     tensor_j_dims,
     wedge,
@@ -40,11 +39,15 @@ from oracles import (
     koszul_class_dimension,
     nullspace_int,
     permutation_sign,
+    slice_dim_by_closed_form,
 )
 from tests_support import (
+    GREENE_PLESSER_DEGREES,
     INTERLEAVED_BLOCKS,
+    MIXED_BLOCK_CONFIGS,
     convolution_by_oracle,
     graded_pairs,
+    greene_plesser_config,
     j_algebra_dim_for_class,
     multiblock_j_dims,
 )
@@ -139,19 +142,49 @@ def _count_ranks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n,most", ((3, 24), (4, 64)))
+# the ids of n = 3 and 4 keep the n 2^n ranks, one per zero set, that the
+# tables once made
+@pytest.mark.parametrize("n,most", [pytest.param(3, 12, id="3-24"),
+                                    pytest.param(4, 20, id="4-64"), (6, 42)])
 def test_j_dims_rank_each_slice_shape_once(monkeypatch, fresh_caches, n, most):
-    # one rank per (wedge distribution, zero set of a): 3 x 8 and 4 x 16
+    # one rank per (wedge degree, zero count of a): n x (n + 1)
     calls = _count_ranks(monkeypatch)
     koszul_cohomology_dims(n, 10)
     assert 0 < len(calls) <= most
 
 
 def test_r1_dims_at_the_report_cutoff_rank_each_slice_shape_once(monkeypatch, fresh_caches):
-    # the r = 1 report path: 4 wedge distributions x 16 zero sets
+    # the r = 1 report path: 4 wedge degrees x 5 zero counts
     calls = _count_ranks(monkeypatch)
     koszul_cohomology_dims(4, 6)
-    assert 0 < len(calls) <= 64
+    assert 0 < len(calls) <= 20
+
+
+def _slice_dims(n, zeros):
+    blocks = (tuple(range(n)),)
+    return [size - rank for size, _, _, rank in
+            (koszulalg._j_slice(blocks, (w,), zeros) for w in range(n))]
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_every_zero_set_ranks_like_its_representative(n):
+    # a permutation of the block fixes the ideal and H, so only the zero count matters
+    for zeros in range(1 << n):
+        assert _slice_dims(n, zeros) == _slice_dims(n, (1 << zeros.bit_count()) - 1), zeros
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6, 7, 8))
+def test_representative_slices_equal_the_closed_form(n):
+    for c in range(n + 1):
+        assert _slice_dims(n, (1 << c) - 1) == [
+            slice_dim_by_closed_form(n, c, w) for w in range(n)], c
+
+
+@pytest.mark.parametrize("parts", range(6))
+def test_compositions_equal_a_product_filter(parts):
+    for total in range(10):
+        assert list(koszulalg._compositions(total, parts)) == [
+            t for t in product(range(1, total + 1), repeat=parts) if sum(t) == total], total
 
 
 def _blocks_of(name):
@@ -211,42 +244,46 @@ def test_koszul_dims_match_the_whole_class_oracle(name, cutoff):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_deformation_membership_queries_match_the_whole_class_oracle(monkeypatch, name):
     queries = []
-    member = koszulalg.element_in_ideal
+    member = koszulalg.monomial_in_ideal
 
-    def recording(blocks, a, elem):
-        answer = member(blocks, a, elem)
-        queries.append((blocks, a, elem, answer))
+    def recording(blocks, a):
+        answer = member(blocks, a)
+        queries.append((blocks, a, answer))
         return answer
 
-    monkeypatch.setattr(koszulalg, "element_in_ideal", recording)
+    monkeypatch.setattr(koszulalg, "monomial_in_ideal", recording)
     vt = fixture(name)
     enumerate_deformation_classes(vt)
     assert queries
-    for blocks, a, elem, answer in queries:
-        assert answer == in_ideal_by_class(blocks, vt.n, a, elem), (a, elem)
+    for blocks, a, answer in queries:
+        assert answer == in_ideal_by_class(blocks, vt.n, a, {0: 1}), a
 
 
-def test_membership_across_two_wedge_distributions():
-    # an element is a member iff each wedge-distribution component is
-    vt = fixture("cubic-fourfold")
-    zero = (0,) * vt.n
-    h0, h1 = h_basis(vt.blocks[0]), h_basis(vt.blocks[1])
-    top0, top1 = wedge(h0[0], h0[1]), wedge(h1[0], h1[1])
-    mixed = wedge(h0[0], h1[0])
-    for elem, expected in ((top0, True), (mixed, False),
-                           ({**top0, **top1}, True), ({**top0, **mixed}, False)):
-        assert element_in_ideal(vt.blocks, zero, elem) is expected
-        assert in_ideal_by_class(vt.blocks, vt.n, zero, elem) is expected
+def _validated(config):
+    return validate(parse_config(config))
 
 
-@pytest.mark.parametrize("a,elem", (
-    ((0, 0, 0), {0b111: 1}),        # u_1 u_2 u_3 lies above the block's top wedge
-    ((1, 0, 0), {0: 1, 0b001: 1}),  # two wedge degrees in one element
-    ((-1, 0, 0), {0: 1}),           # a negative exponent
-))
-def test_an_element_outside_its_class_piece_is_a_classification_violation(a, elem):
+def _membership_inputs():
+    yield from ((name, fixture(name)) for name in FIXTURE_NAMES)
+    for name in GREENE_PLESSER_DEGREES:
+        yield name, _validated(greene_plesser_config(name))
+    for name, config in MIXED_BLOCK_CONFIGS.items():
+        yield name, _validated(config)
+
+
+def test_monomial_membership_is_a_block_with_at_most_one_zero():
+    # the slice lemma's criterion, computed here, on every Xi point
+    for name, vt in _membership_inputs():
+        for b in vt.xi:
+            expected = any(sum(b[i] == 0 for i in blk) <= 1 for blk in vt.blocks)
+            assert monomial_in_ideal(vt.blocks, tuple(b)) is expected, (name, b)
+
+
+# the id is the one the negative exponent had among three element cases
+@pytest.mark.parametrize("a", [pytest.param((-1, 0, 0), id="a2-elem2")])
+def test_an_element_outside_its_class_piece_is_a_classification_violation(a):
     with pytest.raises(ClassificationViolation, match="does not lie in its class piece"):
-        element_in_ideal(BLOCKS3, a, elem)
+        monomial_in_ideal(BLOCKS3, a)
 
 
 def test_a_surviving_slice_with_under_two_zeros_makes_analyze_exit_3(tmp_path, capsys,
@@ -322,10 +359,10 @@ CLASSIFICATION_SITES = {
         lambda mp: mp.setattr(koszulalg, "deformation_sign", lambda vt, b, h: -1),
         r"\|h\|=0 class at \(0, 0, 0, 4\) is not invariant"),
     "first-order-class-vanishes": (
-        lambda mp: mp.setattr(koszulalg, "element_in_ideal", lambda *args: True),
+        lambda mp: mp.setattr(koszulalg, "monomial_in_ideal", lambda *args: True),
         r"first-order class z\^\(0, 0, 0, 4\) vanishes in the quotient algebra"),
     "class-outside-xi0-survives": (
-        lambda mp: mp.setattr(koszulalg, "element_in_ideal", lambda *args: False),
+        lambda mp: mp.setattr(koszulalg, "monomial_in_ideal", lambda *args: False),
         r"class z\^\(0, 1, 1, 2\) with b outside Xi_0 survives the quotient"),
     "h2-class-not-killed": (
         lambda mp: mp.setattr(koszulalg, "deformation_sign", lambda vt, b, h: 1),
@@ -399,6 +436,36 @@ def test_single_block_table_stops_past_the_exponent_limit(monkeypatch, slack, re
         assert koszul_cohomology_dims(4, 6) == table
 
 
+def _graded_rows_bound(dims):
+    """prod over the factor tables of their entries' j-polynomial terms."""
+    bound = 1
+    for table in dims.factors:
+        bound *= sum(len(poly) for _, poly in table)
+    return bound
+
+
+@pytest.mark.parametrize("name", ("cubic-fourfold", "z-manifold", "e33+k4", "e244+e33"))
+def test_graded_rows_bound_holds_the_printed_rows(name):
+    vt = fixture(name) if name in FIXTURE_NAMES else _validated(MIXED_BLOCK_CONFIGS[name])
+    dims = tensor_j_dims(vt, 4)
+    assert 0 < len(graded_pairs(dims)) <= _graded_rows_bound(dims)
+
+
+@pytest.mark.parametrize("slack, refused", [(-1, True), (0, False)])
+def test_multi_block_dims_stop_past_the_graded_rows_limit(monkeypatch, slack, refused):
+    vt = fixture("z-manifold")
+    dims = tensor_j_dims(vt, 6)
+    bound = _graded_rows_bound(dims)
+    assert bound == 274_625 <= koszulalg.GRADED_ROWS_LIMIT
+    monkeypatch.setattr(koszulalg, "GRADED_ROWS_LIMIT", bound + slack)
+    if refused:
+        with pytest.raises(IndexSetTooLarge, match=f"^up to {bound} graded rows of 3 blocks "
+                                                   f"at cutoff 6 exceed the limit {bound - 1}$"):
+            tensor_j_dims(vt, 6)
+    else:
+        assert tensor_j_dims(vt, 6) == dims
+
+
 def test_kernel_inside_image_of_f():
     # every kernel element's monomials satisfy a >= e_K (divisibility by z^K)
     n = 4
@@ -435,18 +502,18 @@ def test_kernel_inside_image_of_f():
 
 
 def test_ideal_generator_instances():
-    # K = empty: z_1 z_2 z_3 lies in the ideal; K = I: the top wedge does
-    assert element_in_ideal(BLOCKS3, (1, 1, 1), {0: 1})
-    top = h_basis((0, 1, 2))
-    elem = wedge(top[0], top[1])
-    assert element_in_ideal(BLOCKS3, (0, 0, 0), elem)
+    # K = empty: z_1 z_2 z_3 lies in the ideal; K = I: the top wedge does at a = 0,
+    # so its slice is spanned by the ideal rows
+    assert monomial_in_ideal(BLOCKS3, (1, 1, 1))
+    size, _, _, rank = koszulalg._j_slice(BLOCKS3, (2,), 0b111)
+    assert size == rank == 1
 
 
 def test_block_monomials_in_ideal_two_blocks():
     # z^{e_I_j} comes from z_i times a |K| = 1 generator, block by block
     vt = fixture("cubic-fourfold")
     for j in range(vt.r):
-        assert element_in_ideal(vt.blocks, vt.block_vector(j), {0: 1})
+        assert monomial_in_ideal(vt.blocks, vt.block_vector(j))
 
 
 def _mask(indices):
@@ -475,8 +542,14 @@ def test_signs_match_permutation_parity(perm, size, cut):
 
 
 def test_contraction_kills_h_basis():
+    # the contraction with e_I sends u_i to 1: u_i - u_last goes to 1 - 1
     for vec in h_basis((0, 1, 2)):
-        assert contract_block(vec, (0, 1, 2)) == {}
+        image = {}
+        for s, c in vec.items():
+            for i in (0, 1, 2):
+                if s >> i & 1:
+                    image[s ^ 1 << i] = image.get(s ^ 1 << i, 0) + c * front_sign(s, i)
+        assert image == {0: 0}
 
 
 def test_tensor_matches_direct_cubic_fourfold():
@@ -572,8 +645,8 @@ def test_classification_ranks_only_the_xi_exponents(monkeypatch):
     # one membership test per b in Xi; the sign-killed pairs are not ranked
     vt = fixture("z-manifold")
     calls = []
-    check = koszulalg.element_in_ideal
-    monkeypatch.setattr(koszulalg, "element_in_ideal",
+    check = koszulalg.monomial_in_ideal
+    monkeypatch.setattr(koszulalg, "monomial_in_ideal",
                         lambda *args: calls.append(args) or check(*args))
     enumerate_deformation_classes(vt)
     assert len(calls) == len(vt.xi) == 57

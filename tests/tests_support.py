@@ -85,7 +85,8 @@ def j_algebra_dim_for_class(blocks, n, cls):
     one exponent that can have two zeros in every block, a_i = max_b m - m_i
     for i in block b: the sum of size - rank over that exponent's slices,
     the wedge distributions of total w = j + 2|m| - 2 sum_b max_b m."""
-    from mirrorcone.koszulalg import _compositions, _j_slice
+    from mirrorcone.koszulalg import _j_slice
+    from oracles import _wedge_distributions
 
     j, m = cls
     w, zeros = j + 2 * sum(m), 0
@@ -93,7 +94,7 @@ def j_algebra_dim_for_class(blocks, n, cls):
         top = max(m[i] for i in blk)
         w -= 2 * top
         zeros |= sum(1 << i for i in blk if m[i] == top)
-    dists = _compositions([0] * len(blocks), [len(blk) - 1 for blk in blocks], w)
+    dists = _wedge_distributions(blocks, w)
     return sum(size - rank for size, _, _, rank in (_j_slice(blocks, d, zeros) for d in dists))
 
 
