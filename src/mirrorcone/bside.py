@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import CertificateFailure
-from .grading import GradingData, deg_equal
+from .grading import GradingData
 from .toricdata import ValidatedToricData
 from .intlat import contains
 
@@ -218,18 +218,13 @@ class KoszulMF:
         class (coefficient symbols graded by their pushed-forward degree).
         """
         n = self.n
-        one = gd.cover.deg(1, (0,) * n)
-        z_deg = [gd.deg_z(k) for k in range(n)]
+        one = (1,) + (0,) * n
         for i in range(n):
-            phi_deg = gd.cover.deg(1, tuple(-1 if k == i else 0 for k in range(n)))
+            phi_deg = (1, *(-1 if k == i else 0 for k in range(n)))
             for _, syms, wexp in self.splits[i]:
-                deg = phi_deg
-                for k, e in enumerate(wexp):
-                    if e:
-                        deg = deg + z_deg[k].scale(e)
-                for _, exp in syms:
-                    deg = deg + gd.deg_r_monomial(exp)
-                if not deg_equal(deg, one):
+                parts = [phi_deg, *(gd.deg_r_monomial(exp) for _, exp in syms)]
+                parts += [[e * x for x in gd.deg_z(k)] for k, e in enumerate(wexp) if e]
+                if not gd.cover.equal(map(sum, zip(*parts)), one):
                     return False
         return True
 

@@ -1,11 +1,13 @@
-"""Finitely presented grading groups, their elements and morphisms.
+"""Finitely presented grading groups and their morphisms.
 
-A grading datum is Z (+) Z^k modulo a lattice of relator rows; elements are
-compared by reducing their difference against the relator lattice.  The four
-data built from validated toric input are called ``amb`` (the ambient datum
-Z (+) M), ``cover`` (the branched-cover datum with relators
-(2(1-|I_j|), e_I_j)), ``delta`` (relators (2<n_sigma,m>, -m) for m in M_bar)
-and ``mf`` (Z (+) Z/(2,-d)).
+A grading datum is Z (+) Z^k modulo a lattice of relator rows, and a degree in
+it is the integer vector (j, *m) of length 1 + k: ``GradingDatum.equal`` tests
+a - b against the relation lattice.  The four data built from validated toric
+input are ``amb`` (Z (+) M), ``cover`` (relators (2(1-|I_j|), e_I_j)),
+``delta`` (relators (2<n_sigma,m>, -m) for m in M_bar) and ``mf`` (Z (+) Z/(2,-d)).
+A malformed datum or degree raises GradingError.  A morphism that breaks a
+relator or shifts by a non-integer (MorphismCheckFailed) and a non-integral
+<n_sigma, m> (IntegralityCheckFailed) are falsified identities.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ from .toricdata import ValidatedToricData
 
 
 class GradingError(ValueError):
+    pass
+
+
+class MorphismCheckFailed(GradingError, CertificateFailure):
     pass
 
 
@@ -50,45 +56,9 @@ class GradingDatum:
     def relation_lattice(self):
         return hnf_canonicalize(self.relations, 1 + self.rank)
 
-    def deg(self, j, m=()):
-        m = tuple(m)
-        if len(m) != self.rank:
-            raise GradingError("m-part has wrong length")
-        return GDeg(self, j, m)
-
-    def zero(self):
-        return self.deg(0, (0,) * self.rank)
-
-
-class GDeg(NamedTuple):
-    datum: GradingDatum
-    j: int
-    m: tuple[int, ...]
-
-    def __add__(self, other):
-        _same_datum(self, other)
-        return GDeg(self.datum, self.j + other.j,
-                    tuple(a + b for a, b in zip(self.m, other.m)))
-
-    def __sub__(self, other):
-        _same_datum(self, other)
-        return GDeg(self.datum, self.j - other.j,
-                    tuple(a - b for a, b in zip(self.m, other.m)))
-
-    def scale(self, k):
-        return GDeg(self.datum, k * self.j, tuple(k * a for a in self.m))
-
-
-def _same_datum(a, b):
-    if a.datum.name != b.datum.name or a.datum.rank != b.datum.rank:
-        raise GradingError("degree arithmetic across different grading data")
-
-
-def deg_equal(a: GDeg, b: GDeg) -> bool:
-    """True iff a - b lies in the relation lattice of the common datum."""
-    _same_datum(a, b)
-    diff = a - b
-    return contains(a.datum.relation_lattice, (diff.j,) + diff.m)
+    def equal(self, a, b) -> bool:
+        """True iff the degrees a and b are equal here: a - b lies in the relation lattice."""
+        return contains(self.relation_lattice, [x - y for x, y in zip(a, b, strict=True)])
 
 
 class GradingMorphism(NamedTuple):
@@ -100,24 +70,20 @@ class GradingMorphism(NamedTuple):
     w: tuple[int | Fraction, ...]  # integral except p's
     t_rows: tuple[tuple[int, ...], ...]  # target.rank rows of length source.rank
 
-    def apply(self, deg: GDeg) -> GDeg:
-        if deg.datum.name != self.source.name:
-            raise GradingError(f"morphism {self.name} applied to wrong datum")
-        shift = sum(wi * mi for wi, mi in zip(self.w, deg.m))
+    def apply(self, deg: tuple[int, ...]) -> tuple[int, ...]:
+        if len(deg) != 1 + self.source.rank:
+            raise GradingError(f"morphism {self.name}: {deg} is not in {self.source.name}")
+        m = deg[1:]
+        shift = sum(wi * mi for wi, mi in zip(self.w, m))
         if isinstance(shift, Fraction) and shift.denominator != 1:
-            raise GradingError(
-                f"morphism {self.name}: non-integral shift on m = {deg.m}")
-        new_m = tuple(sum(row[k] * deg.m[k] for k in range(self.source.rank))
-                      for row in self.t_rows)
-        return GDeg(self.target, deg.j + int(shift), new_m)
+            raise MorphismCheckFailed(f"morphism {self.name}: non-integral shift on m = {m}")
+        return (deg[0] + int(shift), *(sum(t * x for t, x in zip(row, m))
+                                       for row in self.t_rows))
 
     def is_well_defined(self):
         """Every source relator must map into the target relation lattice."""
-        for rel in self.source.relations:
-            image = self.apply(GDeg(self.source, rel[0], tuple(rel[1:])))
-            if not deg_equal(image, self.target.zero()):
-                return False
-        return True
+        zero = (0,) * (1 + self.target.rank)
+        return all(self.target.equal(self.apply(rel), zero) for rel in self.source.relations)
 
 
 class GradingData(NamedTuple):
@@ -141,7 +107,7 @@ class GradingData(NamedTuple):
 
     def deg_z(self, i):
         """The cover degree (2, -e_i) of z_i; r sends it to its Delta degree (0, e_i)."""
-        return self.cover.deg(2, tuple(-1 if k == i else 0 for k in range(self.cover.rank)))
+        return (2, *(-1 if k == i else 0 for k in range(self.cover.rank)))
 
     def deg_r_monomial(self, k_a):
         """Degree in the cover datum of one coefficient symbol r^a, |a| = 1.
@@ -149,7 +115,7 @@ class GradingData(NamedTuple):
         ``k_a`` is the image in M_bar of the exponent; the ambient degree
         (0, k(a)) pushes forward to (2|a| - 2|k(a)|, k(a)) = (2 - 2|k(a)|, k(a)).
         """
-        return self.cover.deg(2 - 2 * sum(k_a), tuple(k_a))
+        return (2 - 2 * sum(k_a), *k_a)
 
 
 def build_grading_data(vt: ValidatedToricData) -> GradingData:
@@ -191,24 +157,17 @@ def build_grading_data(vt: ValidatedToricData) -> GradingData:
                        p=p, q=q, r=r, s=s, t=t, u=u, v=v)
     for morph in data.morphisms().values():
         if not morph.is_well_defined():
-            raise GradingError(f"morphism {morph.name} does not respect relators")
+            raise MorphismCheckFailed(f"morphism {morph.name} does not respect relators")
     return data
 
 
 def check_commutative_square(vt: ValidatedToricData, gd: GradingData) -> bool:
     """s(q(k,m)) ~ r(p(k,m)) in G_Delta over a spanning set of the ambient datum."""
-    samples = [gd.amb.deg(k, (0,) * vt.n) for k in (0, 1, 2)]
-    for row in vt.m_bar.basis:
-        samples.append(gd.amb.deg(0, row))
-        samples.append(gd.amb.deg(1, row))
-    for j in range(vt.r):
-        samples.append(gd.amb.deg(0, vt.block_vector(j)))
-    for g in samples:
-        left = gd.s.apply(gd.q.apply(g))
-        right = gd.r.apply(gd.p.apply(g))
-        if not deg_equal(left, right):
-            return False
-    return True
+    samples = [(k,) + (0,) * vt.n for k in (0, 1, 2)]
+    samples += [(k, *row) for row in vt.m_bar.basis for k in (0, 1)]
+    samples += [(0, *vt.block_vector(j)) for j in range(vt.r)]
+    return all(gd.delta.equal(gd.s.apply(gd.q.apply(g)), gd.r.apply(gd.p.apply(g)))
+               for g in samples)
 
 
 def p_injective_mod_z(vt: ValidatedToricData, gd: GradingData) -> bool:

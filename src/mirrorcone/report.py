@@ -105,7 +105,7 @@ def section_groups(vt):
 def section_grading(vt, gd):
     return {
         "volume_orders": list(vt.volume_orders),
-        # build_grading_data already raised GradingError on a failing morphism
+        # build_grading_data already raised MorphismCheckFailed on a failing morphism
         "morphisms_well_defined": {name: True for name in sorted(gd.morphisms())},
         "commutative_square": check_commutative_square(vt, gd),
         "coker_H": list(coker_H(vt, gd).invariant_factors),
@@ -156,9 +156,11 @@ def section_fans(vt, perturb_seed=None):
 
 def section_algebra(vt, cutoff):
     _bind("koszulalg")
+    # dims first: their work bounds refuse before the 2^n subset scan of the
+    # curvature candidates runs
+    dims = koszul_cohomology_dims(vt.n, cutoff) if vt.r == 1 else tensor_j_dims(vt, cutoff)
     classes = enumerate_deformation_classes(vt)
     curvature = enumerate_curvature_candidates(vt)
-    dims = koszul_cohomology_dims(vt.n, cutoff) if vt.r == 1 else tensor_j_dims(vt, cutoff)
     return {
         "cutoff": cutoff,
         "graded_dims": dims,

@@ -258,11 +258,12 @@ def smith_by_minors(rows):
 
 
 def _facets_by_scan(pts, dim):
-    """Facets of conv(pts) (full-dimensional): contact index set -> normal.
+    """Facets of conv(pts) (full-dimensional): contact index set -> integer normal.
 
     Every dim-subset that spans a hyperplane with all points on one side
     gives that hyperplane's contact set; the normal is oriented so the
-    points lie where <normal, x> <= <normal, contact point>.
+    points lie where <normal, x> <= <normal, contact point>.  A hyperplane
+    is dropped at the first point that puts points on both of its sides.
     """
     facets = {}
     for sub in combinations(range(len(pts)), dim):
@@ -271,13 +272,19 @@ def _facets_by_scan(pts, dim):
         kernel = nullspace_int(dirs, dim)
         if len(kernel) != 1:
             continue
-        g = kernel[0]
-        vals = [sum(gi * (x - y) for gi, x, y in zip(g, p, base)) for p in pts]
-        if all(v >= 0 for v in vals):
-            g = [-x for x in g]
-        elif not all(v <= 0 for v in vals):
-            continue
-        facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = g
+        den = lcm(*(x.denominator for x in kernel[0]))
+        g = [int(x * den) for x in kernel[0]]
+        vals, lo, hi = [], 0, 0
+        for p in pts:
+            v = sum(gi * (x - y) for gi, x, y in zip(g, p, base))
+            lo, hi = min(lo, v), max(hi, v)
+            if lo < 0 < hi:
+                break
+            vals.append(v)
+        else:
+            if lo == 0:  # every point on the >= side
+                g = [-x for x in g]
+            facets[frozenset(i for i, v in enumerate(vals) if v == 0)] = g
     return facets
 
 

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from mirrorcone import report
 from mirrorcone.bside import build_koszul_mf, build_superpotential, check_wflips, dualize_mf
 from mirrorcone.cli import main, parse_config
 from mirrorcone.fans import (
@@ -462,10 +463,14 @@ GRADED_ROWS_REFUSALS = {
 
 
 @pytest.mark.parametrize("name", GRADED_ROWS_REFUSALS)
-def test_multi_block_graded_dims_refuse_the_row_bound(tmp_path, capsys, name):
+def test_multi_block_graded_dims_refuse_the_row_bound(tmp_path, capsys, monkeypatch, name):
     config, sections, cutoff, message = GRADED_ROWS_REFUSALS[name]
     cfg = tmp_path / f"{name}.json"
     cfg.write_text(json.dumps(config()))
+    # the bound refuses before the deformation classes and the 2^n curvature scan
+    called = []
+    for enumerator in ("enumerate_deformation_classes", "enumerate_curvature_candidates"):
+        monkeypatch.setattr(report, enumerator, lambda vt, e=enumerator: called.append(e))
     t0 = time.monotonic()
     code = main(["analyze", str(cfg), *sections, "--cutoff", str(cutoff)])
     _elapsed_guard(t0, 10.0, f"{name} through the algebra section")
@@ -473,6 +478,7 @@ def test_multi_block_graded_dims_refuse_the_row_bound(tmp_path, capsys, name):
     assert code == 1 and captured.out == ""
     lines = captured.err.strip().splitlines()
     assert lines == [f"IndexSetTooLarge: {message} exceed the limit 1000000"]
+    assert called == []
 
 
 # sha256 of the octic in P^7's report through the algebra section at cutoff 8

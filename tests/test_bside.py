@@ -105,6 +105,15 @@ def test_delta_degree_is_odd_one(name):
     assert mf.delta_degree_check(gd)
 
 
+def test_a_split_entry_of_the_wrong_degree_fails_the_degree_check():
+    # one more z_0 in W_0's first entry adds (2, -e_0): its piece has degree (3, -e_0)
+    mf = build_koszul_mf(build_superpotential(fixture("quartic")))
+    (sign, syms, exp), *rest = mf.splits[0]
+    raised = (sign, syms, (exp[0] + 1,) + exp[1:])
+    bad = KoszulMF(mf.vt, mf.w, ((raised, *rest),) + mf.splits[1:])
+    assert not bad.delta_degree_check(build_grading_data(mf.vt))
+
+
 @pytest.mark.parametrize("name", sorted(ISO_DEGREES.items()))
 def test_dualization(name):
     name, degree = name

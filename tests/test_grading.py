@@ -12,10 +12,10 @@ from mirrorcone.grading import (
     GradingDatum,
     GradingError,
     GradingMorphism,
+    MorphismCheckFailed,
     build_grading_data,
     check_commutative_square,
     coker_H,
-    deg_equal,
     p_injective_mod_z,
 )
 from mirrorcone.intlat import sublattice_from_congruences
@@ -56,6 +56,27 @@ def test_a_morphism_that_is_not_well_defined_stops_the_report(monkeypatch):
         build_report(fixture("quartic"), ("grading",))
 
 
+def test_a_morphism_that_is_not_well_defined_makes_analyze_exit_3(tmp_path, capsys, monkeypatch):
+    check = GradingMorphism.is_well_defined
+    monkeypatch.setattr(GradingMorphism, "is_well_defined",
+                        lambda self: self.name != "t" and check(self))
+    code, err = analyze_fixture(tmp_path, capsys, "quartic", "--sections", "grading")
+    assert code == 3
+    assert err == ("certificate failure [MorphismCheckFailed]: "
+                   "morphism t does not respect relators\n")
+
+
+def test_p_refuses_a_non_integral_shift_off_m_bar():
+    # (0, 1, 0, 0) is not in M_bar: p shifts it by 2(1 - 4)/4 = -3/2
+    gd = build_grading_data(fixture("quartic"))
+    assert gd.p.apply((0, 1, 1, 1, 1)) == (-6, 1, 1, 1, 1)
+    with pytest.raises(MorphismCheckFailed, match=r"^morphism p: non-integral shift on "
+                                                  r"m = \(1, 0, 0, 0\)$"):
+        gd.p.apply((0, 1, 0, 0, 0))
+    with pytest.raises(GradingError, match="not in G_amb"):
+        gd.p.apply((0, 1, 1, 1))
+
+
 def test_a_non_integral_n_sigma_pairing_makes_analyze_exit_3(tmp_path, capsys, monkeypatch):
     # d = 5 with q = (1, 1, 1, 1): the M_bar basis row (4, 0, 0, 0) pairs to 4/5
     def shifted(vt):
@@ -73,19 +94,19 @@ def test_a_non_integral_n_sigma_pairing_makes_analyze_exit_3(tmp_path, capsys, m
 def test_mf_datum_relator():
     gd = build_grading_data(fixture("quartic"))
     assert gd.mf.relations == ((2, -4),)
-    assert deg_equal(gd.mf.deg(2, (-4,)), gd.mf.zero())
-    assert not deg_equal(gd.mf.deg(1, (0,)), gd.mf.zero())
+    assert gd.mf.equal((2, -4), (0, 0))
+    assert not gd.mf.equal((1, 0), (0, 0))
 
 
 def test_delta_datum_relation_quartic():
     gd = build_grading_data(fixture("quartic"))
-    assert deg_equal(gd.delta.deg(2, (-1, -1, -1, -1)), gd.delta.zero())
+    assert gd.delta.equal((2, -1, -1, -1, -1), (0, 0, 0, 0, 0))
 
 
 def test_z_degrees():
     gd = build_grading_data(fixture("quartic"))
-    assert gd.deg_z(0) == gd.cover.deg(2, (-1, 0, 0, 0))
-    assert gd.r.apply(gd.deg_z(0)) == gd.delta.deg(0, (1, 0, 0, 0))
+    assert gd.deg_z(0) == (2, -1, 0, 0, 0)
+    assert gd.r.apply(gd.deg_z(0)) == (0, 1, 0, 0, 0)
 
 
 def test_odd_relator_rejected():
@@ -106,6 +127,16 @@ def test_commutative_square(name):
     vt = fixture(name)
     gd = build_grading_data(vt)
     assert check_commutative_square(vt, gd)
+
+
+def test_a_square_that_does_not_commute_is_reported():
+    # without r's shift 2|m|, r(p(0, m)) misses s(q(0, m)) by 2|m| in j for m in M_bar
+    vt = fixture("quartic")
+    gd = build_grading_data(vt)
+    r = gd.r._replace(w=(0,) * vt.n)
+    assert not check_commutative_square(vt, gd._replace(r=r))
+    # and it sends the cover relator (-6, 1, 1, 1, 1) off the Delta lattice
+    assert not r.is_well_defined()
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -172,30 +203,28 @@ def test_w_monomials_have_degree_two_in_cover():
         vt = fixture(name)
         gd = build_grading_data(vt)
         w = build_superpotential(vt)
-        two = gd.cover.deg(2, (0,) * vt.n)
+        two = (2,) + (0,) * vt.n
         for t in w.terms:
-            deg = gd.cover.zero()
+            deg = [0] * (1 + vt.n)
             for i, e in enumerate(t.exponent):
-                deg = deg + gd.deg_z(i).scale(e)
+                deg = [x + e * y for x, y in zip(deg, gd.deg_z(i))]
             if not t.is_block:
-                deg = deg + gd.deg_r_monomial(t.exponent)
-            assert deg_equal(deg, two)
+                deg = [x + y for x, y in zip(deg, gd.deg_r_monomial(t.exponent))]
+            assert gd.cover.equal(deg, two)
 
 
 def test_t_sends_z_monomials_to_weighted_degree():
     vt = fixture("quartic")
     gd = build_grading_data(vt)
     for p in vt.xi:
-        image = gd.t.apply(gd.delta.deg(0, p))
-        assert image.j == 0 and image.m == (vt.d,)
+        assert gd.t.apply((0, *p)) == (0, vt.d)
 
 
 def test_v_morphism_kills_cover_relators():
     vt = fixture("z-manifold")
     gd = build_grading_data(vt)
     for rel in gd.cover.relations:
-        image = gd.v.apply(gd.cover.deg(rel[0], tuple(rel[1:])))
-        assert image.j == 0
+        assert gd.v.apply(rel) == (0,)
 
 
 @given(st.integers(0, 3), st.integers(-2, 2))
@@ -204,6 +233,6 @@ def test_square_on_random_lattice_elements(k, c):
     vt = fixture("quartic")
     gd = build_grading_data(vt)
     m = tuple(c * x for x in vt.m_bar.basis[k % 4])
-    left = gd.s.apply(gd.q.apply(gd.amb.deg(k, m)))
-    right = gd.r.apply(gd.p.apply(gd.amb.deg(k, m)))
-    assert deg_equal(left, right)
+    left = gd.s.apply(gd.q.apply((k, *m)))
+    right = gd.r.apply(gd.p.apply((k, *m)))
+    assert gd.delta.equal(left, right)
